@@ -25,10 +25,6 @@ from .elements import (
     MemIntegrator,
     Multiplier,
     Potentiometer,
-    adder_output,
-    integrator_rhs,
-    memristor_current,
-    memristor_state_rhs,
 )
 from .netlist import (
     Diagnostic,

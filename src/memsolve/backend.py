@@ -1,13 +1,15 @@
 """Engine backend selection.
 
-The scalar RK4 kernel ships in two builds: the numba ``@njit`` compile
-of :func:`memsolve.engine.rk4_run` and the same function left as pure
-Python (in which case Monte Carlo sweeps use the vectorized numpy batch
-kernel instead of a per-iteration loop).
+Both backends run the RK4 stages that :mod:`memsolve.engine` generates
+per program structure.  ``numpy`` runs them as plain Python: single runs
+through the scalar kernel, Monte Carlo sweeps through the lane kernel
+that advances every iteration in lockstep.  ``numba`` njits the scalar
+driver and each generated scalar stage, and sweeps run the scalar
+kernel per iteration on worker threads.
 
 Selection order: explicit ``backend=`` argument, then the
 ``MEMSOLVE_BACKEND`` environment variable (``numba`` | ``numpy`` |
-``auto``), then ``numba`` when importable.
+``auto``), then ``numba`` when importable, else ``numpy``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ rk4_python = engine.rk4_run
 
 try:
     import numba
-
-    rk4_numba = numba.njit(cache=True, nogil=True, error_model="numpy")(engine.rk4_run)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a default dependency
+except ImportError:  # numba is the optional [jit] extra
     rk4_numba = None
     HAVE_NUMBA = False
+else:
+    rk4_numba = engine.scalar_kernel(numba.njit(nogil=True, error_model="numpy"))
+    HAVE_NUMBA = True
 
 
 def available_backends() -> tuple[str, ...]:

@@ -1,4 +1,7 @@
-"""Analog computing blocks and their transfer characteristics.
+"""Analog computing blocks, their transfer characteristics and invariants.
+
+The characteristics stated here are executed in one place only:
+:func:`memsolve.netlist.lower` emits them onto the instruction tape.
 
 The simulation is dimensionless: capacitances, resistances and time are
 unitless reals with C = 1 and R = 1 unless declared otherwise, and
@@ -15,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
-from .exprs import Expr, eval_expr, variables
+from .exprs import Expr, variables
 
 __all__ = [
     "Adder",
@@ -27,10 +30,6 @@ __all__ = [
     "FunctionGenerator",
     "MemIntegrator",
     "Element",
-    "adder_output",
-    "integrator_rhs",
-    "memristor_current",
-    "memristor_state_rhs",
     "element_problems",
 ]
 
@@ -89,43 +88,6 @@ class MemIntegrator:
 
 
 Element = Union[Adder, Integrator, Potentiometer, Multiplier, FunctionGenerator, MemIntegrator]
-
-
-def adder_output(gains: Sequence[float], inputs: Sequence[float]) -> float:
-    """Output voltage of an adder; single input with K=1 is a sign inverter."""
-    if len(gains) != len(inputs):
-        raise ValueError(f"adder gain/input length mismatch: {len(gains)} vs {len(inputs)}")
-    if not gains:
-        raise ValueError("adder needs at least one input")
-    return -sum(k * v for k, v in zip(gains, inputs))
-
-
-def integrator_rhs(c: float, resistances: Sequence[float], inputs: Sequence[float]) -> float:
-    """Time derivative of the integrator output for the given input voltages."""
-    if c <= 0.0:
-        raise ValueError(f"capacitance must be positive, got {c}")
-    if len(resistances) != len(inputs):
-        raise ValueError("integrator resistance/input length mismatch")
-    for r in resistances:
-        if r <= 0.0:
-            raise ValueError(f"input resistance must be positive, got {r}")
-    return -sum(v / r for r, v in zip(resistances, inputs)) / c
-
-
-def memristor_current(g: Expr, t: float, v: float, omega: float) -> tuple[float, bool]:
-    """Memristor current g(t, v, omega) * v and a passivity-violation flag.
-
-    The flag is set when the memductance is negative.  Negative
-    memductances arise in practice (feedback circuits synthesize them on
-    purpose), so they are reported rather than rejected.
-    """
-    gv = eval_expr(g, {"t": t, "v": v, "omega": omega})
-    return gv * v, gv < 0.0
-
-
-def memristor_state_rhs(f: Expr, t: float, v: float, omega: float) -> float:
-    """State-variable dynamics d(omega)/dt = f(t, v, omega); f = v is the ideal device."""
-    return eval_expr(f, {"t": t, "v": v, "omega": omega})
 
 
 _MEM_VARS = frozenset({"t", "v", "omega"})

@@ -1,14 +1,17 @@
 """Execution engine for lowered circuits.
 
 A lowered circuit is a straight-line *tape* of register instructions
-(:class:`Program`) evaluated once per Runge-Kutta stage.  The same tape
-format is executed by two interchangeable kernels:
+(:class:`Program`) evaluated once per Runge-Kutta stage.  The tape is
+not interpreted: ``_OPS`` states each opcode's semantics once (its
+expression, its domain guard and its ``ln`` clamp), and ``_emit`` turns
+a tape into the Python source of one RK4 stage, in two variants:
 
-* :func:`rk4_run` — scalar time loop, written in the numba-compilable
-  subset of Python (module level, no closures, arrays only) so the fast
-  backend can ``@njit(cache=True)`` it unchanged;
-* :func:`rk4_run_batch` — the pure-numpy twin, vectorized across a batch
-  of parameter sets (used for Monte Carlo sweeps on the numpy backend).
+* scalar, driven by :func:`rk4_run` (single runs).  Stage and driver stay
+  in the numba-compilable subset of Python (arrays and scalars only, no
+  closures, no lists), so the numba backend njits the same source;
+* lanes, driven by :func:`rk4_run_batch`, which advances a batch of
+  parameter sets side by side in numpy arrays (Monte Carlo sweeps on the
+  numpy backend).
 
 Kernel status codes: 0 = completed, 1 = expression domain error,
 2 = state blow-up (magnitude above the blow-up limit or non-finite).
@@ -21,6 +24,7 @@ the step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,32 +145,135 @@ class TapeBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernel (numba-compilable as-is)
+# Opcode semantics
+#
+# Each entry is (expression, guard).  In an expression, {a} and {b} name
+# the operand registers and {i} is the raw operand of OP_CONST and
+# OP_STATE (a constant-table or state index).  The stage function sees
+# the stage time as ``t``, the stage state as ``y`` and the constant
+# table as ``consts``; for lanes every one of them carries the lane axis.
 
 
-def rk4_run(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
-            y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):
-    """Classical fixed-step RK4 over the tape; returns #recorded samples.
+@dataclass(frozen=True)
+class _Guard:
+    on: str            # "a" or "b": the operand is checked first; "r": the result
+    bad: str           # test over the checked value, written as {}
+    safe: str          # value a lane keeps computing with where the test holds
+    clamp: bool = False  # clamp to ``safe`` and count, instead of a domain error
 
-    ``rec`` is (n_steps+1, n_channels); ``gflag`` is (n_steps+1,) and set
-    to 1 on samples where any memductance register is negative.
-    ``info`` receives (status, event_step, ln_clamp_count); ``y_out``
-    holds the state vector at exit (the failing state on an error).
+
+_OPS = {
+    OP_CONST: ("consts[{i}]", None),
+    OP_T: ("t", None),
+    OP_STATE: ("y[{i}]", None),
+    OP_ADD: ("{a} + {b}", None),
+    OP_SUB: ("{a} - {b}", None),
+    OP_MUL: ("{a} * {b}", None),
+    OP_DIV: ("{a} / {b}", _Guard("b", "{} == 0.0", "1.0")),
+    OP_NEG: ("-{a}", None),
+    OP_EXP: ("np.exp({a})", None),
+    OP_LN: ("np.log({a})", _Guard("a", "{} < ln_floor", "ln_floor", clamp=True)),
+    OP_SIN: ("np.sin({a})", None),
+    OP_COS: ("np.cos({a})", None),
+    OP_SQRT: ("np.sqrt({a})", _Guard("a", "{} < 0.0", "0.0")),
+    OP_ABS: ("abs({a})", None),
+    # (scalar, lanes): the scalar variant keeps libm pow through numpy
+    # scalar power; the array ufunc has its own fast paths (exponents 2,
+    # 0.5, -1), so the two variants can differ in the last bit.
+    OP_POW: (("np.float64({a}) ** {b}", "np.power({a}, {b})"),
+             _Guard("r", "np.isnan({})", "0.0")),
+}
+
+
+def _guard_lines(g: _Guard, lanes: bool) -> list[str]:
+    """What happens to ``x`` (the checked value) where ``g.bad`` holds."""
+    if not lanes:
+        then = ["x = " + g.safe, "info[2] += 1"] if g.clamp else [f"return {STATUS_DOMAIN_ERROR}"]
+        return [f"if {g.bad.format('x')}:"] + ["    " + s for s in then]
+    # a lane stops counting at its first domain error, as the scalar stage returns there
+    flag = "ln_counts[alive & ~dom & m] += 1" if g.clamp else "dom |= m"
+    return [f"m = {g.bad.format('x')}", "if m.any():", "    " + flag,
+            f"    x = np.where(m, {g.safe}, x)"]
+
+
+def _emit(code, deriv_regs, probes, lanes: bool) -> str:
+    """Straight-line source of one RK4 stage; registers become locals ``r<n>``.
+
+    The stage writes the state derivatives to ``k`` and the probes (the
+    recorded channels, then the memductance registers) to ``p``.  The
+    scalar stage returns a status code and counts ``ln`` clamps in
+    ``info[2]``; the lane stage returns its domain-error mask and counts
+    clamps per live lane.  Built from opcodes and indices only.
     """
+    if lanes:
+        lines = ["def stage(t, y, consts, ln_floor, k, p, ln_counts, alive):",
+                 "    dom = np.zeros(alive.shape[0], dtype=np.bool_)"]
+    else:
+        lines = ["def stage(t, y, consts, ln_floor, k, p, info):"]
+    body = []
+    for op, dst, a, b in code:
+        expr, guard = _OPS[op]
+        if isinstance(expr, tuple):
+            expr = expr[lanes]
+        names = {"i": a, "a": f"r{a}", "b": f"r{b}"}
+        if guard is None:
+            body.append(f"r{dst} = " + expr.format(**names))
+            continue
+        if guard.on == "r":
+            body.append("x = " + expr.format(**names))
+            body += _guard_lines(guard, lanes)
+            body.append(f"r{dst} = x")
+        else:
+            body.append(f"x = {names[guard.on]}")
+            body += _guard_lines(guard, lanes)
+            names[guard.on] = "x"
+            body.append(f"r{dst} = " + expr.format(**names))
+    body += [f"k[{i}] = r{r}" for i, r in enumerate(deriv_regs)]
+    body += [f"p[{j}] = " + (f"y[{i}]" if kind == CHAN_STATE else f"r{i}")
+             for j, (kind, i) in enumerate(probes)]
+    body.append("return dom" if lanes else f"return {STATUS_OK}")
+    return "\n".join(lines + ["    " + s for s in body]) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _stage(code, deriv_regs, probes, lanes: bool, jit=None):
+    namespace = {"np": np}
+    exec(compile(_emit(code, deriv_regs, probes, lanes), "<memsolve rk4 stage>", "exec"), namespace)
+    fn = namespace["stage"]
+    return fn if jit is None else jit(fn)
+
+
+def _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, lanes: bool, jit=None):
+    """The generated stage for this program structure, cached across calls.
+
+    The key is what the source is built from: the tape, the derivative
+    and memductance registers and the recorded channels.  Constants are
+    an argument of the stage, so programs that differ only in their
+    constant tables (:meth:`Program.same_structure`) share one function.
+    """
+    probes = tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
+    probes += tuple((CHAN_REG, g) for g in g_regs.tolist())
+    return _stage(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()), probes, lanes, jit)
+
+
+# ---------------------------------------------------------------------------
+# Scalar kernel
+
+
+def _drive(stage, consts, n_chan, p, y0, t0, dt, n_steps, ln_floor, blow_limit,
+           rec, gflag, info, y_out):
+    """Classical fixed-step RK4 around a scalar stage (numba-compilable as-is)."""
     n_states = y0.shape[0]
-    n_instr = code.shape[0]
-    n_chan = chan_kind.shape[0]
-    regs = np.zeros(n_regs, dtype=np.float64)
     y = y_out
     for i in range(n_states):
         y[i] = y0[i]
     ytmp = np.empty(n_states, dtype=np.float64)
     ks = np.empty((4, n_states), dtype=np.float64)
     comp = np.zeros(n_states, dtype=np.float64)  # Kahan compensation
-    ln_total = 0
     recorded = 0
     info[0] = STATUS_OK
     info[1] = n_steps
+    info[2] = 0
     for step in range(n_steps + 1):
         for stg in range(4):
             if stg == 0:
@@ -181,80 +288,21 @@ def rk4_run(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
                 ts = t0 + step * dt + 0.5 * dt
                 for i in range(n_states):
                     ytmp[i] = y[i] + 0.5 * dt * ks[stg - 1, i]
-            ok = True
-            for pc in range(n_instr):
-                op = code[pc, 0]
-                dst = code[pc, 1]
-                a = code[pc, 2]
-                b = code[pc, 3]
-                if op == OP_CONST:
-                    regs[dst] = consts[a]
-                elif op == OP_T:
-                    regs[dst] = ts
-                elif op == OP_STATE:
-                    regs[dst] = ytmp[a]
-                elif op == OP_ADD:
-                    regs[dst] = regs[a] + regs[b]
-                elif op == OP_SUB:
-                    regs[dst] = regs[a] - regs[b]
-                elif op == OP_MUL:
-                    regs[dst] = regs[a] * regs[b]
-                elif op == OP_DIV:
-                    den = regs[b]
-                    if den == 0.0:
-                        ok = False
-                        break
-                    regs[dst] = regs[a] / den
-                elif op == OP_NEG:
-                    regs[dst] = -regs[a]
-                elif op == OP_EXP:
-                    regs[dst] = np.exp(regs[a])
-                elif op == OP_LN:
-                    x = regs[a]
-                    if x < ln_floor:
-                        x = ln_floor
-                        ln_total += 1
-                    regs[dst] = np.log(x)
-                elif op == OP_SIN:
-                    regs[dst] = np.sin(regs[a])
-                elif op == OP_COS:
-                    regs[dst] = np.cos(regs[a])
-                elif op == OP_SQRT:
-                    x = regs[a]
-                    if x < 0.0:
-                        ok = False
-                        break
-                    regs[dst] = np.sqrt(x)
-                elif op == OP_ABS:
-                    regs[dst] = abs(regs[a])
-                else:  # OP_POW
-                    r = regs[a] ** regs[b]
-                    if np.isnan(r):
-                        ok = False
-                        break
-                    regs[dst] = r
-            if not ok:
+            if stage(ts, ytmp, consts, ln_floor, ks[stg], p, info) != STATUS_OK:
                 info[0] = STATUS_DOMAIN_ERROR
                 info[1] = step
-                info[2] = ln_total
                 return recorded
             if stg == 0:
                 for c in range(n_chan):
-                    if chan_kind[c] == CHAN_STATE:
-                        rec[step, c] = y[chan_idx[c]]
-                    else:
-                        rec[step, c] = regs[chan_idx[c]]
+                    rec[step, c] = p[c]
                 flag = 0
-                for gi in range(g_regs.shape[0]):
-                    if regs[g_regs[gi]] < 0.0:
+                for j in range(n_chan, p.shape[0]):
+                    if p[j] < 0.0:
                         flag = 1
                 gflag[step] = flag
                 recorded = step + 1
                 if step == n_steps:
-                    info[2] = ln_total
                     return recorded
-            for i in range(n_states):
-                ks[stg, i] = regs[deriv_regs[i]]
         bad = False
         for i in range(n_states):
             # compensated state update keeps the roundoff floor near eps*|y|,
@@ -269,27 +317,52 @@ def rk4_run(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
         if bad:
             info[0] = STATUS_BLOWUP
             info[1] = step + 1
-            info[2] = ln_total
             return recorded
     return recorded
 
 
+def scalar_kernel(jit=None):
+    """The scalar RK4 kernel; ``jit`` (e.g. ``numba.njit``) compiles its driver and stages."""
+    drive = _drive if jit is None else jit(_drive)
+
+    def rk4_run(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
+                y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):
+        """Classical fixed-step RK4 over the tape; returns #recorded samples.
+
+        ``rec`` is (n_steps+1, n_channels); ``gflag`` is (n_steps+1,) and set
+        to 1 on samples where any memductance register is negative.
+        ``info`` receives (status, event_step, ln_clamp_count); ``y_out``
+        holds the state vector at exit (the failing state on an error).
+        """
+        stage = _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
+        p = np.empty(chan_kind.shape[0] + g_regs.shape[0], dtype=np.float64)
+        return drive(stage, consts, chan_kind.shape[0], p, y0, t0, dt, n_steps,
+                     ln_floor, blow_limit, rec, gflag, info, y_out)
+
+    return rk4_run
+
+
+rk4_run = scalar_kernel()
+
+
 # ---------------------------------------------------------------------------
-# Batched numpy kernel
+# Lane kernel
 #
 # Runs W independent parameter sets of one program in lockstep: consts is
 # (n_consts, W), states are (n_states, W).  Lanes die individually on
 # domain errors or blow-up; per-lane status/event/ln counts mirror the
-# scalar kernel (per-lane results match the scalar kernel up to the
-# usual one-ulp differences between numpy and libm transcendentals).
+# scalar kernel.  Per-lane waveforms are bit-equal to the scalar kernel's
+# for tapes without OP_POW (see _OPS).
 
 
 def rk4_run_batch(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
                   y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
                   event_step, ln_counts, rec_counts, y_out=None):
+    stage = _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, True)
     n_states, width = y0.shape
     n_chan = chan_kind.shape[0]
-    regs = np.zeros((n_regs, width), dtype=np.float64)
+    p = np.empty((n_chan + g_regs.shape[0], width), dtype=np.float64)
+    tv = np.empty(width, dtype=np.float64)
     y = y0.copy()
     ks = np.empty((4, n_states, width), dtype=np.float64)
     comp = np.zeros((n_states, width), dtype=np.float64)
@@ -322,75 +395,19 @@ def rk4_run_batch(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
                 else:
                     ts = t0 + step * dt + 0.5 * dt
                     ytmp = y + 0.5 * dt * ks[stg - 1]
-                dom = np.zeros(width, dtype=bool)
-                for pc in range(code.shape[0]):
-                    op, dst, a, b = code[pc]
-                    if op == OP_CONST:
-                        regs[dst] = consts[a]
-                    elif op == OP_T:
-                        regs[dst] = ts
-                    elif op == OP_STATE:
-                        regs[dst] = ytmp[a]
-                    elif op == OP_ADD:
-                        np.add(regs[a], regs[b], out=regs[dst])
-                    elif op == OP_SUB:
-                        np.subtract(regs[a], regs[b], out=regs[dst])
-                    elif op == OP_MUL:
-                        np.multiply(regs[a], regs[b], out=regs[dst])
-                    elif op == OP_DIV:
-                        den = regs[b]
-                        zero = den == 0.0
-                        if zero.any():
-                            dom |= zero
-                            den = np.where(zero, 1.0, den)
-                        np.divide(regs[a], den, out=regs[dst])
-                    elif op == OP_NEG:
-                        np.negative(regs[a], out=regs[dst])
-                    elif op == OP_EXP:
-                        np.exp(regs[a], out=regs[dst])
-                    elif op == OP_LN:
-                        x = regs[a]
-                        low = x < ln_floor
-                        if low.any():
-                            ln_counts[alive & low] += 1
-                            x = np.maximum(x, ln_floor)
-                        np.log(x, out=regs[dst])
-                    elif op == OP_SIN:
-                        np.sin(regs[a], out=regs[dst])
-                    elif op == OP_COS:
-                        np.cos(regs[a], out=regs[dst])
-                    elif op == OP_SQRT:
-                        x = regs[a]
-                        neg = x < 0.0
-                        if neg.any():
-                            dom |= neg
-                            x = np.where(neg, 0.0, x)
-                        np.sqrt(x, out=regs[dst])
-                    elif op == OP_ABS:
-                        np.abs(regs[a], out=regs[dst])
-                    else:  # OP_POW
-                        r = np.power(regs[a], regs[b])
-                        bad = np.isnan(r)
-                        if bad.any():
-                            dom |= bad
-                            r = np.where(bad, 0.0, r)
-                        regs[dst] = r
-                kill(dom, STATUS_DOMAIN_ERROR, step)
+                tv.fill(ts)
+                kill(stage(tv, ytmp, consts, ln_floor, ks[stg], p, ln_counts, alive),
+                     STATUS_DOMAIN_ERROR, step)
                 if not alive.any():
                     break
                 if stg == 0:
                     for c in range(n_chan):
-                        src = y[chan_idx[c]] if chan_kind[c] == CHAN_STATE else regs[chan_idx[c]]
-                        rec[step, c, alive] = src[alive]
-                    if g_regs.shape[0]:
-                        neg_any = np.zeros(width, dtype=bool)
-                        for gr in g_regs:
-                            neg_any |= regs[gr] < 0.0
-                        gflag[step, alive] = neg_any[alive].astype(np.uint8)
+                        rec[step, c, alive] = p[c, alive]
+                    if p.shape[0] > n_chan:
+                        gflag[step, alive] = (p[n_chan:] < 0.0).any(axis=0)[alive]
                     rec_counts[alive] = step + 1
                     if step == n_steps:
                         break
-                ks[stg] = regs[deriv_regs]
             if step == n_steps or not alive.any():
                 break
             delta = dt * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]) / 6.0

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from memsolve.compiler import VolterraPopulation, compile_volterra_population
+from memsolve.compiler import (
+    TurbulentIde,
+    VolterraPopulation,
+    compile_turbulent,
+    compile_volterra_population,
+)
 from memsolve.exprs import parse_expr
 from memsolve.netlist import lower, parse_netlist
 from memsolve.solver import SimConfig
@@ -34,12 +39,35 @@ output w
 """
 
 
-def test_zero_tolerance_is_identity():
-    net = population_netlist()
+def turbulent_netlist():
+    return compile_turbulent(
+        TurbulentIde(
+            p=parse_expr("1/8*exp(-2*t)", {"t"}),
+            k1=parse_expr("1/2*exp(-t)", {"t"}),
+            k2=parse_expr("exp(-s)", {"s"}),
+            u0=1.0,
+        )
+    )
+
+
+POW_SPLIT = pytest.mark.xfail(
+    strict=True,
+    reason="the reference run's scalar kernel evaluates pow with libm pow, the sweep's "
+           "lane kernel with array np.power; they differ in the last bit",
+)
+
+
+@pytest.mark.parametrize(
+    "make_netlist, t_end",
+    [(population_netlist, 1.0), pytest.param(turbulent_netlist, 4.0, marks=POW_SPLIT)],
+    ids=["population", "turbulent"],
+)
+def test_zero_tolerance_is_identity(make_netlist, t_end):
+    net = make_netlist()
     cfg = ToleranceConfig(max_relative_error=0.0, iterations=3)
     pert = perturb(net, cfg, 0)
     assert np.array_equal(lower(pert).program.consts, lower(net).program.consts)
-    rep = stability_run(net, cfg, SimConfig(dt=1e-2, t_end=1.0))
+    rep = stability_run(net, cfg, SimConfig(dt=1e-2, t_end=t_end))
     assert np.all(rep.mean == 0.0)
     assert np.all(rep.p90 == 0.0)
 
