@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 input error, 3 unsupported feature,
 information where available.
 
 ``MEMSOLVE_BACKEND`` selects the integration kernel (numba | numpy),
-``MEMSOLVE_THREADS`` caps stability-run workers.
+``MEMSOLVE_THREADS`` caps stability-run workers on the numba backend.
 """
 
 from __future__ import annotations
@@ -100,15 +100,10 @@ def _cmd_compile(args, argv) -> int:
 
 
 def _cmd_simulate(args, argv) -> int:
-    net = load_netlist(args.netlist)
-    diags = validate(net)
-    if diags:
-        for d in diags:
-            print(str(d), file=sys.stderr)
-        return EXIT_INPUT
+    ode = lower(load_netlist(args.netlist))
     channels = tuple(c for c in (args.channels or "").split(",") if c)
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, record_channels=channels)
-    res = simulate(lower(net), cfg)
+    res = simulate(ode, cfg)
     res.waveform.to_csv(args.out)
     outputs = [args.out]
     if args.gnuplot:
@@ -167,11 +162,6 @@ def _cmd_oracle(args, argv) -> int:
 
 def _cmd_stability(args, argv) -> int:
     net = load_netlist(args.netlist)
-    diags = validate(net)
-    if diags:
-        for d in diags:
-            print(str(d), file=sys.stderr)
-        return EXIT_INPUT
     cfg = ToleranceConfig(
         max_relative_error=args.tolerance,
         iterations=args.iterations,

@@ -336,8 +336,9 @@ def scalar_kernel(jit=None):
         """
         stage = _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
         p = np.empty(chan_kind.shape[0] + g_regs.shape[0], dtype=np.float64)
-        return drive(stage, consts, chan_kind.shape[0], p, y0, t0, dt, n_steps,
-                     ln_floor, blow_limit, rec, gflag, info, y_out)
+        with np.errstate(all="ignore"):  # domain errors are reported through info
+            return drive(stage, consts, chan_kind.shape[0], p, y0, t0, dt, n_steps,
+                         ln_floor, blow_limit, rec, gflag, info, y_out)
 
     return rk4_run
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import Expr, eval_expr, eval_expr_array, variables
-from .waveform import Waveform
+from .waveform import Waveform, grid_steps
 
 __all__ = [
     "IdeSpec",
@@ -98,9 +98,7 @@ def _rhs(spec: IdeSpec, t: float, y: float, mem: float) -> float:
 
 def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     """March the equation over [0, t_end]; channel ``y``; truncates on blow-up."""
-    if not (0.0 < dt < t_end):
-        raise ValueError(f"need 0 < dt < t_end, got dt={dt}, t_end={t_end}")
-    n = max(int(round(t_end / dt)), 1)
+    n = grid_steps(dt, t_end)
     ts = dt * np.arange(n + 1)
 
     general = spec.kernel is not None
@@ -169,9 +167,7 @@ def solve_memristive_chain(
     ics = [float(x) for x in ics]
     if order < 1 or len(ics) != order:
         raise ValueError("need order >= 1 and exactly `order` initial conditions")
-    if not (0.0 < dt < t_end):
-        raise ValueError(f"need 0 < dt < t_end, got dt={dt}, t_end={t_end}")
-    n = max(int(round(t_end / dt)), 1)
+    n = grid_steps(dt, t_end)
     ts = dt * np.arange(n + 1)
 
     def chain_rhs(t, Y, w):

@@ -9,7 +9,7 @@ The recorded waveform always carries the declared output signal as its
 first channel, named ``out``, with the netlist's output transform (if
 any) applied.  Additional node or ``omega:<element>`` channels can be
 requested.  Inside the stepper the argument of every ``ln`` is clamped
-below at ``ln_floor`` and the clamp activations are counted; state
+below at ``LN_FLOOR`` and the clamp activations are counted; state
 magnitudes above ``BLOWUP_LIMIT`` (or non-finite states) truncate the
 run and are reported rather than raised.
 """
@@ -24,11 +24,13 @@ from . import engine
 from .backend import resolve_backend, rk4_kernel
 from .exprs import eval_expr_array_clamped
 from .netlist import OdeSystem
-from .waveform import Waveform
+from .waveform import Waveform, grid_steps
 
-__all__ = ["SimConfig", "SimResult", "SimulationError", "simulate", "relative_error", "BLOWUP_LIMIT"]
+__all__ = ["SimConfig", "SimResult", "SimulationError", "simulate", "relative_error", "BLOWUP_LIMIT",
+           "LN_FLOOR"]
 
 BLOWUP_LIMIT = 1e12
+LN_FLOOR = 1e-9
 REL_ERR_EPS = 1e-12
 OUTPUT_CHANNEL = "out"
 
@@ -37,20 +39,15 @@ OUTPUT_CHANNEL = "out"
 class SimConfig:
     dt: float
     t_end: float
-    ln_floor: float = 1e-9
     record_channels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (0.0 < self.dt < self.t_end):
-            raise ValueError(f"need 0 < dt < t_end, got dt={self.dt}, t_end={self.t_end}")
-        if self.ln_floor <= 0.0:
-            raise ValueError(f"ln_floor must be positive, got {self.ln_floor}")
+        grid_steps(self.dt, self.t_end)
         self.record_channels = tuple(self.record_channels)
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
-        return max(n, 1)
+        return grid_steps(self.dt, self.t_end)
 
 
 class SimulationError(RuntimeError):
@@ -115,7 +112,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         kernel(
             prog.code, prog.consts, prog.n_regs, prog.deriv_regs, prog.g_regs,
             chan_kind, chan_idx, sys.y0(), 0.0, cfg.dt, n_steps,
-            cfg.ln_floor, BLOWUP_LIMIT, rec, gflag, info, y_out,
+            LN_FLOOR, BLOWUP_LIMIT, rec, gflag, info, y_out,
         )
     )
     status, event, ln_clamps = int(info[0]), int(info[1]), int(info[2])
@@ -131,7 +128,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
     if sys.output_transform is not None:
         tgrid = cfg.dt * np.arange(recorded, dtype=np.float64)
         out_col, transform_clamps = eval_expr_array_clamped(
-            sys.output_transform, {"v": out_col, "t": tgrid}, cfg.ln_floor
+            sys.output_transform, {"v": out_col, "t": tgrid}, LN_FLOOR
         )
         rec = rec.copy()
         rec[:, 0] = out_col

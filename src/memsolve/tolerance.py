@@ -16,7 +16,9 @@ the same report.  A draw that would violate an element invariant
 
 The reference curve is the unperturbed netlist's own simulation, so the
 report isolates the effect of component error from discretization
-error.
+error.  It runs as parameter set 0 of the same sweep as the perturbed
+iterations (set k+1 is iteration k), through the same kernel, so a
+tolerance of 0 reports an error of exactly 0.
 """
 
 from __future__ import annotations
@@ -39,16 +41,11 @@ from .elements import (
 )
 from .exprs import Expr, eval_expr_array_clamped, map_constants
 from .netlist import Netlist, lower
-from .solver import BLOWUP_LIMIT, REL_ERR_EPS, SimConfig, SimulationError, simulate
+from .solver import BLOWUP_LIMIT, LN_FLOOR, REL_ERR_EPS, SimConfig, SimulationError, simulate
 
-__all__ = ["ToleranceConfig", "StabilityReport", "perturb", "stability_run",
-           "DEFAULT_MASTER_SEED", "TARGET_CLASSES"]
+__all__ = ["ToleranceConfig", "StabilityReport", "perturb", "stability_run", "DEFAULT_MASTER_SEED"]
 
 DEFAULT_MASTER_SEED = 12345
-
-TARGET_CLASSES = frozenset(
-    {"gains", "capacitance", "resistance", "alpha", "initial_conditions", "expression_literals"}
-)
 
 _MAX_REDRAWS = 1000
 
@@ -59,7 +56,6 @@ class ToleranceConfig:
     iterations: int = 100
     master_seed: int = DEFAULT_MASTER_SEED
     distribution: str = "uniform"          # "uniform" | "truncated_gaussian"
-    perturb_targets: frozenset[str] = TARGET_CLASSES
 
     def __post_init__(self):
         if not (0.0 <= self.max_relative_error < 1.0):
@@ -72,10 +68,6 @@ class ToleranceConfig:
             raise ValueError("master_seed must be a non-negative 64-bit integer")
         if self.distribution not in ("uniform", "truncated_gaussian"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        self.perturb_targets = frozenset(self.perturb_targets)
-        unknown = self.perturb_targets - TARGET_CLASSES
-        if unknown:
-            raise ValueError(f"unknown perturb targets {sorted(unknown)}")
 
 
 class _Draws:
@@ -109,11 +101,8 @@ def perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> Netlist
     differing constant tables.
     """
     draws = _Draws(cfg, iteration_index)
-    targets = cfg.perturb_targets
 
     def literals(expr: Expr) -> Expr:
-        if "expression_literals" not in targets:
-            return expr
         return map_constants(expr, lambda _i, c: draws.scale(c))
 
     out = Netlist(
@@ -124,38 +113,32 @@ def perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> Netlist
     )
     for eid in sorted(net.elements):
         elem = net.elements[eid]
+        # Keyword arguments evaluate left to right: that fixes the draw order.
         if isinstance(elem, Adder):
-            gains = elem.gains
-            if "gains" in targets:
-                gains = tuple(draws.scale(k) for k in gains)
-            new = dataclasses.replace(elem, gains=gains)
+            new = dataclasses.replace(elem, gains=tuple(draws.scale(k) for k in elem.gains))
         elif isinstance(elem, Integrator):
-            c = draws.scale(elem.c) if "capacitance" in targets else elem.c
-            rs = (
-                tuple(draws.scale(r) for r in elem.resistances)
-                if "resistance" in targets
-                else elem.resistances
+            new = dataclasses.replace(
+                elem,
+                c=draws.scale(elem.c),
+                resistances=tuple(draws.scale(r) for r in elem.resistances),
+                ic=draws.scale(elem.ic),
             )
-            ic = draws.scale(elem.ic) if "initial_conditions" in targets else elem.ic
-            new = dataclasses.replace(elem, c=c, resistances=rs, ic=ic)
         elif isinstance(elem, Potentiometer):
-            alpha = elem.alpha
-            if "alpha" in targets:
-                alpha = draws.scale(alpha, valid=lambda a: 0.0 < a < 1.0)
-            new = dataclasses.replace(elem, alpha=alpha)
+            new = dataclasses.replace(
+                elem, alpha=draws.scale(elem.alpha, valid=lambda a: 0.0 < a < 1.0)
+            )
         elif isinstance(elem, Multiplier):
             new = elem
         elif isinstance(elem, FunctionGenerator):
             new = dataclasses.replace(elem, signal=literals(elem.signal))
         elif isinstance(elem, MemIntegrator):
-            c = draws.scale(elem.c) if "capacitance" in targets else elem.c
-            ic = elem.ic
-            omega0 = elem.omega0
-            if "initial_conditions" in targets:
-                ic = draws.scale(ic)
-                omega0 = draws.scale(omega0)
             new = dataclasses.replace(
-                elem, c=c, ic=ic, omega0=omega0, g=literals(elem.g), f=literals(elem.f)
+                elem,
+                c=draws.scale(elem.c),
+                ic=draws.scale(elem.ic),
+                omega0=draws.scale(elem.omega0),
+                g=literals(elem.g),
+                f=literals(elem.f),
             )
         else:
             raise TypeError(f"unknown element type {type(elem).__name__}")
@@ -210,9 +193,8 @@ def stability_run(
     cfg: ToleranceConfig,
     sim: SimConfig,
     backend: str | None = None,
-    threads: int | None = None,
 ) -> StabilityReport:
-    """Reference run plus ``cfg.iterations`` perturbed runs, reduced pointwise.
+    """The nominal netlist plus ``cfg.iterations`` perturbed copies, reduced pointwise.
 
     Iterations that blow up or hit a domain error are excluded from the
     mean/percentile series and reported; more than 20% of them marks the
@@ -220,34 +202,36 @@ def stability_run(
     result does not depend on scheduling.
     """
     chosen = resolve_backend(backend)
-    base_sys = lower(net)
-    base = simulate(base_sys, sim, backend=chosen)
-    if base.blown_up:
-        raise ValueError("reference simulation blows up; tolerance analysis needs a finite baseline")
-    ref = base.waveform.channel("out")
-    n_samples = len(ref)
-
+    nominal = lower(net)                  # validates the netlist before any draw
     perturbed = [perturb(net, cfg, i) for i in range(cfg.iterations)]
     redraws = sum(int(p.meta["_redraws"]) for p in perturbed)
+    systems = [nominal] + [lower(p) for p in perturbed]
 
     if chosen == "numpy":
-        series, failed = _run_batch(base_sys, perturbed, sim, n_samples)
+        series, failures = _run_batch(systems, sim)
     else:
-        series, failed = _run_threaded(perturbed, sim, chosen, threads, n_samples)
-
-    ok = [i for i in range(cfg.iterations) if i not in failed]
+        series, failures = _run_threaded(systems, sim, chosen)
+    if 0 in failures:
+        kind, step = failures[0]
+        raise ValueError(
+            f"the nominal circuit fails ({kind} at step {step}); "
+            "tolerance analysis needs a finite baseline"
+        )
+    failed = sorted(i - 1 for i in failures)
+    ok = [i for i in range(1, len(systems)) if i not in failures]
     if not ok:
         raise ValueError("every tolerance iteration failed; nothing to average")
+    ref = series[0]
     denom = np.maximum(np.abs(ref), REL_ERR_EPS)
     rel = np.abs(np.stack([series[i] for i in ok], axis=1) - ref[:, None]) / denom[:, None]
 
     return StabilityReport(
-        t=base.waveform.t,
+        t=sim.dt * np.arange(len(ref), dtype=np.float64),
         mean=rel.mean(axis=1),
         p10=np.percentile(rel, 10.0, axis=1),
         p90=np.percentile(rel, 90.0, axis=1),
         iterations=cfg.iterations,
-        failed=tuple(sorted(failed)),
+        failed=tuple(failed),
         redraws=redraws,
         master_seed=cfg.master_seed,
         tolerance=cfg.max_relative_error,
@@ -256,36 +240,37 @@ def stability_run(
     )
 
 
-def _run_threaded(perturbed, sim, backend, threads, n_samples):
-    failed: set[int] = set()
-    series: dict[int, np.ndarray] = {}
+# Both runners take the lowered parameter sets and return the output
+# series of the sets that completed and, for the others, the failure
+# kind and step, keyed by position in ``systems``.
 
-    def one(i: int):
+
+def _run_threaded(systems, sim, backend):
+    """One scalar run per parameter set, on ``MEMSOLVE_THREADS`` workers."""
+
+    def one(sys):
         try:
-            res = simulate(lower(perturbed[i]), sim, backend=backend)
-        except SimulationError:
-            return i, None
-        if res.blown_up or len(res.waveform) != n_samples:
-            return i, None
-        return i, res.waveform.channel("out")
+            res = simulate(sys, sim, backend=backend)
+        except SimulationError as exc:
+            return None, ("domain error", exc.step)
+        if res.blown_up:
+            return None, ("blow-up", res.blowup_step)
+        return res.waveform.channel("out"), None
 
-    workers = threads if threads is not None else thread_count()
+    workers = thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(len(perturbed))))
+            results = list(pool.map(one, systems))
     else:
-        results = [one(i) for i in range(len(perturbed))]
-    for i, data in results:
-        if data is None:
-            failed.add(i)
-        else:
-            series[i] = data
-    return series, failed
+        results = [one(s) for s in systems]
+    series = {i: data for i, (data, _) in enumerate(results) if data is not None}
+    failures = {i: why for i, (_, why) in enumerate(results) if why is not None}
+    return series, failures
 
 
-def _run_batch(base_sys, perturbed, sim, n_samples):
-    """Vectorized numpy path: all iterations advance in lockstep."""
-    systems = [lower(p) for p in perturbed]
+def _run_batch(systems, sim):
+    """Vectorized numpy path: all parameter sets advance in lockstep."""
+    base_sys = systems[0]
     prog0 = base_sys.program
     for s in systems:
         if not s.program.same_structure(prog0):
@@ -304,25 +289,15 @@ def _run_batch(base_sys, perturbed, sim, n_samples):
     rec_counts = np.zeros(width, dtype=np.int64)
     engine.rk4_run_batch(
         prog0.code, consts, prog0.n_regs, prog0.deriv_regs, prog0.g_regs,
-        chan_kind, chan_idx, y0, 0.0, sim.dt, n_steps, sim.ln_floor, BLOWUP_LIMIT,
+        chan_kind, chan_idx, y0, 0.0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
         rec, gflag, status, event, ln_counts, rec_counts,
     )
-    failed = {i for i in range(width) if status[i] != engine.STATUS_OK or rec_counts[i] != n_samples}
-    series: dict[int, np.ndarray] = {}
-    out = rec[:, 0, :]
-    if base_sys.output_transform is not None:
-        tcol = sim.dt * np.arange(n_samples)[:, None]
-        ok_cols = [i for i in range(width) if i not in failed]
-        if ok_cols:
-            transformed, _ = eval_expr_array_clamped(
-                base_sys.output_transform,
-                {"v": out[:, ok_cols], "t": tcol},
-                sim.ln_floor,
-            )
-            for col, i in enumerate(ok_cols):
-                series[i] = transformed[:, col]
-        return series, failed
-    for i in range(width):
-        if i not in failed:
-            series[i] = out[:, i].copy()
-    return series, failed
+    kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}
+    failures = {i: (kinds[status[i]], int(event[i]))
+                for i in range(width) if status[i] != engine.STATUS_OK}
+    ok_cols = [i for i in range(width) if i not in failures]
+    out = rec[:, 0, ok_cols]
+    if base_sys.output_transform is not None and ok_cols:
+        tcol = sim.dt * np.arange(n_steps + 1)[:, None]
+        out, _ = eval_expr_array_clamped(base_sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+    return {i: out[:, col] for col, i in enumerate(ok_cols)}, failures

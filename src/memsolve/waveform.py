@@ -6,15 +6,33 @@ order, values printed with 12 significant digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Waveform", "GridMismatchError"]
+__all__ = ["Waveform", "GridMismatchError", "grid_steps"]
 
 
 class GridMismatchError(ValueError):
     pass
+
+
+def grid_steps(dt: float, t_end: float) -> int:
+    """Number of steps of size ``dt`` from 0 to ``t_end``.
+
+    Both the circuit route and the reference route march this grid.  A
+    horizon that is not a whole number of steps (within 1e-9 relative)
+    is rejected rather than silently moved to the nearest grid point.
+    """
+    if not (0.0 < dt < t_end < math.inf):
+        raise ValueError(f"need 0 < dt < t_end, got dt={dt}, t_end={t_end}")
+    n = int(round(t_end / dt))
+    if abs(n * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(
+            f"t_end={t_end} is not a whole number of steps dt={dt} (nearest: {n * dt:.12g})"
+        )
+    return n
 
 
 @dataclass

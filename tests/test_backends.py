@@ -208,4 +208,4 @@ def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     stability_run(net, cfg, sim, backend="numpy")
     for i in range(cfg.iterations):
         simulate(lower(perturb(net, cfg, i)), sim, backend="numpy")
-    assert emitted == [False, True]        # one scalar stage (reference run), one lane stage
+    assert emitted == [True, False]        # one lane stage (the sweep), one scalar stage

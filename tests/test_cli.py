@@ -86,12 +86,13 @@ def test_simulate_fig2_matches_closed_form(tmp_path, capsys):
     assert "ln clamps: 0" in stdout
 
 
-def test_simulate_invalid_netlist_lists_all_diagnostics(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_simulate_invalid_netlist_lists_all_diagnostics(tmp_path, capsys, command):
     net = tmp_path / "bad.net"
     net.write_text(
         "adder a1 out=n1 in=n2:1\nadder a2 out=n2 in=n1:1\npot p1 out=n3 in=n1 alpha=1.7\noutput n1\n"
     )
-    assert main(["simulate", str(net), "-o", str(tmp_path / "x.csv")]) == 2
+    assert main([command, str(net), "-o", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "algebraic-loop" in err
     assert "alpha" in err
@@ -142,6 +143,18 @@ def test_oracle_grid_mismatch_exits_2(tmp_path, population_spec_file):
         "oracle", population_spec_file, "--dt", "2e-3", "--t-end", "1",
         "-o", str(tmp_path / "o.csv"), "--against", sim_path,
     ]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability", "oracle"])
+def test_off_grid_horizon_exits_2(tmp_path, population_spec_file, capsys, command):
+    # dt=0.3 would end at t=0.9, not at the requested t_end=1.
+    net_path = str(tmp_path / "pop.net")
+    assert main(["compile", population_spec_file, "-o", net_path, "--quiet"]) == 0
+    source = population_spec_file if command == "oracle" else net_path
+    out = tmp_path / "x.csv"
+    assert main([command, source, "--dt", "0.3", "--t-end", "1", "-o", str(out)]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_higher_order_uses_chain_route(tmp_path):

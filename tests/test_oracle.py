@@ -148,3 +148,13 @@ def test_memristive_chain_second_order():
     f = parse_expr("v", {"t", "v", "omega"})
     wf = solve_memristive_chain(g, f, order=2, ics=[1.0, 0.0], omega0=0.0, dt=1e-3, t_end=3.0)
     assert np.max(np.abs(wf.channel("y") - np.cos(wf.t))) < 1e-5
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.7, 1.0), (2.0, 1.0)])
+def test_off_grid_horizon_rejected(dt, t_end):
+    with pytest.raises(ValueError):
+        solve_ide(population_spec(), dt, t_end)
+    g = parse_expr("1", {"t", "v", "omega"})
+    f = parse_expr("v", {"t", "v", "omega"})
+    with pytest.raises(ValueError):
+        solve_memristive_chain(g, f, order=2, ics=[1.0, 0.0], omega0=0.0, dt=dt, t_end=t_end)

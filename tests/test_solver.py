@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ def test_domain_error_aborts_with_snapshot():
         simulate(lower(net), SimConfig(dt=0.01, t_end=1.0))
     assert exc.value.step == 0
     assert "omega:m" in exc.value.snapshot
+
+
+def test_domain_error_raises_without_numpy_warnings():
+    # (t - 0.5)^0.5 takes a fractional power of a negative base at t=0.
+    net = parse_netlist(
+        'fgen f out=a expr="(t - 0.5)^0.5"\nintegrator i out=v C=1 ic=0 in=a:1\noutput v\n'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as exc:
+            simulate(lower(net), SimConfig(dt=0.01, t_end=1.0))
+    assert exc.value.step == 0
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.7, 1.0), (0.0, 1.0), (1.0, 1.0), (0.1, math.inf)])
+def test_sim_config_rejects_off_grid_horizon(dt, t_end):
+    with pytest.raises(ValueError):
+        SimConfig(dt=dt, t_end=t_end)
 
 
 def test_ln_clamp_is_counted():
