@@ -6,12 +6,15 @@ stepping for the differential part, with the memory integral
 
     M(t) = integral_0^t K(t, s) * phi(y(s)) ds
 
-re-evaluated every step by composite trapezoidal quadrature over the
-stored history.  That costs O(steps^2) overall — the price of keeping
-the method independent of the circuit path (which shares nothing with
-this module except the expression evaluator).  Both routes are
-second-order-consistent but structurally unrelated, which is what makes
-their agreement meaningful.
+formed every step by composite trapezoidal quadrature over the stored
+history.  For a separable kernel K = k1(t) * k2(s) the quadrature is a
+running sum of k2(s_i) * phi_i scaled by k1(t), and k1, k2 and p are
+tabulated once on the time grid: O(steps) overall.  A general K(t, s)
+re-sums the whole history every step, O(steps^2); both share one Heun
+loop and differ only in how M is formed.  The method stays independent
+of the circuit path (which shares nothing with this module except the
+expression evaluator).  Both routes are second-order-consistent but
+structurally unrelated, which is what makes their agreement meaningful.
 
 Non-separable kernels K(t, s) are supported here even though the
 circuit route requires the separable form k1(t)*k2(s); the asymmetry is
@@ -85,68 +88,106 @@ class IdeSpec:
             self.memory = "quadratic"
 
 
-def _rhs(spec: IdeSpec, t: float, y: float, mem: float) -> float:
+def _grid_table(expr: Expr | None, var: str, ts: np.ndarray, default: float) -> memoryview:
+    """``expr`` sampled once on the grid ``ts`` (``default`` where absent).
+
+    The values stay a compact float64 array; the memoryview over it hands
+    out Python floats, which the scalar march below does its arithmetic
+    in.  A value that leaves the real domain anywhere on the grid raises
+    ``DomainError``.
+    """
+    vals = eval_expr_array(expr, {var: ts}) if expr is not None else default
+    return memoryview(np.full(len(ts), vals))
+
+
+def _rhs(spec: IdeSpec, ts: np.ndarray):
+    """The right-hand side ``f(k, y, M)`` at grid point k, for the spec's form."""
+    a, b = spec.a, spec.b
     if spec.form == "volterra_population":
-        return y * (spec.a - spec.b * y - mem)
+        return lambda k, y, m: y * (a - b * y - m)
     if spec.form == "linear_first_order":
-        return mem
+        return lambda k, y, m: m
     if spec.form == "turbulent":
-        p = eval_expr(spec.p, {"t": t}) if spec.p is not None else 0.0
-        return -(p * y + mem)
-    return spec.a * y + spec.b + mem
+        p = _grid_table(spec.p, "t", ts, 0.0)
+        return lambda k, y, m: -(p[k] * y + m)
+    return lambda k, y, m: a * y + b + m
+
+
+def _memory(spec: IdeSpec, ts: np.ndarray, dt: float):
+    """``(at, accept)`` forming the memory integral M on the grid ``ts``.
+
+    ``at(j, phi)`` is the composite trapezoid for M(t_j) over the accepted
+    samples 0..j-1 plus ``phi`` as sample j.  ``accept(j, phi)`` stores
+    sample j once the step that produced it has passed the blow-up check.
+    """
+    if spec.kernel is not None:
+        # General K(t, s): re-sum the whole history, O(j) per evaluation.
+        kernel = spec.kernel
+        phis = np.empty(len(ts))
+
+        def at(j, phi):
+            if j == 0:
+                return 0.0
+            phis[j] = phi
+            vals = eval_expr_array(kernel, {"t": ts[j], "s": ts[: j + 1]}) * phis[: j + 1]
+            return dt * (vals.sum() - 0.5 * (vals[0] + vals[j]))
+
+        def accept(j, phi):
+            phis[j] = phi
+
+        return at, accept
+
+    if spec.k1 is None and spec.k2 is None:
+        return (lambda j, phi: 0.0), (lambda j, phi: None)
+
+    # Separable K = k1(t) * k2(s): M(t_j) = k1(t_j) * dt * (S - (w_0 + w_j)/2)
+    # with the running sum S = w_0 + ... + w_j of w_i = k2(s_i) * phi_i.
+    k1 = _grid_table(spec.k1, "t", ts, 1.0)
+    k2 = _grid_table(spec.k2, "s", ts, 1.0)
+    total = first = 0.0
+
+    def at(j, phi):
+        if j == 0:
+            return 0.0
+        w = k2[j] * phi
+        return k1[j] * dt * (total + w - 0.5 * (first + w))
+
+    def accept(j, phi):
+        nonlocal total, first
+        w = k2[j] * phi
+        if j == 0:
+            first = w
+        total += w
+
+    return at, accept
 
 
 def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     """March the equation over [0, t_end]; channel ``y``; truncates on blow-up."""
     n = grid_steps(dt, t_end)
     ts = dt * np.arange(n + 1)
-
-    general = spec.kernel is not None
-    has_memory = general or spec.k1 is not None or spec.k2 is not None
-    if general:
-        kernel = spec.kernel
-        k2_vals = None
-    else:
-        # Separable K(t,s) = k1(t) * k2(s): tabulate the s factor once.
-        k2_vals = (
-            eval_expr_array(spec.k2, {"s": ts}) if spec.k2 is not None else np.ones(n + 1)
-        )
-        if k2_vals.ndim == 0:
-            k2_vals = np.full(n + 1, float(k2_vals))
-
+    rhs = _rhs(spec, ts)
+    at, accept = _memory(spec, ts, dt)
     quadratic = spec.memory == "quadratic"
-    phi = np.empty(n + 1)
+
     ys = np.empty(n + 1)
-    ys[0] = spec.y0
-    phi[0] = spec.y0 * spec.y0 if quadratic else spec.y0
-
-    def memory_at(t: float, j: int) -> float:
-        # Trapezoid over samples 0..j of K(t, s_i) * phi_i.
-        if j == 0 or not has_memory:
-            return 0.0
-        if general:
-            vals = eval_expr_array(kernel, {"t": t, "s": ts[: j + 1]}) * phi[: j + 1]
-        else:
-            k1v = eval_expr(spec.k1, {"t": t}) if spec.k1 is not None else 1.0
-            vals = k1v * (k2_vals[: j + 1] * phi[: j + 1])
-        return dt * (vals.sum() - 0.5 * (vals[0] + vals[j]))
-
+    yk = ys[0] = float(spec.y0)
+    phik = yk * yk if quadratic else yk
     blowup = None
     last = n
     for k in range(n):
-        tk, tn = ts[k], ts[k + 1]
-        yk = ys[k]
-        fk = _rhs(spec, tk, yk, memory_at(tk, k))
+        mk = at(k, phik)
+        accept(k, phik)
+        fk = rhs(k, yk, mk)
         y_pred = yk + dt * fk
-        phi[k + 1] = y_pred * y_pred if quadratic else y_pred
-        f_pred = _rhs(spec, tn, y_pred, memory_at(tn, k + 1))
+        f_pred = rhs(k + 1, y_pred, at(k + 1, y_pred * y_pred if quadratic else y_pred))
         yn = yk + 0.5 * dt * (fk + f_pred)
         if not math.isfinite(yn) or abs(yn) > BLOWUP_LIMIT:
             blowup = k + 1
             last = k
             break
-        ys[k + 1] = yn
-        phi[k + 1] = yn * yn if quadratic else yn
+        yk = ys[k + 1] = yn
+        phik = yn * yn if quadratic else yn
 
     wf = Waveform(t0=0.0, dt=dt, names=("y",), data=ys[: last + 1, None])
     if blowup is not None:
@@ -168,32 +209,27 @@ def solve_memristive_chain(
     if order < 1 or len(ics) != order:
         raise ValueError("need order >= 1 and exactly `order` initial conditions")
     n = grid_steps(dt, t_end)
-    ts = dt * np.arange(n + 1)
 
     def chain_rhs(t, Y, w):
-        out = np.empty_like(Y)
-        out[:-1] = Y[1:]
-        gv = eval_expr(g, {"t": t, "v": Y[0], "omega": w})
-        out[-1] = -gv * Y[0]
-        return out
+        return Y[1:] + [-eval_expr(g, {"t": t, "v": Y[0], "omega": w}) * Y[0]]
 
     vs = np.empty(n + 1)
-    Y = np.array(ics, dtype=float)
+    Y = ics
     w = float(omega0)
     fh = eval_expr(f, {"t": 0.0, "v": Y[0], "omega": w})
     vs[0] = Y[0]
     blowup = None
     last = n
     for k in range(n):
-        tk, tn = ts[k], ts[k + 1]
+        tk, tn = k * dt, (k + 1) * dt
         fk = chain_rhs(tk, Y, w)
-        Y_pred = Y + dt * fk
+        Y_pred = [y + dt * d for y, d in zip(Y, fk)]
         w_pred = w + dt * fh
         fh_pred = eval_expr(f, {"t": tn, "v": Y_pred[0], "omega": w_pred})
         w_new = w + 0.5 * dt * (fh + fh_pred)
         f_pred = chain_rhs(tn, Y_pred, w_new)
-        Y_new = Y + 0.5 * dt * (fk + f_pred)
-        if not np.all(np.isfinite(Y_new)) or np.max(np.abs(Y_new)) > BLOWUP_LIMIT:
+        Y_new = [y + 0.5 * dt * (d + e) for y, d, e in zip(Y, fk, f_pred)]
+        if not all(map(math.isfinite, Y_new)) or max(map(abs, Y_new)) > BLOWUP_LIMIT:
             blowup = k + 1
             last = k
             break
@@ -236,7 +272,7 @@ def convergence_study(spec: IdeSpec, dt_list, t_end: float) -> ConvergenceStudy:
     for dt in dts:
         wf = solve_ide(spec, dt, t_end)
         if "blowup_step" in wf.meta:
-            raise ArithmeticError(f"solution blows up before t={t_end} at dt={dt}")
+            raise ValueError(f"solution blows up before t={t_end} at dt={dt}")
         terminals.append(float(wf.channel("y")[-1]))
     diffs = [abs(a - b) for a, b in zip(terminals, terminals[1:])]
     rows = [

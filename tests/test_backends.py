@@ -197,6 +197,43 @@ def test_scalar_and_lane_variants_agree_on_random_netlists(net):
     assert_variants_agree(lower(net))
 
 
+def _same_lowering(a, b):
+    """Equal structure, bit-equal constants and equal state layout."""
+    return (
+        a.program.same_structure(b.program)
+        and a.program.consts.tobytes() == b.program.consts.tobytes()
+        and [(s.element_id, s.kind) for s in a.states] == [(s.element_id, s.kind) for s in b.states]
+        and a.y0().tobytes() == b.y0().tobytes()
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(netlists(), st.integers(0, 2**32 - 1))
+def test_zero_tolerance_perturbation_is_identity(net, seed):
+    nominal = lower(net)
+    cfg = ToleranceConfig(max_relative_error=0.0, master_seed=seed)
+    for i in range(3):
+        assert _same_lowering(lower(perturb(net, cfg, i)), nominal)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(netlists(), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_perturbed_programs_share_the_nominal_structure(net, tolerance, seed):
+    nominal = lower(net).program
+    cfg = ToleranceConfig(max_relative_error=tolerance, master_seed=seed)
+    for i in range(3):
+        assert lower(perturb(net, cfg, i)).program.same_structure(nominal)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(netlists())
+def test_netlist_text_round_trip_lowers_identically(net):
+    # From the first parse onward: the strategy builds negative Const nodes,
+    # which no parser or compiler emits and whose text reparses as neg(c).
+    first = parse_netlist(net.to_text())
+    assert _same_lowering(lower(parse_netlist(first.to_text())), lower(first))
+
+
 def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     emitted = []
     emit = engine._emit

@@ -240,6 +240,31 @@ def test_convergence_command(tmp_path, population_spec_file, capsys):
     assert len(rows) == 4
 
 
+def test_convergence_blowup_exits_2(tmp_path, capsys):
+    spec = tmp_path / "blowup.eq"
+    spec.write_text(
+        'family = volterra_population\na = 50\nb = 0\nk1 = "-1"\nk2 = "exp(s)"\nn0 = 1\n'
+    )
+    out = tmp_path / "conv.csv"
+    assert main(["convergence", str(spec), "--dt-list", "1e-2,5e-3,2.5e-3",
+                 "--t-end", "10", "-o", str(out)]) == 2
+    assert "blows up before t=10.0 at dt=0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_coefficient_leaving_its_domain_exits_2(tmp_path, capsys):
+    # k1 leaves its domain at t=1; the solution would blow up near t=0.2, but the
+    # coefficient tables cover the whole horizon before the first step.
+    spec = tmp_path / "domain.eq"
+    spec.write_text(
+        'family = volterra_population\na = 50\nb = 0\nk1 = "-sqrt(1 - t)"\nk2 = "1"\nn0 = 1\n'
+    )
+    out = tmp_path / "x.csv"
+    assert main(["oracle", str(spec), "--dt", "1e-2", "--t-end", "2", "-o", str(out)]) == 2
+    assert "sqrt of negative value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quiet_suppresses_info(tmp_path, population_spec_file, capsys):
     out = str(tmp_path / "q.net")
     assert main(["compile", population_spec_file, "-o", out, "--quiet"]) == 0

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from memsolve.exprs import parse_expr
+import memsolve.oracle as oracle
+from memsolve.exprs import DomainError, parse_expr, pretty
 from memsolve.oracle import IdeSpec, convergence_study, solve_ide, solve_memristive_chain
 
 # Reference value for the population-growth example (a=2, b=0.001,
@@ -19,6 +21,16 @@ def population_spec(a=2.0, b=0.001, k1="exp(-t)", k2="exp(s)*s/(1+s)", y0=1.0):
         y0=y0,
         a=a,
         b=b,
+        k1=parse_expr(k1, {"t"}),
+        k2=parse_expr(k2, {"s"}),
+    )
+
+
+def turbulent_spec(p="1/8*exp(-2*t)", k1="1/2*exp(-t)", k2="exp(-s)"):
+    return IdeSpec(
+        form="turbulent",
+        y0=1.0,
+        p=parse_expr(p, {"t"}),
         k1=parse_expr(k1, {"t"}),
         k2=parse_expr(k2, {"s"}),
     )
@@ -53,13 +65,7 @@ def test_linear_first_order_matches_cosh():
 def test_turbulent_pure_decay_closed_form():
     # k1 == 0 removes the memory term: u' = -p(t) u, so u = exp(-P(t)) with
     # P(t) = (1 - exp(-2t))/16 for p = (1/8) exp(-2t).
-    spec = IdeSpec(
-        form="turbulent",
-        y0=1.0,
-        p=parse_expr("1/8*exp(-2*t)", {"t"}),
-        k1=parse_expr("0", {"t"}),
-        k2=parse_expr("exp(-s)", {"s"}),
-    )
+    spec = turbulent_spec(k1="0")
     wf = solve_ide(spec, 1e-3, 4.0)
     expected = np.exp(-(1.0 - np.exp(-2.0 * wf.t)) / 16.0)
     assert np.max(np.abs(wf.channel("y") - expected)) < 1e-6
@@ -76,6 +82,51 @@ def test_general_kernel_supported():
     fine = solve_ide(spec, 1e-3, 2.0).channel("y")[-1]
     assert fine > 1.0  # positive memory feedback grows the solution
     assert abs(coarse - fine) / abs(fine) < 1e-5
+
+
+@pytest.mark.parametrize("spec", [
+    population_spec(),
+    turbulent_spec(),
+    IdeSpec(form="linear_first_order", y0=1.0, k2=parse_expr("cos(s)", {"s"})),
+], ids=["volterra_population", "turbulent", "linear_first_order"])
+def test_general_kernel_path_matches_separable_path(spec):
+    # The same K = k1(t)*k2(s) passed as kernel= takes the O(steps^2)
+    # history sum instead of the running sum.
+    k1 = pretty(spec.k1) if spec.k1 is not None else "1"
+    kernel = parse_expr(f"({k1})*({pretty(spec.k2)})", {"t", "s"})
+    general = dataclasses.replace(spec, k1=None, k2=None, kernel=kernel)
+    fast = solve_ide(spec, 1e-2, 4.0).channel("y")
+    slow = solve_ide(general, 1e-2, 4.0).channel("y")
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+
+
+def test_separable_march_tabulates_coefficients_once(monkeypatch):
+    # Guards the O(steps) route: no per-step tree walk, and a fixed number of
+    # grid tabulations whatever the step count.
+    calls = dict.fromkeys(("eval_expr", "eval_expr_array"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    per_run = []
+    for dt in (4e-2, 4e-3):  # 100 and 1000 steps
+        calls.update(dict.fromkeys(calls, 0))
+        solve_ide(turbulent_spec(), dt, 4.0)
+        per_run.append(dict(calls))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["eval_expr"] == 0 and per_run[0]["eval_expr_array"] > 0
+
+
+@pytest.mark.parametrize("spec", [
+    # Both would blow up near t=0.2 resp. t=0.6, before leaving the domain at t=1.
+    population_spec(a=50.0, b=0.0, k1="-sqrt(1 - t)", k2="1"),
+    turbulent_spec(p="sqrt(1 - t) - 50", k1="0", k2="1"),
+], ids=["k1", "p"])
+def test_coefficient_leaving_its_domain_raises_up_front(spec):
+    with pytest.raises(DomainError):
+        solve_ide(spec, 1e-2, 2.0)
 
 
 def test_memory_nonlinearity_tag():
@@ -121,13 +172,7 @@ def test_convergence_study_zero_dynamics():
 
 
 def test_convergence_study_turbulent_estimates_shrink():
-    spec = IdeSpec(
-        form="turbulent",
-        y0=1.0,
-        p=parse_expr("1/8*exp(-2*t)", {"t"}),
-        k1=parse_expr("1/2*exp(-t)", {"t"}),
-        k2=parse_expr("exp(-s)", {"s"}),
-    )
+    spec = turbulent_spec()
     study = convergence_study(spec, [8e-3, 4e-3, 2e-3, 1e-3], 4.0)
     ests = [row[2] for row in study.rows[:-1]]
     assert all(a > b for a, b in zip(ests, ests[1:]))
