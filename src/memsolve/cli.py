@@ -99,8 +99,18 @@ def _cmd_compile(args, argv) -> int:
     return EXIT_OK
 
 
+def _load_for_run(path: str, t_end: float):
+    """Load a netlist to run up to ``t_end``, rejecting runs past a fitted integrating factor."""
+    net = load_netlist(path)
+    valid_to = net.meta.get("alpha_valid_to")
+    if valid_to is not None and t_end > float(valid_to):
+        raise ValueError(f"--t-end {t_end:g} is beyond the fitted integrating factor's horizon "
+                         f"alpha_valid_to={valid_to}; recompile with a larger alpha_horizon")
+    return net
+
+
 def _cmd_simulate(args, argv) -> int:
-    ode = lower(load_netlist(args.netlist))
+    ode = lower(_load_for_run(args.netlist, args.t_end))
     channels = tuple(c for c in (args.channels or "").split(",") if c)
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, record_channels=channels)
     res = simulate(ode, cfg)
@@ -161,7 +171,7 @@ def _cmd_oracle(args, argv) -> int:
 
 
 def _cmd_stability(args, argv) -> int:
-    net = load_netlist(args.netlist)
+    net = _load_for_run(args.netlist, args.t_end)
     cfg = ToleranceConfig(
         max_relative_error=args.tolerance,
         iterations=args.iterations,

@@ -46,13 +46,13 @@ from .exprs import (
     Unary,
     Var,
     eval_expr,
-    eval_expr_array,
     format_number,
     parse_expr,
     pretty,
     substitute,
     variables,
 )
+from .engine import eval_expr_array
 from .netlist import Netlist
 from .elements import Adder, FunctionGenerator, Integrator, MemIntegrator, Multiplier
 from .oracle import IdeSpec
@@ -474,12 +474,8 @@ def split_separable(kernel: Expr) -> tuple[Expr, Expr]:
 # Compilers
 
 
-def _parse(src: str, allowed) -> Expr:
-    return parse_expr(src, allowed)
-
-
 def _mem_expr(src: str) -> Expr:
-    return _parse(src, {"t", "v", "omega"})
+    return parse_expr(src, {"t", "v", "omega"})
 
 
 def _sub_s_to_t(e: Expr) -> Expr:
@@ -510,7 +506,7 @@ def compile_linear_first_order(spec: LinearFirstOrderIde) -> Netlist:
     f = _mem_expr(f"({pretty(_sub_s_to_t(spec.k))})*ln(v)")
     net = Netlist(meta={"family": "linear_first_order"})
     net.add("mem1", MemIntegrator(c=1.0, ic=math.exp(spec.u0), g=g, f=f, omega0=0.0), "v")
-    net.set_output("v", _parse("ln(v)", {"v", "t"}))
+    net.set_output("v", parse_expr("ln(v)", {"v", "t"}))
     return net
 
 
@@ -533,13 +529,13 @@ def compile_turbulent(spec: TurbulentIde) -> Netlist:
     if alpha_is_one:
         g = _mem_expr(f"({k1_src})*omega")
         f = _mem_expr(f"({k2t_src})*ln(v)^2")
-        inv_alpha = _parse("1", {"t"})
-        transform = _parse("ln(v)", {"v", "t"})
+        inv_alpha = parse_expr("1", {"t"})
+        transform = parse_expr("ln(v)", {"v", "t"})
     else:
         g = _mem_expr(f"({a_src})*({k1_src})*omega")
         f = _mem_expr(f"(({k2t_src})/({a_src})^2)*ln(v)^2")
-        inv_alpha = _parse(f"1/({a_src})", {"t"})
-        transform = _parse(f"ln(v*({a_src}))/({a_src})", {"v", "t"})
+        inv_alpha = parse_expr(f"1/({a_src})", {"t"})
+        transform = parse_expr(f"ln(v*({a_src}))/({a_src})", {"v", "t"})
 
     net = Netlist(meta={"family": "turbulent", "alpha": a_src})
     if fallback:

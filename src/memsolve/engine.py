@@ -1,17 +1,22 @@
-"""Execution engine for lowered circuits.
+"""Execution engine for lowered circuits and for array-valued expressions.
 
 A lowered circuit is a straight-line *tape* of register instructions
 (:class:`Program`) evaluated once per Runge-Kutta stage.  The tape is
 not interpreted: ``_OPS`` states each opcode's semantics once (its
-expression, its domain guard and its ``ln`` clamp), and ``_emit`` turns
-a tape into the Python source of one RK4 stage, in two variants:
+expression, its domain guard and its ``ln`` clamp), and ``_op_lines``
+turns a tape into straight-line Python source in three variants:
 
-* scalar, driven by :func:`rk4_run` (single runs).  Stage and driver stay
-  in the numba-compilable subset of Python (arrays and scalars only, no
-  closures, no lists), so the numba backend njits the same source;
-* lanes, driven by :func:`rk4_run_batch`, which advances a batch of
-  parameter sets side by side in numpy arrays (Monte Carlo sweeps on the
-  numpy backend).
+* scalar, the RK4 stage driven by :func:`rk4_run` (single runs).  Stage
+  and driver stay in the numba-compilable subset of Python (arrays and
+  scalars only, no closures, no lists), so the numba backend njits the
+  same source;
+* lanes, the RK4 stage driven by :func:`rk4_run_batch`, which advances a
+  batch of parameter sets side by side in numpy arrays (Monte Carlo
+  sweeps on the numpy backend);
+* array, one expression over numpy arrays (:func:`eval_expr_array` and
+  :func:`eval_expr_array_clamped`): output transforms over a recorded
+  waveform and the reference solver's coefficient tables.  Its guards
+  raise :class:`~memsolve.exprs.DomainError` instead of masking lanes.
 
 Kernel status codes: 0 = completed, 1 = expression domain error,
 2 = state blow-up (magnitude above the blow-up limit or non-finite).
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Binary, Const, Expr, Unary, Var
+from .exprs import Binary, Const, DomainError, Expr, Unary, Var, variables
 
 OP_CONST = 0
 OP_T = 1
@@ -149,17 +154,19 @@ class TapeBuilder:
 #
 # Each entry is (expression, guard).  In an expression, {a} and {b} name
 # the operand registers and {i} is the raw operand of OP_CONST and
-# OP_STATE (a constant-table or state index).  The stage function sees
-# the stage time as ``t``, the stage state as ``y`` and the constant
-# table as ``consts``; for lanes every one of them carries the lane axis.
+# OP_STATE (a constant-table or state index).  Generated code sees the
+# stage time as ``t``, the state (or, for the array variant, the bound
+# variables) as ``y`` and the constant table as ``consts``; for lanes
+# every one of them carries the lane axis.
 
 
 @dataclass(frozen=True)
 class _Guard:
     on: str            # "a" or "b": the operand is checked first; "r": the result
-    bad: str           # test over the checked value, written as {}
+    bad: str           # test over the checked value, written as {}: outside the real domain
     safe: str          # value a lane keeps computing with where the test holds
-    clamp: bool = False  # clamp to ``safe`` and count, instead of a domain error
+    msg: str           # the DomainError message of the array variant
+    clamp: str = ""    # test under which the kernels clamp to ``safe`` and count instead
 
 
 _OPS = {
@@ -169,31 +176,64 @@ _OPS = {
     OP_ADD: ("{a} + {b}", None),
     OP_SUB: ("{a} - {b}", None),
     OP_MUL: ("{a} * {b}", None),
-    OP_DIV: ("{a} / {b}", _Guard("b", "{} == 0.0", "1.0")),
+    OP_DIV: ("{a} / {b}", _Guard("b", "{} == 0.0", "1.0", "division by zero")),
     OP_NEG: ("-{a}", None),
     OP_EXP: ("np.exp({a})", None),
-    OP_LN: ("np.log({a})", _Guard("a", "{} < ln_floor", "ln_floor", clamp=True)),
+    OP_LN: ("np.log({a})", _Guard("a", "{} <= 0.0", "ln_floor", "ln of non-positive value",
+                                  clamp="{} < ln_floor")),
     OP_SIN: ("np.sin({a})", None),
     OP_COS: ("np.cos({a})", None),
-    OP_SQRT: ("np.sqrt({a})", _Guard("a", "{} < 0.0", "0.0")),
+    OP_SQRT: ("np.sqrt({a})", _Guard("a", "{} < 0.0", "0.0", "sqrt of negative value")),
     OP_ABS: ("abs({a})", None),
-    # (scalar, lanes): the scalar variant keeps libm pow through numpy
-    # scalar power; the array ufunc has its own fast paths (exponents 2,
-    # 0.5, -1), so the two variants can differ in the last bit.
+    # (scalar, lanes and array): the scalar variant keeps libm pow through
+    # numpy scalar power; the array ufunc has its own fast paths (exponents
+    # 2, 0.5, -1), so the variants can differ in the last bit.
     OP_POW: (("np.float64({a}) ** {b}", "np.power({a}, {b})"),
-             _Guard("r", "np.isnan({})", "0.0")),
+             _Guard("r", "np.isnan({})", "0.0", "pow outside the real domain")),
 }
 
 
-def _guard_lines(g: _Guard, lanes: bool) -> list[str]:
-    """What happens to ``x`` (the checked value) where ``g.bad`` holds."""
-    if not lanes:
+def _guard_lines(g: _Guard, variant: str) -> list[str]:
+    """What happens to ``x`` (the checked value) where the guard's test holds."""
+    test = (g.clamp or g.bad).format("x")
+    if variant == "scalar":
         then = ["x = " + g.safe, "info[2] += 1"] if g.clamp else [f"return {STATUS_DOMAIN_ERROR}"]
-        return [f"if {g.bad.format('x')}:"] + ["    " + s for s in then]
-    # a lane stops counting at its first domain error, as the scalar stage returns there
-    flag = "ln_counts[alive & ~dom & m] += 1" if g.clamp else "dom |= m"
-    return [f"m = {g.bad.format('x')}", "if m.any():", "    " + flag,
-            f"    x = np.where(m, {g.safe}, x)"]
+        return [f"if {test}:"] + ["    " + s for s in then]
+    if variant == "lanes":
+        # a lane stops counting at its first domain error, as the scalar stage returns there
+        flag = "ln_counts[alive & ~dom & m] += 1" if g.clamp else "dom |= m"
+        return [f"m = {test}", "if m.any():", "    " + flag,
+                f"    x = np.where(m, {g.safe}, x)"]
+    strict = [f"if ({g.bad.format('x')}).any():", f"    raise DomainError({g.msg!r})"]
+    if not g.clamp:
+        return strict
+    # ``ln_floor`` None is strict evaluation; otherwise clamp and count as the kernels do
+    return (["if ln_floor is None:"] + ["    " + s for s in strict]
+            + ["else:", f"    m = {test}", "    n_clamped += int(np.count_nonzero(m))",
+               f"    x = np.where(m, {g.safe}, x)"])
+
+
+def _op_lines(code, variant: str) -> list[str]:
+    """One assignment to a local ``r<dst>`` per instruction, guards included."""
+    body = []
+    for op, dst, a, b in code:
+        expr, guard = _OPS[op]
+        if isinstance(expr, tuple):
+            expr = expr[variant != "scalar"]
+        names = {"i": a, "a": f"r{a}", "b": f"r{b}"}
+        if guard is None:
+            body.append(f"r{dst} = " + expr.format(**names))
+            continue
+        if guard.on == "r":
+            body.append("x = " + expr.format(**names))
+            body += _guard_lines(guard, variant)
+            body.append(f"r{dst} = x")
+        else:
+            body.append(f"x = {names[guard.on]}")
+            body += _guard_lines(guard, variant)
+            names[guard.on] = "x"
+            body.append(f"r{dst} = " + expr.format(**names))
+    return body
 
 
 def _emit(code, deriv_regs, probes, lanes: bool) -> str:
@@ -210,24 +250,7 @@ def _emit(code, deriv_regs, probes, lanes: bool) -> str:
                  "    dom = np.zeros(alive.shape[0], dtype=np.bool_)"]
     else:
         lines = ["def stage(t, y, consts, ln_floor, k, p, info):"]
-    body = []
-    for op, dst, a, b in code:
-        expr, guard = _OPS[op]
-        if isinstance(expr, tuple):
-            expr = expr[lanes]
-        names = {"i": a, "a": f"r{a}", "b": f"r{b}"}
-        if guard is None:
-            body.append(f"r{dst} = " + expr.format(**names))
-            continue
-        if guard.on == "r":
-            body.append("x = " + expr.format(**names))
-            body += _guard_lines(guard, lanes)
-            body.append(f"r{dst} = x")
-        else:
-            body.append(f"x = {names[guard.on]}")
-            body += _guard_lines(guard, lanes)
-            names[guard.on] = "x"
-            body.append(f"r{dst} = " + expr.format(**names))
+    body = _op_lines(code, "lanes" if lanes else "scalar")
     body += [f"k[{i}] = r{r}" for i, r in enumerate(deriv_regs)]
     body += [f"p[{j}] = " + (f"y[{i}]" if kind == CHAN_STATE else f"r{i}")
              for j, (kind, i) in enumerate(probes)]
@@ -235,11 +258,15 @@ def _emit(code, deriv_regs, probes, lanes: bool) -> str:
     return "\n".join(lines + ["    " + s for s in body]) + "\n"
 
 
+def _compile(source: str, name: str):
+    namespace = {"np": np, "DomainError": DomainError}
+    exec(compile(source, f"<memsolve {name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @functools.lru_cache(maxsize=256)
 def _stage(code, deriv_regs, probes, lanes: bool, jit=None):
-    namespace = {"np": np}
-    exec(compile(_emit(code, deriv_regs, probes, lanes), "<memsolve rk4 stage>", "exec"), namespace)
-    fn = namespace["stage"]
+    fn = _compile(_emit(code, deriv_regs, probes, lanes), "stage")
     return fn if jit is None else jit(fn)
 
 
@@ -254,6 +281,54 @@ def _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, lanes: bool, jit=N
     probes = tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
     probes += tuple((CHAN_REG, g) for g in g_regs.tolist())
     return _stage(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()), probes, lanes, jit)
+
+
+# ---------------------------------------------------------------------------
+# Array expressions
+#
+# An expression compiles to a tape whose states are its bound variables,
+# one OP_STATE slot per name; the array variant of that tape evaluates it
+# over numpy arrays, broadcasting the bindings against each other.
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluator(e: Expr, names: tuple[str, ...]):
+    """The generated evaluation of ``e`` and its constant table, cached per (expr, names)."""
+    used = variables(e)
+    unbound = sorted(used - set(names))
+    if unbound:
+        raise DomainError(f"unbound variable '{unbound[0]}'")
+    b = TapeBuilder()
+    out = b.compile_expr(e, {n: b.load_state(i) for i, n in enumerate(names) if n in used})
+    prog = b.finish([out], [])
+    lines = ["def evaluate(y, consts, ln_floor):", "    n_clamped = 0"]
+    lines += ["    " + s for s in _op_lines(prog.code.tolist(), "array")]
+    lines.append(f"    return r{out}, n_clamped")
+    return _compile("\n".join(lines) + "\n", "evaluate"), prog.consts
+
+
+def _eval_array(e: Expr, bindings, ln_floor):
+    fn, consts = _evaluator(e, tuple(bindings))
+    with np.errstate(all="ignore"):
+        out, n_clamped = fn([np.asarray(v, dtype=float) for v in bindings.values()], consts, ln_floor)
+    out = np.asarray(out, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("non-finite result")
+    return out, n_clamped
+
+
+def eval_expr_array(e: Expr, bindings) -> np.ndarray:
+    """Evaluate ``e`` with array-valued bindings, broadcast together; strict domain checks."""
+    return _eval_array(e, bindings, None)[0]
+
+
+def eval_expr_array_clamped(e: Expr, bindings, ln_floor: float) -> tuple[np.ndarray, int]:
+    """Like :func:`eval_expr_array` but clamp ln arguments below ``ln_floor``.
+
+    Returns the values and the number of clamped samples.  This is the
+    simulator-side evaluation mode; the default evaluator stays strict.
+    """
+    return _eval_array(e, bindings, ln_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ minus, ``^``.  All binary operators of equal precedence associate to
 the left (including ``^``).  ASTs are immutable and safe to share
 across threads.
 
-Evaluation is strict IEEE double precision: ``ln`` of a non-positive
-number, division by zero, fractional powers of negatives and any
-non-finite intermediate raise :class:`DomainError`.  Clamping policies
-(e.g. flooring the argument of ``ln``) belong to the simulator, not to
-this module.
+Evaluation here is scalar only, in strict IEEE double precision with
+libm functions: ``ln`` of a non-positive number, division by zero,
+fractional powers of negatives and any non-finite intermediate raise
+:class:`DomainError`.  Constant folding and the reference solver's chain
+march use it.  Evaluation over numpy arrays (output transforms,
+coefficient tables) is generated from the opcode table in
+:mod:`memsolve.engine`, which also holds the simulator's ``ln`` clamp.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
-
-import numpy as np
 
 __all__ = [
     "Expr",
@@ -39,8 +39,6 @@ __all__ = [
     "DomainError",
     "parse_expr",
     "eval_expr",
-    "eval_expr_array",
-    "eval_expr_array_clamped",
     "pretty",
     "variables",
     "substitute",
@@ -281,8 +279,7 @@ def parse_expr(source: str, allowed_vars: Iterable[str]) -> Expr:
 
 def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate ``e`` with every variable bound; strict about domain errors."""
-    v = _eval(e, bindings)
-    return v
+    return _eval(e, bindings)
 
 
 def _check(x: float, what: str) -> float:
@@ -343,92 +340,6 @@ def _eval(e: Expr, b: Mapping[str, float]) -> float:
         except (ValueError, OverflowError):
             raise DomainError(f"pow({x!r}, {y!r}) outside the real domain") from None
         return _check(r, "^")
-    raise AssertionError(f"bad binary op {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation over numpy arrays (used by the reference solver
-# and by output transforms; semantics match eval_expr elementwise)
-
-
-def eval_expr_array(e: Expr, bindings: Mapping[str, object]) -> np.ndarray:
-    """Evaluate ``e`` with array-valued bindings; strict domain checks."""
-    with np.errstate(all="ignore"):
-        out = _eval_arr(e, bindings, None, [0])
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("non-finite result")
-    return out
-
-
-def eval_expr_array_clamped(
-    e: Expr, bindings: Mapping[str, object], ln_floor: float
-) -> tuple[np.ndarray, int]:
-    """Like :func:`eval_expr_array` but clamp ln arguments below ``ln_floor``.
-
-    Returns the values and the number of clamped samples.  This is the
-    simulator-side evaluation mode; the default evaluator stays strict.
-    """
-    clamps = [0]
-    with np.errstate(all="ignore"):
-        out = _eval_arr(e, bindings, ln_floor, clamps)
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("non-finite result")
-    return out, clamps[0]
-
-
-def _eval_arr(e: Expr, b: Mapping[str, object], ln_floor, clamps) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.asarray(e.value, dtype=float)
-    if isinstance(e, Var):
-        try:
-            return np.asarray(b[e.name], dtype=float)
-        except KeyError:
-            raise DomainError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Unary):
-        x = _eval_arr(e.arg, b, ln_floor, clamps)
-        op = e.op
-        if op == "neg":
-            return -x
-        if op == "exp":
-            return np.exp(x)
-        if op == "ln":
-            if ln_floor is None:
-                if np.any(x <= 0.0):
-                    raise DomainError("ln of non-positive value")
-                return np.log(x)
-            clamps[0] += int(np.count_nonzero(x < ln_floor))
-            return np.log(np.maximum(x, ln_floor))
-        if op == "sin":
-            return np.sin(x)
-        if op == "cos":
-            return np.cos(x)
-        if op == "sqrt":
-            if np.any(x < 0.0):
-                raise DomainError("sqrt of negative value")
-            return np.sqrt(x)
-        if op == "abs":
-            return np.abs(x)
-        raise AssertionError(f"bad unary op {op!r}")
-    x = _eval_arr(e.lhs, b, ln_floor, clamps)
-    y = _eval_arr(e.rhs, b, ln_floor, clamps)
-    op = e.op
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if np.any(y == 0.0):
-            raise DomainError("division by zero")
-        return x / y
-    if op == "pow":
-        r = np.power(x, y)
-        if np.any(np.isnan(r)):
-            raise DomainError("pow outside the real domain")
-        return r
     raise AssertionError(f"bad binary op {op!r}")
 
 

@@ -431,8 +431,8 @@ def lower(net: Netlist) -> OdeSystem:
     integ_ids = sorted(eid for eid, e in net.elements.items() if isinstance(e, (Integrator, MemIntegrator)))
     mem_ids = sorted(eid for eid, e in net.elements.items() if isinstance(e, MemIntegrator))
 
-    states = [StateSlot(eid, "integrator_output", _as_float(net.elements[eid].ic)) for eid in integ_ids]
-    states += [StateSlot(eid, "memristor_omega", _as_float(net.elements[eid].omega0)) for eid in mem_ids]
+    states = [StateSlot(eid, "integrator_output", float(net.elements[eid].ic)) for eid in integ_ids]
+    states += [StateSlot(eid, "memristor_omega", float(net.elements[eid].omega0)) for eid in mem_ids]
     omega_index = {eid: len(integ_ids) + j for j, eid in enumerate(mem_ids)}
 
     b = TapeBuilder()
@@ -452,7 +452,8 @@ def lower(net: Netlist) -> OdeSystem:
             elem = net.elements[eid]
             ins = element_inputs(elem)
             if all(n in node_regs for n in ins):
-                node_regs[net.out_node[eid]] = _emit_memoryless(b, elem, ins, node_regs, t_reg)
+                in_regs = [node_regs[n] for n in ins]
+                node_regs[net.out_node[eid]] = _emit_memoryless(b, elem, in_regs, t_reg)
                 progressed = True
             else:
                 rest.append(eid)
@@ -466,14 +467,8 @@ def lower(net: Netlist) -> OdeSystem:
         elem = net.elements[eid]
         if isinstance(elem, Integrator):
             if elem.inputs:
-                terms = [
-                    b.binary("mul", b.const(1.0 / (elem.c * r)), node_regs[n])
-                    for n, r in zip(elem.inputs, elem.resistances)
-                ]
-                acc = terms[0]
-                for t2 in terms[1:]:
-                    acc = b.binary("add", acc, t2)
-                deriv_regs[i] = b.unary("neg", acc)
+                weights = [1.0 / (elem.c * r) for r in elem.resistances]
+                deriv_regs[i] = _inverting_sum(b, weights, [node_regs[n] for n in elem.inputs])
             else:
                 deriv_regs[i] = b.const(0.0)
         else:
@@ -497,24 +492,25 @@ def lower(net: Netlist) -> OdeSystem:
     )
 
 
-def _emit_memoryless(b: TapeBuilder, elem: Element, ins, node_regs, t_reg) -> int:
+def _inverting_sum(b: TapeBuilder, weights, regs) -> int:
+    """-(w0*x0 + w1*x1 + ...), the summing stage of adders and integrators."""
+    terms = [b.binary("mul", b.const(w), r) for w, r in zip(weights, regs)]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = b.binary("add", acc, term)
+    return b.unary("neg", acc)
+
+
+def _emit_memoryless(b: TapeBuilder, elem: Element, in_regs, t_reg) -> int:
     if isinstance(elem, Adder):
-        terms = [b.binary("mul", b.const(k), node_regs[n]) for n, k in zip(elem.inputs, elem.gains)]
-        acc = terms[0]
-        for t2 in terms[1:]:
-            acc = b.binary("add", acc, t2)
-        return b.unary("neg", acc)
+        return _inverting_sum(b, elem.gains, in_regs)
     if isinstance(elem, Potentiometer):
-        return b.binary("mul", b.const(elem.alpha), node_regs[elem.input])
+        return b.binary("mul", b.const(elem.alpha), in_regs[0])
     if isinstance(elem, Multiplier):
-        return b.binary("mul", node_regs[elem.inputs[0]], node_regs[elem.inputs[1]])
+        return b.binary("mul", in_regs[0], in_regs[1])
     if isinstance(elem, FunctionGenerator):
         return b.compile_expr(elem.signal, {"t": t_reg})
     raise TypeError(f"not a memoryless element: {type(elem).__name__}")
-
-
-def _as_float(x) -> float:
-    return float(x)
 
 
 def netlist_stats(net: Netlist) -> dict[str, int]:

@@ -12,9 +12,11 @@ running sum of k2(s_i) * phi_i scaled by k1(t), and k1, k2 and p are
 tabulated once on the time grid: O(steps) overall.  A general K(t, s)
 re-sums the whole history every step, O(steps^2); both share one Heun
 loop and differ only in how M is formed.  The method stays independent
-of the circuit path (which shares nothing with this module except the
-expression evaluator).  Both routes are second-order-consistent but
-structurally unrelated, which is what makes their agreement meaningful.
+of the circuit route: the only thing it shares with :mod:`memsolve.engine`
+is expression-to-array evaluation (the coefficient tables); it never
+uses ``lower``, netlists or the RK4 march.  Both routes are
+second-order-consistent but structurally unrelated, which is what makes
+their agreement meaningful.
 
 Non-separable kernels K(t, s) are supported here even though the
 circuit route requires the separable form k1(t)*k2(s); the asymmetry is
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Expr, eval_expr, eval_expr_array, variables
+from .engine import eval_expr_array
+from .exprs import Expr, eval_expr, variables
 from .waveform import Waveform, grid_steps
 
 __all__ = [
@@ -65,11 +68,15 @@ class IdeSpec:
     k2: Expr | None = None        # kernel factor over s
     kernel: Expr | None = None    # general K(t, s); takes precedence over k1*k2
     p: Expr | None = None         # damping coefficient over t
-    memory: str = "linear"        # nonlinearity of the memory integrand
+    memory: str | None = None     # nonlinearity of the memory integrand; set by the form
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown equation form {self.form!r}")
+        if self.form == "turbulent" and self.memory not in (None, "quadratic"):
+            raise ValueError(f"the turbulent form has quadratic memory, got {self.memory!r}")
+        if self.memory is None:
+            self.memory = "quadratic" if self.form == "turbulent" else "linear"
         if self.memory not in ("linear", "quadratic"):
             raise ValueError(f"memory nonlinearity must be linear or quadratic, got {self.memory!r}")
         if not math.isfinite(self.y0):
@@ -84,8 +91,6 @@ class IdeSpec:
                 extra = variables(expr) - allowed
                 if extra:
                     raise ValueError(f"{name} uses variables {sorted(extra)}, allowed: {sorted(allowed)}")
-        if self.form == "turbulent":
-            self.memory = "quadratic"
 
 
 def _grid_table(expr: Expr | None, var: str, ts: np.ndarray, default: float) -> memoryview:

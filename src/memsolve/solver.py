@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine
 from .backend import resolve_backend, rk4_kernel
-from .exprs import eval_expr_array_clamped
+from .engine import eval_expr_array_clamped
 from .netlist import OdeSystem
 from .waveform import Waveform, grid_steps
 

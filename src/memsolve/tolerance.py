@@ -39,7 +39,8 @@ from .elements import (
     Multiplier,
     Potentiometer,
 )
-from .exprs import Expr, eval_expr_array_clamped, map_constants
+from .engine import eval_expr_array_clamped
+from .exprs import Expr, map_constants
 from .netlist import Netlist, lower
 from .solver import BLOWUP_LIMIT, LN_FLOOR, REL_ERR_EPS, SimConfig, SimulationError, simulate
 

@@ -157,6 +157,22 @@ def test_off_grid_horizon_exits_2(tmp_path, population_spec_file, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_run_past_fitted_integrating_factor_exits_2(tmp_path, capsys, command):
+    # exp(-t^2) has no tabulated antiderivative, so alpha is a Chebyshev fit on
+    # [0, 3]; at --t-end 8 the extrapolated polynomial blows up near t=4.7.
+    spec = tmp_path / "fit.eq"
+    spec.write_text('family = turbulent\np = "exp(-t^2)"\nk1 = "1/2*exp(-t)"\n'
+                    'k2 = "exp(-s)"\nu0 = 1\nalpha_horizon = 3\n')
+    net_path = str(tmp_path / "fit.net")
+    assert main(["compile", str(spec), "-o", net_path, "--quiet"]) == 0
+    out = tmp_path / "x.csv"
+    extra = ["--iterations", "5"] if command == "stability" else []
+    assert main([command, net_path, "--dt", "1e-2", "--t-end", "8", *extra, "-o", str(out)]) == 2
+    assert "alpha_valid_to=3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_higher_order_uses_chain_route(tmp_path):
     spec = tmp_path / "chain.eq"
     spec.write_text(

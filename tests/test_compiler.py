@@ -24,7 +24,8 @@ from memsolve.compiler import (
     split_separable,
     to_ide_spec,
 )
-from memsolve.exprs import Const, eval_expr, eval_expr_array, parse_expr, pretty
+from memsolve.engine import eval_expr_array
+from memsolve.exprs import Const, eval_expr, parse_expr, pretty
 from memsolve.netlist import lower, netlist_stats, validate
 from memsolve.oracle import solve_ide, solve_memristive_chain
 from memsolve.solver import SimConfig, relative_error, simulate

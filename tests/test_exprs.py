@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsolve.engine import eval_expr_array, eval_expr_array_clamped
 from memsolve.exprs import (
     Binary,
     Const,
@@ -14,8 +16,6 @@ from memsolve.exprs import (
     Var,
     count_constants,
     eval_expr,
-    eval_expr_array,
-    eval_expr_array_clamped,
     map_constants,
     parse_expr,
     pretty,
@@ -88,17 +88,24 @@ def test_eval_examples():
     assert eval_expr(g, {"t": 0.0, "v": 0.0, "omega": 0.0}) == -2.0
 
 
+# (source, value of its variable, the array evaluator's message)
+DOMAIN_CASES = [
+    ("ln(t)", 0.0, "ln of non-positive value"),
+    ("1/t", 0.0, "division by zero"),
+    ("sqrt(t)", -1.0, "sqrt of negative value"),
+    ("exp(t)", 1000.0, "non-finite result"),
+    ("t^0.5", -2.0, "pow outside the real domain"),
+]
+
+
 def test_eval_domain_errors():
-    with pytest.raises(DomainError):
-        eval_expr(parse_expr("ln(v)", {"v"}), {"v": 0.0})
-    with pytest.raises(DomainError):
-        eval_expr(parse_expr("1/t", {"t"}), {"t": 0.0})
-    with pytest.raises(DomainError):
-        eval_expr(parse_expr("sqrt(t)", {"t"}), {"t": -1.0})
-    with pytest.raises(DomainError):
-        eval_expr(parse_expr("exp(t)", {"t"}), {"t": 1000.0})
-    with pytest.raises(DomainError):
-        eval_expr(parse_expr("t^0.5", {"t"}), {"t": -2.0})
+    for src, value, message in DOMAIN_CASES + [("t + v", 1.0, "unbound variable 'v'")]:
+        e = parse_expr(src, ALL)
+        with pytest.raises(DomainError):
+            eval_expr(e, {"t": value})
+        with pytest.raises(DomainError) as exc:
+            eval_expr_array(e, {"t": np.array([1.0, value])})
+        assert str(exc.value) == message
 
 
 def test_eval_is_deterministic():
@@ -108,24 +115,37 @@ def test_eval_is_deterministic():
 
 
 def test_eval_array_matches_scalar():
-    import numpy as np
-
     e = parse_expr("exp(-t)*t/(1+t)", {"t"})
     ts = np.linspace(0.0, 3.0, 7)
     arr = eval_expr_array(e, {"t": ts})
     for ti, ai in zip(ts, arr):
         assert ai == pytest.approx(eval_expr(e, {"t": ti}), abs=0.0, rel=1e-15)
+    # Bindings broadcast: no variable gives a 0-d array, a scalar t spreads over
+    # an array v, and a (n, 1) column of times over (n, W) lanes.
+    assert eval_expr_array(parse_expr("2^3", ALL), {}).shape == ()
+    e = parse_expr("v*exp(-t)", ALL)
+    v = np.arange(1.0, 7.0).reshape(3, 2)
+    assert eval_expr_array(e, {"v": v[:, 0], "t": 0.5}).shape == (3,)
+    lanes = eval_expr_array(e, {"v": v, "t": np.array([[0.0], [1.0], [2.0]])})
+    assert lanes.shape == (3, 2)
+    assert lanes[2, 1] == pytest.approx(eval_expr(e, {"v": 6.0, "t": 2.0}), abs=0.0, rel=1e-15)
 
 
 def test_eval_array_clamped_counts():
-    import numpy as np
-
     e = parse_expr("ln(v)", {"v"})
     vals, clamps = eval_expr_array_clamped(e, {"v": np.array([1.0, 1e-12, 0.5])}, 1e-9)
     assert clamps == 1
     assert vals[1] == pytest.approx(math.log(1e-9))
     with pytest.raises(DomainError):
         eval_expr_array(e, {"v": np.array([1.0, 0.0])})
+    # every ln counts its own clamps; the other guards still raise
+    e = parse_expr("ln(v) + ln(v*t)", ALL)
+    _, clamps = eval_expr_array_clamped(e, {"v": np.array([1e-12, 1.0]), "t": 0.0}, 1e-9)
+    assert clamps == 3
+    for src, value, message in DOMAIN_CASES[1:]:
+        with pytest.raises(DomainError) as exc:
+            eval_expr_array_clamped(parse_expr(src, ALL), {"t": np.array([1.0, value])}, 1e-9)
+        assert str(exc.value) == message
 
 
 def test_variables_and_substitute():

@@ -147,6 +147,8 @@ def test_spec_validation():
         IdeSpec(form="linear_first_order", y0=1.0, k2=parse_expr("t", {"t"}))
     with pytest.raises(ValueError):
         IdeSpec(form="generic_first_order", y0=1.0, memory="cubic")
+    with pytest.raises(ValueError):  # the turbulent form fixes quadratic memory
+        IdeSpec(form="turbulent", y0=1.0, memory="linear")
 
 
 def test_blowup_truncates():
