@@ -1,11 +1,11 @@
 """Engine backend selection.
 
-Both backends run the RK4 stages that :mod:`memsolve.engine` generates
+Both backends run the RK4 marches that :mod:`memsolve.engine` generates
 per program structure.  ``numpy`` runs them as plain Python: single runs
-through the scalar kernel, Monte Carlo sweeps through the lane kernel
-that advances every iteration in lockstep.  ``numba`` njits the scalar
-driver and each generated scalar stage, and sweeps run the scalar
-kernel per iteration on worker threads.
+through the scalar march, Monte Carlo sweeps through the lane march
+that advances every iteration in lockstep.  ``numba`` njits the
+generated scalar march, and sweeps run it per iteration on worker
+threads.
 
 Selection order: explicit ``backend=`` argument, then the
 ``MEMSOLVE_BACKEND`` environment variable (``numba`` | ``numpy`` |

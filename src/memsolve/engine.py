@@ -3,20 +3,27 @@
 A lowered circuit is a straight-line *tape* of register instructions
 (:class:`Program`) evaluated once per Runge-Kutta stage.  The tape is
 not interpreted: ``_OPS`` states each opcode's semantics once (its
-expression, its domain guard and its ``ln`` clamp), and ``_op_lines``
-turns a tape into straight-line Python source in three variants:
+expression, its domain guard and its ``ln`` clamp), and ``_emit``
+generates the whole RK4 march for one program structure, with the tape
+inlined four times per step:
 
-* scalar, the RK4 stage driven by :func:`rk4_run` (single runs).  Stage
-  and driver stay in the numba-compilable subset of Python (arrays and
-  scalars only, no closures, no lists), so the numba backend njits the
-  same source;
-* lanes, the RK4 stage driven by :func:`rk4_run_batch`, which advances a
-  batch of parameter sets side by side in numpy arrays (Monte Carlo
-  sweeps on the numpy backend);
-* array, one expression over numpy arrays (:func:`eval_expr_array` and
-  :func:`eval_expr_array_clamped`): output transforms over a recorded
-  waveform and the reference solver's coefficient tables.  Its guards
-  raise :class:`~memsolve.exprs.DomainError` instead of masking lanes.
+* the scalar march, run by :func:`rk4_run` (single runs), keeps states,
+  stage slopes and constants in Python-float locals.  It stays in the
+  numba-compilable subset of Python (arrays and scalars only, no
+  closures, no lists), so the numba backend njits the same source;
+* the lane march, run by :func:`rk4_run_batch`, advances a batch of
+  parameter sets side by side in numpy arrays (Monte Carlo sweeps on the
+  numpy backend).  While every lane is alive it computes without masks
+  and tests all guards of a stage with one ``.any()``; a stage whose
+  guard holds anywhere is rerun masked, and after the first death every
+  stage runs masked, so dead lanes stay frozen and clamps are counted
+  per live lane.
+
+A third variant evaluates one expression over numpy arrays
+(:func:`eval_expr_array` and :func:`eval_expr_array_clamped`): output
+transforms over a recorded waveform and the reference solver's
+coefficient tables.  Its guards raise
+:class:`~memsolve.exprs.DomainError` instead of masking lanes.
 
 Kernel status codes: 0 = completed, 1 = expression domain error,
 2 = state blow-up (magnitude above the blow-up limit or non-finite).
@@ -30,6 +37,7 @@ the step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,13 +165,16 @@ class TapeBuilder:
 # OP_STATE (a constant-table or state index).  Generated code sees the
 # stage time as ``t``, the state (or, for the array variant, the bound
 # variables) as ``y`` and the constant table as ``consts``; for lanes
-# every one of them carries the lane axis.
+# every one of them carries the lane axis.  The marches read these loads
+# from locals instead (``_MARCH_LOADS``).  An expression written as a
+# pair is (scalar, numpy): the scalar march computes in Python floats,
+# the other variants over numpy arrays.
 
 
 @dataclass(frozen=True)
 class _Guard:
     on: str            # "a" or "b": the operand is checked first; "r": the result
-    bad: str           # test over the checked value, written as {}: outside the real domain
+    bad: str           # test over the checked value, written as {0}: outside the real domain
     safe: str          # value a lane keeps computing with where the test holds
     msg: str           # the DomainError message of the array variant
     clamp: str = ""    # test under which the kernels clamp to ``safe`` and count instead
@@ -176,20 +187,24 @@ _OPS = {
     OP_ADD: ("{a} + {b}", None),
     OP_SUB: ("{a} - {b}", None),
     OP_MUL: ("{a} * {b}", None),
-    OP_DIV: ("{a} / {b}", _Guard("b", "{} == 0.0", "1.0", "division by zero")),
+    OP_DIV: ("{a} / {b}", _Guard("b", "{0} == 0.0", "1.0", "division by zero")),
     OP_NEG: ("-{a}", None),
-    OP_EXP: ("np.exp({a})", None),
-    OP_LN: ("np.log({a})", _Guard("a", "{} <= 0.0", "ln_floor", "ln of non-positive value",
-                                  clamp="{} < ln_floor")),
-    OP_SIN: ("np.sin({a})", None),
-    OP_COS: ("np.cos({a})", None),
-    OP_SQRT: ("np.sqrt({a})", _Guard("a", "{} < 0.0", "0.0", "sqrt of negative value")),
+    # exp and ln stay numpy's in the scalar march: libm's differ in the last bit
+    OP_EXP: (("float(np.exp({a}))", "np.exp({a})"), None),
+    OP_LN: (("float(np.log({a}))", "np.log({a})"),
+            _Guard("a", "{0} <= 0.0", "ln_floor", "ln of non-positive value", clamp="{0} < ln_floor")),
+    # math.sin and math.cos equal numpy's, but raise on infinities where numpy gives NaN
+    OP_SIN: (("math.sin({a}) if {a} - {a} == 0.0 else float(np.sin({a}))", "np.sin({a})"), None),
+    OP_COS: (("math.cos({a}) if {a} - {a} == 0.0 else float(np.cos({a}))", "np.cos({a})"), None),
+    OP_SQRT: (("math.sqrt({a})", "np.sqrt({a})"),
+              _Guard("a", "{0} < 0.0", "0.0", "sqrt of negative value")),
     OP_ABS: ("abs({a})", None),
-    # (scalar, lanes and array): the scalar variant keeps libm pow through
-    # numpy scalar power; the array ufunc has its own fast paths (exponents
-    # 2, 0.5, -1), so the variants can differ in the last bit.
-    OP_POW: (("np.float64({a}) ** {b}", "np.power({a}, {b})"),
-             _Guard("r", "np.isnan({})", "0.0", "pow outside the real domain")),
+    # The scalar march keeps libm pow through numpy scalar power (a float
+    # ``**`` raises on overflow and goes complex on negative bases); the
+    # array ufunc has its own fast paths (exponents 2, 0.5, -1), so the
+    # spellings can differ in the last bit.
+    OP_POW: (("float(np.float64({a}) ** {b})", "np.power({a}, {b})"),
+             _Guard("r", "{0} != {0}", "0.0", "pow outside the real domain")),
 }
 
 
@@ -197,10 +212,14 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
     """What happens to ``x`` (the checked value) where the guard's test holds."""
     test = (g.clamp or g.bad).format("x")
     if variant == "scalar":
-        then = ["x = " + g.safe, "info[2] += 1"] if g.clamp else [f"return {STATUS_DOMAIN_ERROR}"]
+        # inside the march's step loop: a domain error ends the march
+        then = ["x = " + g.safe, "n_ln += 1"] if g.clamp else [f"status = {STATUS_DOMAIN_ERROR}", "break"]
         return [f"if {test}:"] + ["    " + s for s in then]
-    if variant == "lanes":
-        # a lane stops counting at its first domain error, as the scalar stage returns there
+    if variant == "fast":
+        # every lane alive: only note the hit; the march then reruns the stage masked
+        return [f"hit |= {test}"]
+    if variant == "masked":
+        # a lane stops counting at its first domain error, as the scalar march stops there
         flag = "ln_counts[alive & ~dom & m] += 1" if g.clamp else "dom |= m"
         return [f"m = {test}", "if m.any():", "    " + flag,
                 f"    x = np.where(m, {g.safe}, x)"]
@@ -213,14 +232,24 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
                f"    x = np.where(m, {g.safe}, x)"])
 
 
-def _op_lines(code, variant: str) -> list[str]:
-    """One assignment to a local ``r<dst>`` per instruction, guards included."""
+def _op_lines(code, variant: str, loads=None) -> tuple[list[str], dict[int, str]]:
+    """One assignment to a local ``r<dst>`` per instruction, guards included.
+
+    ``loads`` maps OP_CONST, OP_T and OP_STATE to the name of a local the
+    caller provides (``{i}`` is the operand); those loads then emit no
+    line.  Returns the lines and how each register is spelled.
+    """
+    spell: dict[int, str] = {}
     body = []
     for op, dst, a, b in code:
         expr, guard = _OPS[op]
         if isinstance(expr, tuple):
             expr = expr[variant != "scalar"]
-        names = {"i": a, "a": f"r{a}", "b": f"r{b}"}
+        if loads and op in loads:
+            spell[dst] = loads[op].format(i=a)
+            continue
+        spell[dst] = f"r{dst}"
+        names = {"i": a, "a": spell.get(a), "b": spell.get(b)}
         if guard is None:
             body.append(f"r{dst} = " + expr.format(**names))
             continue
@@ -233,54 +262,185 @@ def _op_lines(code, variant: str) -> list[str]:
             body += _guard_lines(guard, variant)
             names[guard.on] = "x"
             body.append(f"r{dst} = " + expr.format(**names))
-    return body
+    return body, spell
 
 
-def _emit(code, deriv_regs, probes, lanes: bool) -> str:
-    """Straight-line source of one RK4 stage; registers become locals ``r<n>``.
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    return ["    " * depth + s for s in lines]
 
-    The stage writes the state derivatives to ``k`` and the probes (the
-    recorded channels, then the memductance registers) to ``p``.  The
-    scalar stage returns a status code and counts ``ln`` clamps in
-    ``info[2]``; the lane stage returns its domain-error mask and counts
-    clamps per live lane.  Built from opcodes and indices only.
+
+def _tuple(names) -> str:
+    return "(" + "".join(f"{n}, " for n in names) + ")"
+
+
+# Inside a march, constants, the stage time and the stage's state are locals.
+_MARCH_LOADS = {OP_CONST: "c{i}", OP_T: "t", OP_STATE: "u{i}"}
+
+
+def _stage_inputs(s: int, n_states: int) -> list[str]:
+    """The state a stage reads: the step's state, then the classical RK4 increments."""
+    if s == 0:
+        return [f"u{i} = s{i}" for i in range(n_states)]
+    scale = "dt" if s == 3 else "hdt"
+    return [f"u{i} = s{i} + {scale} * k{s - 1}_{i}" for i in range(n_states)]
+
+
+# Stage times: 0 and 3 start and end the step; 2 reuses the time of 1.
+_STAGE_TIMES = ("t0 + step * dt", "t0 + step * dt + hdt", None, "t0 + (step + 1) * dt")
+
+
+def _update_terms(n_states: int, new: str, comp: str) -> list[str]:
+    """Compensated (Kahan) state update; keeps the roundoff floor near eps*|y|,
+    so small-step runs stay truncation-dominated."""
+    lines = []
+    for i in range(n_states):
+        lines += [f"term = dt * (k0_{i} + 2.0 * k1_{i} + 2.0 * k2_{i} + k3_{i}) / 6.0 - q{i}",
+                  f"{new}{i} = s{i} + term", f"{comp}{i} = ({new}{i} - s{i}) - term"]
+    return lines
+
+
+def _emit_scalar(code, deriv_regs, channels, flags) -> list[str]:
+    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)``.
+
+    Writes each recorded sample to ``rec`` and ``gflag``, and on every
+    exit (status, event step, ``ln`` clamp count) to ``info`` and the
+    state to ``y_out``; returns the number of recorded samples.
     """
-    if lanes:
-        lines = ["def stage(t, y, consts, ln_floor, k, p, ln_counts, alive):",
-                 "    dom = np.zeros(alive.shape[0], dtype=np.bool_)"]
-    else:
-        lines = ["def stage(t, y, consts, ln_floor, k, p, info):"]
-    body = _op_lines(code, "lanes" if lanes else "scalar")
-    body += [f"k[{i}] = r{r}" for i, r in enumerate(deriv_regs)]
-    body += [f"p[{j}] = " + (f"y[{i}]" if kind == CHAN_STATE else f"r{i}")
-             for j, (kind, i) in enumerate(probes)]
-    body.append("return dom" if lanes else f"return {STATUS_OK}")
-    return "\n".join(lines + ["    " + s for s in body]) + "\n"
+    n = len(deriv_regs)
+    body, spell = _op_lines(code, "scalar", _MARCH_LOADS)
+    timed = any(op == OP_T for op, *_ in code)
+    loop = []
+    for s, t in enumerate(_STAGE_TIMES):
+        loop += ([f"t = {t}"] if timed and t else []) + _stage_inputs(s, n) + body
+        loop += [f"k{s}_{i} = {spell[r]}" for i, r in enumerate(deriv_regs)]
+        if s == 0:
+            loop += [f"rec[step, {c}] = " + (spell[i] if kind == CHAN_REG else f"s{i}")
+                     for c, (kind, i) in enumerate(channels)]
+            negative = " or ".join(f"{spell[g]} < 0.0" for g in flags)
+            loop.append(f"gflag[step] = 1 if {negative} else 0" if flags else "gflag[step] = 0")
+            loop += ["recorded = step + 1", "if step == n_steps:", "    break"]
+    loop += _update_terms(n, "w", "q")
+    loop += [f"s{i} = w{i}" for i in range(n)]
+    if n:
+        # NaN and inf fail the comparison, so they count as a blow-up too
+        inside = " and ".join(f"abs(s{i}) <= blow_limit" for i in range(n))
+        loop += [f"if not ({inside}):", f"    status = {STATUS_BLOWUP}", "    break"]
+    fn_body = [f"c{i} = float(consts[{i}])" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
+    fn_body += [f"s{i} = float(y0[{i}])" for i in range(n)] + [f"q{i} = 0.0" for i in range(n)]
+    fn_body += ["hdt = 0.5 * dt", "n_ln = 0", f"status = {STATUS_OK}", "recorded = 0", "step = 0",
+             "for step in range(n_steps + 1):"] + _indent(loop)
+    fn_body += ["info[0] = status", f"info[1] = step + 1 if status == {STATUS_BLOWUP} else step",
+             "info[2] = n_ln"] + [f"y_out[{i}] = s{i}" for i in range(n)] + ["return recorded"]
+    return ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):"
+            ] + _indent(fn_body)
+
+
+def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
+    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+    event_step, ln_counts, rec_counts)``, returning the final state of every lane.
+
+    ``full`` says that every lane is alive.  A tape without guards never
+    needs the masked stage: nothing can die inside a stage or be clamped.
+    """
+    n = len(deriv_regs)
+    fast, spell = _op_lines(code, "fast", _MARCH_LOADS)
+    guarded = any(_OPS[op][1] is not None for op, *_ in code)
+    probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
+    probes += [spell[g] for g in flags]
+    n_chan = len(channels)
+    lines = []
+    if guarded:
+        # where a guard holds, a lane keeps computing with the guard's safe value
+        masked, mspell = _op_lines(code, "masked")
+        mprobes = [mspell[i] if kind == CHAN_REG else f"y[{i}]" for kind, i in channels]
+        mprobes += [mspell[g] for g in flags]
+        lines += ["def stage(t, y, consts, ln_floor, ln_counts, alive):"] + _indent(
+            ["dom = np.zeros(alive.shape[0], dtype=np.bool_)"] + masked
+            + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
+    timed = any(op == OP_T for op, *_ in code)
+    loop = []
+    for s, t in enumerate(_STAGE_TIMES):
+        loop += ([f"t = np.full(width, {t})"] if timed and t else []) + _stage_inputs(s, n)
+        ks = [f"k{s}_{i}" for i in range(n)]
+        ps = [f"p{j}" for j in range(len(probes))] if s == 0 else []
+        out = fast + [f"{k} = {spell[r]}" for k, r in zip(ks, deriv_regs)]
+        out += [f"{p} = {e}" for p, e in zip(ps, probes)]
+        if not guarded:
+            loop += out
+        else:
+            loop += ["if full:"] + _indent(["hit = False"] + out)
+            target = "[" + ", ".join(ps) + "]" if s == 0 else "_"
+            loop += ["if not full or hit.any():"] + _indent(
+                [f"dom, [{', '.join(ks)}], {target} = stage("
+                 f"t, {_tuple(f'u{i}' for i in range(n))}, consts, ln_floor, ln_counts, alive)",
+                 "dom &= alive", "if dom.any():"] + _indent(
+                    [f"status[dom] = {STATUS_DOMAIN_ERROR}", "event_step[dom] = step",
+                     "alive &= ~dom", "full = False", "if not alive.any():", "    break"]))
+        if s == 0:
+            negative = " | ".join(f"(p{n_chan + j} < 0.0)" for j in range(len(flags)))
+            loop += ["if full:"] + _indent(
+                [f"rec[step, {c}] = p{c}" for c in range(n_chan)]
+                + ([f"gflag[step] = {negative}"] if flags else []) + ["rec_counts[:] = step + 1"])
+            loop += ["else:"] + _indent(
+                [f"rec[step, {c}, alive] = p{c}[alive]" for c in range(n_chan)]
+                + ([f"gflag[step, alive] = ({negative})[alive]"] if flags else [])
+                + ["rec_counts[alive] = step + 1"])
+            loop += ["if step == n_steps:", "    break"]
+    loop += _update_terms(n, "n", "e")
+    if n:
+        keep = [f"s{i} = n{i}" for i in range(n)] + [f"q{i} = e{i}" for i in range(n)]
+        loop.append("ok = " + " & ".join(f"(np.abs(n{i}) <= blow_limit)" for i in range(n)))
+        loop += ["if full and ok.all():"] + _indent(keep) + ["else:"] + _indent(
+            ["blown = alive & ~ok", "if blown.any():"] + _indent(
+                [f"status[blown] = {STATUS_BLOWUP}", "event_step[blown] = step + 1",
+                 "alive &= ~blown", "full = False"])
+            + [f"s{i} = np.where(alive, n{i}, s{i})" for i in range(n)]
+            + [f"q{i} = np.where(alive, e{i}, q{i})" for i in range(n)]
+            + ["if not alive.any():", "    break"])
+    fn_body = ["width = y0.shape[1]"]
+    fn_body += [f"c{i} = consts[{i}]" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
+    fn_body += [f"s{i} = y0[{i}]" for i in range(n)] + [f"q{i} = np.zeros(width)" for i in range(n)]
+    fn_body += ["hdt = 0.5 * dt", "alive = np.ones(width, dtype=np.bool_)", "full = True",
+             "for step in range(n_steps + 1):"] + _indent(loop)
+    fn_body.append(f"return {_tuple(f's{i}' for i in range(n))}")
+    return lines + ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
+                    "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
+
+
+def _emit(code, deriv_regs, channels, flags, lanes: bool) -> str:
+    """Source of the whole RK4 march over one program structure.
+
+    The stages are inlined into the step loop.  ``channels`` are the
+    recorded (kind, index) pairs and ``flags`` the memductance registers
+    whose sign sets a recorded sample's passivity flag.  Built from
+    opcodes and indices only.
+    """
+    return "\n".join((_emit_lanes if lanes else _emit_scalar)(code, deriv_regs, channels, flags)) + "\n"
 
 
 def _compile(source: str, name: str):
-    namespace = {"np": np, "DomainError": DomainError}
+    namespace = {"np": np, "math": math, "DomainError": DomainError}
     exec(compile(source, f"<memsolve {name}>", "exec"), namespace)
     return namespace[name]
 
 
 @functools.lru_cache(maxsize=256)
-def _stage(code, deriv_regs, probes, lanes: bool, jit=None):
-    fn = _compile(_emit(code, deriv_regs, probes, lanes), "stage")
+def _march(code, deriv_regs, channels, flags, lanes: bool, jit=None):
+    fn = _compile(_emit(code, deriv_regs, channels, flags, lanes), "march")
     return fn if jit is None else jit(fn)
 
 
-def _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, lanes: bool, jit=None):
-    """The generated stage for this program structure, cached across calls.
+def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, jit=None):
+    """The generated march for this program structure, cached across calls.
 
     The key is what the source is built from: the tape, the derivative
-    and memductance registers and the recorded channels.  Constants are
-    an argument of the stage, so programs that differ only in their
-    constant tables (:meth:`Program.same_structure`) share one function.
+    registers, the recorded channels and the flagged memductance
+    registers.  Constants and initial states are arguments of the march,
+    so programs that differ only in their constant tables
+    (:meth:`Program.same_structure`) share one function.
     """
-    probes = tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
-    probes += tuple((CHAN_REG, g) for g in g_regs.tolist())
-    return _stage(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()), probes, lanes, jit)
+    return _march(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()),
+                  tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, jit)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +461,9 @@ def _evaluator(e: Expr, names: tuple[str, ...]):
     b = TapeBuilder()
     out = b.compile_expr(e, {n: b.load_state(i) for i, n in enumerate(names) if n in used})
     prog = b.finish([out], [])
-    lines = ["def evaluate(y, consts, ln_floor):", "    n_clamped = 0"]
-    lines += ["    " + s for s in _op_lines(prog.code.tolist(), "array")]
-    lines.append(f"    return r{out}, n_clamped")
+    body, spell = _op_lines(prog.code.tolist(), "array")
+    lines = ["def evaluate(y, consts, ln_floor):"] + _indent(["n_clamped = 0"] + body)
+    lines.append(f"    return {spell[out]}, n_clamped")
     return _compile("\n".join(lines) + "\n", "evaluate"), prog.consts
 
 
@@ -332,73 +492,11 @@ def eval_expr_array_clamped(e: Expr, bindings, ln_floor: float) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernel
-
-
-def _drive(stage, consts, n_chan, p, y0, t0, dt, n_steps, ln_floor, blow_limit,
-           rec, gflag, info, y_out):
-    """Classical fixed-step RK4 around a scalar stage (numba-compilable as-is)."""
-    n_states = y0.shape[0]
-    y = y_out
-    for i in range(n_states):
-        y[i] = y0[i]
-    ytmp = np.empty(n_states, dtype=np.float64)
-    ks = np.empty((4, n_states), dtype=np.float64)
-    comp = np.zeros(n_states, dtype=np.float64)  # Kahan compensation
-    recorded = 0
-    info[0] = STATUS_OK
-    info[1] = n_steps
-    info[2] = 0
-    for step in range(n_steps + 1):
-        for stg in range(4):
-            if stg == 0:
-                ts = t0 + step * dt
-                for i in range(n_states):
-                    ytmp[i] = y[i]
-            elif stg == 3:
-                ts = t0 + (step + 1) * dt
-                for i in range(n_states):
-                    ytmp[i] = y[i] + dt * ks[2, i]
-            else:
-                ts = t0 + step * dt + 0.5 * dt
-                for i in range(n_states):
-                    ytmp[i] = y[i] + 0.5 * dt * ks[stg - 1, i]
-            if stage(ts, ytmp, consts, ln_floor, ks[stg], p, info) != STATUS_OK:
-                info[0] = STATUS_DOMAIN_ERROR
-                info[1] = step
-                return recorded
-            if stg == 0:
-                for c in range(n_chan):
-                    rec[step, c] = p[c]
-                flag = 0
-                for j in range(n_chan, p.shape[0]):
-                    if p[j] < 0.0:
-                        flag = 1
-                gflag[step] = flag
-                recorded = step + 1
-                if step == n_steps:
-                    return recorded
-        bad = False
-        for i in range(n_states):
-            # compensated state update keeps the roundoff floor near eps*|y|,
-            # so small-step runs stay truncation-dominated
-            delta = dt * (ks[0, i] + 2.0 * ks[1, i] + 2.0 * ks[2, i] + ks[3, i]) / 6.0
-            term = delta - comp[i]
-            yn = y[i] + term
-            comp[i] = (yn - y[i]) - term
-            if not np.isfinite(yn) or abs(yn) > blow_limit:
-                bad = True
-            y[i] = yn
-        if bad:
-            info[0] = STATUS_BLOWUP
-            info[1] = step + 1
-            return recorded
-    return recorded
+# Kernels
 
 
 def scalar_kernel(jit=None):
-    """The scalar RK4 kernel; ``jit`` (e.g. ``numba.njit``) compiles its driver and stages."""
-    drive = _drive if jit is None else jit(_drive)
+    """The scalar RK4 kernel; ``jit`` (e.g. ``numba.njit``) compiles each generated march."""
 
     def rk4_run(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
                 y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):
@@ -409,11 +507,9 @@ def scalar_kernel(jit=None):
         ``info`` receives (status, event_step, ln_clamp_count); ``y_out``
         holds the state vector at exit (the failing state on an error).
         """
-        stage = _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
-        p = np.empty(chan_kind.shape[0] + g_regs.shape[0], dtype=np.float64)
+        march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
         with np.errstate(all="ignore"):  # domain errors are reported through info
-            return drive(stage, consts, chan_kind.shape[0], p, y0, t0, dt, n_steps,
-                         ln_floor, blow_limit, rec, gflag, info, y_out)
+            return march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)
 
     return rk4_run
 
@@ -421,79 +517,31 @@ def scalar_kernel(jit=None):
 rk4_run = scalar_kernel()
 
 
-# ---------------------------------------------------------------------------
-# Lane kernel
-#
-# Runs W independent parameter sets of one program in lockstep: consts is
-# (n_consts, W), states are (n_states, W).  Lanes die individually on
-# domain errors or blow-up; per-lane status/event/ln counts mirror the
-# scalar kernel.  Per-lane waveforms are bit-equal to the scalar kernel's
-# for tapes without OP_POW (see _OPS).
-
-
 def rk4_run_batch(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
                   y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
                   event_step, ln_counts, rec_counts, y_out=None):
-    stage = _stage_for(code, deriv_regs, g_regs, chan_kind, chan_idx, True)
-    n_states, width = y0.shape
-    n_chan = chan_kind.shape[0]
-    p = np.empty((n_chan + g_regs.shape[0], width), dtype=np.float64)
-    tv = np.empty(width, dtype=np.float64)
-    y = y0.copy()
-    ks = np.empty((4, n_states, width), dtype=np.float64)
-    comp = np.zeros((n_states, width), dtype=np.float64)
-    alive = np.ones(width, dtype=bool)
+    """Run W independent parameter sets of one program in lockstep.
+
+    ``consts`` is (n_consts, W) and ``y0`` (n_states, W); ``rec`` is
+    (n_steps+1, n_channels, W) and NaN past a lane's last sample.  Lanes
+    die individually on domain errors or blow-up; per-lane ``status``,
+    ``event_step``, ``ln_counts``, ``rec_counts`` and the (n_steps+1, W)
+    passivity flags mirror the scalar kernel, and waveforms are bit-equal
+    to it for tapes without OP_POW (see _OPS).  ``gflag`` None skips the
+    flags.  ``y_out`` receives each lane's last accepted state.
+    """
+    march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)
     status[:] = STATUS_OK
     event_step[:] = n_steps
     ln_counts[:] = 0
     rec_counts[:] = 0
     rec[:] = np.nan
-    gflag[:] = 0
-
-    def kill(mask, code_, step_):
-        hit = mask & alive
-        if hit.any():
-            status[hit] = code_
-            event_step[hit] = step_
-            alive[hit] = False
-
+    if gflag is not None:
+        gflag[:] = 0
     with np.errstate(all="ignore"):
-        for step in range(n_steps + 1):
-            if not alive.any():
-                break
-            for stg in range(4):
-                if stg == 0:
-                    ts = t0 + step * dt
-                    ytmp = y
-                elif stg == 3:
-                    ts = t0 + (step + 1) * dt
-                    ytmp = y + dt * ks[2]
-                else:
-                    ts = t0 + step * dt + 0.5 * dt
-                    ytmp = y + 0.5 * dt * ks[stg - 1]
-                tv.fill(ts)
-                kill(stage(tv, ytmp, consts, ln_floor, ks[stg], p, ln_counts, alive),
-                     STATUS_DOMAIN_ERROR, step)
-                if not alive.any():
-                    break
-                if stg == 0:
-                    for c in range(n_chan):
-                        rec[step, c, alive] = p[c, alive]
-                    if p.shape[0] > n_chan:
-                        gflag[step, alive] = (p[n_chan:] < 0.0).any(axis=0)[alive]
-                    rec_counts[alive] = step + 1
-                    if step == n_steps:
-                        break
-            if step == n_steps or not alive.any():
-                break
-            delta = dt * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]) / 6.0
-            term = delta - comp
-            ynew = y + term
-            compnew = (ynew - y) - term
-            blown = (~np.isfinite(ynew) | (np.abs(ynew) > blow_limit)).any(axis=0)
-            kill(blown, STATUS_BLOWUP, step + 1)
-            y = np.where(alive, ynew, y)
-            comp = np.where(alive, compnew, comp)
+        states = march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+                       event_step, ln_counts, rec_counts)
     if y_out is not None:
-        y_out[:] = y
+        for i, s in enumerate(states):
+            y_out[i] = s
     return rec_counts

@@ -12,6 +12,10 @@ requested.  Inside the stepper the argument of every ``ln`` is clamped
 below at ``LN_FLOOR`` and the clamp activations are counted; state
 magnitudes above ``BLOWUP_LIMIT`` (or non-finite states) truncate the
 run and are reported rather than raised.
+
+A run whose waveform record (samples x channels x parameter sets, 8
+bytes each) would exceed ``MAX_RECORD_BYTES`` is rejected with a
+``ValueError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -27,12 +31,24 @@ from .netlist import OdeSystem
 from .waveform import Waveform, grid_steps
 
 __all__ = ["SimConfig", "SimResult", "SimulationError", "simulate", "relative_error", "BLOWUP_LIMIT",
-           "LN_FLOOR"]
+           "LN_FLOOR", "MAX_RECORD_BYTES"]
 
 BLOWUP_LIMIT = 1e12
 LN_FLOOR = 1e-9
 REL_ERR_EPS = 1e-12
 OUTPUT_CHANNEL = "out"
+MAX_RECORD_BYTES = 1 << 30
+
+
+def check_record_size(n_steps: int, channels: int, runs: int = 1) -> None:
+    """Reject a record of ``n_steps + 1`` samples x ``channels`` x ``runs`` over the cap."""
+    size = (n_steps + 1) * channels * runs * 8
+    if size > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"the run would record {n_steps + 1} samples x {channels} channel(s) x {runs} run(s) "
+            f"= {size / 2**30:.3g} GiB, over the {MAX_RECORD_BYTES / 2**30:g} GiB cap; "
+            "use a larger --dt, a shorter --t-end, or fewer channels or iterations"
+        )
 
 
 @dataclass
@@ -101,6 +117,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
     chan_kind, chan_idx = _resolve_channels(sys, (sys.output_node,) + cfg.record_channels)
 
     n_steps = cfg.n_steps
+    check_record_size(n_steps, len(names))
     prog = sys.program
     rec = np.empty((n_steps + 1, len(names)), dtype=np.float64)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)

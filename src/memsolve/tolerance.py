@@ -42,7 +42,15 @@ from .elements import (
 from .engine import eval_expr_array_clamped
 from .exprs import Expr, map_constants
 from .netlist import Netlist, lower
-from .solver import BLOWUP_LIMIT, LN_FLOOR, REL_ERR_EPS, SimConfig, SimulationError, simulate
+from .solver import (
+    BLOWUP_LIMIT,
+    LN_FLOOR,
+    REL_ERR_EPS,
+    SimConfig,
+    SimulationError,
+    check_record_size,
+    simulate,
+)
 
 __all__ = ["ToleranceConfig", "StabilityReport", "perturb", "stability_run", "DEFAULT_MASTER_SEED"]
 
@@ -101,6 +109,11 @@ def perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> Netlist
     shapes), so all iterations lower to programs with identical code and
     differing constant tables.
     """
+    return _perturb(net, cfg, iteration_index)[0]
+
+
+def _perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> tuple[Netlist, int]:
+    """:func:`perturb` and the number of draws it redrew."""
     draws = _Draws(cfg, iteration_index)
 
     def literals(expr: Expr) -> Expr:
@@ -145,8 +158,7 @@ def perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> Netlist
             raise TypeError(f"unknown element type {type(elem).__name__}")
         out.elements[eid] = new
         out.out_node[eid] = net.out_node[eid]
-    out.meta["_redraws"] = str(draws.redraws)
-    return out
+    return out, draws.redraws
 
 
 @dataclass
@@ -204,9 +216,10 @@ def stability_run(
     """
     chosen = resolve_backend(backend)
     nominal = lower(net)                  # validates the netlist before any draw
-    perturbed = [perturb(net, cfg, i) for i in range(cfg.iterations)]
-    redraws = sum(int(p.meta["_redraws"]) for p in perturbed)
-    systems = [nominal] + [lower(p) for p in perturbed]
+    check_record_size(sim.n_steps, 1, 1 + cfg.iterations)
+    perturbed = [_perturb(net, cfg, i) for i in range(cfg.iterations)]
+    redraws = sum(n for _, n in perturbed)
+    systems = [nominal] + [lower(p) for p, _ in perturbed]
 
     if chosen == "numpy":
         series, failures = _run_batch(systems, sim)
@@ -283,7 +296,6 @@ def _run_batch(systems, sim):
     chan_kind = np.array([engine.CHAN_REG], dtype=np.int32)
     chan_idx = np.array([base_sys.node_regs[base_sys.output_node]], dtype=np.int32)
     rec = np.empty((n_steps + 1, 1, width))
-    gflag = np.zeros((n_steps + 1, width), dtype=np.uint8)
     status = np.zeros(width, dtype=np.int64)
     event = np.zeros(width, dtype=np.int64)
     ln_counts = np.zeros(width, dtype=np.int64)
@@ -291,7 +303,7 @@ def _run_batch(systems, sim):
     engine.rk4_run_batch(
         prog0.code, consts, prog0.n_regs, prog0.deriv_regs, prog0.g_regs,
         chan_kind, chan_idx, y0, 0.0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
-        rec, gflag, status, event, ln_counts, rec_counts,
+        rec, None, status, event, ln_counts, rec_counts,    # no passivity flags
     )
     kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}
     failures = {i: (kinds[status[i]], int(event[i]))

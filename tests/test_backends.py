@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,7 @@ from memsolve.elements import (
 )
 from memsolve.exprs import Binary, Const, Unary, Var
 from memsolve.netlist import Netlist, lower, parse_netlist
-from memsolve.solver import SimConfig, simulate
+from memsolve.solver import SimConfig, SimulationError, simulate
 from memsolve.tolerance import ToleranceConfig, perturb, stability_run
 
 from conftest import FIG2_NETLIST
@@ -130,42 +132,47 @@ def netlists(draw):
     )
 
 
-def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
+def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, y_out=None):
     rec = np.full((n_steps + 1, chan_kind.shape[0]), np.nan)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
     info = np.zeros(3, dtype=np.int64)
     n = engine.rk4_run(
         prog.code, consts, prog.n_regs, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
-        rec, gflag, info, np.empty(y0.shape[0]),
+        rec, gflag, info, np.empty(y0.shape[0]) if y_out is None else y_out,
     )
     return n, info, rec, gflag
 
 
-def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
+def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     width = consts.shape[1]
     rec = np.empty((n_steps + 1, chan_kind.shape[0], width))
-    gflag = np.zeros((n_steps + 1, width), dtype=np.uint8)
+    gflag = np.zeros((n_steps + 1, width), dtype=np.uint8) if flags else None
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
+    y_out = np.empty(y0.shape)
     engine.rk4_run_batch(
         prog.code, consts, prog.n_regs, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
-        rec, gflag, status, event, ln_counts, rec_counts,
+        rec, gflag, status, event, ln_counts, rec_counts, y_out,
     )
-    return rec_counts, status, event, ln_counts, rec, gflag
+    return rec_counts, status, event, ln_counts, rec, gflag, y_out
 
 
-def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0):
+def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None):
     """Scalar runs and one lane run over the same constants agree exactly.
 
-    Waveforms are bit-equal unless the tape has OP_POW, whose scalar
-    spelling (libm pow) and lane spelling (array np.power) may differ in
-    the last bit.
+    ``consts`` (n_consts, width) defaults to the program's constants,
+    perturbed by up to 5% in every lane but the first.  Waveforms are
+    bit-equal unless the tape has OP_POW, whose scalar spelling (libm
+    pow) and lane spelling (array np.power) may differ in the last bit.
+    Returns the lane run's (status, event_step, ln_counts).
     """
     prog = sys.program
-    rng = np.random.default_rng(seed)
-    consts = np.repeat(prog.consts[:, None], width, axis=1)
-    consts[:, 1:] *= 1.0 + 0.05 * rng.uniform(-1, 1, size=(consts.shape[0], width - 1))
+    if consts is None:
+        rng = np.random.default_rng(seed)
+        consts = np.repeat(prog.consts[:, None], width, axis=1)
+        consts[:, 1:] *= 1.0 + 0.05 * rng.uniform(-1, 1, size=(consts.shape[0], width - 1))
+    width = consts.shape[1]
     y0 = np.repeat(sys.y0()[:, None], width, axis=1)
     state_channels = list(sys.omega_state_index.values())[:1]
     chan_kind = np.array([engine.CHAN_REG] + [engine.CHAN_STATE] * len(state_channels),
@@ -173,17 +180,22 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0):
     chan_idx = np.array([sys.node_regs[sys.output_node]] + state_channels, dtype=np.int32)
     has_pow = bool(np.any(prog.code[:, 0] == engine.OP_POW))
 
-    rec_counts, status, event, ln_counts, rec_b, gflag_b = _run_lanes(
+    rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b = _run_lanes(
         prog, consts, y0, chan_kind, chan_idx, dt, n_steps)
     for w in range(width):
+        y_out = np.empty(sys.n_states)
         n, info, rec, gflag = _run_scalar(prog, consts[:, w].copy(), sys.y0(),
-                                          chan_kind, chan_idx, dt, n_steps)
+                                          chan_kind, chan_idx, dt, n_steps, y_out)
         assert (status[w], event[w], ln_counts[w], rec_counts[w]) == (info[0], info[1], info[2], n)
         assert np.array_equal(gflag_b[:n, w], gflag[:n])
         if has_pow:
             np.testing.assert_allclose(rec_b[:n, :, w], rec[:n], rtol=1e-12, atol=0.0)
         else:
             assert np.array_equal(rec_b[:n, :, w], rec[:n], equal_nan=True)
+            # a blown lane keeps its last accepted state; the scalar run, the failing one
+            if status[w] != engine.STATUS_BLOWUP:
+                assert np.array_equal(y_b[:, w], y_out, equal_nan=True)
+    return status, event, ln_counts
 
 
 def test_batch_kernel_matches_scalar_runs():
@@ -195,6 +207,116 @@ def test_batch_kernel_matches_scalar_runs():
 @given(netlists())
 def test_scalar_and_lane_variants_agree_on_random_netlists(net):
     assert_variants_agree(lower(net))
+
+
+# --- the march's exit paths -------------------------------------------------
+
+# exp(exp(5t)) overflows to inf once 5t > ln(ln(DBL_MAX)).
+T_OVERFLOW = math.log(math.log(np.finfo(float).max)) / 5.0
+
+
+@pytest.mark.parametrize("op, after", [("sin", np.nan), ("cos", np.nan), ("exp", np.inf),
+                                       ("ln", np.inf)])
+def test_register_overflow_feeds_elementary_functions(op, after):
+    # The overflowed register only reaches the recorded output, so the run completes.
+    sys = lower(parse_netlist(f"""
+integrator int1 out=x C=1 ic=1 in=x:1
+fgen f1 out=a expr="{op}(exp(exp(5*t)))"
+output a
+"""))
+    prog = sys.program
+    dt, n_steps = 0.01, 200
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs["a"]], dtype=np.int32)
+    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
+    assert (n, info[0], info[1]) == (n_steps + 1, engine.STATUS_OK, n_steps)
+    t = dt * np.arange(n_steps + 1)
+    late = rec[t > T_OVERFLOW, 0]
+    assert late.size and np.array_equal(late, np.full(late.shape, after), equal_nan=True)
+    if op in ("sin", "cos"):
+        assert np.all(np.isfinite(rec[t < T_OVERFLOW, 0]))
+    assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("src, state", [
+    # z' = z^2 from z(0) = 1 reaches the blow-up limit just after t = 1
+    ('memintegrator mem1 out=z C=1 ic=1 g="-v" f="0*t" omega0=0\noutput z\n', "z"),
+    # y' = -sin(inf) = NaN once exp(exp(5t)) overflows inside a step
+    ('integrator int1 out=y C=1 ic=0 in=a:1\nfgen f1 out=a expr="sin(exp(exp(5*t)))"\n'
+     'output y\n', "y"),
+])
+def test_blow_up_before_t_end(src, state):
+    sys = lower(parse_netlist(src))
+    prog = sys.program
+    dt, n_steps = 0.01, 200
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[state]], dtype=np.int32)
+    y_out = np.empty(sys.n_states)
+    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps, y_out)
+    assert info[0] == engine.STATUS_BLOWUP and 0 < info[1] < n_steps
+    assert n == info[1]                            # every sample before the failing update
+    assert np.all(np.abs(rec[:n, 0]) <= 1e12) and np.all(np.isnan(rec[n:, 0]))
+    assert not abs(y_out[0]) <= 1e12               # the state that failed the test
+    if state == "y":
+        assert (info[1] - 1) * dt < T_OVERFLOW < info[1] * dt
+    res = simulate(sys, SimConfig(dt=dt, t_end=dt * n_steps))
+    assert res.blowup_step == info[1] and len(res.waveform) == n
+    assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
+
+
+def test_domain_error_after_recorded_samples():
+    # sqrt(0.5 - t) leaves its domain at the first stage past t = 0.5:
+    # stage 1 of step 8 (dt = 1/16), after sample 8 is recorded
+    sys = lower(parse_netlist("""
+integrator int1 out=x C=1 ic=1 in=a:1
+fgen f1 out=a expr="sqrt(0.5 - t)"
+output x
+"""))
+    prog = sys.program
+    dt, n_steps = 0.0625, 16
+    chan = np.array([engine.CHAN_STATE], dtype=np.int32), np.array([0], dtype=np.int32)
+    y_out = np.empty(sys.n_states)
+    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps, y_out)
+    assert (info[0], info[1], n) == (engine.STATUS_DOMAIN_ERROR, 8, 9)
+    assert y_out[0] == rec[8, 0] and y_out[0] < rec[0, 0]
+    with pytest.raises(SimulationError) as exc:
+        simulate(sys, SimConfig(dt=dt, t_end=dt * n_steps))
+    assert exc.value.step == 8 and exc.value.snapshot == {"int1": y_out[0]}
+    assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
+
+
+MIXED = """
+memintegrator mem1 out=v C=1 ic=1 g="cos(3*t) - 0.5" f="ln(t - {c}) + sqrt({a} - t)" omega0=0
+integrator int1 out=z C=1 ic=1 in=q:1
+mul m1 out=p in=z in=z
+pot p1 out=r in=p alpha={b}
+adder s1 out=q in=r:1
+output v
+"""
+
+
+def test_lanes_dying_mid_run_match_their_scalar_runs():
+    """Lanes leave the all-alive fast path one by one; every lane still equals its scalar run.
+
+    Per lane: sqrt(a - t) is a domain error past t = a, z' = b*z^2 blows up
+    near t = 1/b, ln(t - c) clamps until t = c, and the memductance
+    cos(3t) - 0.5 changes sign.
+    """
+    params = [(5.0, 0.1, 0.25), (0.7, 0.1, 0.5), (5.0, 0.9, 0.1), (1.3, 0.1, 0.3),
+              (5.0, 0.1, 0.05), (5.0, 0.6, 0.4)]
+    systems = [lower(parse_netlist(MIXED.format(a=a, b=b, c=c))) for a, b, c in params]
+    assert all(s.program.same_structure(systems[0].program) for s in systems)
+    consts = np.stack([s.program.consts for s in systems], axis=1)
+    status, event, ln_counts = assert_variants_agree(systems[0], dt=0.01, n_steps=200, consts=consts)
+    # without passivity flags (the sweep's call) the march is generated without them
+    y0 = np.repeat(systems[0].y0()[:, None], len(params), axis=1)
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([systems[0].node_regs["v"]], dtype=np.int32)
+    with_flags = _run_lanes(systems[0].program, consts, y0, *chan, 0.01, 200)
+    without = _run_lanes(systems[0].program, consts, y0, *chan, 0.01, 200, flags=False)
+    for a, b in zip(with_flags, without):
+        assert b is None or np.array_equal(a, b, equal_nan=True)
+    ok, dom, blow = engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR, engine.STATUS_BLOWUP
+    assert status.tolist() == [ok, dom, blow, dom, ok, blow]
+    assert event[1] < event[2] < event[3] < event[5] < 200
+    assert len(set(ln_counts.tolist())) == len(params)
 
 
 def _same_lowering(a, b):
@@ -238,11 +360,11 @@ def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     emitted = []
     emit = engine._emit
     monkeypatch.setattr(engine, "_emit", lambda *args: emitted.append(args[-1]) or emit(*args))
-    engine._stage.cache_clear()
+    engine._march.cache_clear()
     net = parse_netlist(MEM)
     cfg = ToleranceConfig(iterations=20)
     sim = SimConfig(dt=1e-2, t_end=1.0)
     stability_run(net, cfg, sim, backend="numpy")
     for i in range(cfg.iterations):
         simulate(lower(perturb(net, cfg, i)), sim, backend="numpy")
-    assert emitted == [True, False]        # one lane stage (the sweep), one scalar stage
+    assert emitted == [True, False]        # one lane march (the sweep), one scalar march

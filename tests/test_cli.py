@@ -157,6 +157,24 @@ def test_off_grid_horizon_exits_2(tmp_path, population_spec_file, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("simulate", ["--dt", "1e-9", "--t-end", "4"]),                    # 32 GB of samples
+    ("stability", ["--dt", "1e-3", "--t-end", "4", "--iterations", "100000000"]),
+])
+def test_oversize_run_exits_2(tmp_path, capsys, monkeypatch, command, args):
+    def never(*a, **k):
+        raise AssertionError("an oversize run got past its size check")
+
+    monkeypatch.setattr("memsolve.solver.rk4_kernel", never)
+    monkeypatch.setattr("memsolve.tolerance._perturb", never)
+    net_path = tmp_path / "fig2.net"
+    net_path.write_text(FIG2_NETLIST)
+    out = tmp_path / "x.csv"
+    assert main([command, str(net_path), *args, "-o", str(out)]) == 2
+    assert "GiB cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "stability"])
 def test_run_past_fitted_integrating_factor_exits_2(tmp_path, capsys, command):
     # exp(-t^2) has no tabulated antiderivative, so alpha is a Chebyshev fit on

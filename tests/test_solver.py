@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import memsolve.solver as solver
 from memsolve.netlist import lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, relative_error, simulate
 from memsolve.waveform import GridMismatchError, Waveform
@@ -186,3 +187,19 @@ def test_waveform_csv_round_trip(tmp_path, fig2_netlist):
     assert again.names == wf.names
     assert wf.same_grid(again)
     assert np.allclose(again.data, wf.data, rtol=1e-11, atol=1e-14)
+
+
+def test_oversize_record_is_rejected_before_allocation(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("reached the kernel of a run over the record cap")
+
+    sys = lower(parse_netlist(DECAY))
+    monkeypatch.setattr(solver, "rk4_kernel", no_kernel)
+    with pytest.raises(ValueError, match="GiB cap"):  # (4e9 + 1) samples x 8 bytes: 32 GB
+        simulate(sys, SimConfig(dt=1e-9, t_end=4.0))
+    # exactly at the cap runs; one channel more does not
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "MAX_RECORD_BYTES", 11 * 2 * 8)
+    assert len(simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v",))).waveform) == 11
+    with pytest.raises(ValueError, match="11 samples x 3 channel"):
+        simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v", "v")))

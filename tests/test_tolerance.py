@@ -9,9 +9,12 @@ from memsolve.compiler import (
 )
 from memsolve.exprs import parse_expr
 from memsolve.netlist import lower, parse_netlist
+import memsolve.solver as solver
+import memsolve.tolerance as tolerance
 from memsolve.solver import SimConfig
 from memsolve.tolerance import (
     ToleranceConfig,
+    _perturb,
     _run_batch,
     _run_threaded,
     perturb,
@@ -129,17 +132,46 @@ def test_perturbation_preserves_structure():
     assert [s.element_id for s in pert.states] == [s.element_id for s in base.states]
 
 
+POT = 'fgen f1 out=a expr="1"\npot p1 out=b in=a alpha=0.99\noutput b\n'
+
+
 def test_potentiometer_redraw_keeps_invariant():
-    net = parse_netlist(
-        'fgen f1 out=a expr="1"\npot p1 out=b in=a alpha=0.99\noutput b\n'
-    )
+    net = parse_netlist(POT)
     cfg = ToleranceConfig(max_relative_error=0.3, iterations=1)
     redraws = 0
     for i in range(40):
-        pert = perturb(net, cfg, i)
+        pert, n = _perturb(net, cfg, i)
         assert 0.0 < pert.elements["p1"].alpha < 1.0
-        redraws += int(pert.meta["_redraws"])
+        assert pert.to_text() == perturb(net, cfg, i).to_text()
+        redraws += n
     assert redraws > 0
+
+
+@pytest.mark.parametrize("distribution, redraws", [("uniform", 38), ("truncated_gaussian", 34)])
+def test_redraws_reach_the_report_not_the_netlist(distribution, redraws):
+    # counts as reported before the redraw count stopped travelling in Netlist.meta
+    net = parse_netlist(POT)
+    cfg = ToleranceConfig(max_relative_error=0.3, iterations=40, distribution=distribution)
+    report = stability_run(net, cfg, SimConfig(dt=0.1, t_end=1.0))
+    assert report.redraws == redraws == sum(_perturb(net, cfg, i)[1] for i in range(40))
+    assert f"redraws: {redraws}\n" in report.summary_text()
+    for i in range(40):
+        pert = perturb(net, cfg, i)
+        assert "_redraws" not in pert.to_text() and pert.meta == net.meta
+
+
+def test_oversize_sweep_is_rejected_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("perturbed an iteration of a run over the record cap")
+
+    monkeypatch.setattr(tolerance, "_perturb", no_draws)
+    cfg = ToleranceConfig(iterations=10**8)       # 4001 x 1 x (10^8 + 1) x 8 bytes: 3.2 TB
+    with pytest.raises(ValueError, match="GiB cap"):
+        stability_run(parse_netlist(GROWTH), cfg, SimConfig(dt=1e-3, t_end=4.0))
+    # the cap counts the nominal lane: 10 steps x 1 channel x (1 + 4) runs fits 440 bytes exactly
+    monkeypatch.setattr(solver, "MAX_RECORD_BYTES", 11 * 5 * 8)
+    with pytest.raises(ValueError, match="11 samples x 1 channel\\(s\\) x 6 run"):
+        stability_run(parse_netlist(GROWTH), ToleranceConfig(iterations=5), SimConfig(dt=0.1, t_end=1.0))
 
 
 def test_output_transform_not_perturbed():
