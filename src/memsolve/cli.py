@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 input error, 3 unsupported feature,
 4 internal error.  Diagnostics go to standard error with file/line
 information where available.
 
-``MEMSOLVE_BACKEND`` selects the integration kernel (numba | numpy),
-``MEMSOLVE_THREADS`` caps stability-run workers on the numba backend.
+``MEMSOLVE_BACKEND`` selects the kernel of ``simulate`` (numba | numpy);
+``stability`` checks it but always runs the numpy lane march.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 import time
 
 from . import __version__
+from .backend import resolve_backend
 from .compiler import (
     EquationSpecError,
     HigherOrderComposed,
@@ -171,6 +172,7 @@ def _cmd_oracle(args, argv) -> int:
 
 
 def _cmd_stability(args, argv) -> int:
+    resolve_backend()  # rejects a bad MEMSOLVE_BACKEND, though the sweep never reads it
     net = _load_for_run(args.netlist, args.t_end)
     cfg = ToleranceConfig(
         max_relative_error=args.tolerance,
@@ -199,7 +201,7 @@ def _cmd_stability(args, argv) -> int:
         "failed_iterations": len(report.failed),
         "redraws": report.redraws,
         "unstable": report.unstable,
-        "backend": report.backend,
+        "backend": "numpy",                 # the lane march, whatever MEMSOLVE_BACKEND says
     }
     _write_manifest(args.out, "stability", argv, [args.netlist], config, outputs)
     _info(args, f"wrote {args.out} and {summary_path}")

@@ -765,32 +765,21 @@ def parse_equation_spec(text: str) -> EquationSpec:
         except ValueError as exc:
             raise EquationSpecError(f"bad expression for {key}: {exc}", lineno) from None
 
+    def kernel_factors():
+        """``kernel`` split as k1(t)*k2(s), else the ``k1`` and ``k2`` keys."""
+        kernel = expr("kernel", {"t", "s"}, required=False)
+        if kernel is not None:
+            return split_separable(kernel)
+        return expr("k1", {"t"}), expr("k2", {"s"})
+
     family, fam_line = take("family")
     if family == "volterra_population":
-        kernel_src, kline = take("kernel", required=False)
-        if kernel_src is not None:
-            try:
-                kernel = parse_expr(kernel_src, {"t", "s"})
-            except ValueError as exc:
-                raise EquationSpecError(f"bad expression for kernel: {exc}", kline) from None
-            k1, k2 = split_separable(kernel)
-        else:
-            k1 = expr("k1", {"t"})
-            k2 = expr("k2", {"s"})
+        k1, k2 = kernel_factors()
         spec = VolterraPopulation(a=num("a"), b=num("b"), k1=k1, k2=k2, n0=num("n0"))
     elif family == "linear_first_order":
         spec = LinearFirstOrderIde(k=expr("k", {"s"}), u0=num("u0"))
     elif family == "turbulent":
-        kernel_src, kline = take("kernel", required=False)
-        if kernel_src is not None:
-            try:
-                kernel = parse_expr(kernel_src, {"t", "s"})
-            except ValueError as exc:
-                raise EquationSpecError(f"bad expression for kernel: {exc}", kline) from None
-            k1, k2 = split_separable(kernel)
-        else:
-            k1 = expr("k1", {"t"})
-            k2 = expr("k2", {"s"})
+        k1, k2 = kernel_factors()
         spec = TurbulentIde(
             p=expr("p", {"t"}),
             k1=k1,

@@ -12,8 +12,8 @@ inlined four times per step:
   numba-compilable subset of Python (arrays and scalars only, no
   closures, no lists), so the numba backend njits the same source;
 * the lane march, run by :func:`rk4_run_batch`, advances a batch of
-  parameter sets side by side in numpy arrays (Monte Carlo sweeps on the
-  numpy backend).  While every lane is alive it computes without masks
+  parameter sets side by side in numpy arrays (every Monte Carlo sweep,
+  whatever the backend).  While every lane is alive it computes without masks
   and tests all guards of a stage with one ``.any()``; a stage whose
   guard holds anywhere is rerun masked, and after the first death every
   stage runs masked, so dead lanes stay frozen and clamps are counted
@@ -498,7 +498,7 @@ def eval_expr_array_clamped(e: Expr, bindings, ln_floor: float) -> tuple[np.ndar
 def scalar_kernel(jit=None):
     """The scalar RK4 kernel; ``jit`` (e.g. ``numba.njit``) compiles each generated march."""
 
-    def rk4_run(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
+    def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
                 y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):
         """Classical fixed-step RK4 over the tape; returns #recorded samples.
 
@@ -517,7 +517,7 @@ def scalar_kernel(jit=None):
 rk4_run = scalar_kernel()
 
 
-def rk4_run_batch(code, consts, n_regs, deriv_regs, g_regs, chan_kind, chan_idx,
+def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
                   y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
                   event_step, ln_counts, rec_counts, y_out=None):
     """Run W independent parameter sets of one program in lockstep.

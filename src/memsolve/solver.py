@@ -127,7 +127,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
     kernel = rk4_kernel(chosen)
     recorded = int(
         kernel(
-            prog.code, prog.consts, prog.n_regs, prog.deriv_regs, prog.g_regs,
+            prog.code, prog.consts, prog.deriv_regs, prog.g_regs,
             chan_kind, chan_idx, sys.y0(), 0.0, cfg.dt, n_steps,
             LN_FLOOR, BLOWUP_LIMIT, rec, gflag, info, y_out,
         )

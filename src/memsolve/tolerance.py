@@ -10,27 +10,27 @@ is readout arithmetic, not hardware, and is left untouched.
 
 Draws come from a per-iteration generator seeded from
 (master_seed, iteration_index), so iterations are reproducible and
-order-independent: sequential, threaded and batched execution produce
-the same report.  A draw that would violate an element invariant
+order-independent: the report does not depend on how the sweep is
+scheduled.  A draw that would violate an element invariant
 (a potentiometer ratio reaching 1) is redrawn and the redraws counted.
 
 The reference curve is the unperturbed netlist's own simulation, so the
 report isolates the effect of component error from discretization
 error.  It runs as parameter set 0 of the same sweep as the perturbed
 iterations (set k+1 is iteration k), through the same kernel, so a
-tolerance of 0 reports an error of exactly 0.
+tolerance of 0 reports an error of exactly 0.  Every sweep runs the
+lane march of :mod:`memsolve.engine`, which is numpy code whatever
+backend ``simulate`` would pick.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .backend import resolve_backend, thread_count
 from .elements import (
     Adder,
     FunctionGenerator,
@@ -47,9 +47,9 @@ from .solver import (
     LN_FLOOR,
     REL_ERR_EPS,
     SimConfig,
-    SimulationError,
     check_record_size,
-    simulate,
+    # Not called here: perfbench/spans.py patches tolerance.simulate and .perturb by name.
+    simulate,  # noqa: F401
 )
 
 __all__ = ["ToleranceConfig", "StabilityReport", "perturb", "stability_run", "DEFAULT_MASTER_SEED"]
@@ -173,7 +173,6 @@ class StabilityReport:
     master_seed: int
     tolerance: float
     unstable: bool
-    backend: str
 
     @property
     def terminal_mean(self) -> float:
@@ -201,12 +200,7 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def stability_run(
-    net: Netlist,
-    cfg: ToleranceConfig,
-    sim: SimConfig,
-    backend: str | None = None,
-) -> StabilityReport:
+def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> StabilityReport:
     """The nominal netlist plus ``cfg.iterations`` perturbed copies, reduced pointwise.
 
     Iterations that blow up or hit a domain error are excluded from the
@@ -214,17 +208,11 @@ def stability_run(
     report unstable.  The reduction is keyed by iteration index, so the
     result does not depend on scheduling.
     """
-    chosen = resolve_backend(backend)
     nominal = lower(net)                  # validates the netlist before any draw
     check_record_size(sim.n_steps, 1, 1 + cfg.iterations)
     perturbed = [_perturb(net, cfg, i) for i in range(cfg.iterations)]
     redraws = sum(n for _, n in perturbed)
-    systems = [nominal] + [lower(p) for p, _ in perturbed]
-
-    if chosen == "numpy":
-        series, failures = _run_batch(systems, sim)
-    else:
-        series, failures = _run_threaded(systems, sim, chosen)
+    out, failures = _run_batch([nominal] + [lower(p) for p, _ in perturbed], sim)
     if 0 in failures:
         kind, step = failures[0]
         raise ValueError(
@@ -232,12 +220,11 @@ def stability_run(
             "tolerance analysis needs a finite baseline"
         )
     failed = sorted(i - 1 for i in failures)
-    ok = [i for i in range(1, len(systems)) if i not in failures]
-    if not ok:
+    if out.shape[1] == 1:
         raise ValueError("every tolerance iteration failed; nothing to average")
-    ref = series[0]
+    ref = out[:, 0]
     denom = np.maximum(np.abs(ref), REL_ERR_EPS)
-    rel = np.abs(np.stack([series[i] for i in ok], axis=1) - ref[:, None]) / denom[:, None]
+    rel = np.abs(out[:, 1:] - ref[:, None]) / denom[:, None]
 
     return StabilityReport(
         t=sim.dt * np.arange(len(ref), dtype=np.float64),
@@ -250,40 +237,16 @@ def stability_run(
         master_seed=cfg.master_seed,
         tolerance=cfg.max_relative_error,
         unstable=len(failed) > 0.2 * cfg.iterations,
-        backend=chosen,
     )
 
 
-# Both runners take the lowered parameter sets and return the output
-# series of the sets that completed and, for the others, the failure
-# kind and step, keyed by position in ``systems``.
-
-
-def _run_threaded(systems, sim, backend):
-    """One scalar run per parameter set, on ``MEMSOLVE_THREADS`` workers."""
-
-    def one(sys):
-        try:
-            res = simulate(sys, sim, backend=backend)
-        except SimulationError as exc:
-            return None, ("domain error", exc.step)
-        if res.blown_up:
-            return None, ("blow-up", res.blowup_step)
-        return res.waveform.channel("out"), None
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, systems))
-    else:
-        results = [one(s) for s in systems]
-    series = {i: data for i, (data, _) in enumerate(results) if data is not None}
-    failures = {i: why for i, (_, why) in enumerate(results) if why is not None}
-    return series, failures
-
-
 def _run_batch(systems, sim):
-    """Vectorized numpy path: all parameter sets advance in lockstep."""
+    """Run every parameter set in one lane march.
+
+    Returns the transformed output series of the sets that completed, one
+    column each in ``systems`` order, and, for the others, the failure
+    kind and step keyed by position in ``systems``.
+    """
     base_sys = systems[0]
     prog0 = base_sys.program
     for s in systems:
@@ -301,7 +264,7 @@ def _run_batch(systems, sim):
     ln_counts = np.zeros(width, dtype=np.int64)
     rec_counts = np.zeros(width, dtype=np.int64)
     engine.rk4_run_batch(
-        prog0.code, consts, prog0.n_regs, prog0.deriv_regs, prog0.g_regs,
+        prog0.code, consts, prog0.deriv_regs, prog0.g_regs,
         chan_kind, chan_idx, y0, 0.0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
         rec, None, status, event, ln_counts, rec_counts,    # no passivity flags
     )
@@ -313,4 +276,6 @@ def _run_batch(systems, sim):
     if base_sys.output_transform is not None and ok_cols:
         tcol = sim.dt * np.arange(n_steps + 1)[:, None]
         out, _ = eval_expr_array_clamped(base_sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
-    return {i: out[:, col] for col, i in enumerate(ok_cols)}, failures
+    # ``out`` is F-ordered here; the reduction's summation order, and so the
+    # report's last bits, follow the memory layout.
+    return np.ascontiguousarray(out), failures

@@ -39,16 +39,11 @@ def test_resolve_backend(monkeypatch):
     monkeypatch.setenv(backend.BACKEND_ENV, "sparkles")
     with pytest.raises(ValueError):
         backend.resolve_backend()
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.setenv(backend.THREADS_ENV, "3")
-    assert backend.thread_count() == 3
-    monkeypatch.setenv(backend.THREADS_ENV, "0")
-    with pytest.raises(ValueError):
-        backend.thread_count()
-    monkeypatch.delenv(backend.THREADS_ENV)
-    assert backend.thread_count() >= 1
+    monkeypatch.setattr(backend, "HAVE_NUMBA", False)
+    monkeypatch.setenv(backend.BACKEND_ENV, "numba")
+    with pytest.raises(ValueError, match="not importable"):
+        backend.resolve_backend()
+    assert backend.resolve_backend("numpy") == "numpy"
 
 
 @needs_numba
@@ -137,7 +132,7 @@ def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, y_out=None):
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
     info = np.zeros(3, dtype=np.int64)
     n = engine.rk4_run(
-        prog.code, consts, prog.n_regs, prog.deriv_regs, prog.g_regs,
+        prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
         rec, gflag, info, np.empty(y0.shape[0]) if y_out is None else y_out,
     )
@@ -151,7 +146,7 @@ def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
     y_out = np.empty(y0.shape)
     engine.rk4_run_batch(
-        prog.code, consts, prog.n_regs, prog.deriv_regs, prog.g_regs,
+        prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
         rec, gflag, status, event, ln_counts, rec_counts, y_out,
     )
@@ -364,7 +359,7 @@ def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     net = parse_netlist(MEM)
     cfg = ToleranceConfig(iterations=20)
     sim = SimConfig(dt=1e-2, t_end=1.0)
-    stability_run(net, cfg, sim, backend="numpy")
+    stability_run(net, cfg, sim)
     for i in range(cfg.iterations):
         simulate(lower(perturb(net, cfg, i)), sim, backend="numpy")
     assert emitted == [True, False]        # one lane march (the sweep), one scalar march

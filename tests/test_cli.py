@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from memsolve.cli import main
+from memsolve.netlist import load_netlist, lower
+from memsolve.solver import SimConfig, simulate
 from memsolve.waveform import Waveform
 
 from conftest import FIG2_NETLIST, fig2_closed_form
@@ -67,6 +69,28 @@ def test_compile_nonseparable_kernel_exits_3(tmp_path, capsys):
     spec.write_text(NONSEPARABLE_SPEC)
     assert main(["compile", str(spec), "-o", str(tmp_path / "x.net")]) == 3
     assert "kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, code", [("1/2*exp(-t)*exp(-s)", 0), ("exp(-t*s)", 3)])
+def test_compile_turbulent_kernel_key(tmp_path, capsys, kernel, code):
+    # ``kernel = k1(t)*k2(s)`` is the same equation as the k1/k2 keys of
+    # equations/turbulent_diffusion.eq; a kernel that does not split exits 3.
+    spec = tmp_path / "turb.eq"
+    spec.write_text(f'family = turbulent\np = "1/8*exp(-2*t)"\nkernel = "{kernel}"\nu0 = 1\n')
+    out = str(tmp_path / "turb.net")
+    assert main(["compile", str(spec), "-o", out, "--quiet"]) == code
+    if code:
+        assert "kernel" in capsys.readouterr().err
+        return
+    split_spec = tmp_path / "split.eq"
+    split_spec.write_text('family = turbulent\np = "1/8*exp(-2*t)"\nk1 = "1/2*exp(-t)"\n'
+                          'k2 = "exp(-s)"\nu0 = 1\n')
+    split_out = str(tmp_path / "split.net")
+    assert main(["compile", str(split_spec), "-o", split_out, "--quiet"]) == 0
+    sim = SimConfig(dt=1e-2, t_end=1.0)
+    a = simulate(lower(load_netlist(out)), sim).waveform.channel("out")
+    b = simulate(lower(load_netlist(split_out)), sim).waveform.channel("out")
+    np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -337,3 +361,28 @@ def test_backend_env_flag_selects_numpy(tmp_path, population_spec_file, monkeypa
     assert main(["simulate", net_path, "--dt", "1e-2", "--t-end", "1", "-o", out, "--quiet"]) == 0
     manifest = json.load(open(out + ".manifest.json"))
     assert manifest["config"]["backend"] == "numpy"
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_numba_backend_without_numba_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("memsolve.backend.HAVE_NUMBA", False)
+    monkeypatch.setenv("MEMSOLVE_BACKEND", "numba")
+    net_path = tmp_path / "fig2.net"
+    net_path.write_text(FIG2_NETLIST)
+    out = tmp_path / "x.csv"
+    assert main([command, str(net_path), "--dt", "1e-2", "--t-end", "1", "-o", str(out)]) == 2
+    assert "numba is not importable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_runs_the_lane_march_whatever_the_backend(tmp_path, monkeypatch):
+    # With numba "available" the sweep still runs the numpy lane march and
+    # never reaches the (absent) jitted kernel.
+    monkeypatch.setattr("memsolve.backend.HAVE_NUMBA", True)
+    monkeypatch.setenv("MEMSOLVE_BACKEND", "numba")
+    net_path = tmp_path / "fig2.net"
+    net_path.write_text(FIG2_NETLIST)
+    out = str(tmp_path / "stab.csv")
+    assert main(["stability", str(net_path), "--iterations", "3", "--dt", "1e-2",
+                 "--t-end", "1", "-o", out, "--quiet"]) == 0
+    assert json.load(open(out + ".manifest.json"))["config"]["backend"] == "numpy"

@@ -11,12 +11,11 @@ from memsolve.exprs import parse_expr
 from memsolve.netlist import lower, parse_netlist
 import memsolve.solver as solver
 import memsolve.tolerance as tolerance
-from memsolve.solver import SimConfig
+from memsolve.solver import SimConfig, SimulationError, simulate
 from memsolve.tolerance import (
     ToleranceConfig,
     _perturb,
     _run_batch,
-    _run_threaded,
     perturb,
     stability_run,
 )
@@ -197,39 +196,31 @@ def test_stability_report_shape_and_determinism():
     assert a.mean[0] > 0.0  # initial-condition perturbation shows at t=0
 
 
-def test_threading_does_not_change_results(monkeypatch):
-    # The threaded runner serves the numba backend; with backend "numpy" it
-    # runs the numpy scalar kernel, whose waveforms equal the lanes' bit for
-    # bit on tapes without pow (both circuits here).  The growth circuit
-    # loses some iterations to blow-up.
+def test_batch_runner_matches_one_simulate_per_set():
+    # The lane march's waveforms equal the scalar kernel's bit for bit on
+    # tapes without pow (both circuits here).  The growth circuit loses
+    # some iterations to blow-up.
     cases = [(population_netlist(), SimConfig(dt=5e-3, t_end=1.0), set()),
              (parse_netlist(GROWTH), SimConfig(dt=2e-2, t_end=26.0), {"blow-up"})]
     cfg = ToleranceConfig(iterations=12, master_seed=5)
     for net, sim, kinds in cases:
         systems = [lower(net)] + [lower(perturb(net, cfg, i)) for i in range(cfg.iterations)]
-        batch_series, batch_failures = _run_batch(systems, sim)
-        assert {kind for kind, _ in batch_failures.values()} == kinds
-        for threads in ("1", "4"):
-            monkeypatch.setenv("MEMSOLVE_THREADS", threads)
-            series, failures = _run_threaded(systems, sim, "numpy")
-            assert failures == batch_failures
-            assert series.keys() == batch_series.keys()
-            for i, data in series.items():
-                assert np.array_equal(data, batch_series[i])
-
-
-def test_backends_agree_on_reports():
-    import memsolve.backend as backend
-
-    if not backend.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    net = population_netlist()
-    cfg = ToleranceConfig(iterations=8)
-    sim = SimConfig(dt=5e-3, t_end=1.0)
-    a = stability_run(net, cfg, sim, backend="numba")
-    b = stability_run(net, cfg, sim, backend="numpy")
-    np.testing.assert_allclose(a.mean, b.mean, rtol=1e-9, atol=1e-12)
-    assert a.failed == b.failed
+        out, failures = _run_batch(systems, sim)
+        assert {kind for kind, _ in failures.values()} == kinds
+        expected, columns = {}, []
+        for i, sys in enumerate(systems):
+            try:
+                res = simulate(sys, sim, backend="numpy")
+            except SimulationError as exc:
+                expected[i] = ("domain error", exc.step)
+                continue
+            if res.blown_up:
+                expected[i] = ("blow-up", res.blowup_step)
+            else:
+                columns.append(res.waveform.channel("out"))
+        assert failures == expected
+        assert out.flags.c_contiguous        # the reduction's summation order depends on it
+        assert np.array_equal(out, np.stack(columns, axis=1))
 
 
 def test_blown_iterations_are_excluded_and_flagged():
