@@ -129,6 +129,7 @@ def _cmd_simulate(args, argv) -> int:
         "blowup_step": res.blowup_step,
         "truncated": res.blown_up,
         "backend": res.backend,
+        "tape": res.tape,
     }
     _write_manifest(args.out, "simulate", argv, [args.netlist], config, outputs)
     _info(args, f"wrote {args.out} ({len(res.waveform)} samples)")
@@ -202,6 +203,7 @@ def _cmd_stability(args, argv) -> int:
         "redraws": report.redraws,
         "unstable": report.unstable,
         "backend": "numpy",                 # the lane march, whatever MEMSOLVE_BACKEND says
+        "tape": report.tape,
     }
     _write_manifest(args.out, "stability", argv, [args.netlist], config, outputs)
     _info(args, f"wrote {args.out} and {summary_path}")

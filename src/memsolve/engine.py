@@ -9,8 +9,9 @@ inlined four times per step:
 
 * the scalar march, run by :func:`rk4_run` (single runs), keeps states,
   stage slopes and constants in Python-float locals.  It stays in the
-  numba-compilable subset of Python (arrays and scalars only, no
-  closures, no lists), so the numba backend njits the same source;
+  numba-compilable subset of Python (arrays, tuples of arrays and
+  scalars only, no closures, no lists), so the numba backend njits the
+  same source;
 * the lane march, run by :func:`rk4_run_batch`, advances a batch of
   parameter sets side by side in numpy arrays (every Monte Carlo sweep,
   whatever the backend).  While every lane is alive it computes without masks
@@ -18,6 +19,25 @@ inlined four times per step:
   guard holds anywhere is rerun masked, and after the first death every
   stage runs masked, so dead lanes stay frozen and clamps are counted
   per live lane.
+
+Both marches read the tape's state-independent part (every instruction
+whose operands trace back only to ``t`` and constants) from stage-time
+tables.  RK4 visits only the grid times ``t0 + step*dt`` and the
+half-step times ``t0 + step*dt + dt/2``, so that part, evaluated once
+over those times by the array code, gives every stage its values:
+
+* the scalar march gets tables over the whole grid, built once per run.
+  It keeps ``OP_POW`` and what reads it, because the tables' array
+  ``pow`` can differ from its own in the last bit.  If a hoisted guard
+  holds anywhere on the grid, the run takes the march that evaluates
+  every instruction in order instead;
+* the lane march builds (times x lanes) tables every ``_TABLE_STEPS``
+  steps while every lane is alive.  A stage whose table row notes a
+  guard hit is rerun masked, like a stage whose own guards hold.
+
+Either way domain errors, ``ln`` clamp counts and event steps come from
+the in-order tape.  A tape with nothing to hoist (constant loads aside)
+generates the same march as without tables.
 
 A third variant evaluates one expression over numpy arrays
 (:func:`eval_expr_array` and :func:`eval_expr_array_clamped`): output
@@ -232,14 +252,16 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
                f"    x = np.where(m, {g.safe}, x)"])
 
 
-def _op_lines(code, variant: str, loads=None) -> tuple[list[str], dict[int, str]]:
+def _op_lines(code, variant: str, loads=None, outside=()) -> tuple[list[str], dict[int, str]]:
     """One assignment to a local ``r<dst>`` per instruction, guards included.
 
     ``loads`` maps OP_CONST, OP_T and OP_STATE to the name of a local the
     caller provides (``{i}`` is the operand); those loads then emit no
-    line.  Returns the lines and how each register is spelled.
+    line.  ``outside`` lists registers that ``code`` reads but the caller
+    computes, as locals ``r<n>``.  Returns the lines and how each register
+    is spelled.
     """
-    spell: dict[int, str] = {}
+    spell = {r: f"r{r}" for r in outside}
     body = []
     for op, dst, a, b in code:
         expr, guard = _OPS[op]
@@ -289,6 +311,87 @@ def _stage_inputs(s: int, n_states: int) -> list[str]:
 _STAGE_TIMES = ("t0 + step * dt", "t0 + step * dt + hdt", None, "t0 + (step + 1) * dt")
 
 
+# ---------------------------------------------------------------------------
+# Stage-time tables (see the module docstring)
+#
+# Stage 0 of a step and stage 3 of the step before run at the same grid
+# time, stages 1 and 2 at the same half-step time; the tables are built
+# by the "fast" variant of the tape's hoisted part, which only notes
+# guard hits.
+
+_LOADS = (OP_CONST, OP_T, OP_STATE)
+_BINARY = frozenset(_BINARY_OPS.values())
+
+# Steps per lane table: memory stays O(_TABLE_STEPS * W) per frontier register.
+_TABLE_STEPS = 256
+
+
+def _has_guards(code) -> bool:
+    return any(_OPS[op][1] is not None for op, *_ in code)
+
+
+def _reads(op: int, a: int, b: int) -> tuple[int, ...]:
+    """The registers an instruction reads."""
+    if op in _LOADS:
+        return ()
+    return (a, b) if op in _BINARY else (a,)
+
+
+def _roots(deriv_regs, channels, flags) -> list[int]:
+    """The registers a march reads besides the tape: derivatives, recorded registers, flags."""
+    return list(deriv_regs) + [i for kind, i in channels if kind == CHAN_REG] + list(flags)
+
+
+def _split(code, roots, scalar: bool):
+    """``(hoisted part, march part, frontier)`` of a tape.
+
+    A non-load instruction whose operands trace back only to ``t`` and
+    constants is hoisted, except that the scalar march keeps OP_POW and
+    what reads it: the tables compute with the array spelling of ``pow``,
+    which can differ from the scalar one in the last bit (see ``_OPS``).
+    Each part takes the loads it reads; a load read by neither stays in
+    the march.  The frontier lists, in tape order, the hoisted registers
+    that the march part or ``roots`` read.
+    """
+    varying, hoisted = set(), set()
+    for op, dst, a, b in code:
+        if op == OP_STATE or (scalar and op == OP_POW) or varying.intersection(_reads(op, a, b)):
+            varying.add(dst)
+        elif op not in _LOADS:
+            hoisted.add(dst)
+    table_reads, march_reads = set(), set(roots)
+    for op, dst, a, b in code:
+        (table_reads if dst in hoisted else march_reads).update(_reads(op, a, b))
+    table = [row for row in code if row[1] in hoisted or row[1] in table_reads]
+    march = [row for row in code
+             if row[1] not in hoisted and (row[1] in march_reads or row[1] not in table_reads)]
+    return table, march, [row[1] for row in table if row[1] in march_reads]
+
+
+def _emit_tables(code, frontier) -> list[str]:
+    """``tables(t, consts, ln_floor)``: the frontier registers over the stage times ``t``
+    (a column), one (times, W) table each, and per time whether a guard of
+    ``code`` holds there for any lane.
+
+    ``consts`` is (n_consts, W).  A register is dropped after its last
+    read, so only a few (times, W) temporaries are alive at once.
+    """
+    last = {}
+    for k, (op, dst, a, b) in enumerate(code):
+        for r in (dst,) + _reads(op, a, b):
+            last[r] = k
+    body = ["shape = (t.shape[0], consts.shape[1])", "hit = np.zeros(shape, dtype=np.bool_)"]
+    for k, (op, dst, a, b) in enumerate(code):
+        body += _op_lines([(op, dst, a, b)], "fast", outside=_reads(op, a, b))[0]
+        dead = [f"r{r}" for r, at in last.items() if at == k and r not in frontier]
+        if dead:
+            body.append("del " + ", ".join(dead))
+    # materialised, so every row the march reads is a contiguous array, as without tables
+    tabs = [f"np.ascontiguousarray(np.broadcast_to(r{r}, shape))" for r in frontier]
+    body.append(f"return [{''.join(f'{x}, ' for x in tabs)}hit.any(axis=1).tolist()]")
+    return ["def tables(t, consts, ln_floor):"] + _indent(body) + [""]
+
+
 def _update_terms(n_states: int, new: str, comp: str) -> list[str]:
     """Compensated (Kahan) state update; keeps the roundoff floor near eps*|y|,
     so small-step runs stay truncation-dominated."""
@@ -299,19 +402,30 @@ def _update_terms(n_states: int, new: str, comp: str) -> list[str]:
     return lines
 
 
-def _emit_scalar(code, deriv_regs, channels, flags) -> list[str]:
+def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)``.
 
     Writes each recorded sample to ``rec`` and ``gflag``, and on every
     exit (status, event step, ``ln`` clamp count) to ``info`` and the
     state to ``y_out``; returns the number of recorded samples.
+
+    With a hoisted part the source starts with ``tables`` and the march
+    takes two more arguments, ``grid`` and ``half``: per frontier
+    register, its table at the n_steps + 1 grid times and at the n_steps
+    half-step times.  Valid only if no hoisted guard holds anywhere on
+    the grid; ``hoist`` False emits the march that evaluates every
+    instruction in order.
     """
     n = len(deriv_regs)
-    body, spell = _op_lines(code, "scalar", _MARCH_LOADS)
+    table, code, frontier = _split(code, _roots(deriv_regs, channels, flags), True) if hoist else ((), code, ())
+    body, spell = _op_lines(code, "scalar", _MARCH_LOADS, frontier)
     timed = any(op == OP_T for op, *_ in code)
+    # stage 0 keeps the grid row that stage 3 of the step before read, stage 2 the half row of stage 1
+    reads = {1: "h{j}[step]", 3: "g{j}[step + 1]"}
     loop = []
     for s, t in enumerate(_STAGE_TIMES):
-        loop += ([f"t = {t}"] if timed and t else []) + _stage_inputs(s, n) + body
+        loop += ([f"t = {t}"] if timed and t else []) + _stage_inputs(s, n)
+        loop += [f"r{r} = " + reads[s].format(j=j) for j, r in enumerate(frontier) if s in reads] + body
         loop += [f"k{s}_{i} = {spell[r]}" for i, r in enumerate(deriv_regs)]
         if s == 0:
             loop += [f"rec[step, {c}] = " + (spell[i] if kind == CHAN_REG else f"s{i}")
@@ -326,28 +440,33 @@ def _emit_scalar(code, deriv_regs, channels, flags) -> list[str]:
         inside = " and ".join(f"abs(s{i}) <= blow_limit" for i in range(n))
         loop += [f"if not ({inside}):", f"    status = {STATUS_BLOWUP}", "    break"]
     fn_body = [f"c{i} = float(consts[{i}])" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
+    if frontier:
+        fn_body += [f"{_tuple(f'{tab}{j}' for j in range(len(frontier)))} = {arg}"
+                    for tab, arg in (("g", "grid"), ("h", "half"))]
+        fn_body += [f"r{r} = g{j}[0]" for j, r in enumerate(frontier)]
     fn_body += [f"s{i} = float(y0[{i}])" for i in range(n)] + [f"q{i} = 0.0" for i in range(n)]
     fn_body += ["hdt = 0.5 * dt", "n_ln = 0", f"status = {STATUS_OK}", "recorded = 0", "step = 0",
              "for step in range(n_steps + 1):"] + _indent(loop)
     fn_body += ["info[0] = status", f"info[1] = step + 1 if status == {STATUS_BLOWUP} else step",
              "info[2] = n_ln"] + [f"y_out[{i}] = s{i}" for i in range(n)] + ["return recorded"]
-    return ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):"
-            ] + _indent(fn_body)
+    head = "def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out"
+    return (_emit_tables(table, frontier) if table else []) + [
+        head + (", grid, half):" if table else "):")] + _indent(fn_body)
 
 
-def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
+def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
     event_step, ln_counts, rec_counts)``, returning the final state of every lane.
 
     ``full`` says that every lane is alive.  A tape without guards never
     needs the masked stage: nothing can die inside a stage or be clamped.
+    While ``full``, the march builds stage-time tables of the hoisted part
+    every ``_TABLE_STEPS`` steps and reads the frontier from them; a stage
+    whose table row notes a guard is rerun masked, like a stage whose own
+    guards hold, and the masked stage evaluates the whole tape in order.
     """
     n = len(deriv_regs)
-    fast, spell = _op_lines(code, "fast", _MARCH_LOADS)
-    guarded = any(_OPS[op][1] is not None for op, *_ in code)
-    probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
-    probes += [spell[g] for g in flags]
-    n_chan = len(channels)
+    guarded = _has_guards(code)
     lines = []
     if guarded:
         # where a guard holds, a lane keeps computing with the guard's safe value
@@ -357,22 +476,44 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         lines += ["def stage(t, y, consts, ln_floor, ln_counts, alive):"] + _indent(
             ["dom = np.zeros(alive.shape[0], dtype=np.bool_)"] + masked
             + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
+    table, code, frontier = _split(code, _roots(deriv_regs, channels, flags), False) if hoist else ((), code, ())
+    fast, spell = _op_lines(code, "fast", _MARCH_LOADS, frontier)
+    probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
+    probes += [spell[g] for g in flags]
+    n_chan = len(channels)
     timed = any(op == OP_T for op, *_ in code)
+    # a stage starts from its table row's guard hit; ``hit`` stays a bool unless the march part tests guards
+    first_hit = "hit = {0}hit[{1}]" if _has_guards(table) else "hit = False"
+    test = "hit.any()" if _has_guards(code) else "hit"
     loop = []
+    if table:
+        lines += _emit_tables(table, frontier)
+        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(frontier))) + "{0}hit]"
+        # a stage without guards never runs masked, so it reads the tables to the end
+        loop += [("if full and step == kend:" if guarded else "if step == kend:")] + _indent(
+            [f"kend = min(step + {_TABLE_STEPS}, n_steps)",
+             "ts = t0 + np.arange(step, kend + 1)[:, None] * dt",
+             tabs.format("g") + " = tables(ts, consts, ln_floor)",
+             tabs.format("h") + " = tables(ts[:-1] + hdt, consts, ln_floor)",
+             "kbase = step"])
+        loop.append("j = step - kbase")
     for s, t in enumerate(_STAGE_TIMES):
         loop += ([f"t = np.full(width, {t})"] if timed and t else []) + _stage_inputs(s, n)
         ks = [f"k{s}_{i}" for i in range(n)]
         ps = [f"p{j}" for j in range(len(probes))] if s == 0 else []
-        out = fast + [f"{k} = {spell[r]}" for k, r in zip(ks, deriv_regs)]
+        tab, row = "ghhg"[s], ("j", "j", "j", "j + 1")[s]
+        out = [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(frontier) if s != 2]
+        out += fast + [f"{k} = {spell[r]}" for k, r in zip(ks, deriv_regs)]
         out += [f"{p} = {e}" for p, e in zip(ps, probes)]
         if not guarded:
             loop += out
         else:
-            loop += ["if full:"] + _indent(["hit = False"] + out)
+            loop += ["if full:"] + _indent([first_hit.format(tab, row)] + out)
             target = "[" + ", ".join(ps) + "]" if s == 0 else "_"
-            loop += ["if not full or hit.any():"] + _indent(
+            at = "t" if timed or not table else f"np.full(width, {t or _STAGE_TIMES[1]})"
+            loop += [f"if not full or {test}:"] + _indent(
                 [f"dom, [{', '.join(ks)}], {target} = stage("
-                 f"t, {_tuple(f'u{i}' for i in range(n))}, consts, ln_floor, ln_counts, alive)",
+                 f"{at}, {_tuple(f'u{i}' for i in range(n))}, consts, ln_floor, ln_counts, alive)",
                  "dom &= alive", "if dom.any():"] + _indent(
                     [f"status[dom] = {STATUS_DOMAIN_ERROR}", "event_step[dom] = step",
                      "alive &= ~dom", "full = False", "if not alive.any():", "    break"]))
@@ -400,22 +541,25 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     fn_body = ["width = y0.shape[1]"]
     fn_body += [f"c{i} = consts[{i}]" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
     fn_body += [f"s{i} = y0[{i}]" for i in range(n)] + [f"q{i} = np.zeros(width)" for i in range(n)]
-    fn_body += ["hdt = 0.5 * dt", "alive = np.ones(width, dtype=np.bool_)", "full = True",
-             "for step in range(n_steps + 1):"] + _indent(loop)
+    fn_body += ["hdt = 0.5 * dt", "alive = np.ones(width, dtype=np.bool_)", "full = True"]
+    fn_body += ["kend = 0"] if table else []
+    fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
     fn_body.append(f"return {_tuple(f's{i}' for i in range(n))}")
     return lines + ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
 
-def _emit(code, deriv_regs, channels, flags, lanes: bool) -> str:
+def _emit(code, deriv_regs, channels, flags, lanes: bool, hoist: bool) -> str:
     """Source of the whole RK4 march over one program structure.
 
     The stages are inlined into the step loop.  ``channels`` are the
     recorded (kind, index) pairs and ``flags`` the memductance registers
-    whose sign sets a recorded sample's passivity flag.  Built from
-    opcodes and indices only.
+    whose sign sets a recorded sample's passivity flag.  ``hoist`` reads
+    the tape's state-independent part from stage-time tables (see
+    ``_split``).  Built from opcodes and indices only.
     """
-    return "\n".join((_emit_lanes if lanes else _emit_scalar)(code, deriv_regs, channels, flags)) + "\n"
+    emit = _emit_lanes if lanes else _emit_scalar
+    return "\n".join(emit(code, deriv_regs, channels, flags, hoist)) + "\n"
 
 
 def _compile(source: str, name: str):
@@ -425,22 +569,34 @@ def _compile(source: str, name: str):
 
 
 @functools.lru_cache(maxsize=256)
-def _march(code, deriv_regs, channels, flags, lanes: bool, jit=None):
-    fn = _compile(_emit(code, deriv_regs, channels, flags, lanes), "march")
-    return fn if jit is None else jit(fn)
+def _march(code, deriv_regs, channels, flags, lanes: bool, jit=None, hoist=True):
+    fn = _compile(_emit(code, deriv_regs, channels, flags, lanes, hoist), "march")
+    return fn.__globals__.get("tables"), (fn if jit is None else jit(fn))
 
 
-def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, jit=None):
-    """The generated march for this program structure, cached across calls.
+def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, jit=None, hoist=True):
+    """``(tables, march)`` for this program structure, cached across calls.
 
-    The key is what the source is built from: the tape, the derivative
-    registers, the recorded channels and the flagged memductance
-    registers.  Constants and initial states are arguments of the march,
-    so programs that differ only in their constant tables
+    ``tables`` is the generated table function, or None when nothing is
+    hoisted.  The key is what the source is built from: the tape, the
+    derivative registers, the recorded channels and the flagged
+    memductance registers.  Constants and initial states are arguments
+    of the march, so programs that differ only in their constant tables
     (:meth:`Program.same_structure`) share one function.
     """
     return _march(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()),
-                  tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, jit)
+                  tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, jit,
+                  hoist)
+
+
+def tape_stats(prog: Program, lanes: bool) -> dict:
+    """``{"instructions": N, "hoisted": H}``: the tape's length and how many of
+    its non-load instructions the march of that variant reads from
+    stage-time tables (see ``_split``).  A scalar run whose hoisted part
+    hits a guard evaluates them in order instead; H still counts them."""
+    code = prog.code.tolist()
+    table = _split(code, (), not lanes)[0]
+    return {"instructions": len(code), "hoisted": sum(op not in _LOADS for op, *_ in table)}
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +663,20 @@ def scalar_kernel(jit=None):
         ``info`` receives (status, event_step, ln_clamp_count); ``y_out``
         holds the state vector at exit (the failing state on an error).
         """
-        march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
+        tables, march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
+        args = (consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)
         with np.errstate(all="ignore"):  # domain errors are reported through info
-            return march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)
+            if tables is None:
+                return march(*args)
+            ts = t0 + np.arange(n_steps + 1)[:, None] * dt
+            *grid, grid_hit = tables(ts, consts[:, None], ln_floor)
+            *half, half_hit = tables(ts[:-1] + 0.5 * dt, consts[:, None], ln_floor)
+            if any(grid_hit) or any(half_hit):
+                # a hoisted guard holds somewhere: evaluate every instruction in order
+                return _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit, False)[1](*args)
+            # one row per time; the plain-Python march reads Python floats from memoryviews
+            tab = (lambda a: a.ravel()) if jit else (lambda a: memoryview(a.ravel()))
+            return march(*args, tuple(map(tab, grid)), tuple(map(tab, half)))
 
     return rk4_run
 
@@ -530,7 +697,7 @@ def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
     to it for tapes without OP_POW (see _OPS).  ``gflag`` None skips the
     flags.  ``y_out`` receives each lane's last accepted state.
     """
-    march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)
+    march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)[1]
     status[:] = STATUS_OK
     event_step[:] = n_steps
     ln_counts[:] = 0

@@ -85,6 +85,7 @@ class SimResult:
     ln_clamps: int
     blowup_step: int | None
     backend: str
+    tape: dict                     # engine.tape_stats of the scalar march
 
     @property
     def blown_up(self) -> bool:
@@ -161,6 +162,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         ln_clamps=ln_clamps + transform_clamps,
         blowup_step=blowup_step,
         backend=chosen,
+        tape=engine.tape_stats(prog, lanes=False),
     )
 
 

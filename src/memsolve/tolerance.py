@@ -173,6 +173,7 @@ class StabilityReport:
     master_seed: int
     tolerance: float
     unstable: bool
+    tape: dict                       # engine.tape_stats of the lane march
 
     @property
     def terminal_mean(self) -> float:
@@ -237,6 +238,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
         master_seed=cfg.master_seed,
         tolerance=cfg.max_relative_error,
         unstable=len(failed) > 0.2 * cfg.iterations,
+        tape=engine.tape_stats(nominal.program, lanes=True),
     )
 
 

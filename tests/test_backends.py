@@ -62,11 +62,18 @@ def test_numba_and_numpy_agree(src):
 
 
 def _expr(choose, real, names, depth):
-    """Random expression over ``names``; ln, sqrt, div and pow sit near their domain edges."""
+    """Random expression over ``names``; ln, sqrt, div and pow sit near their domain edges.
+
+    An edge's operand is sometimes over ``t`` alone, so that the guarded
+    op lands in the part of the tape the marches read from stage-time
+    tables.
+    """
     if depth == 0 or choose((False, True, True)) is False:
         return Var(choose(names)) if choose((True, False)) else Const(real(-2.0, 2.0))
-    sub = _expr(choose, real, names, depth - 1)
     kind = choose(("unary", "binary", "edge"))
+    if kind == "edge":
+        names = choose((names, ("t",)))
+    sub = _expr(choose, real, names, depth - 1)
     if kind == "unary":
         return Unary(choose(("neg", "exp", "sin", "cos", "abs")), sub)
     if kind == "binary":
@@ -199,9 +206,10 @@ def test_batch_kernel_matches_scalar_runs():
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(netlists())
-def test_scalar_and_lane_variants_agree_on_random_netlists(net):
-    assert_variants_agree(lower(net))
+@given(netlists(), st.sampled_from((50, 300)))
+def test_scalar_and_lane_variants_agree_on_random_netlists(net, n_steps):
+    # 300 steps cross a lane-table chunk boundary (engine._TABLE_STEPS)
+    assert_variants_agree(lower(net), n_steps=n_steps)
 
 
 # --- the march's exit paths -------------------------------------------------
@@ -278,6 +286,59 @@ output x
     assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
 
 
+# --- guards over t alone: read from stage-time tables --------------------------
+
+T_ONLY = """
+integrator int1 out=x C=1 ic=1 in=x:2 in=a:1
+fgen f1 out=a expr="{expr}"
+output a
+"""
+
+
+@pytest.mark.parametrize("expr, expected, status, event, ln_count", [
+    # ln clamps at every stage time t <= 7: 449 grid times (stage 0), 448
+    # half-step times (stages 1 and 2) and 448 step ends (stage 3)
+    ("ln(t - 7)", lambda t: np.log(np.maximum(t - 7.0, 1e-9)), engine.STATUS_OK, 600, 449 + 2 * 448 + 448),
+    # the first stage time past 9 is stage 1 of step 576 (t = 9 + 1/128)
+    ("sqrt(9 - t)", lambda t: np.sqrt(9.0 - t), engine.STATUS_DOMAIN_ERROR, 576, 0),
+    # the denominator is exactly 0 at the half-step time of step 300
+    ("1 / (t - 4.6953125)", lambda t: 1.0 / (t - 4.6953125), engine.STATUS_DOMAIN_ERROR, 300, 0),
+])
+def test_guards_over_t_alone(expr, expected, status, event, ln_count):
+    # dt = 1/64 makes every stage time exact; 600 steps span three lane-table chunks
+    sys = lower(parse_netlist(T_ONLY.format(expr=expr)))
+    prog = sys.program
+    assert engine.tape_stats(prog, lanes=True)["hoisted"] > 0
+    dt, n_steps, width = 1 / 64, 600, 3
+    chan = (np.array([engine.CHAN_REG, engine.CHAN_STATE], dtype=np.int32),
+            np.array([sys.node_regs["a"], 0], dtype=np.int32))
+    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
+    assert (info[0], info[1], info[2], n) == (status, event, ln_count, event + 1)
+    assert np.array_equal(rec[:n, 0], expected(dt * np.arange(n)))
+    consts = np.repeat(prog.consts[:, None], width, axis=1)
+    y0 = np.repeat(sys.y0()[:, None], width, axis=1)
+    rec_counts, st, ev, ln_counts, rec_b, _, _ = _run_lanes(prog, consts, y0, *chan, dt, n_steps)
+    for w in range(width):
+        assert (st[w], ev[w], ln_counts[w], rec_counts[w]) == (status, event, ln_count, n)
+        assert np.array_equal(rec_b[:, :, w], rec, equal_nan=True)
+    # lanes 1 and 2 perturb the 7, 9 or 4.6953125 and so clamp or fail at other steps
+    assert_variants_agree(sys, width=width, dt=dt, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("expr", ["cos(t)", "ln(t - 1)"])
+def test_tape_read_entirely_from_tables(expr):
+    # an integrator fed only by an fgen: every instruction but the loads is hoisted
+    sys = lower(parse_netlist(f'integrator int1 out=x C=1 ic=0 in=a:1\nfgen f1 out=a expr="{expr}"\noutput x\n'))
+    prog = sys.program
+    loads = np.isin(prog.code[:, 0], [engine.OP_CONST, engine.OP_T, engine.OP_STATE])
+    for lanes in (False, True):
+        assert engine.tape_stats(prog, lanes) == {"instructions": len(prog.code), "hoisted": int((~loads).sum())}
+    assert_variants_agree(sys, width=3, dt=1 / 64, n_steps=600)
+    if expr == "cos(t)":
+        res = simulate(sys, SimConfig(dt=1 / 64, t_end=600 / 64))
+        np.testing.assert_allclose(res.waveform.data[:, 0], -np.sin(res.waveform.t), atol=1e-8)
+
+
 MIXED = """
 memintegrator mem1 out=v C=1 ic=1 g="cos(3*t) - 0.5" f="ln(t - {c}) + sqrt({a} - t)" omega0=0
 integrator int1 out=z C=1 ic=1 in=q:1
@@ -352,9 +413,10 @@ def test_netlist_text_round_trip_lowers_identically(net):
 
 
 def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
-    emitted = []
-    emit = engine._emit
-    monkeypatch.setattr(engine, "_emit", lambda *args: emitted.append(args[-1]) or emit(*args))
+    emitted, tables = [], []
+    emit, emit_tables = engine._emit, engine._emit_tables
+    monkeypatch.setattr(engine, "_emit", lambda *args: emitted.append(args[-2:]) or emit(*args))
+    monkeypatch.setattr(engine, "_emit_tables", lambda *args: tables.append(args) or emit_tables(*args))
     engine._march.cache_clear()
     net = parse_netlist(MEM)
     cfg = ToleranceConfig(iterations=20)
@@ -362,4 +424,6 @@ def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     stability_run(net, cfg, sim)
     for i in range(cfg.iterations):
         simulate(lower(perturb(net, cfg, i)), sim, backend="numpy")
-    assert emitted == [True, False]        # one lane march (the sweep), one scalar march
+    # one lane march (the sweep) and one scalar march, each with its one table function
+    assert emitted == [(True, True), (False, True)]
+    assert len(tables) == 2

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +387,19 @@ def test_stability_runs_the_lane_march_whatever_the_backend(tmp_path, monkeypatc
     assert main(["stability", str(net_path), "--iterations", "3", "--dt", "1e-2",
                  "--t-end", "1", "-o", out, "--quiet"]) == 0
     assert json.load(open(out + ".manifest.json"))["config"]["backend"] == "numpy"
+
+
+@pytest.mark.parametrize("equation, hoisted", [("turbulent_diffusion", True), ("oscillator_chain", False)])
+def test_manifests_record_the_tape_split(tmp_path, equation, hoisted):
+    net_path = str(tmp_path / "eq.net")
+    spec = Path(__file__).parent.parent / "equations" / f"{equation}.eq"
+    assert main(["compile", str(spec), "-o", net_path, "--quiet"]) == 0
+    n_instr = len(lower(load_netlist(net_path)).program.code)
+    for command, extra in (("simulate", []), ("stability", ["--iterations", "3"])):
+        out = str(tmp_path / f"{command}.csv")
+        assert main([command, net_path, "--dt", "1e-2", "--t-end", "1", *extra, "-o", out, "--quiet"]) == 0
+        tape = json.load(open(out + ".manifest.json"))["config"]["tape"]
+        assert tape["instructions"] == n_instr
+        assert (tape["hoisted"] > 0) == hoisted
+        if command == "stability":
+            assert "tape" not in open(out + ".summary.txt").read()
