@@ -15,6 +15,7 @@ information where available.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,7 +23,6 @@ import time
 from . import __version__
 from .backend import resolve_backend
 from .compiler import (
-    EquationSpecError,
     HigherOrderComposed,
     HigherOrderSingleMem,
     LinearOdeSystem,
@@ -32,12 +32,12 @@ from .compiler import (
     load_equation_spec,
     to_ide_spec,
 )
-from .exprs import DomainError, ExprError
-from .netlist import NetlistParseError, ValidationFailed, load_netlist, lower, validate
+from .exprs import DomainError
+from .netlist import ValidationFailed, load_netlist, lower, validate
 from .oracle import convergence_study, solve_ide, solve_memristive_chain
 from .solver import SimConfig, SimulationError, relative_error, simulate
 from .tolerance import DEFAULT_MASTER_SEED, ToleranceConfig, stability_run
-from .waveform import GridMismatchError, Waveform
+from .waveform import Waveform, write_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -111,11 +111,15 @@ def _load_for_run(path: str, t_end: float):
 
 
 def _cmd_simulate(args, argv) -> int:
+    start = time.perf_counter()
     ode = lower(_load_for_run(args.netlist, args.t_end))
+    loaded = time.perf_counter()
     channels = tuple(c for c in (args.channels or "").split(",") if c)
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, record_channels=channels)
     res = simulate(ode, cfg)
+    ran = time.perf_counter()
     res.waveform.to_csv(args.out)
+    written = time.perf_counter()
     outputs = [args.out]
     if args.gnuplot:
         cols = [(i + 2, name) for i, name in enumerate(res.waveform.names)]
@@ -130,6 +134,7 @@ def _cmd_simulate(args, argv) -> int:
         "truncated": res.blown_up,
         "backend": res.backend,
         "tape": res.tape,
+        "timings_s": {"load": loaded - start, "run": ran - loaded, "write": written - ran},
     }
     _write_manifest(args.out, "simulate", argv, [args.netlist], config, outputs)
     _info(args, f"wrote {args.out} ({len(res.waveform)} samples)")
@@ -225,10 +230,7 @@ def _cmd_convergence(args, argv) -> int:
     study = convergence_study(to_ide_spec(spec), dt_list, args.t_end)
     _info(args, str(study))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("dt,terminal,richardson\n")
-            for dt, term, est in study.rows:
-                fh.write(f"{dt:.12g},{term:.12g},{est:.12g}\n")
+        write_csv(args.out, ("dt", "terminal", "richardson"), list(zip(*study.rows)))
         _write_manifest(args.out, "convergence", argv, [args.spec],
                         {"dt_list": dt_list, "t_end": args.t_end,
                          "observed_order": study.observed_order}, [args.out])
@@ -236,6 +238,7 @@ def _cmd_convergence(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache  # argparse set-up costs about 2 ms; main() may run many commands per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memsolve",
@@ -305,20 +308,15 @@ def main(argv=None) -> int:
     except _UnsupportedFeature as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (EquationSpecError, NetlistParseError, ExprError, GridMismatchError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
     except ValidationFailed as exc:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
         return EXIT_INPUT
-    except (SimulationError, DomainError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
     except FileNotFoundError as exc:
         print(f"no such file: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    # Spec, netlist, expression and grid errors are ValueErrors too.
+    except (ValueError, SimulationError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is a tool defect

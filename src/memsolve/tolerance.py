@@ -51,6 +51,7 @@ from .solver import (
     # Not called here: perfbench/spans.py patches tolerance.simulate and .perturb by name.
     simulate,  # noqa: F401
 )
+from .waveform import write_csv
 
 __all__ = ["ToleranceConfig", "StabilityReport", "perturb", "stability_run", "DEFAULT_MASTER_SEED"]
 
@@ -180,12 +181,7 @@ class StabilityReport:
         return float(self.mean[-1])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,mean_rel_err,p10,p90\n")
-            for i in range(len(self.t)):
-                fh.write(
-                    f"{self.t[i]:.12g},{self.mean[i]:.12g},{self.p10[i]:.12g},{self.p90[i]:.12g}\n"
-                )
+        write_csv(path, ("t", "mean_rel_err", "p10", "p90"), [self.t, self.mean, self.p10, self.p90])
 
     def summary_text(self) -> str:
         lines = [
@@ -226,12 +222,12 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
     ref = out[:, 0]
     denom = np.maximum(np.abs(ref), REL_ERR_EPS)
     rel = np.abs(out[:, 1:] - ref[:, None]) / denom[:, None]
+    p10, p90 = np.percentile(rel, [10.0, 90.0], axis=1)
 
     return StabilityReport(
         t=sim.dt * np.arange(len(ref), dtype=np.float64),
         mean=rel.mean(axis=1),
-        p10=np.percentile(rel, 10.0, axis=1),
-        p90=np.percentile(rel, 90.0, axis=1),
+        p10=p10, p90=p90,
         iterations=cfg.iterations,
         failed=tuple(failed),
         redraws=redraws,

@@ -1,7 +1,7 @@
 """Uniformly sampled multi-channel time series and their CSV form.
 
 CSV layout: header row ``t,<channel>,...``, one row per sample in time
-order, values printed with 12 significant digits.
+order.  ``write_csv`` writes every CSV artifact of the package.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Waveform", "GridMismatchError", "grid_steps"]
+__all__ = ["Waveform", "GridMismatchError", "grid_steps", "write_csv"]
+
+_CHUNK_ROWS = 256   # rows per ``%`` format; bounds the writer's transient text
 
 
 class GridMismatchError(ValueError):
@@ -33,6 +35,19 @@ def grid_steps(dt: float, t_end: float) -> int:
             f"t_end={t_end} is not a whole number of steps dt={dt} (nearest: {n * dt:.12g})"
         )
     return n
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``header``, then the equal-length ``columns`` as rows of ``%.12g`` values.
+
+    A chunk of rows is one ``%`` format over Python floats: the bytes of ``f"{x:.12g}"``.
+    """
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 @dataclass
@@ -86,12 +101,7 @@ class Waveform:
     # -- CSV ------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(("t",) + self.names) + "\n")
-            t = self.t
-            for i in range(len(self)):
-                row = [f"{t[i]:.12g}"] + [f"{x:.12g}" for x in self.data[i]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ("t",) + self.names, [self.t, *self.data.T])
 
     @classmethod
     def from_csv(cls, path) -> "Waveform":

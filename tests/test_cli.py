@@ -403,3 +403,39 @@ def test_manifests_record_the_tape_split(tmp_path, equation, hoisted):
         assert (tape["hoisted"] > 0) == hoisted
         if command == "stability":
             assert "tape" not in open(out + ".summary.txt").read()
+
+
+def test_main_runs_many_commands_in_one_process(tmp_path, population_spec_file, capsys):
+    # build_parser is cached; every call must still start from the declared defaults.
+    net_path = str(tmp_path / "pop.net")
+    assert main(["compile", population_spec_file, "-o", net_path, "--quiet"]) == 0
+
+    def simulate_dt(*extra):
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", net_path, "--t-end", "1", *extra, "-o", out, "--quiet"]) == 0
+        return json.load(open(out + ".manifest.json"))["config"]["dt"]
+
+    assert simulate_dt("--dt", "0.01") == 0.01
+    assert simulate_dt() == 1e-3
+    stab = str(tmp_path / "stab.csv")
+    assert main(["stability", net_path, "--iterations", "2", "--dt", "1e-2",
+                 "--t-end", "1", "-o", stab, "--quiet"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", net_path, "--dt", "not-a-number", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert simulate_dt("--dt", "0.02") == 0.02
+
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    for out in (a, b):
+        assert main(["simulate", net_path, "--dt", "5e-3", "--t-end", "1", "-o", out, "--quiet"]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_simulate_manifest_records_phase_timings(tmp_path):
+    net_path = tmp_path / "fig2.net"
+    net_path.write_text(FIG2_NETLIST)
+    out = str(tmp_path / "fig2.csv")
+    assert main(["simulate", str(net_path), "--dt", "1e-2", "--t-end", "1", "-o", out, "--quiet"]) == 0
+    timings = json.load(open(out + ".manifest.json"))["config"]["timings_s"]
+    assert set(timings) == {"load", "run", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
