@@ -188,10 +188,12 @@ def _cmd_stability(args, argv) -> int:
     )
     sim = SimConfig(dt=args.dt, t_end=args.t_end)
     report = stability_run(net, cfg, sim)
+    ran = time.perf_counter()
     report.to_csv(args.out)
     summary_path = args.out + ".summary.txt"
     with open(summary_path, "w") as fh:
         fh.write(report.summary_text())
+    written = time.perf_counter()
     outputs = [args.out, summary_path]
     if args.gnuplot:
         outputs.append(
@@ -205,10 +207,13 @@ def _cmd_stability(args, argv) -> int:
         "seed": args.seed,
         "distribution": args.distribution,
         "failed_iterations": len(report.failed),
+        "failures": [{"iteration": i, "kind": kind, "step": step, "t": t}
+                     for i, kind, step, t in report.failures],
         "redraws": report.redraws,
         "unstable": report.unstable,
         "backend": "numpy",                 # the lane march, whatever MEMSOLVE_BACKEND says
         "tape": report.tape,
+        "timings_s": {**report.timings_s, "write": written - ran},
     }
     _write_manifest(args.out, "stability", argv, [args.netlist], config, outputs)
     _info(args, f"wrote {args.out} and {summary_path}")

@@ -41,7 +41,12 @@ MAX_RECORD_BYTES = 1 << 30
 
 
 def check_record_size(n_steps: int, channels: int, runs: int = 1) -> None:
-    """Reject a record of ``n_steps + 1`` samples x ``channels`` x ``runs`` over the cap."""
+    """Reject a record of ``n_steps + 1`` samples x ``channels`` x ``runs`` over the cap.
+
+    The cap bounds the record.  A stability sweep's peak is the record plus
+    O(min(n_steps, 256) x runs) for the lane march's stage-time tables and
+    one chunk of its reduction; a single run's tables span its whole grid.
+    """
     size = (n_steps + 1) * channels * runs * 8
     if size > MAX_RECORD_BYTES:
         raise ValueError(

@@ -26,6 +26,7 @@ backend ``simulate`` would pick.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ __all__ = ["ToleranceConfig", "StabilityReport", "perturb", "stability_run", "DE
 DEFAULT_MASTER_SEED = 12345
 
 _MAX_REDRAWS = 1000
+
+# Rows reduced at a time: the reduction's temporaries are a few (rows x W) arrays.
+_REDUCE_ROWS = 256
 
 
 @dataclass
@@ -169,12 +173,17 @@ class StabilityReport:
     p10: np.ndarray
     p90: np.ndarray
     iterations: int
-    failed: tuple[int, ...]          # iteration indices excluded from statistics
+    failures: tuple[tuple[int, str, int, float], ...]   # (iteration, kind, step, t), excluded
     redraws: int
     master_seed: int
     tolerance: float
     unstable: bool
     tape: dict                       # engine.tape_stats of the lane march
+    timings_s: dict                  # prepare (perturb + lower), kernel, reduce
+
+    @property
+    def failed(self) -> tuple[int, ...]:
+        return tuple(f[0] for f in self.failures)
 
     @property
     def terminal_mean(self) -> float:
@@ -190,6 +199,7 @@ class StabilityReport:
             f"master_seed: {self.master_seed}",
             f"failed_iterations: {len(self.failed)}"
             + (f" (indices {', '.join(map(str, self.failed))})" if self.failed else ""),
+            *(f"  iteration {i}: {kind} at step {step} (t={t:g})" for i, kind, step, t in self.failures),
             f"redraws: {self.redraws}",
             f"terminal_mean_rel_err: {self.terminal_mean:.6g}",
             f"unstable: {'yes' if self.unstable else 'no'}",
@@ -203,77 +213,90 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
     Iterations that blow up or hit a domain error are excluded from the
     mean/percentile series and reported; more than 20% of them marks the
     report unstable.  The reduction is keyed by iteration index, so the
-    result does not depend on scheduling.
+    result does not depend on scheduling.  Beyond the record, a parameter
+    set costs a column of constants and states; the reduction, one chunk.
     """
+    start = time.perf_counter()
     nominal = lower(net)                  # validates the netlist before any draw
-    check_record_size(sim.n_steps, 1, 1 + cfg.iterations)
-    perturbed = [_perturb(net, cfg, i) for i in range(cfg.iterations)]
-    redraws = sum(n for _, n in perturbed)
-    out, failures = _run_batch([nominal] + [lower(p) for p, _ in perturbed], sim)
+    width = 1 + cfg.iterations
+    check_record_size(sim.n_steps, 1, width)
+    consts = np.empty((len(nominal.program.consts), width))
+    y0 = np.empty((nominal.n_states, width))
+    consts[:, 0], y0[:, 0] = nominal.program.consts, nominal.y0()
+    redraws = 0
+    for i in range(cfg.iterations):       # one perturbed netlist alive at a time
+        perturbed, n = _perturb(net, cfg, i)
+        system = lower(perturbed)
+        if not system.program.same_structure(nominal.program):
+            raise AssertionError("perturbation changed program structure")
+        consts[:, i + 1], y0[:, i + 1] = system.program.consts, system.y0()
+        redraws += n
+    prepared = time.perf_counter()
+    rec, ok_cols, failures = _run_batch(nominal, consts, y0, sim)
+    ran = time.perf_counter()
     if 0 in failures:
         kind, step = failures[0]
         raise ValueError(
             f"the nominal circuit fails ({kind} at step {step}); "
             "tolerance analysis needs a finite baseline"
         )
-    failed = sorted(i - 1 for i in failures)
-    if out.shape[1] == 1:
+    if len(ok_cols) == 1:
         raise ValueError("every tolerance iteration failed; nothing to average")
-    ref = out[:, 0]
-    denom = np.maximum(np.abs(ref), REL_ERR_EPS)
-    rel = np.abs(out[:, 1:] - ref[:, None]) / denom[:, None]
-    p10, p90 = np.percentile(rel, [10.0, 90.0], axis=1)
+    n_rows = sim.n_steps + 1
+    mean, p10, p90 = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+    for first in range(0, n_rows, _REDUCE_ROWS):
+        rows = slice(first, first + _REDUCE_ROWS)
+        out = rec[rows, 0, ok_cols]
+        if nominal.output_transform is not None:
+            tcol = sim.dt * np.arange(first, first + len(out))[:, None]
+            out, _ = eval_expr_array_clamped(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+        ref = out[:, 0]
+        denom = np.maximum(np.abs(ref), REL_ERR_EPS)
+        # ``out`` is F-ordered; the summation order of mean and percentile, and
+        # so the report's last bits, follow the layout: reduce C-ordered rows.
+        rel = np.ascontiguousarray(np.abs(out[:, 1:] - ref[:, None]) / denom[:, None])
+        mean[rows] = rel.mean(axis=1)
+        p10[rows], p90[rows] = np.percentile(rel, [10.0, 90.0], axis=1)
 
     return StabilityReport(
-        t=sim.dt * np.arange(len(ref), dtype=np.float64),
-        mean=rel.mean(axis=1),
-        p10=p10, p90=p90,
+        t=sim.dt * np.arange(n_rows, dtype=np.float64),
+        mean=mean, p10=p10, p90=p90,
         iterations=cfg.iterations,
-        failed=tuple(failed),
+        failures=tuple((i - 1, kind, step, step * sim.dt) for i, (kind, step) in sorted(failures.items())),
         redraws=redraws,
         master_seed=cfg.master_seed,
         tolerance=cfg.max_relative_error,
-        unstable=len(failed) > 0.2 * cfg.iterations,
+        unstable=len(failures) > 0.2 * cfg.iterations,
         tape=engine.tape_stats(nominal.program, lanes=True),
+        timings_s={"prepare": prepared - start, "kernel": ran - prepared,
+                   "reduce": time.perf_counter() - ran},
     )
 
 
-def _run_batch(systems, sim):
-    """Run every parameter set in one lane march.
+def _run_batch(system, consts, y0, sim):
+    """Run every parameter set in one lane march of ``system``'s program.
 
-    Returns the transformed output series of the sets that completed, one
-    column each in ``systems`` order, and, for the others, the failure
-    kind and step keyed by position in ``systems``.
+    ``consts`` is (n_consts, W) and ``y0`` (n_states, W), one column per
+    set.  Returns the raw (n_steps+1, 1, W) record of the output node, the
+    columns of the sets that completed, in order, and, for the others, the
+    failure kind and step keyed by column.
     """
-    base_sys = systems[0]
-    prog0 = base_sys.program
-    for s in systems:
-        if not s.program.same_structure(prog0):
-            raise AssertionError("perturbation changed program structure")
-    width = len(systems)
-    consts = np.stack([s.program.consts for s in systems], axis=1)
-    y0 = np.stack([s.y0() for s in systems], axis=1)
+    prog = system.program
+    width = consts.shape[1]
     n_steps = sim.n_steps
     chan_kind = np.array([engine.CHAN_REG], dtype=np.int32)
-    chan_idx = np.array([base_sys.node_regs[base_sys.output_node]], dtype=np.int32)
+    chan_idx = np.array([system.node_regs[system.output_node]], dtype=np.int32)
     rec = np.empty((n_steps + 1, 1, width))
     status = np.zeros(width, dtype=np.int64)
     event = np.zeros(width, dtype=np.int64)
     ln_counts = np.zeros(width, dtype=np.int64)
     rec_counts = np.zeros(width, dtype=np.int64)
     engine.rk4_run_batch(
-        prog0.code, consts, prog0.deriv_regs, prog0.g_regs,
+        prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
         rec, None, status, event, ln_counts, rec_counts,    # no passivity flags
     )
     kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}
     failures = {i: (kinds[status[i]], int(event[i]))
                 for i in range(width) if status[i] != engine.STATUS_OK}
-    ok_cols = [i for i in range(width) if i not in failures]
-    out = rec[:, 0, ok_cols]
-    if base_sys.output_transform is not None and ok_cols:
-        tcol = sim.dt * np.arange(n_steps + 1)[:, None]
-        out, _ = eval_expr_array_clamped(base_sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
-    # ``out`` is F-ordered here; the reduction's summation order, and so the
-    # report's last bits, follow the memory layout.
-    return np.ascontiguousarray(out), failures
+    return rec, [i for i in range(width) if i not in failures], failures

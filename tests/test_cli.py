@@ -439,3 +439,20 @@ def test_simulate_manifest_records_phase_timings(tmp_path):
     timings = json.load(open(out + ".manifest.json"))["config"]["timings_s"]
     assert set(timings) == {"load", "run", "write"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
+def test_stability_manifest_records_failures_and_phase_timings(tmp_path):
+    net_path = tmp_path / "growth.net"
+    net_path.write_text('memintegrator m out=v C=1 ic=1 g="-1" f="0*v" omega0=0\noutput v\n')
+    out = str(tmp_path / "growth.csv")
+    assert main(["stability", str(net_path), "--iterations", "20", "--seed", "5", "--dt", "2e-2",
+                 "--t-end", "26", "-o", out, "--quiet"]) == 0
+    config = json.load(open(out + ".manifest.json"))["config"]
+    assert set(config["timings_s"]) == {"prepare", "kernel", "reduce", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in config["timings_s"].values())
+    failures = config["failures"]
+    assert 0 < len(failures) == config["failed_iterations"]
+    summary = open(out + ".summary.txt").read()
+    for f in failures:
+        assert f["kind"] == "blow-up" and f["t"] == f["step"] * 2e-2
+        assert f"  iteration {f['iteration']}: blow-up at step {f['step']} (t={f['t']:g})\n" in summary

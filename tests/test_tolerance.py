@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from memsolve.compiler import (
     compile_turbulent,
     compile_volterra_population,
 )
+from memsolve import engine
+from memsolve.engine import eval_expr_array_clamped
 from memsolve.exprs import parse_expr
 from memsolve.netlist import lower, parse_netlist
 import memsolve.solver as solver
@@ -196,6 +201,15 @@ def test_stability_report_shape_and_determinism():
     assert a.mean[0] > 0.0  # initial-condition perturbation shows at t=0
 
 
+def _transformed(rec, ok_cols, transform, dt):
+    """The output column of the completed sets, through the readout transform."""
+    out = rec[:, 0, ok_cols]
+    if transform is None:
+        return out
+    t = dt * np.arange(len(out))[:, None]
+    return eval_expr_array_clamped(transform, {"v": out, "t": t}, solver.LN_FLOOR)[0]
+
+
 def test_batch_runner_matches_one_simulate_per_set():
     # The lane march's waveforms equal the scalar kernel's bit for bit on
     # tapes without pow (both circuits here).  The growth circuit loses
@@ -205,7 +219,9 @@ def test_batch_runner_matches_one_simulate_per_set():
     cfg = ToleranceConfig(iterations=12, master_seed=5)
     for net, sim, kinds in cases:
         systems = [lower(net)] + [lower(perturb(net, cfg, i)) for i in range(cfg.iterations)]
-        out, failures = _run_batch(systems, sim)
+        consts = np.stack([s.program.consts for s in systems], axis=1)
+        y0 = np.stack([s.y0() for s in systems], axis=1)
+        rec, ok_cols, failures = _run_batch(systems[0], consts, y0, sim)
         assert {kind for kind, _ in failures.values()} == kinds
         expected, columns = {}, []
         for i, sys in enumerate(systems):
@@ -219,8 +235,80 @@ def test_batch_runner_matches_one_simulate_per_set():
             else:
                 columns.append(res.waveform.channel("out"))
         assert failures == expected
-        assert out.flags.c_contiguous        # the reduction's summation order depends on it
+        assert ok_cols == [i for i in range(len(systems)) if i not in expected]
+        out = _transformed(rec, ok_cols, net.output_transform, sim.dt)
         assert np.array_equal(out, np.stack(columns, axis=1))
+
+
+@pytest.mark.parametrize("make_netlist, t_end, fails",
+                         [(turbulent_netlist, 4.0, False), (lambda: parse_netlist(GROWTH), 26.0, True)],
+                         ids=["turbulent", "growth"])
+def test_chunked_reduction_equals_the_whole_matrix(monkeypatch, make_netlist, t_end, fails):
+    # The reduction runs over chunks of rows; every row's statistics are its
+    # own, so they equal one reduction over the whole record, bit for bit,
+    # when each chunk is reduced C-ordered as the whole matrix is here.
+    net = make_netlist()
+    cfg = ToleranceConfig(iterations=20, master_seed=5)
+    runs = []
+    run_batch = tolerance._run_batch
+    monkeypatch.setattr(tolerance, "_run_batch", lambda *args: runs.append(run_batch(*args)) or runs[-1])
+    chunk = tolerance._REDUCE_ROWS
+    for n_steps in (0, chunk - 2, chunk - 1, chunk, 2 * chunk + 2):
+        # SimConfig needs dt < t_end; a one-sample record takes a bare grid
+        sim = SimConfig(dt=t_end / n_steps, t_end=t_end) if n_steps else SimpleNamespace(dt=0.1, n_steps=0)
+        rep = stability_run(net, cfg, sim)
+        rec, ok_cols, failures = runs[-1]
+        assert rec.shape == (n_steps + 1, 1, cfg.iterations + 1)
+        assert bool(failures) == (fails and n_steps > 0)
+        out = np.ascontiguousarray(_transformed(rec, ok_cols, net.output_transform, sim.dt))
+        ref = out[:, 0]
+        rel = np.abs(out[:, 1:] - ref[:, None]) / np.maximum(np.abs(ref), solver.REL_ERR_EPS)[:, None]
+        p10, p90 = np.percentile(rel, [10.0, 90.0], axis=1)
+        for got, want in ((rep.mean, rel.mean(axis=1)), (rep.p10, p10), (rep.p90, p90)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _sweep_peaks(net, iterations, sim, monkeypatch):
+    """tracemalloc peaks of a warm ``stability_run`` above its start, less its
+    record: over the whole run, and up to the start of the lane march."""
+    kernel, seen = engine.rk4_run_batch, {}
+
+    def measured(*args):
+        seen["prepared"] = tracemalloc.get_traced_memory()[1]
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "rk4_run_batch", measured)
+    cfg = ToleranceConfig(iterations=iterations)
+    stability_run(net, cfg, sim)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stability_run(net, cfg, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = (sim.n_steps + 1) * (iterations + 1) * 8
+    return peak - start - record, seen["prepared"] - start - record
+
+
+@pytest.mark.parametrize("make_netlist", [population_netlist, turbulent_netlist],
+                         ids=["population", "turbulent"])
+def test_sweep_memory_per_iteration_is_a_column(monkeypatch, make_netlist):
+    # A parameter set costs a column of constants and initial states, not a
+    # netlist and a lowered system.  Measured up to the lane march, whose
+    # stage-time tables, like the reduction's chunk, are (min(steps, 256) x W).
+    sim = SimConfig(dt=1e-2, t_end=0.5)
+    few, many = (_sweep_peaks(make_netlist(), n, sim, monkeypatch)[1] for n in (20, 400))
+    assert (many - few) / 380 < 1024
+
+
+def test_sweep_memory_beyond_the_record_does_not_grow_with_the_horizon(monkeypatch):
+    # Turbulent's readout transform runs over chunks of rows with the
+    # statistics; only the report's four series grow with the horizon.
+    net = turbulent_netlist()
+    near, far = (_sweep_peaks(net, 100, SimConfig(dt=1e-3, t_end=t_end), monkeypatch)[0]
+                 for t_end in (1.0, 4.0))
+    assert far - near < 4 * 8 * 3000
 
 
 def test_blown_iterations_are_excluded_and_flagged():
@@ -232,6 +320,11 @@ def test_blown_iterations_are_excluded_and_flagged():
     assert 0 < len(rep.failed) < 20
     assert np.all(np.isfinite(rep.mean))
     assert rep.unstable == (len(rep.failed) > 4)
+    assert rep.failed == tuple(i for i, *_ in rep.failures)
+    text = rep.summary_text()
+    for i, kind, step, t in rep.failures:
+        assert kind == "blow-up" and 0 < step <= 1300 and t == step * 2e-2
+        assert f"  iteration {i}: blow-up at step {step} (t={t:g})\n" in text
 
 
 def test_monotone_tolerance_response():

@@ -74,8 +74,8 @@ def test_stability_report_csv_round_trip(out_dir):
     n = 2 * _CHUNK_ROWS + 3
     p10, mean, p90 = np.sort(rng.lognormal(-5.0, 2.0, size=(3, n)), axis=0)
     report = StabilityReport(
-        t=1e-3 * np.arange(n), mean=mean, p10=p10, p90=p90, iterations=10, failed=(),
-        redraws=0, master_seed=1, tolerance=0.1, unstable=False, tape={},
+        t=1e-3 * np.arange(n), mean=mean, p10=p10, p90=p90, iterations=10, failures=(),
+        redraws=0, master_seed=1, tolerance=0.1, unstable=False, tape={}, timings_s={},
     )
     path = out_dir / "stability.csv"
     report.to_csv(path)
