@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 input error, 3 unsupported feature,
 4 internal error.  Diagnostics go to standard error with file/line
 information where available.
 
-``MEMSOLVE_BACKEND`` selects the kernel of ``simulate`` (numba | numpy);
-``stability`` checks it but always runs the numpy lane march.
+``MEMSOLVE_BACKEND`` may be ``numpy`` or ``auto``; ``simulate`` and
+``stability`` reject any other value as an input error.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _cmd_simulate(args, argv) -> int:
         "ln_clamps": res.ln_clamps,
         "blowup_step": res.blowup_step,
         "truncated": res.blown_up,
-        "backend": res.backend,
+        "backend": "numpy",
         "tape": res.tape,
         "timings_s": {"load": loaded - start, "run": ran - loaded, "write": written - ran},
     }
@@ -178,7 +178,7 @@ def _cmd_oracle(args, argv) -> int:
 
 
 def _cmd_stability(args, argv) -> int:
-    resolve_backend()  # rejects a bad MEMSOLVE_BACKEND, though the sweep never reads it
+    resolve_backend()  # rejects a bad MEMSOLVE_BACKEND
     net = _load_for_run(args.netlist, args.t_end)
     cfg = ToleranceConfig(
         max_relative_error=args.tolerance,
@@ -211,7 +211,7 @@ def _cmd_stability(args, argv) -> int:
                      for i, kind, step, t in report.failures],
         "redraws": report.redraws,
         "unstable": report.unstable,
-        "backend": "numpy",                 # the lane march, whatever MEMSOLVE_BACKEND says
+        "backend": "numpy",
         "tape": report.tape,
         "timings_s": {**report.timings_s, "write": written - ran},
     }

@@ -8,13 +8,10 @@ generates the whole RK4 march for one program structure, with the tape
 inlined four times per step:
 
 * the scalar march, run by :func:`rk4_run` (single runs), keeps states,
-  stage slopes and constants in Python-float locals.  It stays in the
-  numba-compilable subset of Python (arrays, tuples of arrays and
-  scalars only, no closures, no lists), so the numba backend njits the
-  same source;
+  stage slopes and constants in Python-float locals;
 * the lane march, run by :func:`rk4_run_batch`, advances a batch of
-  parameter sets side by side in numpy arrays (every Monte Carlo sweep,
-  whatever the backend).  While every lane is alive it computes without masks
+  parameter sets side by side in numpy arrays (every Monte Carlo
+  sweep).  While every lane is alive it computes without masks
   and tests all guards of a stage with one ``.any()``; a stage whose
   guard holds anywhere is rerun masked, and after the first death every
   stage runs masked, so dead lanes stay frozen and clamps are counted
@@ -403,11 +400,12 @@ def _update_terms(n_states: int, new: str, comp: str) -> list[str]:
 
 
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
-    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)``.
+    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag)``.
 
-    Writes each recorded sample to ``rec`` and ``gflag``, and on every
-    exit (status, event step, ``ln`` clamp count) to ``info`` and the
-    state to ``y_out``; returns the number of recorded samples.
+    Writes each recorded sample to ``rec`` and ``gflag`` and returns
+    ``(recorded, status, event_step, ln_clamps, state)``: the number of
+    recorded samples, the status code, the step of the event, the ``ln``
+    clamp count and the tuple of states at exit.
 
     With a hoisted part the source starts with ``tables`` and the march
     takes two more arguments, ``grid`` and ``half``: per frontier
@@ -445,11 +443,11 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
                     for tab, arg in (("g", "grid"), ("h", "half"))]
         fn_body += [f"r{r} = g{j}[0]" for j, r in enumerate(frontier)]
     fn_body += [f"s{i} = float(y0[{i}])" for i in range(n)] + [f"q{i} = 0.0" for i in range(n)]
-    fn_body += ["hdt = 0.5 * dt", "n_ln = 0", f"status = {STATUS_OK}", "recorded = 0", "step = 0",
+    fn_body += ["hdt = 0.5 * dt", "n_ln = 0", f"status = {STATUS_OK}", "recorded = 0",
              "for step in range(n_steps + 1):"] + _indent(loop)
-    fn_body += ["info[0] = status", f"info[1] = step + 1 if status == {STATUS_BLOWUP} else step",
-             "info[2] = n_ln"] + [f"y_out[{i}] = s{i}" for i in range(n)] + ["return recorded"]
-    head = "def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out"
+    fn_body.append(f"return recorded, status, step + 1 if status == {STATUS_BLOWUP} else step, n_ln, "
+                   + _tuple(f"s{i}" for i in range(n)))
+    head = "def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag"
     return (_emit_tables(table, frontier) if table else []) + [
         head + (", grid, half):" if table else "):")] + _indent(fn_body)
 
@@ -569,12 +567,12 @@ def _compile(source: str, name: str):
 
 
 @functools.lru_cache(maxsize=256)
-def _march(code, deriv_regs, channels, flags, lanes: bool, jit=None, hoist=True):
+def _march(code, deriv_regs, channels, flags, lanes: bool, hoist=True):
     fn = _compile(_emit(code, deriv_regs, channels, flags, lanes, hoist), "march")
-    return fn.__globals__.get("tables"), (fn if jit is None else jit(fn))
+    return fn.__globals__.get("tables"), fn
 
 
-def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, jit=None, hoist=True):
+def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, hoist=True):
     """``(tables, march)`` for this program structure, cached across calls.
 
     ``tables`` is the generated table function, or None when nothing is
@@ -585,8 +583,7 @@ def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, jit=No
     (:meth:`Program.same_structure`) share one function.
     """
     return _march(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()),
-                  tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, jit,
-                  hoist)
+                  tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, hoist)
 
 
 def tape_stats(prog: Program, lanes: bool) -> dict:
@@ -651,37 +648,30 @@ def eval_expr_array_clamped(e: Expr, bindings, ln_floor: float) -> tuple[np.ndar
 # Kernels
 
 
-def scalar_kernel(jit=None):
-    """The scalar RK4 kernel; ``jit`` (e.g. ``numba.njit``) compiles each generated march."""
+def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
+            y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag):
+    """Classical fixed-step RK4 over the tape.
 
-    def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
-                y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out):
-        """Classical fixed-step RK4 over the tape; returns #recorded samples.
-
-        ``rec`` is (n_steps+1, n_channels); ``gflag`` is (n_steps+1,) and set
-        to 1 on samples where any memductance register is negative.
-        ``info`` receives (status, event_step, ln_clamp_count); ``y_out``
-        holds the state vector at exit (the failing state on an error).
-        """
-        tables, march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit)
-        args = (consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, info, y_out)
-        with np.errstate(all="ignore"):  # domain errors are reported through info
-            if tables is None:
-                return march(*args)
-            ts = t0 + np.arange(n_steps + 1)[:, None] * dt
-            *grid, grid_hit = tables(ts, consts[:, None], ln_floor)
-            *half, half_hit = tables(ts[:-1] + 0.5 * dt, consts[:, None], ln_floor)
-            if any(grid_hit) or any(half_hit):
-                # a hoisted guard holds somewhere: evaluate every instruction in order
-                return _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, jit, False)[1](*args)
-            # one row per time; the plain-Python march reads Python floats from memoryviews
-            tab = (lambda a: a.ravel()) if jit else (lambda a: memoryview(a.ravel()))
-            return march(*args, tuple(map(tab, grid)), tuple(map(tab, half)))
-
-    return rk4_run
-
-
-rk4_run = scalar_kernel()
+    ``rec`` is (n_steps+1, n_channels); ``gflag`` is (n_steps+1,) and set
+    to 1 on samples where any memductance register is negative.  Returns
+    ``(recorded, status, event_step, ln_clamps, state)``: the number of
+    recorded samples and the tuple of states at exit (the failing state
+    on an error).
+    """
+    tables, march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False)
+    args = (consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag)
+    with np.errstate(all="ignore"):  # domain errors are reported through the status
+        if tables is None:
+            return march(*args)
+        ts = t0 + np.arange(n_steps + 1)[:, None] * dt
+        *grid, grid_hit = tables(ts, consts[:, None], ln_floor)
+        *half, half_hit = tables(ts[:-1] + 0.5 * dt, consts[:, None], ln_floor)
+        if any(grid_hit) or any(half_hit):
+            # a hoisted guard holds somewhere: evaluate every instruction in order
+            return _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, False)[1](*args)
+        # one row per time; the march reads Python floats from memoryviews
+        grid, half = (tuple(memoryview(a.ravel()) for a in tab) for tab in (grid, half))
+        return march(*args, grid, half)
 
 
 def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,

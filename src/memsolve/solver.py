@@ -3,7 +3,7 @@
 The integrator is classical 4th-order Runge-Kutta with a fixed step; the
 state-variable construction moves all memory into local ODE state, so
 no adaptive or implicit machinery is needed and runs are bit-for-bit
-reproducible on a given backend.
+reproducible.
 
 The recorded waveform always carries the declared output signal as its
 first channel, named ``out``, with the netlist's output transform (if
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backend as _backend
 from . import engine
-from .backend import resolve_backend, rk4_kernel
 from .engine import eval_expr_array_clamped
 from .netlist import OdeSystem
 from .waveform import Waveform, grid_steps
@@ -89,7 +89,6 @@ class SimResult:
     passivity_flags: np.ndarray    # per-sample 0/1
     ln_clamps: int
     blowup_step: int | None
-    backend: str
     tape: dict                     # engine.tape_stats of the scalar march
 
     @property
@@ -115,8 +114,12 @@ def _resolve_channels(sys: OdeSystem, names) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimResult:
-    """Integrate the system over [0, t_end]; deterministic for fixed inputs."""
-    chosen = resolve_backend(backend)
+    """Integrate the system over [0, t_end]; deterministic for fixed inputs.
+
+    ``backend`` (or, when None, ``MEMSOLVE_BACKEND``) may be ``numpy`` or
+    ``auto``; anything else raises ``ValueError``.
+    """
+    _backend.resolve_backend(backend)
     if OUTPUT_CHANNEL in cfg.record_channels:
         raise ValueError(f"channel name {OUTPUT_CHANNEL!r} is reserved for the output signal")
     names = (OUTPUT_CHANNEL,) + cfg.record_channels
@@ -127,22 +130,15 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
     prog = sys.program
     rec = np.empty((n_steps + 1, len(names)), dtype=np.float64)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
-    info = np.zeros(3, dtype=np.int64)
-    y_out = np.empty(sys.n_states, dtype=np.float64)
 
-    kernel = rk4_kernel(chosen)
-    recorded = int(
-        kernel(
-            prog.code, prog.consts, prog.deriv_regs, prog.g_regs,
-            chan_kind, chan_idx, sys.y0(), 0.0, cfg.dt, n_steps,
-            LN_FLOOR, BLOWUP_LIMIT, rec, gflag, info, y_out,
-        )
+    recorded, status, event, ln_clamps, state = _backend.rk4_python(
+        prog.code, prog.consts, prog.deriv_regs, prog.g_regs,
+        chan_kind, chan_idx, sys.y0(), 0.0, cfg.dt, n_steps,
+        LN_FLOOR, BLOWUP_LIMIT, rec, gflag,
     )
-    status, event, ln_clamps = int(info[0]), int(info[1]), int(info[2])
 
     if status == engine.STATUS_DOMAIN_ERROR:
-        snapshot = dict(zip(sys.state_names(), (float(v) for v in y_out)))
-        raise SimulationError(event, event * cfg.dt, snapshot)
+        raise SimulationError(event, event * cfg.dt, dict(zip(sys.state_names(), state)))
 
     rec = rec[:recorded]
     gflag = gflag[:recorded]
@@ -166,7 +162,6 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         passivity_flags=gflag,
         ln_clamps=ln_clamps + transform_clamps,
         blowup_step=blowup_step,
-        backend=chosen,
         tape=engine.tape_stats(prog, lanes=False),
     )
 

@@ -19,8 +19,7 @@ report isolates the effect of component error from discretization
 error.  It runs as parameter set 0 of the same sweep as the perturbed
 iterations (set k+1 is iteration k), through the same kernel, so a
 tolerance of 0 reports an error of exactly 0.  Every sweep runs the
-lane march of :mod:`memsolve.engine`, which is numpy code whatever
-backend ``simulate`` would pick.
+lane march of :mod:`memsolve.engine`.
 """
 
 from __future__ import annotations

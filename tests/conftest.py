@@ -52,16 +52,3 @@ def random_linear_system(rng):
         coeffs[:, :, k] = np.where(mask, vals, 0.0)
     ics = rng.uniform(-2.0, 2.0, (m, n))
     return LinearOdeSystem(n=n, m=m, coeffs=coeffs, ics=ics)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_numba_kernel():
-    """Compile the jitted kernel once so timing-sensitive tests see steady state."""
-    from memsolve.backend import HAVE_NUMBA
-    from memsolve.netlist import lower
-    from memsolve.solver import SimConfig, simulate
-
-    if HAVE_NUMBA:
-        sys = lower(parse_netlist(FIG2_NETLIST))
-        simulate(sys, SimConfig(dt=0.1, t_end=0.2), backend="numba")
-    yield

@@ -27,35 +27,25 @@ memintegrator mem1 out=v C=1 ic=1 g="-2 + 0.001*v + exp(-t)*omega" f="exp(t)*t/(
 output v
 """
 
-needs_numba = pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba unavailable")
-
-
 def test_resolve_backend(monkeypatch):
-    assert backend.resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv(backend.BACKEND_ENV, "numpy")
+    monkeypatch.delenv(backend.BACKEND_ENV, raising=False)
     assert backend.resolve_backend() == "numpy"
-    monkeypatch.setenv(backend.BACKEND_ENV, "auto")
-    assert backend.resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv(backend.BACKEND_ENV, "sparkles")
-    with pytest.raises(ValueError):
-        backend.resolve_backend()
-    monkeypatch.setattr(backend, "HAVE_NUMBA", False)
-    monkeypatch.setenv(backend.BACKEND_ENV, "numba")
-    with pytest.raises(ValueError, match="not importable"):
-        backend.resolve_backend()
+    assert backend.resolve_backend("numpy") == backend.resolve_backend("auto") == "numpy"
+    for name in ("numpy", "auto", " Auto ", ""):
+        monkeypatch.setenv(backend.BACKEND_ENV, name)
+        assert backend.resolve_backend() == "numpy"
+    # numba is rejected whether or not it is importable: no kernel uses it
+    for have in (False, True):
+        monkeypatch.setattr(backend, "HAVE_NUMBA", have)
+        for name in ("numba", "sparkles"):
+            monkeypatch.setenv(backend.BACKEND_ENV, name)
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                backend.resolve_backend()
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                simulate(lower(parse_netlist(FIG2_NETLIST)), SimConfig(dt=0.1, t_end=0.2),
+                         backend=name)
+    # an explicit argument wins over the environment
     assert backend.resolve_backend("numpy") == "numpy"
-
-
-@needs_numba
-@pytest.mark.parametrize("src", [FIG2_NETLIST, MEM])
-def test_numba_and_numpy_agree(src):
-    sys = lower(parse_netlist(src))
-    cfg = SimConfig(dt=1e-3, t_end=2.0)
-    a = simulate(sys, cfg, backend="numba")
-    b = simulate(sys, cfg, backend="numpy")
-    np.testing.assert_allclose(a.waveform.data, b.waveform.data, rtol=1e-12, atol=1e-13)
-    assert a.passivity_steps == b.passivity_steps
-    assert a.ln_clamps == b.ln_clamps
 
 
 # --- random valid netlists ---------------------------------------------------
@@ -134,16 +124,15 @@ def netlists(draw):
     )
 
 
-def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, y_out=None):
+def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
+    """``(recorded, status, event_step, ln_clamps, final state, rec, gflag)`` of a scalar run."""
     rec = np.full((n_steps + 1, chan_kind.shape[0]), np.nan)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
-    info = np.zeros(3, dtype=np.int64)
-    n = engine.rk4_run(
+    out = engine.rk4_run(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
-        rec, gflag, info, np.empty(y0.shape[0]) if y_out is None else y_out,
+        chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12, rec, gflag,
     )
-    return n, info, rec, gflag
+    return (*out, rec, gflag)
 
 
 def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
@@ -185,10 +174,9 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
     rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b = _run_lanes(
         prog, consts, y0, chan_kind, chan_idx, dt, n_steps)
     for w in range(width):
-        y_out = np.empty(sys.n_states)
-        n, info, rec, gflag = _run_scalar(prog, consts[:, w].copy(), sys.y0(),
-                                          chan_kind, chan_idx, dt, n_steps, y_out)
-        assert (status[w], event[w], ln_counts[w], rec_counts[w]) == (info[0], info[1], info[2], n)
+        n, st, ev, ln, y, rec, gflag = _run_scalar(prog, consts[:, w].copy(), sys.y0(),
+                                                   chan_kind, chan_idx, dt, n_steps)
+        assert (status[w], event[w], ln_counts[w], rec_counts[w]) == (st, ev, ln, n)
         assert np.array_equal(gflag_b[:n, w], gflag[:n])
         if has_pow:
             np.testing.assert_allclose(rec_b[:n, :, w], rec[:n], rtol=1e-12, atol=0.0)
@@ -196,7 +184,7 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
             assert np.array_equal(rec_b[:n, :, w], rec[:n], equal_nan=True)
             # a blown lane keeps its last accepted state; the scalar run, the failing one
             if status[w] != engine.STATUS_BLOWUP:
-                assert np.array_equal(y_b[:, w], y_out, equal_nan=True)
+                assert np.array_equal(y_b[:, w], y, equal_nan=True)
     return status, event, ln_counts
 
 
@@ -230,8 +218,8 @@ output a
     prog = sys.program
     dt, n_steps = 0.01, 200
     chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs["a"]], dtype=np.int32)
-    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
-    assert (n, info[0], info[1]) == (n_steps + 1, engine.STATUS_OK, n_steps)
+    n, status, event, _, _, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
+    assert (n, status, event) == (n_steps + 1, engine.STATUS_OK, n_steps)
     t = dt * np.arange(n_steps + 1)
     late = rec[t > T_OVERFLOW, 0]
     assert late.size and np.array_equal(late, np.full(late.shape, after), equal_nan=True)
@@ -252,16 +240,15 @@ def test_blow_up_before_t_end(src, state):
     prog = sys.program
     dt, n_steps = 0.01, 200
     chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[state]], dtype=np.int32)
-    y_out = np.empty(sys.n_states)
-    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps, y_out)
-    assert info[0] == engine.STATUS_BLOWUP and 0 < info[1] < n_steps
-    assert n == info[1]                            # every sample before the failing update
+    n, status, event, _, y, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
+    assert status == engine.STATUS_BLOWUP and 0 < event < n_steps
+    assert n == event                              # every sample before the failing update
     assert np.all(np.abs(rec[:n, 0]) <= 1e12) and np.all(np.isnan(rec[n:, 0]))
-    assert not abs(y_out[0]) <= 1e12               # the state that failed the test
+    assert not abs(y[0]) <= 1e12                   # the state that failed the test
     if state == "y":
-        assert (info[1] - 1) * dt < T_OVERFLOW < info[1] * dt
+        assert (event - 1) * dt < T_OVERFLOW < event * dt
     res = simulate(sys, SimConfig(dt=dt, t_end=dt * n_steps))
-    assert res.blowup_step == info[1] and len(res.waveform) == n
+    assert res.blowup_step == event and len(res.waveform) == n
     assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
 
 
@@ -276,13 +263,12 @@ output x
     prog = sys.program
     dt, n_steps = 0.0625, 16
     chan = np.array([engine.CHAN_STATE], dtype=np.int32), np.array([0], dtype=np.int32)
-    y_out = np.empty(sys.n_states)
-    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps, y_out)
-    assert (info[0], info[1], n) == (engine.STATUS_DOMAIN_ERROR, 8, 9)
-    assert y_out[0] == rec[8, 0] and y_out[0] < rec[0, 0]
+    n, status, event, _, y, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
+    assert (status, event, n) == (engine.STATUS_DOMAIN_ERROR, 8, 9)
+    assert y[0] == rec[8, 0] and y[0] < rec[0, 0]
     with pytest.raises(SimulationError) as exc:
         simulate(sys, SimConfig(dt=dt, t_end=dt * n_steps))
-    assert exc.value.step == 8 and exc.value.snapshot == {"int1": y_out[0]}
+    assert exc.value.step == 8 and exc.value.snapshot == {"int1": y[0]}
     assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
 
 
@@ -312,8 +298,8 @@ def test_guards_over_t_alone(expr, expected, status, event, ln_count):
     dt, n_steps, width = 1 / 64, 600, 3
     chan = (np.array([engine.CHAN_REG, engine.CHAN_STATE], dtype=np.int32),
             np.array([sys.node_regs["a"], 0], dtype=np.int32))
-    n, info, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
-    assert (info[0], info[1], info[2], n) == (status, event, ln_count, event + 1)
+    n, st, ev, ln, _, rec, _ = _run_scalar(prog, prog.consts, sys.y0(), *chan, dt, n_steps)
+    assert (st, ev, ln, n) == (status, event, ln_count, event + 1)
     assert np.array_equal(rec[:n, 0], expected(dt * np.arange(n)))
     consts = np.repeat(prog.consts[:, None], width, axis=1)
     y0 = np.repeat(sys.y0()[:, None], width, axis=1)

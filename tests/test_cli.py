@@ -190,7 +190,7 @@ def test_oversize_run_exits_2(tmp_path, capsys, monkeypatch, command, args):
     def never(*a, **k):
         raise AssertionError("an oversize run got past its size check")
 
-    monkeypatch.setattr("memsolve.solver.rk4_kernel", never)
+    monkeypatch.setattr("memsolve.backend.rk4_python", never)
     monkeypatch.setattr("memsolve.tolerance._perturb", never)
     net_path = tmp_path / "fig2.net"
     net_path.write_text(FIG2_NETLIST)
@@ -358,35 +358,25 @@ def test_backend_env_flag_selects_numpy(tmp_path, population_spec_file, monkeypa
     net_path = str(tmp_path / "pop.net")
     main(["compile", population_spec_file, "-o", net_path, "--quiet"])
     monkeypatch.setenv("MEMSOLVE_BACKEND", "numpy")
-    out = str(tmp_path / "np.csv")
-    assert main(["simulate", net_path, "--dt", "1e-2", "--t-end", "1", "-o", out, "--quiet"]) == 0
-    manifest = json.load(open(out + ".manifest.json"))
-    assert manifest["config"]["backend"] == "numpy"
+    for command, extra in (("simulate", []), ("stability", ["--iterations", "3"])):
+        out = str(tmp_path / f"{command}.csv")
+        assert main([command, net_path, *extra, "--dt", "1e-2", "--t-end", "1", "-o", out,
+                     "--quiet"]) == 0
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["config"]["backend"] == "numpy"
 
 
 @pytest.mark.parametrize("command", ["simulate", "stability"])
-def test_numba_backend_without_numba_exits_2(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr("memsolve.backend.HAVE_NUMBA", False)
+def test_numba_backend_exits_2(tmp_path, capsys, monkeypatch, command):
+    # rejected even where numba would import: the probe is not consulted
+    monkeypatch.setattr("memsolve.backend.HAVE_NUMBA", True)
     monkeypatch.setenv("MEMSOLVE_BACKEND", "numba")
     net_path = tmp_path / "fig2.net"
     net_path.write_text(FIG2_NETLIST)
     out = tmp_path / "x.csv"
     assert main([command, str(net_path), "--dt", "1e-2", "--t-end", "1", "-o", str(out)]) == 2
-    assert "numba is not importable" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_stability_runs_the_lane_march_whatever_the_backend(tmp_path, monkeypatch):
-    # With numba "available" the sweep still runs the numpy lane march and
-    # never reaches the (absent) jitted kernel.
-    monkeypatch.setattr("memsolve.backend.HAVE_NUMBA", True)
-    monkeypatch.setenv("MEMSOLVE_BACKEND", "numba")
-    net_path = tmp_path / "fig2.net"
-    net_path.write_text(FIG2_NETLIST)
-    out = str(tmp_path / "stab.csv")
-    assert main(["stability", str(net_path), "--iterations", "3", "--dt", "1e-2",
-                 "--t-end", "1", "-o", out, "--quiet"]) == 0
-    assert json.load(open(out + ".manifest.json"))["config"]["backend"] == "numpy"
+    assert "unknown backend 'numba'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [net_path]
 
 
 @pytest.mark.parametrize("equation, hoisted", [("turbulent_diffusion", True), ("oscillator_chain", False)])

@@ -194,7 +194,7 @@ def test_oversize_record_is_rejected_before_allocation(monkeypatch):
         raise AssertionError("reached the kernel of a run over the record cap")
 
     sys = lower(parse_netlist(DECAY))
-    monkeypatch.setattr(solver, "rk4_kernel", no_kernel)
+    monkeypatch.setattr("memsolve.backend.rk4_python", no_kernel)
     with pytest.raises(ValueError, match="GiB cap"):  # (4e9 + 1) samples x 8 bytes: 32 GB
         simulate(sys, SimConfig(dt=1e-9, t_end=4.0))
     # exactly at the cap runs; one channel more does not
