@@ -211,6 +211,8 @@ def _cmd_stability(args, argv) -> int:
                      for i, kind, step, t in report.failures],
         "redraws": report.redraws,
         "unstable": report.unstable,
+        "ln_clamps": report.ln_clamps,
+        "lane_steps": report.lane_steps,
         "backend": "numpy",
         "tape": report.tape,
         "timings_s": {**report.timings_s, "write": written - ran},

@@ -11,11 +11,13 @@ inlined four times per step:
   stage slopes and constants in Python-float locals;
 * the lane march, run by :func:`rk4_run_batch`, advances a batch of
   parameter sets side by side in numpy arrays (every Monte Carlo
-  sweep).  While every lane is alive it computes without masks
-  and tests all guards of a stage with one ``.any()``; a stage whose
-  guard holds anywhere is rerun masked, and after the first death every
-  stage runs masked, so dead lanes stay frozen and clamps are counted
-  per live lane.
+  sweep).  It stacks the states, compensation terms and stage slopes
+  as (n_states, W) arrays, so a stage input, the compensated update and
+  the blow-up test are each one set of numpy calls.  While every lane
+  is alive it computes without masks and tests all guards of a stage
+  with one ``np.count_nonzero``; a stage whose guard holds anywhere is
+  rerun masked, and after the first death every stage runs masked, so
+  dead lanes stay frozen and clamps are counted per live lane.
 
 Both marches read the tape's state-independent part (every instruction
 whose operands trace back only to ``t`` and constants) from stage-time
@@ -30,7 +32,9 @@ over those times by the array code, gives every stage its values:
   every instruction in order instead;
 * the lane march builds (times x lanes) tables every ``_TABLE_STEPS``
   steps while every lane is alive.  A stage whose table row notes a
-  guard hit is rerun masked, like a stage whose own guards hold.
+  guard hit is rerun masked, like a stage whose own guards hold.  The
+  registers over constants alone are computed once per run, as (W,)
+  rows.
 
 Either way domain errors, ``ln`` clamp counts and event steps come from
 the in-order tape.  A tape with nothing to hoist (constant loads aside)
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +230,13 @@ _OPS = {
 }
 
 
+# The numpy variants' expressions as ufuncs, so the lane march can write a
+# slope straight into its slot with ``out=`` (the operators are these ufuncs).
+_UFUNCS = {OP_ADD: "add", OP_SUB: "subtract", OP_MUL: "multiply", OP_DIV: "true_divide",
+           OP_NEG: "negative", OP_EXP: "exp", OP_LN: "log", OP_SIN: "sin", OP_COS: "cos",
+           OP_SQRT: "sqrt", OP_ABS: "absolute", OP_POW: "power"}
+
+
 def _guard_lines(g: _Guard, variant: str) -> list[str]:
     """What happens to ``x`` (the checked value) where the guard's test holds."""
     test = (g.clamp or g.bad).format("x")
@@ -249,16 +261,19 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
                f"    x = np.where(m, {g.safe}, x)"])
 
 
-def _op_lines(code, variant: str, loads=None, outside=()) -> tuple[list[str], dict[int, str]]:
+def _op_lines(code, variant: str, loads=None, outside=(), outs=None) -> tuple[list[str], dict[int, str]]:
     """One assignment to a local ``r<dst>`` per instruction, guards included.
 
     ``loads`` maps OP_CONST, OP_T and OP_STATE to the name of a local the
     caller provides (``{i}`` is the operand); those loads then emit no
     line.  ``outside`` lists registers that ``code`` reads but the caller
-    computes, as locals ``r<n>``.  Returns the lines and how each register
-    is spelled.
+    computes, as locals ``r<n>``.  ``outs`` maps registers to arrays their
+    instruction writes into (a numpy variant's ufunc ``out=``); such a
+    register is spelled as its array.  Returns the lines and how each
+    register is spelled.
     """
     spell = {r: f"r{r}" for r in outside}
+    outs = outs or {}
     body = []
     for op, dst, a, b in code:
         expr, guard = _OPS[op]
@@ -267,20 +282,23 @@ def _op_lines(code, variant: str, loads=None, outside=()) -> tuple[list[str], di
         if loads and op in loads:
             spell[dst] = loads[op].format(i=a)
             continue
-        spell[dst] = f"r{dst}"
+        if dst in outs:
+            expr = f"np.{_UFUNCS[op]}({{a}}{', {b}' if op in _BINARY else ''}, out={outs[dst]})"
+        spell[dst] = outs.get(dst, f"r{dst}")
+        lhs = "" if dst in outs else f"r{dst} = "
         names = {"i": a, "a": spell.get(a), "b": spell.get(b)}
         if guard is None:
-            body.append(f"r{dst} = " + expr.format(**names))
+            body.append(lhs + expr.format(**names))
             continue
         if guard.on == "r":
             body.append("x = " + expr.format(**names))
             body += _guard_lines(guard, variant)
-            body.append(f"r{dst} = x")
+            body += [] if dst in outs else [f"r{dst} = x"]
         else:
             body.append(f"x = {names[guard.on]}")
             body += _guard_lines(guard, variant)
             names[guard.on] = "x"
-            body.append(f"r{dst} = " + expr.format(**names))
+            body.append(lhs + expr.format(**names))
     return body, spell
 
 
@@ -323,8 +341,13 @@ _BINARY = frozenset(_BINARY_OPS.values())
 _TABLE_STEPS = 256
 
 
+def _guarded(code) -> list[int]:
+    """The registers of ``code`` whose instruction has a guard."""
+    return [dst for op, dst, *_ in code if _OPS[op][1] is not None]
+
+
 def _has_guards(code) -> bool:
-    return any(_OPS[op][1] is not None for op, *_ in code)
+    return bool(_guarded(code))
 
 
 def _reads(op: int, a: int, b: int) -> tuple[int, ...]:
@@ -365,6 +388,65 @@ def _split(code, roots, scalar: bool):
     return table, march, [row[1] for row in table if row[1] in march_reads]
 
 
+def _slice(code, wanted):
+    """The instructions of ``code`` that the registers ``wanted`` depend on, in tape order."""
+    need, kept = set(wanted), []
+    for op, dst, a, b in reversed(code):
+        if dst in need:
+            need.update(_reads(op, a, b))
+            kept.append((op, dst, a, b))
+    return kept[::-1]
+
+
+def _constant(code) -> set[int]:
+    """The registers of ``code`` computed from constants alone."""
+    const = set()
+    for op, dst, a, b in code:
+        if op == OP_CONST or (op not in _LOADS and const.issuperset(_reads(op, a, b))):
+            const.add(dst)
+    return const
+
+
+def _fold_signs(code, roots):
+    """``code`` with negations folded away, for the lane march; exact in IEEE arithmetic.
+
+    ``a + (-b)`` becomes ``a - b``, and ``-(c*x)`` becomes ``(-c)*x``, with
+    ``-c`` a new register over constants (computed once per run), when
+    the negation or the product is read only there.  Rounding is
+    symmetric in sign, so only the sign bit of a NaN can differ.
+    """
+    op_of = {dst: (op, a, b) for op, dst, a, b in code}
+    uses = Counter(r for op, _, a, b in code for r in _reads(op, a, b))
+    uses.update(roots)
+    const = _constant(code)
+
+    def only_read_here(r, op):
+        return op_of.get(r, (None,))[0] == op and uses[r] == 1
+
+    new = {}                      # dst -> its replacement instructions
+    dropped = set()
+    for op, dst, a, b in code:
+        if op == OP_ADD:
+            neg, other = (b, a) if only_read_here(b, OP_NEG) else (a, b)
+            if only_read_here(neg, OP_NEG):
+                new[dst] = [(OP_SUB, dst, other, op_of[neg][1])]
+                dropped.add(neg)
+    fresh = max((dst for _, dst, _, _ in code), default=-1) + 1
+    for op, dst, a, b in code:
+        if op == OP_NEG and dst not in dropped and dst not in const and only_read_here(a, OP_MUL):
+            x, y = op_of[a][1:]
+            if x in const or y in const:
+                pair = (fresh, y) if x in const else (x, fresh)
+                new[dst] = [(OP_NEG, fresh, x if x in const else y, 0), (OP_MUL, dst, *pair)]
+                dropped.add(a)
+                fresh += 1
+    out = []
+    for row in code:
+        if row[1] not in dropped:
+            out += new.get(row[1], [row])
+    return out
+
+
 def _emit_tables(code, frontier) -> list[str]:
     """``tables(t, consts, ln_floor)``: the frontier registers over the stage times ``t``
     (a column), one (times, W) table each, and per time whether a guard of
@@ -389,14 +471,12 @@ def _emit_tables(code, frontier) -> list[str]:
     return ["def tables(t, consts, ln_floor):"] + _indent(body) + [""]
 
 
-def _update_terms(n_states: int, new: str, comp: str) -> list[str]:
-    """Compensated (Kahan) state update; keeps the roundoff floor near eps*|y|,
-    so small-step runs stay truncation-dominated."""
-    lines = []
-    for i in range(n_states):
-        lines += [f"term = dt * (k0_{i} + 2.0 * k1_{i} + 2.0 * k2_{i} + k3_{i}) / 6.0 - q{i}",
-                  f"{new}{i} = s{i} + term", f"{comp}{i} = ({new}{i} - s{i}) - term"]
-    return lines
+def _update_terms(k, s: str, q: str, new: str, comp: str, dt="dt", two="2.0", six="6.0") -> list[str]:
+    """Compensated (Kahan) update of the state ``s`` from the stage slopes ``k``
+    into ``new`` and ``comp``; keeps the roundoff floor near eps*|y|, so
+    small-step runs stay truncation-dominated."""
+    return [f"term = {dt} * ({k[0]} + {two} * {k[1]} + {two} * {k[2]} + {k[3]}) / {six} - {q}",
+            f"{new} = {s} + term", f"{comp} = ({new} - {s}) - term"]
 
 
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
@@ -431,7 +511,8 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
             negative = " or ".join(f"{spell[g]} < 0.0" for g in flags)
             loop.append(f"gflag[step] = 1 if {negative} else 0" if flags else "gflag[step] = 0")
             loop += ["recorded = step + 1", "if step == n_steps:", "    break"]
-    loop += _update_terms(n, "w", "q")
+    for i in range(n):
+        loop += _update_terms([f"k{s}_{i}" for s in range(4)], f"s{i}", f"q{i}", f"w{i}", f"q{i}")
     loop += [f"s{i} = w{i}" for i in range(n)]
     if n:
         # NaN and inf fail the comparison, so they count as a blow-up too
@@ -454,16 +535,32 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
 
 def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
-    event_step, ln_counts, rec_counts)``, returning the final state of every lane.
+    event_step, ln_counts, rec_counts)``, returning the (n_states, W) final states.
+
+    The march holds the states, the compensation terms and the stage
+    slopes stacked, as ``S`` and ``Q`` (n_states, W) and ``K`` (4,
+    n_states, W): a stage input, the compensated update, the blow-up test
+    and the freeze of dead lanes are each one set of numpy calls whatever
+    the number of states.  The tape reads the states as rows of the stage
+    input ``U``, and an instruction that computes a slope writes it into
+    its row of ``K``.  Signs are folded first (``_fold_signs``).
 
     ``full`` says that every lane is alive.  A tape without guards never
     needs the masked stage: nothing can die inside a stage or be clamped.
-    While ``full``, the march builds stage-time tables of the hoisted part
-    every ``_TABLE_STEPS`` steps and reads the frontier from them; a stage
-    whose table row notes a guard is rerun masked, like a stage whose own
-    guards hold, and the masked stage evaluates the whole tape in order.
+    The hoisted part's registers over constants alone are computed once
+    per run, as (W,) rows; if a guard among them holds for some lane,
+    every stage runs masked.  While ``full``, the march builds stage-time
+    tables of the rest of the hoisted part every ``_TABLE_STEPS`` steps
+    and reads the frontier from them.  A stage whose table row notes a
+    guard, or whose own guards hold anywhere (one ``np.count_nonzero``),
+    is rerun masked, and the masked stage evaluates the whole tape in
+    order.  A stage skips the unguarded instructions whose value it does
+    not use (stages 1 to 3 use only the slopes).  ``rec_counts`` is
+    written at each death and once at exit.
     """
     n = len(deriv_regs)
+    roots = _roots(deriv_regs, channels, flags)
+    code = _fold_signs(code, roots)
     guarded = _has_guards(code)
     lines = []
     if guarded:
@@ -474,19 +571,21 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         lines += ["def stage(t, y, consts, ln_floor, ln_counts, alive):"] + _indent(
             ["dom = np.zeros(alive.shape[0], dtype=np.bool_)"] + masked
             + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
-    table, code, frontier = _split(code, _roots(deriv_regs, channels, flags), False) if hoist else ((), code, ())
-    fast, spell = _op_lines(code, "fast", _MARCH_LOADS, frontier)
-    probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
-    probes += [spell[g] for g in flags]
+    table, code, frontier = _split(code, roots, False) if hoist else ([], code, [])
+    # the hoisted part splits into registers over constants alone and the rest;
+    # each side keeps its guards, read or not, for their domain errors and clamps
+    const = _constant(table)
+    once = _slice(table, [r for r in frontier + _guarded(table) if r in const])
+    tabled = [r for r in frontier if r not in const]
+    table = _slice(table, tabled + [r for r in _guarded(table) if r not in const])
+    # stage 0 needs the roots and the guards, stages 1 to 3 the slopes and the guards
+    guards = _guarded(code)
+    stage_code = [_slice(code, roots + guards)] + 3 * [_slice(code, list(deriv_regs) + guards)]
     n_chan = len(channels)
-    timed = any(op == OP_T for op, *_ in code)
-    # a stage starts from its table row's guard hit; ``hit`` stays a bool unless the march part tests guards
-    first_hit = "hit = {0}hit[{1}]" if _has_guards(table) else "hit = False"
-    test = "hit.any()" if _has_guards(code) else "hit"
     loop = []
     if table:
-        lines += _emit_tables(table, frontier)
-        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(frontier))) + "{0}hit]"
+        lines += _emit_tables(table, tabled)
+        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(tabled))) + "{0}hit]"
         # a stage without guards never runs masked, so it reads the tables to the end
         loop += [("if full and step == kend:" if guarded else "if step == kend:")] + _indent(
             [f"kend = min(step + {_TABLE_STEPS}, n_steps)",
@@ -496,53 +595,89 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
              "kbase = step"])
         loop.append("j = step - kbase")
     for s, t in enumerate(_STAGE_TIMES):
-        loop += ([f"t = np.full(width, {t})"] if timed and t else []) + _stage_inputs(s, n)
-        ks = [f"k{s}_{i}" for i in range(n)]
-        ps = [f"p{j}" for j in range(len(probes))] if s == 0 else []
+        scode = stage_code[s]
+        timed = any(op == OP_T for op, *_ in scode)
+        loop += [f"t = np.full(width, {t})"] if timed and t else []
+        if s == 0 or not n:
+            loop.append("U = S")
+        else:
+            loop.append(f"U = S + {'dt_' if s == 3 else 'hdt_'} * K{s - 1}")
+        # a slope computed by this stage's code goes straight into its row of K
+        made = {dst for op, dst, *_ in scode if op not in _LOADS}
+        outs = {}
+        for i, r in enumerate(deriv_regs):
+            if r in made:
+                outs.setdefault(r, f"K{s}_{i}")
+        fast, spell = _op_lines(scode, "fast", _MARCH_LOADS, frontier, outs)
+        # the stage's first guard starts its hit mask
+        first = next((k for k, x in enumerate(fast) if x.startswith("hit |= ")), None)
+        if first is not None:
+            fast[first] = "hit = " + fast[first][len("hit |= "):]
+        read = {r for op, _, a, b in scode for r in _reads(op, a, b)} | set(deriv_regs)
+        states = sorted({a for op, _, a, _ in scode if op == OP_STATE})
         tab, row = "ghhg"[s], ("j", "j", "j", "j + 1")[s]
-        out = [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(frontier) if s != 2]
-        out += fast + [f"{k} = {spell[r]}" for k, r in zip(ks, deriv_regs)]
-        out += [f"{p} = {e}" for p, e in zip(ps, probes)]
+        out = [f"u{i} = U[{i}]" for i in states]
+        if s == 0:
+            probes = [spell[i] if kind == CHAN_REG else f"S[{i}]" for kind, i in channels]
+            probes += [spell[g] for g in flags]
+            read |= set(roots)
+        out += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(tabled) if s != 2 and r in read]
+        out += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
+                       if outs.get(r) != f"K{s}_{i}"]
+        out += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
         if not guarded:
             loop += out
         else:
-            loop += ["if full:"] + _indent([first_hit.format(tab, row)] + out)
-            target = "[" + ", ".join(ps) + "]" if s == 0 else "_"
-            at = "t" if timed or not table else f"np.full(width, {t or _STAGE_TIMES[1]})"
-            loop += [f"if not full or {test}:"] + _indent(
-                [f"dom, [{', '.join(ks)}], {target} = stage("
-                 f"{at}, {_tuple(f'u{i}' for i in range(n))}, consts, ln_floor, ln_counts, alive)",
-                 "dom &= alive", "if dom.any():"] + _indent(
+            loop += ["if full:"] + _indent(out) if out else []
+            rerun = ["not full"] + ([f"{tab}hit[{row}]"] if _has_guards(table) else [])
+            rerun += ["np.count_nonzero(hit)"] if _has_guards(scode) else []
+            target = "[" + ", ".join(f"p{j}" for j in range(len(probes))) + "]" if s == 0 else "_"
+            at = "t" if timed else f"np.full(width, {t or _STAGE_TIMES[1]})"
+            loop += [f"if {' or '.join(rerun)}:"] + _indent(
+                [f"dom, {f'K[{s}]' if n else '_'}, {target} = stage("
+                 f"{at}, U, consts, ln_floor, ln_counts, alive)",
+                 "dom &= alive", "if np.count_nonzero(dom):"] + _indent(
                     [f"status[dom] = {STATUS_DOMAIN_ERROR}", "event_step[dom] = step",
-                     "alive &= ~dom", "full = False", "if not alive.any():", "    break"]))
+                     # stage 0 dies before the step's sample is recorded
+                     f"rec_counts[dom] = {'step' if s == 0 else 'step + 1'}",
+                     "alive &= ~dom", "full = False", "if not np.count_nonzero(alive):", "    break"]))
         if s == 0:
             negative = " | ".join(f"(p{n_chan + j} < 0.0)" for j in range(len(flags)))
             loop += ["if full:"] + _indent(
                 [f"rec[step, {c}] = p{c}" for c in range(n_chan)]
-                + ([f"gflag[step] = {negative}"] if flags else []) + ["rec_counts[:] = step + 1"])
+                + ([f"gflag[step] = {negative}"] if flags else []))
             loop += ["else:"] + _indent(
                 [f"rec[step, {c}, alive] = p{c}[alive]" for c in range(n_chan)]
-                + ([f"gflag[step, alive] = ({negative})[alive]"] if flags else [])
-                + ["rec_counts[alive] = step + 1"])
+                + ([f"gflag[step, alive] = ({negative})[alive]"] if flags else []))
             loop += ["if step == n_steps:", "    break"]
-    loop += _update_terms(n, "n", "e")
     if n:
-        keep = [f"s{i} = n{i}" for i in range(n)] + [f"q{i} = e{i}" for i in range(n)]
-        loop.append("ok = " + " & ".join(f"(np.abs(n{i}) <= blow_limit)" for i in range(n)))
-        loop += ["if full and ok.all():"] + _indent(keep) + ["else:"] + _indent(
-            ["blown = alive & ~ok", "if blown.any():"] + _indent(
+        loop += _update_terms(("K0", "K1", "K2", "K3"), "S", "Q", "N", "E", "dt_", "two", "six")
+        # NaN and inf fail the comparison, so they count as a blow-up too
+        loop.append("ok = np.abs(N) <= blow_limit")
+        loop += ["if full and np.count_nonzero(ok) == S.size:"] + _indent(["S = N", "Q = E"])
+        loop += ["else:"] + _indent(
+            ["blown = alive & ~ok.all(axis=0)", "if np.count_nonzero(blown):"] + _indent(
                 [f"status[blown] = {STATUS_BLOWUP}", "event_step[blown] = step + 1",
-                 "alive &= ~blown", "full = False"])
-            + [f"s{i} = np.where(alive, n{i}, s{i})" for i in range(n)]
-            + [f"q{i} = np.where(alive, e{i}, q{i})" for i in range(n)]
-            + ["if not alive.any():", "    break"])
-    fn_body = ["width = y0.shape[1]"]
-    fn_body += [f"c{i} = consts[{i}]" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
-    fn_body += [f"s{i} = y0[{i}]" for i in range(n)] + [f"q{i} = np.zeros(width)" for i in range(n)]
-    fn_body += ["hdt = 0.5 * dt", "alive = np.ones(width, dtype=np.bool_)", "full = True"]
-    fn_body += ["kend = 0"] if table else []
+                 "rec_counts[blown] = step + 1", "alive &= ~blown", "full = False"])
+            + ["S = np.where(alive, N, S)", "Q = np.where(alive, E, Q)",
+               "if not np.count_nonzero(alive):", "    break"])
+    used = sorted({a for op, _, a, _ in code + once if op == OP_CONST})
+    fn_body = ["width = y0.shape[1]"] + [f"c{i} = consts[{i}]" for i in used]
+    once_lines = _op_lines(once, "fast", _MARCH_LOADS)[0]
+    if _has_guards(once):
+        # a guard over constants holds at every stage time: run every stage masked
+        fn_body += ["hit = np.zeros(width, dtype=np.bool_)"] + once_lines
+        fn_body.append("full = not np.count_nonzero(hit)")
+    else:
+        fn_body += once_lines + ["full = True"]
+    fn_body += ["S = y0", f"Q = np.zeros(({n}, width))", f"K = np.empty((4, {n}, width))",
+                "K0, K1, K2, K3 = K"]
+    fn_body += [f"K{s}_{i} = K[{s}, {i}]" for s in range(4) for i in range(n)]
+    fn_body += ["hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
+                "alive = np.ones(width, dtype=np.bool_)"]
+    fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
-    fn_body.append(f"return {_tuple(f's{i}' for i in range(n))}")
+    fn_body += ["rec_counts[alive] = n_steps + 1", "return S"]
     return lines + ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
@@ -695,10 +830,11 @@ def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
     rec[:] = np.nan
     if gflag is not None:
         gflag[:] = 0
+    # 0-d arrays: numpy compares against them faster than against Python floats
+    ln_floor, blow_limit = np.array(ln_floor, dtype=np.float64), np.array(blow_limit, dtype=np.float64)
     with np.errstate(all="ignore"):
         states = march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
                        event_step, ln_counts, rec_counts)
     if y_out is not None:
-        for i, s in enumerate(states):
-            y_out[i] = s
+        y_out[...] = states
     return rec_counts

@@ -179,6 +179,8 @@ class StabilityReport:
     unstable: bool
     tape: dict                       # engine.tape_stats of the lane march
     timings_s: dict                  # prepare (perturb + lower), kernel, reduce
+    ln_clamps: int                   # ln clamps over every lane, the nominal one included
+    lane_steps: int                  # recorded samples over every lane
 
     @property
     def failed(self) -> tuple[int, ...]:
@@ -231,7 +233,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
         consts[:, i + 1], y0[:, i + 1] = system.program.consts, system.y0()
         redraws += n
     prepared = time.perf_counter()
-    rec, ok_cols, failures = _run_batch(nominal, consts, y0, sim)
+    rec, ok_cols, failures, counts = _run_batch(nominal, consts, y0, sim)
     ran = time.perf_counter()
     if 0 in failures:
         kind, step = failures[0]
@@ -269,6 +271,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
         tape=engine.tape_stats(nominal.program, lanes=True),
         timings_s={"prepare": prepared - start, "kernel": ran - prepared,
                    "reduce": time.perf_counter() - ran},
+        **counts,
     )
 
 
@@ -277,8 +280,9 @@ def _run_batch(system, consts, y0, sim):
 
     ``consts`` is (n_consts, W) and ``y0`` (n_states, W), one column per
     set.  Returns the raw (n_steps+1, 1, W) record of the output node, the
-    columns of the sets that completed, in order, and, for the others, the
-    failure kind and step keyed by column.
+    columns of the sets that completed, in order, for the others the
+    failure kind and step keyed by column, and the lanes' totals of ``ln``
+    clamps and recorded samples (``ln_clamps`` and ``lane_steps``).
     """
     prog = system.program
     width = consts.shape[1]
@@ -298,4 +302,5 @@ def _run_batch(system, consts, y0, sim):
     kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}
     failures = {i: (kinds[status[i]], int(event[i]))
                 for i in range(width) if status[i] != engine.STATUS_OK}
-    return rec, [i for i in range(width) if i not in failures], failures
+    counts = {"ln_clamps": int(ln_counts.sum()), "lane_steps": int(rec_counts.sum())}
+    return rec, [i for i in range(width) if i not in failures], failures, counts

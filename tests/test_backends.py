@@ -1,4 +1,6 @@
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from memsolve.elements import (
     Multiplier,
     Potentiometer,
 )
+from memsolve.compiler import compile_equation, load_equation_spec
 from memsolve.exprs import Binary, Const, Unary, Var
 from memsolve.netlist import Netlist, lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, simulate
@@ -359,6 +362,122 @@ def test_lanes_dying_mid_run_match_their_scalar_runs():
     assert status.tolist() == [ok, dom, blow, dom, ok, blow]
     assert event[1] < event[2] < event[3] < event[5] < 200
     assert len(set(ln_counts.tolist())) == len(params)
+
+
+# --- the stacked lane march ---------------------------------------------------
+
+
+def test_single_state_lanes_match_scalar_runs():
+    # one integrator fed by itself and an fgen over t: (1, W) stacks
+    sys = lower(parse_netlist('integrator int1 out=x C=1 ic=1 in=x:1 in=a:1\n'
+                              'fgen f1 out=a expr="sin(3*t) - exp(-t)"\noutput x\n'))
+    assert sys.n_states == 1
+    assert_variants_agree(sys, width=5, dt=1e-2, n_steps=300, seed=3)
+
+
+def test_three_state_lanes_all_alive_through_ln_clamp_reruns():
+    # ln(t*v - 0.25) clamps in every lane until t*v passes 0.25: the stage is
+    # rerun masked while every lane stays alive, and no lane ever dies
+    sys = lower(parse_netlist("""
+memintegrator mem1 out=v C=1 ic=1 g="-0.5 + 0.1*ln(t*v - 0.25)" f="v" omega0=0 in=z
+integrator int1 out=z C=1 ic=1 in=v:2
+output v
+"""))
+    assert sys.n_states == 3
+    status, event, ln_counts = assert_variants_agree(sys, width=6, dt=1e-2, n_steps=100, seed=4)
+    assert np.all(status == engine.STATUS_OK) and np.all(ln_counts > 0)
+    assert len(set(ln_counts.tolist())) > 1
+
+
+def test_guard_read_only_by_a_recorded_register():
+    # sqrt(x - 0.5) feeds no slope, only the record; its domain error still ends
+    # a run where x first drops below 0.5: at stage 3 of step 6 for x = exp(-t)
+    b = engine.TapeBuilder()
+    b.load_t()                                   # as lowering emits it, read or not
+    x = b.load_state(0)
+    slope = b.binary("mul", b.const(-1.0), x)
+    probe = b.unary("sqrt", b.binary("sub", x, b.const(0.5)))
+    sys = SimpleNamespace(program=b.finish([slope], []), y0=lambda: np.array([1.0]),
+                          omega_state_index={}, node_regs={"p": probe}, output_node="p")
+    status, event, _ = assert_variants_agree(sys, width=3, dt=0.1, n_steps=20)
+    assert (status[0], event[0]) == (engine.STATUS_DOMAIN_ERROR, 6)
+
+
+class _Counted(np.ndarray):
+    """An array that counts the ufunc calls it takes part in, and passes that on."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _Counted) else o for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Counted) if isinstance(result, np.ndarray) else result
+
+
+def _counting(fn, counted: bool):
+    def call(*args, **kwargs):
+        _Counted.calls += counted
+        result = fn(*[a.view(np.ndarray) if isinstance(a, _Counted) else a for a in args], **kwargs)
+        return result.view(_Counted) if isinstance(result, np.ndarray) else result
+    return staticmethod(call)
+
+
+class _CountingNumpy:
+    """numpy for the generated marches: counts ``count_nonzero``, ``where`` and
+    ``full`` calls, and makes every array it creates a ``_Counted``."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    count_nonzero = _counting(np.count_nonzero, True)
+    where = _counting(np.where, True)
+    full = _counting(np.full, True)
+    zeros = _counting(np.zeros, False)
+    ones = _counting(np.ones, False)
+    empty = _counting(np.empty, False)
+    array = _counting(np.array, False)
+
+
+def _lane_calls(sys, n_steps, width=101, dt=1e-3):
+    prog = sys.program
+    consts = np.repeat(prog.consts[:, None], width, axis=1).view(_Counted)
+    y0 = np.repeat(sys.y0()[:, None], width, axis=1).view(_Counted)
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32)
+    status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
+    _Counted.calls = 0
+    engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, prog.g_regs, *chan, y0, 0.0, dt, n_steps,
+                         1e-9, 1e12, np.empty((n_steps + 1, 1, width)), None,
+                         status, event, ln_counts, rec_counts)
+    assert np.all(status == engine.STATUS_OK)
+    return _Counted.calls
+
+
+@pytest.mark.parametrize("name, most", [("population_growth", 54), ("turbulent_diffusion", 66)])
+def test_lane_march_numpy_calls_per_step(monkeypatch, name, most):
+    """numpy calls per all-alive step of the sweep's lane march (W = 101).
+
+    Counted: every ufunc call (operators, reductions and ``.any()`` included)
+    and every ``count_nonzero``, ``where`` and ``full``.  The difference of
+    a 30-step and a 10-step run leaves 20 steps and no table builds.  With
+    one set of numpy calls per stage input, compensated update and blow-up
+    test, folded signs and ``count_nonzero`` guard tests, the marches take
+    48 and 61 calls; with one set per state they take 72 and 92.
+    """
+    path = Path(__file__).parent.parent / "equations" / f"{name}.eq"
+    sys = lower(compile_equation(load_equation_spec(path)))
+    engine._march.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "np", _CountingNumpy())
+            per_step = (_lane_calls(sys, 30) - _lane_calls(sys, 10)) / 20
+    finally:
+        engine._march.cache_clear()      # drop the marches generated against the counting numpy
+    assert per_step <= most
 
 
 def _same_lowering(a, b):

@@ -7,6 +7,7 @@ import pytest
 from memsolve.cli import main
 from memsolve.netlist import load_netlist, lower
 from memsolve.solver import SimConfig, simulate
+from memsolve.tolerance import ToleranceConfig, _run_batch, perturb
 from memsolve.waveform import Waveform
 
 from conftest import FIG2_NETLIST, fig2_closed_form
@@ -432,8 +433,9 @@ def test_simulate_manifest_records_phase_timings(tmp_path):
 
 
 def test_stability_manifest_records_failures_and_phase_timings(tmp_path):
+    # ln(t - 1) clamps until t = 1 (its 1 is perturbed per lane); 0*ln(...) leaves g at -1
     net_path = tmp_path / "growth.net"
-    net_path.write_text('memintegrator m out=v C=1 ic=1 g="-1" f="0*v" omega0=0\noutput v\n')
+    net_path.write_text('memintegrator m out=v C=1 ic=1 g="-1 + 0*ln(t - 1)" f="0*v" omega0=0\noutput v\n')
     out = str(tmp_path / "growth.csv")
     assert main(["stability", str(net_path), "--iterations", "20", "--seed", "5", "--dt", "2e-2",
                  "--t-end", "26", "-o", out, "--quiet"]) == 0
@@ -446,3 +448,14 @@ def test_stability_manifest_records_failures_and_phase_timings(tmp_path):
     for f in failures:
         assert f["kind"] == "blow-up" and f["t"] == f["step"] * 2e-2
         assert f"  iteration {f['iteration']}: blow-up at step {f['step']} (t={f['t']:g})\n" in summary
+    # the lanes' totals, as one direct lane march of the same sweep counts them;
+    # the manifest alone carries them
+    net = load_netlist(str(net_path))
+    cfg = ToleranceConfig(iterations=20, master_seed=5)
+    systems = [lower(net)] + [lower(perturb(net, cfg, i)) for i in range(cfg.iterations)]
+    consts = np.stack([s.program.consts for s in systems], axis=1)
+    y0 = np.stack([s.y0() for s in systems], axis=1)
+    counts = _run_batch(systems[0], consts, y0, SimConfig(dt=2e-2, t_end=26.0))[3]
+    assert {key: config[key] for key in ("ln_clamps", "lane_steps")} == counts
+    assert counts["ln_clamps"] > 0 and 0 < counts["lane_steps"] < 21 * 1301
+    assert "ln_clamps" not in summary and "lane_steps" not in summary

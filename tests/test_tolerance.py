@@ -221,7 +221,7 @@ def test_batch_runner_matches_one_simulate_per_set():
         systems = [lower(net)] + [lower(perturb(net, cfg, i)) for i in range(cfg.iterations)]
         consts = np.stack([s.program.consts for s in systems], axis=1)
         y0 = np.stack([s.y0() for s in systems], axis=1)
-        rec, ok_cols, failures = _run_batch(systems[0], consts, y0, sim)
+        rec, ok_cols, failures, _ = _run_batch(systems[0], consts, y0, sim)
         assert {kind for kind, _ in failures.values()} == kinds
         expected, columns = {}, []
         for i, sys in enumerate(systems):
@@ -257,7 +257,7 @@ def test_chunked_reduction_equals_the_whole_matrix(monkeypatch, make_netlist, t_
         # SimConfig needs dt < t_end; a one-sample record takes a bare grid
         sim = SimConfig(dt=t_end / n_steps, t_end=t_end) if n_steps else SimpleNamespace(dt=0.1, n_steps=0)
         rep = stability_run(net, cfg, sim)
-        rec, ok_cols, failures = runs[-1]
+        rec, ok_cols, failures, _ = runs[-1]
         assert rec.shape == (n_steps + 1, 1, cfg.iterations + 1)
         assert bool(failures) == (fails and n_steps > 0)
         out = np.ascontiguousarray(_transformed(rec, ok_cols, net.output_transform, sim.dt))
