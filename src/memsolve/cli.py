@@ -159,9 +159,19 @@ def _solve_reference(spec, dt, t_end):
 
 def _cmd_oracle(args, argv) -> int:
     spec = load_equation_spec(args.spec)
+    start = time.perf_counter()
     wf = _solve_reference(spec, args.dt, args.t_end)
+    solved = time.perf_counter()
     wf.to_csv(args.out)
-    config = {"dt": args.dt, "t_end": args.t_end, "truncated": "blowup_step" in wf.meta}
+    written = time.perf_counter()
+    config = {
+        "dt": args.dt,
+        "t_end": args.t_end,
+        "steps": len(wf) - 1,
+        "blowup_step": wf.meta.get("blowup_step"),
+        "truncated": "blowup_step" in wf.meta,
+        "timings_s": {"solve": solved - start, "write": written - solved},
+    }
     deviation = None
     if args.against:
         circuit = Waveform.from_csv(args.against)
@@ -234,13 +244,18 @@ def _cmd_convergence(args, argv) -> int:
         return EXIT_INPUT
     if isinstance(spec, (LinearOdeSystem, HigherOrderSingleMem, HigherOrderComposed)):
         raise _UnsupportedFeature("convergence studies run on the first-order equation families")
+    start = time.perf_counter()
     study = convergence_study(to_ide_spec(spec), dt_list, args.t_end)
+    solved = time.perf_counter()
     _info(args, str(study))
     if args.out:
         write_csv(args.out, ("dt", "terminal", "richardson"), list(zip(*study.rows)))
+        written = time.perf_counter()
         _write_manifest(args.out, "convergence", argv, [args.spec],
                         {"dt_list": dt_list, "t_end": args.t_end,
-                         "observed_order": study.observed_order}, [args.out])
+                         "observed_order": study.observed_order, "steps": study.steps,
+                         "timings_s": {"solve": solved - start, "write": written - solved}},
+                        [args.out])
         _info(args, f"wrote {args.out}")
     return EXIT_OK
 

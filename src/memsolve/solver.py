@@ -14,8 +14,8 @@ magnitudes above ``BLOWUP_LIMIT`` (or non-finite states) truncate the
 run and are reported rather than raised.
 
 A run whose waveform record (samples x channels x parameter sets, 8
-bytes each) would exceed ``MAX_RECORD_BYTES`` is rejected with a
-``ValueError`` before anything is allocated.
+bytes each) would exceed ``waveform.MAX_RECORD_BYTES`` is rejected with
+a ``ValueError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -28,16 +28,15 @@ from . import backend as _backend
 from . import engine
 from .engine import eval_expr_array_clamped
 from .netlist import OdeSystem
-from .waveform import Waveform, grid_steps
+from .waveform import Waveform, check_grid_bytes, grid_steps
 
 __all__ = ["SimConfig", "SimResult", "SimulationError", "simulate", "relative_error", "BLOWUP_LIMIT",
-           "LN_FLOOR", "MAX_RECORD_BYTES"]
+           "LN_FLOOR"]
 
 BLOWUP_LIMIT = 1e12
 LN_FLOOR = 1e-9
 REL_ERR_EPS = 1e-12
 OUTPUT_CHANNEL = "out"
-MAX_RECORD_BYTES = 1 << 30
 
 
 def check_record_size(n_steps: int, channels: int, runs: int = 1) -> None:
@@ -47,13 +46,11 @@ def check_record_size(n_steps: int, channels: int, runs: int = 1) -> None:
     O(min(n_steps, 256) x runs) for the lane march's stage-time tables and
     one chunk of its reduction; a single run's tables span its whole grid.
     """
-    size = (n_steps + 1) * channels * runs * 8
-    if size > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"the run would record {n_steps + 1} samples x {channels} channel(s) x {runs} run(s) "
-            f"= {size / 2**30:.3g} GiB, over the {MAX_RECORD_BYTES / 2**30:g} GiB cap; "
-            "use a larger --dt, a shorter --t-end, or fewer channels or iterations"
-        )
+    check_grid_bytes(
+        n_steps + 1, channels * runs,
+        f"the run would record {n_steps + 1} samples x {channels} channel(s) x {runs} run(s)",
+        "use a larger --dt, a shorter --t-end, or fewer channels or iterations",
+    )
 
 
 @dataclass

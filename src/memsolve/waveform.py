@@ -2,6 +2,8 @@
 
 CSV layout: header row ``t,<channel>,...``, one row per sample in time
 order.  ``write_csv`` writes every CSV artifact of the package.
+``grid_steps`` is the time grid both routes march, and
+``check_grid_bytes`` the size cap both apply before allocating over it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Waveform", "GridMismatchError", "grid_steps", "write_csv"]
+__all__ = ["Waveform", "GridMismatchError", "grid_steps", "check_grid_bytes", "write_csv",
+           "MAX_RECORD_BYTES"]
 
 _CHUNK_ROWS = 256   # rows per ``%`` format; bounds the writer's transient text
+MAX_RECORD_BYTES = 1 << 30
 
 
 class GridMismatchError(ValueError):
@@ -35,6 +39,19 @@ def grid_steps(dt: float, t_end: float) -> int:
             f"t_end={t_end} is not a whole number of steps dt={dt} (nearest: {n * dt:.12g})"
         )
     return n
+
+
+def check_grid_bytes(samples: int, columns: int, what: str, remedy: str) -> None:
+    """Reject a run that would hold ``samples`` x ``columns`` float64 values over the cap.
+
+    Both routes call this before allocating anything over their grid;
+    ``what`` describes the arrays and ``remedy`` says how to shrink them.
+    """
+    size = samples * columns * 8
+    if size > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"{what} = {size / 2**30:.3g} GiB, over the {MAX_RECORD_BYTES / 2**30:g} GiB cap; {remedy}"
+        )
 
 
 def write_csv(path, header, columns) -> None:

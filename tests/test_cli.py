@@ -186,17 +186,23 @@ def test_off_grid_horizon_exits_2(tmp_path, population_spec_file, capsys, comman
 @pytest.mark.parametrize("command, args", [
     ("simulate", ["--dt", "1e-9", "--t-end", "4"]),                    # 32 GB of samples
     ("stability", ["--dt", "1e-3", "--t-end", "4", "--iterations", "100000000"]),
+    ("oracle", ["--dt", "1e-9", "--t-end", "1000"]),                   # 40 TB of grid arrays
+    # the first step size fits; the second is rejected before the first march
+    ("convergence", ["--dt-list", "1e-2,1e-9,1e-10", "--t-end", "1000"]),
 ])
-def test_oversize_run_exits_2(tmp_path, capsys, monkeypatch, command, args):
+def test_oversize_run_exits_2(tmp_path, population_spec_file, capsys, monkeypatch, command, args):
     def never(*a, **k):
         raise AssertionError("an oversize run got past its size check")
 
     monkeypatch.setattr("memsolve.backend.rk4_python", never)
     monkeypatch.setattr("memsolve.tolerance._perturb", never)
+    monkeypatch.setattr("memsolve.oracle.eval_expr_array", never)  # the reference route's tables
+    monkeypatch.setattr("memsolve.oracle.solve_ide", never)        # a convergence study's marches
     net_path = tmp_path / "fig2.net"
     net_path.write_text(FIG2_NETLIST)
+    source = population_spec_file if command in ("oracle", "convergence") else str(net_path)
     out = tmp_path / "x.csv"
-    assert main([command, str(net_path), *args, "-o", str(out)]) == 2
+    assert main([command, source, *args, "-o", str(out)]) == 2
     assert "GiB cap" in capsys.readouterr().err
     assert not out.exists()
 
@@ -430,6 +436,30 @@ def test_simulate_manifest_records_phase_timings(tmp_path):
     timings = json.load(open(out + ".manifest.json"))["config"]["timings_s"]
     assert set(timings) == {"load", "run", "write"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
+def test_reference_manifests_record_phase_timings_and_steps(tmp_path, population_spec_file):
+    out = str(tmp_path / "pop.csv")
+    assert main(["oracle", population_spec_file, "--dt", "1e-2", "--t-end", "1", "-o", out, "--quiet"]) == 0
+    config = json.load(open(out + ".manifest.json"))["config"]
+    assert set(config["timings_s"]) == {"solve", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in config["timings_s"].values())
+    assert config["steps"] == 100 and config["blowup_step"] is None and not config["truncated"]
+    conv = str(tmp_path / "conv.csv")
+    assert main(["convergence", population_spec_file, "--dt-list", "4e-2,2e-2,1e-2", "--t-end", "1",
+                 "-o", conv, "--quiet"]) == 0
+    config = json.load(open(conv + ".manifest.json"))["config"]
+    assert set(config["timings_s"]) == {"solve", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in config["timings_s"].values())
+    assert config["steps"] == [25, 50, 100]
+    # a truncated run counts the steps it kept, up to the one that blew up
+    spec = tmp_path / "growth.eq"
+    spec.write_text('family = volterra_population\na = 50\nb = 0\nk1 = "-1"\nk2 = "exp(s)"\nn0 = 1\n')
+    out = str(tmp_path / "growth.csv")
+    assert main(["oracle", str(spec), "--dt", "1e-2", "--t-end", "2", "-o", out, "--quiet"]) == 0
+    config = json.load(open(out + ".manifest.json"))["config"]
+    assert config["truncated"] and config["steps"] == config["blowup_step"] - 1
+    assert len(Waveform.from_csv(out)) == config["steps"] + 1
 
 
 def test_stability_manifest_records_failures_and_phase_timings(tmp_path):

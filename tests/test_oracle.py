@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memsolve.oracle as oracle
+from memsolve.engine import eval_expr_array
 from memsolve.exprs import DomainError, parse_expr, pretty
-from memsolve.oracle import IdeSpec, convergence_study, solve_ide, solve_memristive_chain
+from memsolve.oracle import BLOWUP_LIMIT, IdeSpec, convergence_study, solve_ide, solve_memristive_chain
+from memsolve.waveform import Waveform, grid_steps
 
 # Reference value for the population-growth example (a=2, b=0.001,
 # K(t,s) = exp(-(t-s))*s/(1+s), N(0)=1) at t=4 with dt=1e-3, frozen after a
@@ -205,3 +209,164 @@ def test_off_grid_horizon_rejected(dt, t_end):
     f = parse_expr("v", {"t", "v", "omega"})
     with pytest.raises(ValueError):
         solve_memristive_chain(g, f, order=2, ics=[1.0, 0.0], omega0=0.0, dt=dt, t_end=t_end)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: a frozen copy of the closure-based Heun march that the
+# flat loop of ``solve_ide`` replaced.  Each step called ``at`` twice,
+# ``accept`` once and the form's right-hand side twice; the flat loop must
+# perform the same float operations in the same order.
+
+
+def _closure_grid_table(expr, var, ts, default):
+    vals = eval_expr_array(expr, {var: ts}) if expr is not None else default
+    return memoryview(np.full(len(ts), vals))
+
+
+def _closure_rhs(spec, ts):
+    a, b = spec.a, spec.b
+    if spec.form == "volterra_population":
+        return lambda k, y, m: y * (a - b * y - m)
+    if spec.form == "linear_first_order":
+        return lambda k, y, m: m
+    if spec.form == "turbulent":
+        p = _closure_grid_table(spec.p, "t", ts, 0.0)
+        return lambda k, y, m: -(p[k] * y + m)
+    return lambda k, y, m: a * y + b + m
+
+
+def _closure_memory(spec, ts, dt):
+    if spec.kernel is not None:
+        kernel = spec.kernel
+        phis = np.empty(len(ts))
+
+        def at(j, phi):
+            if j == 0:
+                return 0.0
+            phis[j] = phi
+            vals = eval_expr_array(kernel, {"t": ts[j], "s": ts[: j + 1]}) * phis[: j + 1]
+            return dt * (vals.sum() - 0.5 * (vals[0] + vals[j]))
+
+        def accept(j, phi):
+            phis[j] = phi
+
+        return at, accept
+
+    if spec.k1 is None and spec.k2 is None:
+        return (lambda j, phi: 0.0), (lambda j, phi: None)
+
+    k1 = _closure_grid_table(spec.k1, "t", ts, 1.0)
+    k2 = _closure_grid_table(spec.k2, "s", ts, 1.0)
+    total = first = 0.0
+
+    def at(j, phi):
+        if j == 0:
+            return 0.0
+        w = k2[j] * phi
+        return k1[j] * dt * (total + w - 0.5 * (first + w))
+
+    def accept(j, phi):
+        nonlocal total, first
+        w = k2[j] * phi
+        if j == 0:
+            first = w
+        total += w
+
+    return at, accept
+
+
+def closure_solve_ide(spec, dt, t_end):
+    n = grid_steps(dt, t_end)
+    ts = dt * np.arange(n + 1)
+    rhs = _closure_rhs(spec, ts)
+    at, accept = _closure_memory(spec, ts, dt)
+    quadratic = spec.memory == "quadratic"
+
+    ys = np.empty(n + 1)
+    yk = ys[0] = float(spec.y0)
+    phik = yk * yk if quadratic else yk
+    blowup = None
+    last = n
+    for k in range(n):
+        mk = at(k, phik)
+        accept(k, phik)
+        fk = rhs(k, yk, mk)
+        y_pred = yk + dt * fk
+        f_pred = rhs(k + 1, y_pred, at(k + 1, y_pred * y_pred if quadratic else y_pred))
+        yn = yk + 0.5 * dt * (fk + f_pred)
+        if not math.isfinite(yn) or abs(yn) > BLOWUP_LIMIT:
+            blowup = k + 1
+            last = k
+            break
+        yk = ys[k + 1] = yn
+        phik = yn * yn if quadratic else yn
+
+    wf = Waveform(t0=0.0, dt=dt, names=("y",), data=ys[: last + 1, None])
+    if blowup is not None:
+        wf.meta["blowup_step"] = blowup
+    return wf
+
+
+def assert_same_march(spec, dt, t_end):
+    new, old = solve_ide(spec, dt, t_end), closure_solve_ide(spec, dt, t_end)
+    assert len(new) == len(old)
+    assert new.meta.get("blowup_step") == old.meta.get("blowup_step")
+    assert new.data.tobytes() == old.data.tobytes()  # bit for bit, signs of zero included
+    return new
+
+
+KERNELS = {
+    "separable": dict(k1=parse_expr("1/2*exp(-t)", {"t"}), k2=parse_expr("cos(s)", {"s"})),
+    "k1_only": dict(k1=parse_expr("-exp(-2*t)", {"t"})),
+    "k2_only": dict(k2=parse_expr("s/(1+s)", {"s"})),
+    "memory_free": dict(),
+    "general": dict(kernel=parse_expr("exp(-t*s)/(1+t)", {"t", "s"})),
+}
+FORM_CASES = [(form, memory) for form in oracle.FORMS if form != "turbulent"
+              for memory in ("linear", "quadratic")] + [("turbulent", "quadratic")]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("form, memory", FORM_CASES)
+def test_flat_loop_matches_closure_march(form, memory, kernel):
+    spec = IdeSpec(form=form, y0=0.75, a=0.5, b=-0.25, p=parse_expr("1/8*exp(-2*t)", {"t"}),
+                   memory=memory, **KERNELS[kernel])
+    assert_same_march(spec, 2e-2, 2.0)
+
+
+@pytest.mark.parametrize("spec", [
+    IdeSpec(form="generic_first_order", y0=1.0, a=40.0),
+    population_spec(a=50.0, b=0.0, k1="-1", k2="exp(s)"),
+    IdeSpec(form="turbulent", y0=1.0, p=parse_expr("-30", {"t"}), k1=parse_expr("1", {"t"})),
+    IdeSpec(form="generic_first_order", y0=2.0, kernel=parse_expr("exp(t - s)", {"t", "s"}),
+            memory="quadratic"),
+], ids=["memory_free", "separable", "turbulent", "general_quadratic"])
+def test_flat_loop_matches_closure_march_through_blowup(spec):
+    assert "blowup_step" in assert_same_march(spec, 1e-2, 10.0).meta
+
+
+@pytest.mark.parametrize("y0", [0.0, -0.0])
+def test_flat_loop_keeps_signed_zeros(y0):
+    for kernel in KERNELS.values():
+        assert_same_march(IdeSpec(form="volterra_population", y0=y0, a=-1.0, **kernel), 0.1, 1.0)
+
+
+_coef = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(oracle.FORMS), kernel=st.sampled_from(sorted(KERNELS)),
+       quadratic=st.booleans(), y0=st.floats(-2.0, 2.0), a=_coef, b=_coef,
+       c=st.lists(_coef, min_size=4, max_size=4), dt=st.sampled_from([0.1, 0.05, 0.025]))
+def test_flat_loop_matches_closure_march_on_drawn_coefficients(form, kernel, quadratic, y0, a, b, c, dt):
+    memory = {
+        "separable": dict(k1=parse_expr(f"({c[0]!r})*exp(({c[1]!r})*t)", {"t"}),
+                          k2=parse_expr(f"cos(({c[2]!r})*s)", {"s"})),
+        "k1_only": dict(k1=parse_expr(f"({c[0]!r})*exp(({c[1]!r})*t)", {"t"})),
+        "k2_only": dict(k2=parse_expr(f"({c[2]!r})*s + 1", {"s"})),
+        "memory_free": dict(),
+        "general": dict(kernel=parse_expr(f"({c[0]!r})*exp(({c[1]!r})*t*s)", {"t", "s"})),
+    }[kernel]
+    spec = IdeSpec(form=form, y0=y0, a=a, b=b, p=parse_expr(f"({c[3]!r})*exp(-t)", {"t"}),
+                   memory="quadratic" if quadratic or form == "turbulent" else "linear", **memory)
+    assert_same_march(spec, dt, 2.0)

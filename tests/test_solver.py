@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-import memsolve.solver as solver
+import memsolve.waveform as waveform
 from memsolve.netlist import lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, relative_error, simulate
 from memsolve.waveform import GridMismatchError, Waveform
@@ -199,7 +199,7 @@ def test_oversize_record_is_rejected_before_allocation(monkeypatch):
         simulate(sys, SimConfig(dt=1e-9, t_end=4.0))
     # exactly at the cap runs; one channel more does not
     monkeypatch.undo()
-    monkeypatch.setattr(solver, "MAX_RECORD_BYTES", 11 * 2 * 8)
+    monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * 2 * 8)
     assert len(simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v",))).waveform) == 11
     with pytest.raises(ValueError, match="11 samples x 3 channel"):
         simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v", "v")))

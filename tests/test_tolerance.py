@@ -16,6 +16,7 @@ from memsolve.exprs import parse_expr
 from memsolve.netlist import lower, parse_netlist
 import memsolve.solver as solver
 import memsolve.tolerance as tolerance
+import memsolve.waveform as waveform
 from memsolve.solver import SimConfig, SimulationError, simulate
 from memsolve.tolerance import (
     ToleranceConfig,
@@ -173,7 +174,7 @@ def test_oversize_sweep_is_rejected_before_any_draw(monkeypatch):
     with pytest.raises(ValueError, match="GiB cap"):
         stability_run(parse_netlist(GROWTH), cfg, SimConfig(dt=1e-3, t_end=4.0))
     # the cap counts the nominal lane: 10 steps x 1 channel x (1 + 4) runs fits 440 bytes exactly
-    monkeypatch.setattr(solver, "MAX_RECORD_BYTES", 11 * 5 * 8)
+    monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * 5 * 8)
     with pytest.raises(ValueError, match="11 samples x 1 channel\\(s\\) x 6 run"):
         stability_run(parse_netlist(GROWTH), ToleranceConfig(iterations=5), SimConfig(dt=0.1, t_end=1.0))
 
