@@ -13,11 +13,10 @@ inlined four times per step:
   parameter sets side by side in numpy arrays (every Monte Carlo
   sweep).  It stacks the states, compensation terms and stage slopes
   as (n_states, W) arrays, so a stage input, the compensated update and
-  the blow-up test are each one set of numpy calls.  While every lane
-  is alive it computes without masks and tests all guards of a stage
-  with one ``np.count_nonzero``; a stage whose guard holds anywhere is
-  rerun masked, and after the first death every stage runs masked, so
-  dead lanes stay frozen and clamps are counted per live lane.
+  the blow-up test are each one set of numpy calls.  It computes
+  without masks and tests all guards of a stage with one
+  ``np.count_nonzero``; a stage whose guard holds anywhere is rerun
+  masked, and a lane that fails leaves every per-lane array.
 
 Both marches read the tape's state-independent part (every instruction
 whose operands trace back only to ``t`` and constants) from stage-time
@@ -31,10 +30,9 @@ over those times by the array code, gives every stage its values:
   holds anywhere on the grid, the run takes the march that evaluates
   every instruction in order instead;
 * the lane march builds (times x lanes) tables every ``_TABLE_STEPS``
-  steps while every lane is alive.  A stage whose table row notes a
-  guard hit is rerun masked, like a stage whose own guards hold.  The
-  registers over constants alone are computed once per run, as (W,)
-  rows.
+  steps.  A stage whose table row notes a guard hit is rerun masked,
+  like a stage whose own guards hold.  The registers over constants
+  alone are (W,) rows, worked out again when a lane leaves.
 
 Either way domain errors, ``ln`` clamp counts and event steps come from
 the in-order tape.  A tape with nothing to hoist (constant loads aside)
@@ -249,7 +247,7 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
         return [f"hit |= {test}"]
     if variant == "masked":
         # a lane stops counting at its first domain error, as the scalar march stops there
-        flag = "ln_counts[alive & ~dom & m] += 1" if g.clamp else "dom |= m"
+        flag = "ln_counts[lanes[~dom & m]] += 1" if g.clamp else "dom |= m"
         return [f"m = {test}", "if m.any():", "    " + flag,
                 f"    x = np.where(m, {g.safe}, x)"]
     strict = [f"if ({g.bad.format('x')}).any():", f"    raise DomainError({g.msg!r})"]
@@ -344,10 +342,6 @@ _TABLE_STEPS = 256
 def _guarded(code) -> list[int]:
     """The registers of ``code`` whose instruction has a guard."""
     return [dst for op, dst, *_ in code if _OPS[op][1] is not None]
-
-
-def _has_guards(code) -> bool:
-    return bool(_guarded(code))
 
 
 def _reads(op: int, a: int, b: int) -> tuple[int, ...]:
@@ -447,27 +441,36 @@ def _fold_signs(code, roots):
     return out
 
 
-def _emit_tables(code, frontier) -> list[str]:
-    """``tables(t, consts, ln_floor)``: the frontier registers over the stage times ``t``
-    (a column), one (times, W) table each, and per time whether a guard of
-    ``code`` holds there for any lane.
-
-    ``consts`` is (n_consts, W).  A register is dropped after its last
-    read, so only a few (times, W) temporaries are alive at once.
-    """
+def _dead_after(code, frontier) -> list[list[int]]:
+    """Per instruction of a table build, the registers it reads or writes last
+    (the frontier aside): the build drops them there."""
     last = {}
     for k, (op, dst, a, b) in enumerate(code):
         for r in (dst,) + _reads(op, a, b):
             last[r] = k
+    dead = [[] for _ in code]
+    for r, k in last.items():
+        if r not in frontier:
+            dead[k].append(r)
+    return dead
+
+
+def _emit_tables(code, frontier) -> list[str]:
+    """``tables(t, consts, ln_floor)``: the frontier registers over the stage times ``t``
+    (a column), one (times, W) table each, and the (times, W) mask of
+    where a guard of ``code`` holds.
+
+    ``consts`` is (n_consts, W).  A register is dropped after its last
+    read, so only a few (times, W) temporaries are alive at once.
+    """
     body = ["shape = (t.shape[0], consts.shape[1])", "hit = np.zeros(shape, dtype=np.bool_)"]
-    for k, (op, dst, a, b) in enumerate(code):
+    for (op, dst, a, b), dead in zip(code, _dead_after(code, frontier)):
         body += _op_lines([(op, dst, a, b)], "fast", outside=_reads(op, a, b))[0]
-        dead = [f"r{r}" for r, at in last.items() if at == k and r not in frontier]
         if dead:
-            body.append("del " + ", ".join(dead))
+            body.append("del " + ", ".join(f"r{r}" for r in dead))
     # materialised, so every row the march reads is a contiguous array, as without tables
     tabs = [f"np.ascontiguousarray(np.broadcast_to(r{r}, shape))" for r in frontier]
-    body.append(f"return [{''.join(f'{x}, ' for x in tabs)}hit.any(axis=1).tolist()]")
+    body.append(f"return [{''.join(f'{x}, ' for x in tabs)}hit]")
     return ["def tables(t, consts, ln_floor):"] + _indent(body) + [""]
 
 
@@ -534,42 +537,43 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
 
 
 def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
-    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
-    event_step, ln_counts, rec_counts)``, returning the (n_states, W) final states.
+    """``march(all_consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+    event_step, ln_counts, rec_counts)``, returning each lane's last accepted state, (n_states, W).
 
     The march holds the states, the compensation terms and the stage
     slopes stacked, as ``S`` and ``Q`` (n_states, W) and ``K`` (4,
-    n_states, W): a stage input, the compensated update, the blow-up test
-    and the freeze of dead lanes are each one set of numpy calls whatever
-    the number of states.  The tape reads the states as rows of the stage
-    input ``U``, and an instruction that computes a slope writes it into
-    its row of ``K``.  Signs are folded first (``_fold_signs``).
+    n_states, W): a stage input, the compensated update and the blow-up
+    test are each one set of numpy calls whatever the number of states.
+    The tape reads the states as rows of the stage input ``U``, and an
+    instruction that computes a slope writes it into its row of ``K``.
+    Signs are folded first (``_fold_signs``).
 
-    ``full`` says that every lane is alive.  A tape without guards never
-    needs the masked stage: nothing can die inside a stage or be clamped.
-    The hoisted part's registers over constants alone are computed once
-    per run, as (W,) rows; if a guard among them holds for some lane,
-    every stage runs masked.  While ``full``, the march builds stage-time
-    tables of the rest of the hoisted part every ``_TABLE_STEPS`` steps
-    and reads the frontier from them.  A stage whose table row notes a
-    guard, or whose own guards hold anywhere (one ``np.count_nonzero``),
-    is rerun masked, and the masked stage evaluates the whole tape in
-    order.  A stage skips the unguarded instructions whose value it does
-    not use (stages 1 to 3 use only the slopes).  ``rec_counts`` is
-    written at each death and once at exit.
+    Per-lane arrays hold the live lanes alone; ``lanes`` (and ``cols``, a
+    plain slice until the first drop) holds each one's column in the
+    caller's arrays.  ``survivors`` computes the hoisted part's registers
+    over constants alone as (W,) rows; the rest is read from stage-time
+    tables built every ``_TABLE_STEPS`` steps.  A stage whose table row
+    notes a guard, or whose own guards hold anywhere (one
+    ``np.count_nonzero``), is rerun by the masked ``stage``, which
+    evaluates the whole tape in order; so is every stage while a guard
+    over constants holds for some lane.  A lane that fails, in a stage or
+    at the update, has its status, event step, ``rec_counts`` and last
+    accepted state written through ``lanes`` and leaves every per-lane
+    array; ``survivors`` then works out the set-up again.  A stage skips
+    the unguarded instructions whose value it does not use (stages 1 to
+    3 use only the slopes).
     """
     n = len(deriv_regs)
     roots = _roots(deriv_regs, channels, flags)
     code = _fold_signs(code, roots)
-    guarded = _has_guards(code)
     lines = []
-    if guarded:
+    if _guarded(code):
         # where a guard holds, a lane keeps computing with the guard's safe value
         masked, mspell = _op_lines(code, "masked")
         mprobes = [mspell[i] if kind == CHAN_REG else f"y[{i}]" for kind, i in channels]
         mprobes += [mspell[g] for g in flags]
-        lines += ["def stage(t, y, consts, ln_floor, ln_counts, alive):"] + _indent(
-            ["dom = np.zeros(alive.shape[0], dtype=np.bool_)"] + masked
+        lines += ["def stage(t, y, consts, ln_floor, ln_counts, lanes):"] + _indent(
+            ["dom = np.zeros(t.shape[0], dtype=np.bool_)"] + masked
             + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
     table, code, frontier = _split(code, roots, False) if hoist else ([], code, [])
     # the hoisted part splits into registers over constants alone and the rest;
@@ -578,22 +582,53 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     once = _slice(table, [r for r in frontier + _guarded(table) if r in const])
     tabled = [r for r in frontier if r not in const]
     table = _slice(table, tabled + [r for r in _guarded(table) if r not in const])
+    # the survivors' set-up: K's rows, the march's constants and the registers over constants alone
+    named = [f"K{s}_{i}" for s in range(4) for i in range(n)]
+    named += [f"c{i}" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
+    named += [f"r{dst}" for op, dst, *_ in once if dst in frontier and op not in _LOADS]
+    body = [f"K{s}_{i} = K[{s}, {i}]" for s in range(4) for i in range(n)]
+    body += [f"c{i} = consts[{i}]" for i in sorted({a for op, _, a, _ in code + once if op == OP_CONST})]
+    once_lines = _op_lines(once, "fast", _MARCH_LOADS)[0]
+    if _guarded(once):
+        # a guard over constants holds at every stage time: rerun every stage
+        once_lines = (["hit = np.zeros(consts.shape[1], dtype=np.bool_)"] + once_lines
+                      + ["every = np.count_nonzero(hit)"])
+        named.append("every")
+    body += once_lines
+    named = "".join(f", {x}" for x in named)
+    lines += ["def survivors(consts, K, ln_floor):"] + _indent(body + [f"return consts.shape[1], *K{named}", ""])
+    survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, ln_floor)"
+    chunk, hits, loop = [], [], []
+    if table:
+        lines += _emit_tables(table, tabled)
+        chunk = [f"{x}{j}" for x in "gh" for j in range(len(tabled))]
+        if _guarded(table):
+            chunk += ["gH", "hH"]
+            hits = ["ghit, hhit = gH.any(axis=1).tolist(), hH.any(axis=1).tolist()"]
+        # built over every lane, then cut to the live ones: numpy's power picks its
+        # loop by the operands' strides, so a table one lane wide could differ in the last bit
+        tabs = ("[" + "".join(f"{{0}}{j}, " for j in range(len(tabled)))
+                + "{0}H] = (np.ascontiguousarray(x[:, cols]) for x in tables({1}, all_consts, ln_floor))")
+        loop += ["if step == kend:"] + _indent(
+            [f"kend = min(step + {_TABLE_STEPS}, n_steps)", "ts = t0 + np.arange(step, kend + 1)[:, None] * dt",
+             tabs.format("g", "ts"), tabs.format("h", "ts[:-1] + hdt")] + hits + ["kbase = step"])
+        loop.append("j = step - kbase")
+
+    def drop(status, event, count, kept=(), new="S, Q"):
+        """Write the failed lanes (``dom``) through ``lanes`` and keep the rest, C-ordered
+        (indexing along the last axis would leave every row strided, and each ufunc slower)."""
+        per_lane = ["K", "consts"] + chunk + list(kept)
+        return (["fail, keep = lanes[dom], ~dom",
+                 f"status[fail], event_step[fail], rec_counts[fail], Y[:, fail] = "
+                 f"{status}, {event}, {count}, S[:, dom]",
+                 f"lanes, S, Q, {', '.join(per_lane)} = "
+                 f"(x.compress(keep, axis=-1) for x in (lanes, {new}, {', '.join(per_lane)}))",
+                 "cols = lanes"] + hits + [survivors, "if not width:", "    break"])
+
     # stage 0 needs the roots and the guards, stages 1 to 3 the slopes and the guards
     guards = _guarded(code)
     stage_code = [_slice(code, roots + guards)] + 3 * [_slice(code, list(deriv_regs) + guards)]
     n_chan = len(channels)
-    loop = []
-    if table:
-        lines += _emit_tables(table, tabled)
-        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(tabled))) + "{0}hit]"
-        # a stage without guards never runs masked, so it reads the tables to the end
-        loop += [("if full and step == kend:" if guarded else "if step == kend:")] + _indent(
-            [f"kend = min(step + {_TABLE_STEPS}, n_steps)",
-             "ts = t0 + np.arange(step, kend + 1)[:, None] * dt",
-             tabs.format("g") + " = tables(ts, consts, ln_floor)",
-             tabs.format("h") + " = tables(ts[:-1] + hdt, consts, ln_floor)",
-             "kbase = step"])
-        loop.append("j = step - kbase")
     for s, t in enumerate(_STAGE_TIMES):
         scode = stage_code[s]
         timed = any(op == OP_T for op, *_ in scode)
@@ -616,69 +651,47 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         read = {r for op, _, a, b in scode for r in _reads(op, a, b)} | set(deriv_regs)
         states = sorted({a for op, _, a, _ in scode if op == OP_STATE})
         tab, row = "ghhg"[s], ("j", "j", "j", "j + 1")[s]
-        out = [f"u{i} = U[{i}]" for i in states]
+        loop += [f"u{i} = U[{i}]" for i in states]
         if s == 0:
             probes = [spell[i] if kind == CHAN_REG else f"S[{i}]" for kind, i in channels]
             probes += [spell[g] for g in flags]
             read |= set(roots)
-        out += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(tabled) if s != 2 and r in read]
-        out += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
-                       if outs.get(r) != f"K{s}_{i}"]
-        out += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
-        if not guarded:
-            loop += out
-        else:
-            loop += ["if full:"] + _indent(out) if out else []
-            rerun = ["not full"] + ([f"{tab}hit[{row}]"] if _has_guards(table) else [])
-            rerun += ["np.count_nonzero(hit)"] if _has_guards(scode) else []
-            target = "[" + ", ".join(f"p{j}" for j in range(len(probes))) + "]" if s == 0 else "_"
+        loop += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(tabled) if s != 2 and r in read]
+        loop += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
+                        if outs.get(r) != f"K{s}_{i}"]
+        loop += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
+        rerun = (["every"] if _guarded(once) else []) + ([f"{tab}hit[{row}]"] if _guarded(table) else [])
+        rerun += ["np.count_nonzero(hit)"] if _guarded(scode) else []
+        if rerun:
+            kept = [f"p{j}" for j in range(len(probes))] if s == 0 else []
+            # stage 2 computes with the time and the table rows of stage 1
+            kept += (["t"] if timed else []) + [f"r{r}" for r in tabled if r in read] if s == 1 else []
+            target = "[" + ", ".join(kept) + "]" if s == 0 else "_"
             at = "t" if timed else f"np.full(width, {t or _STAGE_TIMES[1]})"
             loop += [f"if {' or '.join(rerun)}:"] + _indent(
-                [f"dom, {f'K[{s}]' if n else '_'}, {target} = stage("
-                 f"{at}, U, consts, ln_floor, ln_counts, alive)",
-                 "dom &= alive", "if np.count_nonzero(dom):"] + _indent(
-                    [f"status[dom] = {STATUS_DOMAIN_ERROR}", "event_step[dom] = step",
-                     # stage 0 dies before the step's sample is recorded
-                     f"rec_counts[dom] = {'step' if s == 0 else 'step + 1'}",
-                     "alive &= ~dom", "full = False", "if not np.count_nonzero(alive):", "    break"]))
+                [f"dom, {f'K[{s}]' if n else '_'}, {target} = stage({at}, U, consts, ln_floor, ln_counts, lanes)",
+                 "if np.count_nonzero(dom):"] + _indent(
+                     # stage 0 fails before the step's sample is recorded
+                     drop(STATUS_DOMAIN_ERROR, "step", "step" if s == 0 else "step + 1", kept)))
         if s == 0:
             negative = " | ".join(f"(p{n_chan + j} < 0.0)" for j in range(len(flags)))
-            loop += ["if full:"] + _indent(
-                [f"rec[step, {c}] = p{c}" for c in range(n_chan)]
-                + ([f"gflag[step] = {negative}"] if flags else []))
-            loop += ["else:"] + _indent(
-                [f"rec[step, {c}, alive] = p{c}[alive]" for c in range(n_chan)]
-                + ([f"gflag[step, alive] = ({negative})[alive]"] if flags else []))
+            loop += [f"rec[step, {c}, cols] = p{c}" for c in range(n_chan)]
+            loop += [f"gflag[step, cols] = {negative}"] if flags else []
             loop += ["if step == n_steps:", "    break"]
     if n:
         loop += _update_terms(("K0", "K1", "K2", "K3"), "S", "Q", "N", "E", "dt_", "two", "six")
         # NaN and inf fail the comparison, so they count as a blow-up too
         loop.append("ok = np.abs(N) <= blow_limit")
-        loop += ["if full and np.count_nonzero(ok) == S.size:"] + _indent(["S = N", "Q = E"])
-        loop += ["else:"] + _indent(
-            ["blown = alive & ~ok.all(axis=0)", "if np.count_nonzero(blown):"] + _indent(
-                [f"status[blown] = {STATUS_BLOWUP}", "event_step[blown] = step + 1",
-                 "rec_counts[blown] = step + 1", "alive &= ~blown", "full = False"])
-            + ["S = np.where(alive, N, S)", "Q = np.where(alive, E, Q)",
-               "if not np.count_nonzero(alive):", "    break"])
-    used = sorted({a for op, _, a, _ in code + once if op == OP_CONST})
-    fn_body = ["width = y0.shape[1]"] + [f"c{i} = consts[{i}]" for i in used]
-    once_lines = _op_lines(once, "fast", _MARCH_LOADS)[0]
-    if _has_guards(once):
-        # a guard over constants holds at every stage time: run every stage masked
-        fn_body += ["hit = np.zeros(width, dtype=np.bool_)"] + once_lines
-        fn_body.append("full = not np.count_nonzero(hit)")
-    else:
-        fn_body += once_lines + ["full = True"]
-    fn_body += ["S = y0", f"Q = np.zeros(({n}, width))", f"K = np.empty((4, {n}, width))",
-                "K0, K1, K2, K3 = K"]
-    fn_body += [f"K{s}_{i} = K[{s}, {i}]" for s in range(4) for i in range(n)]
-    fn_body += ["hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
-                "alive = np.ones(width, dtype=np.bool_)"]
+        loop += ["if np.count_nonzero(ok) == S.size:", "    S, Q = N, E", "else:"] + _indent(
+            ["dom = ~ok.all(axis=0)"] + drop(STATUS_BLOWUP, "step + 1", "step + 1", new="N, E"))
+    fn_body = ["hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
+               "lanes, cols, consts = np.arange(y0.shape[1]), slice(None), all_consts",
+               "S, Q, K, Y = y0, np.zeros(y0.shape), np.empty((4,) + y0.shape), np.empty(y0.shape)",
+               survivors]
     fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
-    fn_body += ["rec_counts[alive] = n_steps + 1", "return S"]
-    return lines + ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
+    fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y"]
+    return lines + ["def march(all_consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
 
@@ -719,6 +732,26 @@ def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, hoist=
     """
     return _march(tuple(map(tuple, code.tolist())), tuple(deriv_regs.tolist()),
                   tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, hoist)
+
+
+def table_columns(prog: Program, chan_kind, chan_idx) -> int:
+    """Grid-length float64 columns that a single run's stage-time tables hold
+    at their peak: the grid and the half-step table of each frontier
+    register, and what one table build holds at once (its live registers
+    over ``t``, the guard mask and the other table's time column)."""
+    channels = tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
+    code = prog.code.tolist()
+    table, _, frontier = _split(code, _roots(prog.deriv_regs.tolist(), channels, prog.g_regs.tolist()), True)
+    if not table:
+        return 0
+    timed, live, most = set(), set(), 0
+    for (op, dst, a, b), dead in zip(table, _dead_after(table, frontier)):
+        if op == OP_T or timed.intersection(_reads(op, a, b)):
+            timed.add(dst)
+            live.add(dst)
+        most = max(most, len(live))
+        live.difference_update(dead)
+    return 2 * len(frontier) + most + 2
 
 
 def tape_stats(prog: Program, lanes: bool) -> dict:
@@ -801,7 +834,7 @@ def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
         ts = t0 + np.arange(n_steps + 1)[:, None] * dt
         *grid, grid_hit = tables(ts, consts[:, None], ln_floor)
         *half, half_hit = tables(ts[:-1] + 0.5 * dt, consts[:, None], ln_floor)
-        if any(grid_hit) or any(half_hit):
+        if grid_hit.any() or half_hit.any():
             # a hoisted guard holds somewhere: evaluate every instruction in order
             return _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False, False)[1](*args)
         # one row per time; the march reads Python floats from memoryviews
@@ -811,30 +844,26 @@ def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
 
 def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
                   y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
-                  event_step, ln_counts, rec_counts, y_out=None):
+                  event_step, ln_counts, rec_counts):
     """Run W independent parameter sets of one program in lockstep.
 
     ``consts`` is (n_consts, W) and ``y0`` (n_states, W); ``rec`` is
-    (n_steps+1, n_channels, W) and NaN past a lane's last sample.  Lanes
-    die individually on domain errors or blow-up; per-lane ``status``,
+    (n_steps+1, n_channels, W) and NaN past a lane's last sample.  A lane
+    leaves the march at its domain error or blow-up; per-lane ``status``,
     ``event_step``, ``ln_counts``, ``rec_counts`` and the (n_steps+1, W)
     passivity flags mirror the scalar kernel, and waveforms are bit-equal
     to it for tapes without OP_POW (see _OPS).  ``gflag`` None skips the
-    flags.  ``y_out`` receives each lane's last accepted state.
+    flags.  Returns each lane's last accepted state, (n_states, W).
     """
     march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)[1]
     status[:] = STATUS_OK
     event_step[:] = n_steps
     ln_counts[:] = 0
-    rec_counts[:] = 0
     rec[:] = np.nan
     if gflag is not None:
         gflag[:] = 0
     # 0-d arrays: numpy compares against them faster than against Python floats
     ln_floor, blow_limit = np.array(ln_floor, dtype=np.float64), np.array(blow_limit, dtype=np.float64)
     with np.errstate(all="ignore"):
-        states = march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
-                       event_step, ln_counts, rec_counts)
-    if y_out is not None:
-        y_out[...] = states
-    return rec_counts
+        return march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+                     event_step, ln_counts, rec_counts)

@@ -14,8 +14,9 @@ magnitudes above ``BLOWUP_LIMIT`` (or non-finite states) truncate the
 run and are reported rather than raised.
 
 A run whose waveform record (samples x channels x parameter sets, 8
-bytes each) would exceed ``waveform.MAX_RECORD_BYTES`` is rejected with
-a ``ValueError`` before anything is allocated.
+bytes each), with a single run's stage-time tables, would exceed
+``waveform.MAX_RECORD_BYTES`` is rejected with a ``ValueError`` before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -39,16 +40,19 @@ REL_ERR_EPS = 1e-12
 OUTPUT_CHANNEL = "out"
 
 
-def check_record_size(n_steps: int, channels: int, runs: int = 1) -> None:
-    """Reject a record of ``n_steps + 1`` samples x ``channels`` x ``runs`` over the cap.
+def check_record_size(n_steps: int, channels: int, runs: int = 1, tables: int = 0) -> None:
+    """Reject a record of ``n_steps + 1`` samples x ``channels`` x ``runs``, plus
+    ``tables`` more columns over the grid, over the cap.
 
-    The cap bounds the record.  A stability sweep's peak is the record plus
-    O(min(n_steps, 256) x runs) for the lane march's stage-time tables and
-    one chunk of its reduction; a single run's tables span its whole grid.
+    A single run's stage-time tables span its whole grid, so ``simulate``
+    counts them as ``tables`` columns (``engine.table_columns``).  A
+    stability sweep's peak is the record plus O(min(n_steps, 256) x runs)
+    for the lane march's tables and one chunk of its reduction.
     """
+    what = f"the run would record {n_steps + 1} samples x {channels} channel(s) x {runs} run(s)"
     check_grid_bytes(
-        n_steps + 1, channels * runs,
-        f"the run would record {n_steps + 1} samples x {channels} channel(s) x {runs} run(s)",
+        n_steps + 1, channels * runs + tables,
+        what + (f" and tabulate {tables} column(s) of stage times" if tables else ""),
         "use a larger --dt, a shorter --t-end, or fewer channels or iterations",
     )
 
@@ -123,8 +127,8 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
     chan_kind, chan_idx = _resolve_channels(sys, (sys.output_node,) + cfg.record_channels)
 
     n_steps = cfg.n_steps
-    check_record_size(n_steps, len(names))
     prog = sys.program
+    check_record_size(n_steps, len(names), tables=engine.table_columns(prog, chan_kind, chan_idx))
     rec = np.empty((n_steps + 1, len(names)), dtype=np.float64)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
 

@@ -143,11 +143,10 @@ def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     rec = np.empty((n_steps + 1, chan_kind.shape[0], width))
     gflag = np.zeros((n_steps + 1, width), dtype=np.uint8) if flags else None
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
-    y_out = np.empty(y0.shape)
-    engine.rk4_run_batch(
+    y_out = engine.rk4_run_batch(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
-        rec, gflag, status, event, ln_counts, rec_counts, y_out,
+        rec, gflag, status, event, ln_counts, rec_counts,
     )
     return rec_counts, status, event, ln_counts, rec, gflag, y_out
 
@@ -364,6 +363,51 @@ def test_lanes_dying_mid_run_match_their_scalar_runs():
     assert len(set(ln_counts.tolist())) == len(params)
 
 
+CONST_GUARDS = """
+memintegrator mem1 out=v C=1 ic=1 g="0.1*ln({a}) - sqrt({b} - 0.5)" f="sqrt({c} - t)" omega0=0
+output v
+"""
+
+
+def test_guards_over_constants_alone_rerun_every_stage_until_their_lanes_leave():
+    """The memductance reads constants alone, through ``ln(a)`` and ``sqrt(b - 0.5)``;
+    ``sqrt(c - t)`` is a time guard, read from the tables.
+
+    Lane 1 clamps ``ln`` at every stage, so every stage is rerun masked
+    until it fails at t > 0.7; lane 2 fails at stage 0 of step 0, and
+    lane 3 at the first stage time past 0.3, while lane 1 stays.  The
+    set-up is worked out again after each drop.
+    """
+    params = [(2.0, 1.0, 5.0), (1e-12, 1.0, 0.7), (2.0, 0.2, 5.0), (2.0, 1.0, 0.3), (3.0, 1.5, 5.0)]
+    systems = [lower(parse_netlist(CONST_GUARDS.format(a=a, b=b, c=c))) for a, b, c in params]
+    assert all(s.program.same_structure(systems[0].program) for s in systems)
+    consts = np.stack([s.program.consts for s in systems], axis=1)
+    # dt = 1/64 makes every stage time exact
+    status, event, ln_counts = assert_variants_agree(systems[0], dt=1 / 64, n_steps=64, consts=consts)
+    ok, dom = engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR
+    assert status.tolist() == [ok, dom, dom, dom, ok]
+    # lane 1 fails at stage 3 of step 44 (t = 45/64), lane 3 at stage 1 of step 19 (t = 19.5/64)
+    assert event.tolist() == [64, 44, 0, 19, 64]
+    assert ln_counts.tolist() == [0, 4 * 44 + 4, 0, 0, 0]
+
+
+def test_a_lane_does_not_see_its_neighbours_fail():
+    # (0.1 + 0.3*t)^2 is read from the tables; numpy's power squares instead when its
+    # exponent is a stride-0 column, as in a table one lane wide
+    src = 'integrator int1 out=x C=1 ic=1 in=a:1\nfgen f1 out=a expr="(0.1 + 0.3*t)^2 + sqrt({c} - t)"\noutput x\n'
+    systems = [lower(parse_netlist(src.format(c=c))) for c in (20.0, 0.3)]
+    y0 = np.repeat(systems[0].y0()[:, None], 2, axis=1)
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([systems[0].node_regs["a"]], dtype=np.int32)
+    runs = []
+    for other in systems:
+        consts = np.stack([systems[0].program.consts, other.program.consts], axis=1)
+        runs.append(_run_lanes(systems[0].program, consts, y0, *chan, 1 / 64, 600))
+    # the second lane fails at t > 0.3, in the first of three table chunks
+    assert runs[0][1].tolist() == [engine.STATUS_OK, engine.STATUS_OK]
+    assert runs[1][1].tolist() == [engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR]
+    assert np.array_equal(runs[0][4][:, :, 0], runs[1][4][:, :, 0])
+
+
 # --- the stacked lane march ---------------------------------------------------
 
 
@@ -443,30 +487,40 @@ class _CountingNumpy:
     array = _counting(np.array, False)
 
 
-def _lane_calls(sys, n_steps, width=101, dt=1e-3):
+def _lane_calls(sys, n_steps, dead, width=101, dt=1e-3):
     prog = sys.program
     consts = np.repeat(prog.consts[:, None], width, axis=1).view(_Counted)
     y0 = np.repeat(sys.y0()[:, None], width, axis=1).view(_Counted)
+    if dead:
+        y0[0, 50] = 1e13                 # over the blow-up limit after the update of step 0
     chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32)
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
     _Counted.calls = 0
     engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, prog.g_regs, *chan, y0, 0.0, dt, n_steps,
                          1e-9, 1e12, np.empty((n_steps + 1, 1, width)), None,
                          status, event, ln_counts, rec_counts)
-    assert np.all(status == engine.STATUS_OK)
+    assert status[50] == (engine.STATUS_BLOWUP if dead else engine.STATUS_OK) and event[50] == (1 if dead else n_steps)
+    assert np.all(np.delete(status, 50) == engine.STATUS_OK)
     return _Counted.calls
 
 
-@pytest.mark.parametrize("name, most", [("population_growth", 54), ("turbulent_diffusion", 66)])
-def test_lane_march_numpy_calls_per_step(monkeypatch, name, most):
-    """numpy calls per all-alive step of the sweep's lane march (W = 101).
+@pytest.mark.parametrize("name, most, dead", [
+    pytest.param("population_growth", 54, False, id="population_growth-54"),
+    pytest.param("turbulent_diffusion", 66, False, id="turbulent_diffusion-66"),
+    pytest.param("population_growth", 54, True, id="population_growth-54-one_lane_dropped"),
+    pytest.param("turbulent_diffusion", 66, True, id="turbulent_diffusion-66-one_lane_dropped"),
+])
+def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
+    """numpy calls per step of the sweep's lane march (W = 101).
 
     Counted: every ufunc call (operators, reductions and ``.any()`` included)
     and every ``count_nonzero``, ``where`` and ``full``.  The difference of
     a 30-step and a 10-step run leaves 20 steps and no table builds.  With
     one set of numpy calls per stage input, compensated update and blow-up
     test, folded signs and ``count_nonzero`` guard tests, the marches take
-    48 and 61 calls; with one set per state they take 72 and 92.
+    48 and 61 calls; with one set per state they take 72 and 92.  A lane
+    that blows up at step 0 leaves the march, and the 100 others march on
+    at the same count.
     """
     path = Path(__file__).parent.parent / "equations" / f"{name}.eq"
     sys = lower(compile_equation(load_equation_spec(path)))
@@ -474,7 +528,7 @@ def test_lane_march_numpy_calls_per_step(monkeypatch, name, most):
     try:
         with monkeypatch.context() as patched:
             patched.setattr(engine, "np", _CountingNumpy())
-            per_step = (_lane_calls(sys, 30) - _lane_calls(sys, 10)) / 20
+            per_step = (_lane_calls(sys, 30, dead) - _lane_calls(sys, 10, dead)) / 20
     finally:
         engine._march.cache_clear()      # drop the marches generated against the counting numpy
     assert per_step <= most

@@ -1,10 +1,13 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import memsolve.waveform as waveform
+from memsolve import engine
+from memsolve.compiler import compile_equation, load_equation_spec
 from memsolve.netlist import lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, relative_error, simulate
 from memsolve.waveform import GridMismatchError, Waveform
@@ -203,3 +206,28 @@ def test_oversize_record_is_rejected_before_allocation(monkeypatch):
     assert len(simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v",))).waveform) == 11
     with pytest.raises(ValueError, match="11 samples x 3 channel"):
         simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v", "v")))
+
+
+def test_oversize_stage_time_tables_are_rejected_before_they_are_built(monkeypatch):
+    built = []
+    march_for = engine._march_for
+
+    def spied(*args):
+        tables, march = march_for(*args)
+        return (lambda *a: built.append(a) or tables(*a)), march
+
+    monkeypatch.setattr(engine, "_march_for", spied)
+    path = Path(__file__).parent.parent / "equations" / "population_growth.eq"
+    sys = lower(compile_equation(load_equation_spec(path)))
+    cfg = SimConfig(dt=0.1, t_end=1.0)
+    # the grid and half-step tables of its 3 frontier registers, and the build's temporaries
+    columns = 12
+    # the record (11 samples x 1 channel) fits; the record and the tables do not
+    monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * (1 + columns) * 8 - 8)
+    with pytest.raises(ValueError, match="GiB cap") as exc:
+        simulate(sys, cfg)
+    assert f"and tabulate {columns} column(s)" in str(exc.value)
+    assert not built
+    monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * (1 + columns) * 8)
+    assert len(simulate(sys, cfg).waveform) == 11
+    assert len(built) == 2                       # the grid and the half-step tables
