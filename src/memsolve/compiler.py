@@ -496,6 +496,14 @@ def compile_volterra_population(spec: VolterraPopulation) -> Netlist:
     return net
 
 
+def _exp_u0(u0: float) -> float:
+    """The log-domain initial state exp(u0); an input error where it overflows."""
+    try:
+        return math.exp(u0)
+    except OverflowError:
+        raise EquationSpecError(f"u0 = {u0!r} is too large: exp(u0) overflows") from None
+
+
 def compile_linear_first_order(spec: LinearFirstOrderIde) -> Netlist:
     """Log-domain circuit for u' = integral_0^t k(s) u(s) ds.
 
@@ -505,7 +513,7 @@ def compile_linear_first_order(spec: LinearFirstOrderIde) -> Netlist:
     g = _mem_expr("-omega")
     f = _mem_expr(f"({pretty(_sub_s_to_t(spec.k))})*ln(v)")
     net = Netlist(meta={"family": "linear_first_order"})
-    net.add("mem1", MemIntegrator(c=1.0, ic=math.exp(spec.u0), g=g, f=f, omega0=0.0), "v")
+    net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=g, f=f, omega0=0.0), "v")
     net.set_output("v", parse_expr("ln(v)", {"v", "t"}))
     return net
 
@@ -541,7 +549,7 @@ def compile_turbulent(spec: TurbulentIde) -> Netlist:
     if fallback:
         net.meta["alpha_fallback"] = "chebyshev-fit"
         net.meta["alpha_valid_to"] = format_number(spec.alpha_horizon)
-    net.add("mem1", MemIntegrator(c=1.0, ic=math.exp(spec.u0), g=g, f=f, omega0=0.0), "v")
+    net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=g, f=f, omega0=0.0), "v")
     net.add("fg1", FunctionGenerator(signal=inv_alpha), "inv_alpha")
     net.add("mul1", Multiplier(inputs=("v", "inv_alpha")), "u_rec")
     net.set_output("u_rec", transform)
@@ -747,14 +755,9 @@ def parse_equation_spec(text: str) -> EquationSpec:
             return None, None
         return entries.pop(key)
 
-    def num(key, required=True, default=None):
+    def num(key, required=True, default=None, whole=False):
         value, lineno = take(key, required)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise EquationSpecError(f"bad number for {key}: {value!r}", lineno) from None
+        return default if value is None else _num_at(value, key, lineno, whole)
 
     def expr(key, allowed, required=True):
         value, lineno = take(key, required)
@@ -788,7 +791,7 @@ def parse_equation_spec(text: str) -> EquationSpec:
             alpha_horizon=num("alpha_horizon", required=False, default=8.0),
         )
     elif family in ("higher_order_single", "higher_order_composed"):
-        order = int(num("n"))
+        order = int(num("n", whole=True))
         ics = tuple(num(f"ic[{k}]") for k in range(order))
         omega0 = num("omega0", required=False, default=0.0)
         f = expr("f", {"t", "v", "omega"})
@@ -798,8 +801,8 @@ def parse_equation_spec(text: str) -> EquationSpec:
             gs = tuple(expr(f"g{i + 1}", {"t", "v", "omega"}) for i in range(order))
             spec = HigherOrderComposed(n=order, gs=gs, f=f, ics=ics, omega0=omega0)
     elif family == "linear":
-        n = int(num("n"))
-        m = int(num("m"))
+        n = int(num("n", whole=True))
+        m = int(num("m", whole=True))
         coeffs = np.zeros((m, m, n + 1))
         ics = np.zeros((m, n))
         for key in list(entries):
@@ -854,8 +857,12 @@ def _indexed(key: str):
     return parts
 
 
-def _num_at(value: str, key: str, lineno: int) -> float:
+def _num_at(value: str, key: str, lineno: int, whole: bool = False) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise EquationSpecError(f"bad number for {key}: {value!r}", lineno) from None
+    if not math.isfinite(x) or (whole and not x.is_integer()):
+        what = "finite whole number" if whole else "finite number"
+        raise EquationSpecError(f"{key} must be a {what}, got {value!r}", lineno)
+    return x

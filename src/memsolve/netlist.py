@@ -1,23 +1,15 @@
 """Circuit netlists: a directed graph of elements and named signal nodes.
 
-File format (one declaration per line, ``#`` starts a comment)::
-
-    node <name>
-    adder <id> out=<node> in=<node>:<K> [in=<node>:<K> ...]
-    integrator <id> out=<node> C=<real> ic=<real> [in=<node>:<R> ...]
-    pot <id> out=<node> in=<node> alpha=<real>
-    mul <id> out=<node> in=<node> in=<node>
-    fgen <id> out=<node> expr="<expr over t>"
-    memintegrator <id> out=<node> C=<real> ic=<real> g="<expr>" f="<expr>"
-                  omega0=<real> [in=<node>]
-    output <node> [transform="<expr over v,t>"]
-
-``node`` lines are optional (nodes referenced by elements are registered
-implicitly) but emitted by the serializer.  The optional ``in=`` of a
-memristive integrator defaults to its own output, which is the feedback
-wiring that turns the element into an integro-differential building
-block; memristors exist only in this series-input position, so
-free-standing memristors cannot be expressed at all.
+File format: one declaration per line, ``#`` starts a comment; see
+``docs/netlist-format.md``.  An element line is ``<kind> <id> out=<node>``
+and the fields its kind declares in :mod:`memsolve.elements`; any other
+key is an error.  ``node`` lines are optional (nodes referenced by
+elements are registered implicitly) but emitted by the serializer.  The
+optional ``in=`` of a memristive integrator defaults to its own output,
+which is the feedback wiring that turns the element into an
+integro-differential building block; memristors exist only in this
+series-input position, so free-standing memristors cannot be expressed
+at all.
 
 Validation collects diagnostics instead of aborting on the first error.
 Lowering produces an :class:`OdeSystem`: a state layout (integrator
@@ -35,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
+    KINDS,
     Adder,
     Element,
     FunctionGenerator,
@@ -42,10 +35,12 @@ from .elements import (
     MemIntegrator,
     Multiplier,
     Potentiometer,
+    element_inputs,
     element_problems,
+    take,
 )
 from .engine import Program, TapeBuilder
-from .exprs import Expr, ExprError, parse_expr, pretty, format_number, variables
+from .exprs import Expr, ExprError, parse_expr, pretty, variables
 
 __all__ = [
     "Netlist",
@@ -63,7 +58,6 @@ __all__ = [
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
-MEM_EXPR_VARS = frozenset({"t", "v", "omega"})
 TRANSFORM_VARS = frozenset({"v", "t"})
 
 
@@ -130,7 +124,9 @@ class Netlist:
         for node in sorted(self.nodes):
             lines.append(f"node {node}")
         for eid in sorted(self.elements):
-            lines.append(self._element_line(eid))
+            e = self.elements[eid]
+            words = [w for f in e.FIELDS for w in f.write(e)]
+            lines.append(" ".join([e.KIND, eid, f"out={self.out_node[eid]}", *words]))
         if self.output_node is not None:
             out = f"output {self.output_node}"
             if self.output_transform is not None:
@@ -138,45 +134,9 @@ class Netlist:
             lines.append(out)
         return "\n".join(lines) + "\n"
 
-    def _element_line(self, eid: str) -> str:
-        e = self.elements[eid]
-        out = self.out_node[eid]
-        if isinstance(e, Adder):
-            ins = " ".join(f"in={n}:{format_number(k)}" for n, k in zip(e.inputs, e.gains))
-            return f"adder {eid} out={out} {ins}"
-        if isinstance(e, Integrator):
-            ins = " ".join(f"in={n}:{format_number(r)}" for n, r in zip(e.inputs, e.resistances))
-            base = f"integrator {eid} out={out} C={format_number(e.c)} ic={format_number(e.ic)}"
-            return f"{base} {ins}" if ins else base
-        if isinstance(e, Potentiometer):
-            return f"pot {eid} out={out} in={e.input} alpha={format_number(e.alpha)}"
-        if isinstance(e, Multiplier):
-            return f"mul {eid} out={out} in={e.inputs[0]} in={e.inputs[1]}"
-        if isinstance(e, FunctionGenerator):
-            return f'fgen {eid} out={out} expr="{pretty(e.signal)}"'
-        if isinstance(e, MemIntegrator):
-            base = (
-                f"memintegrator {eid} out={out} C={format_number(e.c)} ic={format_number(e.ic)} "
-                f'g="{pretty(e.g)}" f="{pretty(e.f)}" omega0={format_number(e.omega0)}'
-            )
-            if e.input is not None:
-                base += f" in={e.input}"
-            return base
-        raise TypeError(f"unknown element type {type(e).__name__}")
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_text())
-
-
-def element_inputs(e: Element) -> tuple[str, ...]:
-    if isinstance(e, (Adder, Integrator, Multiplier)):
-        return tuple(e.inputs)
-    if isinstance(e, Potentiometer):
-        return (e.input,)
-    if isinstance(e, MemIntegrator):
-        return (e.input,) if e.input is not None else ()
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -215,105 +175,43 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def _parse_declaration(net: Netlist, kind: str, args: list[str], lineno: int) -> None:
-    def fields(items):
-        out = []
-        for item in items:
-            if "=" not in item:
-                raise NetlistParseError(f"expected key=value, got {item!r}", lineno)
-            k, v = item.split("=", 1)
-            out.append((k, v))
-        return out
-
-    def single(pairs, key, required=True):
-        vals = [v for k, v in pairs if k == key]
-        if len(vals) > 1:
-            raise NetlistParseError(f"duplicate field {key!r}", lineno)
-        if not vals:
-            if required:
-                raise NetlistParseError(f"missing field {key!r}", lineno)
-            return None
-        return vals[0]
-
-    def number(text, what):
-        try:
-            return float(text)
-        except ValueError:
-            raise NetlistParseError(f"bad number for {what}: {text!r}", lineno) from None
-
     if kind == "node":
         if len(args) != 1:
             raise NetlistParseError("node takes exactly one name", lineno)
         net.add_node(args[0])
         return
 
+    cls = KINDS.get(kind)
     if kind == "output":
         if not args:
             raise NetlistParseError("output needs a node name", lineno)
         if net.output_node is not None:
             raise NetlistParseError("duplicate output declaration", lineno)
-        pairs = fields(args[1:])
-        transform = single(pairs, "transform", required=False)
-        expr = parse_expr(transform, TRANSFORM_VARS) if transform is not None else None
-        net.set_output(args[0], expr)
-        return
-
-    if kind not in ("adder", "integrator", "pot", "mul", "fgen", "memintegrator"):
+    elif cls is None:
         raise NetlistParseError(f"unknown declaration {kind!r}", lineno)
-    if not args:
+    elif not args:
         raise NetlistParseError(f"{kind} needs an element id", lineno)
-    eid, pairs = args[0], fields(args[1:])
-    out = single(pairs, "out")
-
-    if kind == "adder":
-        ins, gains = [], []
-        for k, v in pairs:
-            if k == "in":
-                if ":" not in v:
-                    raise NetlistParseError(f"adder input must be <node>:<gain>, got {v!r}", lineno)
-                node, gain = v.rsplit(":", 1)
-                ins.append(node)
-                gains.append(number(gain, "gain"))
-        elem = Adder(gains=tuple(gains), inputs=tuple(ins))
-    elif kind == "integrator":
-        ins, rs = [], []
-        for k, v in pairs:
-            if k == "in":
-                if ":" not in v:
-                    raise NetlistParseError(f"integrator input must be <node>:<R>, got {v!r}", lineno)
-                node, r = v.rsplit(":", 1)
-                ins.append(node)
-                rs.append(number(r, "resistance"))
-        elem = Integrator(
-            c=number(single(pairs, "C"), "C"),
-            ic=number(single(pairs, "ic"), "ic"),
-            inputs=tuple(ins),
-            resistances=tuple(rs),
-        )
-    elif kind == "pot":
-        elem = Potentiometer(alpha=number(single(pairs, "alpha"), "alpha"), input=single(pairs, "in"))
-    elif kind == "mul":
-        ins = tuple(v for k, v in pairs if k == "in")
-        elem = Multiplier(inputs=ins)
-    elif kind == "fgen":
-        elem = FunctionGenerator(signal=parse_expr(single(pairs, "expr"), {"t"}))
-    else:  # memintegrator
-        elem = MemIntegrator(
-            c=number(single(pairs, "C"), "C"),
-            ic=number(single(pairs, "ic"), "ic"),
-            g=parse_expr(single(pairs, "g"), MEM_EXPR_VARS),
-            f=parse_expr(single(pairs, "f"), MEM_EXPR_VARS),
-            omega0=number(single(pairs, "omega0"), "omega0"),
-            input=single(pairs, "in", required=False),
-        )
-    net.add(eid, elem, out)
+    given: dict[str, list[str]] = {}   # key -> its values, in line order
+    for item in args[1:]:
+        if "=" not in item:
+            raise NetlistParseError(f"expected key=value, got {item!r}", lineno)
+        k, v = item.split("=", 1)
+        given.setdefault(k, []).append(v)
+    if kind == "output":
+        transform = take(given.pop("transform", []), "transform", required=False)
+        net.set_output(args[0], parse_expr(transform, TRANSFORM_VARS) if transform is not None else None)
+    else:
+        out = take(given.pop("out", []), "out")
+        attrs = {}
+        for f in sorted(cls.FIELDS, key=lambda f: f.rank):
+            attrs.update(f.read(kind, given.pop(f.key, [])))
+        net.add(args[0], cls(**attrs), out)
+    if given:  # checked last, so that a line's other faults are reported first
+        raise NetlistParseError(f"unknown field {next(iter(given))!r}", lineno)
 
 
 # ---------------------------------------------------------------------------
 # Validation
-
-
-def _memoryless(e: Element) -> bool:
-    return not isinstance(e, (Integrator, MemIntegrator))
 
 
 def validate(net: Netlist) -> list[Diagnostic]:
@@ -350,7 +248,7 @@ def validate(net: Netlist) -> list[Diagnostic]:
     # Algebraic loops: a combinational cycle is any cycle in the graph
     # restricted to memoryless elements (integrator outputs are state and
     # break combinational paths).
-    node_owner = {net.out_node[eid]: eid for eid in net.elements if _memoryless(net.elements[eid])}
+    node_owner = {net.out_node[eid]: eid for eid, e in net.elements.items() if not e.MEMORY}
     succ: dict[str, list[str]] = {eid: [] for eid in node_owner.values()}
     for eid in node_owner.values():
         for node in element_inputs(net.elements[eid]):
@@ -428,7 +326,7 @@ def lower(net: Netlist) -> OdeSystem:
     if diags:
         raise ValidationFailed(diags)
 
-    integ_ids = sorted(eid for eid, e in net.elements.items() if isinstance(e, (Integrator, MemIntegrator)))
+    integ_ids = sorted(eid for eid, e in net.elements.items() if e.MEMORY)
     mem_ids = sorted(eid for eid, e in net.elements.items() if isinstance(e, MemIntegrator))
 
     states = [StateSlot(eid, "integrator_output", float(net.elements[eid].ic)) for eid in integ_ids]
@@ -444,7 +342,7 @@ def lower(net: Netlist) -> OdeSystem:
         node_regs[net.out_node[eid]] = state_regs[i]
 
     # Memoryless elements in dependency order (deterministic: passes in id order).
-    pending = sorted(eid for eid, e in net.elements.items() if _memoryless(e))
+    pending = sorted(eid for eid, e in net.elements.items() if not e.MEMORY)
     while pending:
         rest = []
         progressed = False
@@ -515,17 +413,8 @@ def _emit_memoryless(b: TapeBuilder, elem: Element, in_regs, t_reg) -> int:
 
 def netlist_stats(net: Netlist) -> dict[str, int]:
     """Resource counts; a sign inverter is a single-input adder with unit gain."""
-    integrators = sum(isinstance(e, (Integrator, MemIntegrator)) for e in net.elements.values())
-    memristors = sum(isinstance(e, MemIntegrator) for e in net.elements.values())
-    adders = sum(isinstance(e, Adder) for e in net.elements.values())
-    inverters = sum(
-        isinstance(e, Adder) and len(e.gains) == 1 and e.gains[0] == 1.0
-        for e in net.elements.values()
-    )
-    return {
-        "integrators": integrators,
-        "memristors": memristors,
-        "adders": adders,
-        "sign_inverters": inverters,
-        "elements": len(net.elements),
-    }
+    stats = dict.fromkeys(("integrators", "memristors", "adders", "sign_inverters"), 0)
+    for e in net.elements.values():
+        for name in e.counts():
+            stats[name] += 1
+    return {**stats, "elements": len(net.elements)}

@@ -1,18 +1,18 @@
 """Monte Carlo stability analysis with imperfect analog components.
 
-Every numeric coefficient of the netlist (adder gains, capacitances,
-input resistances, potentiometer ratios, initial conditions and the
-literals inside memductance/state/source expressions) is treated as a
-component value with a manufacturing tolerance: each iteration draws an
-independent multiplicative error per coefficient, fixed for the whole
-run (imperfect components, not dynamical noise).  The output transform
-is readout arithmetic, not hardware, and is left untouched.
+Every component value the netlist's elements declare, the literals in
+their expressions included, has a manufacturing tolerance: each
+iteration draws an independent multiplicative error per value, fixed
+for the whole run (imperfect components, not dynamical noise), in
+element id order and in each kind's draw order (the table in
+``docs/netlist-format.md``).  The output transform is readout
+arithmetic, not hardware, and is left untouched.
 
 Draws come from a per-iteration generator seeded from
 (master_seed, iteration_index), so iterations are reproducible and
 order-independent: the report does not depend on how the sweep is
-scheduled.  A draw that would violate an element invariant
-(a potentiometer ratio reaching 1) is redrawn and the redraws counted.
+scheduled.  A draw that breaks its field's redraw rule (a potentiometer
+ratio reaching 1) is redrawn and the redraws counted.
 
 The reference curve is the unperturbed netlist's own simulation, so the
 report isolates the effect of component error from discretization
@@ -24,23 +24,13 @@ lane march of :mod:`memsolve.engine`.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .elements import (
-    Adder,
-    FunctionGenerator,
-    Integrator,
-    MemIntegrator,
-    Multiplier,
-    Potentiometer,
-)
 from .engine import eval_expr_array_clamped
-from .exprs import Expr, map_constants
 from .netlist import Netlist, lower
 from .solver import (
     BLOWUP_LIMIT,
@@ -119,10 +109,6 @@ def perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> Netlist
 def _perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> tuple[Netlist, int]:
     """:func:`perturb` and the number of draws it redrew."""
     draws = _Draws(cfg, iteration_index)
-
-    def literals(expr: Expr) -> Expr:
-        return map_constants(expr, lambda _i, c: draws.scale(c))
-
     out = Netlist(
         nodes=set(net.nodes),
         output_node=net.output_node,
@@ -131,36 +117,12 @@ def _perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> tuple[
     )
     for eid in sorted(net.elements):
         elem = net.elements[eid]
-        # Keyword arguments evaluate left to right: that fixes the draw order.
-        if isinstance(elem, Adder):
-            new = dataclasses.replace(elem, gains=tuple(draws.scale(k) for k in elem.gains))
-        elif isinstance(elem, Integrator):
-            new = dataclasses.replace(
-                elem,
-                c=draws.scale(elem.c),
-                resistances=tuple(draws.scale(r) for r in elem.resistances),
-                ic=draws.scale(elem.ic),
-            )
-        elif isinstance(elem, Potentiometer):
-            new = dataclasses.replace(
-                elem, alpha=draws.scale(elem.alpha, valid=lambda a: 0.0 < a < 1.0)
-            )
-        elif isinstance(elem, Multiplier):
-            new = elem
-        elif isinstance(elem, FunctionGenerator):
-            new = dataclasses.replace(elem, signal=literals(elem.signal))
-        elif isinstance(elem, MemIntegrator):
-            new = dataclasses.replace(
-                elem,
-                c=draws.scale(elem.c),
-                ic=draws.scale(elem.ic),
-                omega0=draws.scale(elem.omega0),
-                g=literals(elem.g),
-                f=literals(elem.f),
-            )
-        else:
-            raise TypeError(f"unknown element type {type(elem).__name__}")
-        out.elements[eid] = new
+        if elem.DRAWS:
+            attrs = dict(vars(elem))
+            for f in elem.DRAWS:
+                f.perturb(attrs, draws.scale)
+            elem = type(elem)(**attrs)
+        out.elements[eid] = elem
         out.out_node[eid] = net.out_node[eid]
     return out, draws.redraws
 

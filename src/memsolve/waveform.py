@@ -33,6 +33,8 @@ def grid_steps(dt: float, t_end: float) -> int:
     """
     if not (0.0 < dt < t_end < math.inf):
         raise ValueError(f"need 0 < dt < t_end, got dt={dt}, t_end={t_end}")
+    if t_end / dt == math.inf:
+        raise ValueError(f"t_end/dt = {t_end}/{dt} is too many steps to count")
     n = int(round(t_end / dt))
     if abs(n * dt - t_end) > 1e-9 * t_end:
         raise ValueError(

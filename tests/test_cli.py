@@ -207,6 +207,30 @@ def test_oversize_run_exits_2(tmp_path, population_spec_file, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, equation, edit, args, message", [
+    ("compile", "log_linear", ("u0 = 1", "u0 = nan"), [], "line 5: u0 must be a finite number, got 'nan'"),
+    ("compile", "second_order", ("ic[1][0] = 1", "ic[1][0] = inf"), [], "line 8: ic[1][0] must be a finite"),
+    ("compile", "second_order", ("a[1][1][1] = 1", "a[1][1][1] = inf"), [], "line 6: a[1][1][1] must be a finite"),
+    ("compile", "second_order", ("n = 2", "n = 2.7"), [], "line 3: n must be a finite whole number, got '2.7'"),
+    ("compile", "log_linear", ("u0 = 1", "u0 = 800"), [], "u0 = 800.0 is too large"),   # exp(u0) overflows
+    ("simulate", None, None, ["--dt", "1e-2", "--t-end", "1e308"], "too many steps"),
+    ("stability", None, None, ["--dt", "1e-320", "--t-end", "0.1"], "too many steps"),
+])
+def test_out_of_range_number_exits_2(tmp_path, capsys, command, equation, edit, args, message):
+    source = tmp_path / "in.net"
+    if equation is None:
+        source.write_text(FIG2_NETLIST)
+    else:
+        text = (Path(__file__).parent.parent / "equations" / f"{equation}.eq").read_text()
+        assert edit[0] in text
+        source = tmp_path / "in.eq"
+        source.write_text(text.replace(edit[0], edit[1], 1))
+    out = tmp_path / "x.out"
+    assert main([command, str(source), *args, "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "stability"])
 def test_run_past_fitted_integrating_factor_exits_2(tmp_path, capsys, command):
     # exp(-t^2) has no tabulated antiderivative, so alpha is a Chebyshev fit on

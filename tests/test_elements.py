@@ -141,3 +141,37 @@ def test_element_problems():
     bad_g = parse_expr("s", {"s"})
     mi = MemIntegrator(c=1.0, ic=0.0, g=bad_g, f=g_expr("v"), omega0=0.0)
     assert any("memristor g" in p for p in element_problems(mi))
+
+
+def test_diagnostics_format_numpy_values_as_floats():
+    nan, inf = np.float64("nan"), np.float64("inf")
+    assert element_problems(Integrator(c=np.float64(0.0), ic=inf, inputs=("a",), resistances=(np.float64(-1.0),))) == [
+        "capacitance must be positive, got 0.0",
+        "input resistance must be positive, got -1.0",
+        "non-finite initial condition",
+    ]
+    assert element_problems(Adder(gains=(nan,), inputs=("a",))) == ["non-finite adder gain nan"]
+    assert element_problems(Potentiometer(alpha=np.float64(1.5), input="a")) == [
+        "potentiometer alpha must satisfy 0 < alpha < 1, got 1.5"
+    ]
+
+
+def test_diagnostics_for_python_floats_keep_their_text_and_order():
+    assert element_problems(Integrator(c=-2.0, ic=float("nan"), inputs=("a", "b"), resistances=(0.0,))) == [
+        "capacitance must be positive, got -2.0",
+        "integrator resistance/input arity mismatch",
+        "input resistance must be positive, got 0.0",
+        "non-finite initial condition",
+    ]
+    assert element_problems(Adder(gains=(float("inf"),), inputs=())) == [
+        "adder has no inputs", "adder gain/input arity mismatch", "non-finite adder gain inf",
+    ]
+    # a non-finite ic and omega0 are one problem, after the expression scopes
+    mi = MemIntegrator(c=float("inf"), ic=float("inf"), g=parse_expr("s", {"s"}), f=g_expr("v"),
+                       omega0=float("nan"))
+    assert element_problems(mi) == [
+        "capacitance must be positive, got inf",
+        "memristor g uses ['s'], allowed variables are t, v, omega",
+        "non-finite initial condition",
+    ]
+    assert element_problems(Multiplier(inputs=("a", "b", "c"))) == ["multiplier needs exactly 2 inputs, got 3"]

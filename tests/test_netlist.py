@@ -96,6 +96,19 @@ def test_parse_error_reports_line_number():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("line, key", [
+    # once read as the feedback wiring: the misspelt key was dropped with its node
+    ('memintegrator m1 out=v C=1 ic=1 g="1" f="0" omega0=0 inn=x', "inn"),
+    ("pot p1 out=b in=a alpha=0.5 C=3", "C"),
+    ('output a transform="v" scale=2', "scale"),
+])
+def test_unknown_field_is_a_parse_error(line, key):
+    with pytest.raises(NetlistParseError) as exc:
+        parse_netlist(f'fgen f0 out=a expr="t"\n{line}\n')
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: unknown field {key!r}"
+
+
 def test_round_trip_preserves_lowered_system(tmp_path, fig2_netlist):
     for net in (fig2_netlist, parse_netlist(FIG3_NETLIST)):
         path = tmp_path / "net.txt"

@@ -12,7 +12,7 @@ from memsolve.compiler import (
 )
 from memsolve import engine
 from memsolve.engine import eval_expr_array_clamped
-from memsolve.exprs import parse_expr
+from memsolve.exprs import map_constants, parse_expr
 from memsolve.netlist import lower, parse_netlist
 import memsolve.solver as solver
 import memsolve.tolerance as tolerance
@@ -133,8 +133,50 @@ def test_perturbation_preserves_structure():
     base = lower(net)
     pert = lower(perturb(net, ToleranceConfig(), 0))
     assert pert.program.same_structure(base.program)
-    assert pert.states != base.states or True  # initial values differ, layout matches
+    assert all(p.initial != b.initial for p, b in zip(pert.states, base.states))
     assert [s.element_id for s in pert.states] == [s.element_id for s in base.states]
+
+
+# One element of each kind, declared out of id order.
+ONE_OF_EACH = """
+memintegrator m1 out=v C=1.5 ic=1 g="1 + 0.1*omega" f="0.3*v" omega0=0.2 in=w
+adder a1 out=s in=d:1.5 in=v:-0.25
+mul x1 out=y in=v in=w
+integrator i1 out=w C=2 ic=0.5 in=s:4 in=d:3
+pot p1 out=z in=y alpha=0.5
+fgen f1 out=d expr="sin(2*t) + 0.5"
+output z
+"""
+
+
+def _drawn_values(net):
+    """The component values in their draw order: elements by id, each kind's fields as documented."""
+    def literals(e):
+        out = []
+        map_constants(e, lambda _i, c: out.append(c) or c)
+        return out
+
+    a, f, i, m, p = (net.elements[eid] for eid in ("a1", "f1", "i1", "m1", "p1"))
+    return [*a.gains, *literals(f.signal), i.c, *i.resistances, i.ic,
+            m.c, m.ic, m.omega0, *literals(m.g), *literals(m.f), p.alpha]
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated_gaussian"])
+def test_component_values_are_drawn_in_the_documented_order(distribution):
+    net = parse_netlist(ONE_OF_EACH)
+    cfg = ToleranceConfig(max_relative_error=0.2, master_seed=2024, distribution=distribution)
+    nominal = _drawn_values(net)
+    assert nominal == [1.5, -0.25, 2.0, 0.5, 2.0, 4.0, 3.0, 0.5, 1.5, 1.0, 0.2, 1.0, 0.1, 0.3, 0.5]
+    for i in range(3):
+        rng = np.random.default_rng([cfg.master_seed, i])
+        eps = cfg.max_relative_error
+        if distribution == "uniform":
+            deltas = [float(rng.uniform(-eps, eps)) for _ in nominal]
+        else:
+            deltas = [float(np.clip(rng.normal(0.0, eps / 3.0), -eps, eps)) for _ in nominal]
+        pert = perturb(net, cfg, i)
+        assert _drawn_values(pert) == [v * (1.0 + d) for v, d in zip(nominal, deltas)]
+        assert pert.elements["x1"] == net.elements["x1"]
 
 
 POT = 'fgen f1 out=a expr="1"\npot p1 out=b in=a alpha=0.99\noutput b\n'
