@@ -56,6 +56,7 @@ from .engine import eval_expr_array
 from .netlist import Netlist
 from .elements import Adder, FunctionGenerator, Integrator, MemIntegrator, Multiplier
 from .oracle import IdeSpec
+from .waveform import check_grid_bytes
 
 __all__ = [
     "LinearOdeSystem",
@@ -803,6 +804,8 @@ def parse_equation_spec(text: str) -> EquationSpec:
     elif family == "linear":
         n = int(num("n", whole=True))
         m = int(num("m", whole=True))
+        check_grid_bytes(m * m, n + 1, f"the coefficient table of n = {n}, m = {m} (m*m*(n+1) values)",
+                         "lower n or m")
         coeffs = np.zeros((m, m, n + 1))
         ics = np.zeros((m, n))
         for key in list(entries):

@@ -25,18 +25,17 @@ half-step times ``t0 + step*dt + dt/2``, so that part, evaluated once
 over those times by the array code, gives every stage its values:
 
 * the scalar march gets tables over the whole grid, built once per run.
-  It keeps ``OP_POW`` and what reads it, because the tables' array
-  ``pow`` can differ from its own in the last bit.  If a hoisted guard
-  holds anywhere on the grid, the run takes the march that evaluates
-  every instruction in order instead;
-* the lane march builds (times x lanes) tables every ``_TABLE_STEPS``
-  steps.  A stage whose table row notes a guard hit is rerun masked,
-  like a stage whose own guards hold.  The registers over constants
-  alone are (W,) rows, worked out again when a lane leaves.
+  If a hoisted guard holds anywhere on the grid, the run takes the
+  march that evaluates every instruction in order instead;
+* the lane march builds (times x live lanes) tables every
+  ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard hit is
+  rerun masked, like a stage whose own guards hold.  The registers over
+  constants alone are (W,) rows, worked out again when a lane leaves.
 
 Either way domain errors, ``ln`` clamp counts and event steps come from
 the in-order tape.  A tape with nothing to hoist (constant loads aside)
-generates the same march as without tables.
+generates the same march as without tables.  Every march and table computes
+``pow`` with numpy's array loop: a lane is bit-equal to its scalar run.
 
 A third variant evaluates one expression over numpy arrays
 (:func:`eval_expr_array` and :func:`eval_expr_array_clamped`): output
@@ -188,7 +187,8 @@ class TapeBuilder:
 # every one of them carries the lane axis.  The marches read these loads
 # from locals instead (``_MARCH_LOADS``).  An expression written as a
 # pair is (scalar, numpy): the scalar march computes in Python floats,
-# the other variants over numpy arrays.
+# the other variants over numpy arrays.  A scalar expression may start
+# with statements, one per line; {dst} names the destination register.
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,9 @@ _OPS = {
     OP_SQRT: (("math.sqrt({a})", "np.sqrt({a})"),
               _Guard("a", "{0} < 0.0", "0.0", "sqrt of negative value")),
     OP_ABS: ("abs({a})", None),
-    # The scalar march keeps libm pow through numpy scalar power (a float
-    # ``**`` raises on overflow and goes complex on negative bases); the
-    # array ufunc has its own fast paths (exponents 2, 0.5, -1), so the
-    # spellings can differ in the last bit.
-    OP_POW: (("float(np.float64({a}) ** {b})", "np.power({a}, {b})"),
+    # numpy's array loop in every march, the scalar one's over one-element buffers (_emit_scalar);
+    # libm pow and numpy's fast paths for a stride-0 exponent of 2, 0.5 or -1 differ in the last bit
+    OP_POW: (("pa[0] = {a}\ne{dst}[0] = {b}\npower(pa, e{dst}, po).item()", "np.power({a}, {b})"),
              _Guard("r", "{0} != {0}", "0.0", "pow outside the real domain")),
 }
 
@@ -265,12 +263,12 @@ def _op_lines(code, variant: str, loads=None, outside=(), outs=None) -> tuple[li
     ``loads`` maps OP_CONST, OP_T and OP_STATE to the name of a local the
     caller provides (``{i}`` is the operand); those loads then emit no
     line.  ``outside`` lists registers that ``code`` reads but the caller
-    computes, as locals ``r<n>``.  ``outs`` maps registers to arrays their
-    instruction writes into (a numpy variant's ufunc ``out=``); such a
-    register is spelled as its array.  Returns the lines and how each
-    register is spelled.
+    computes, as locals ``r<n>``, or maps them to their spelling.
+    ``outs`` maps registers to arrays their instruction writes into (a
+    numpy variant's ufunc ``out=``); such a register is spelled as its
+    array.  Returns the lines and how each register is spelled.
     """
-    spell = {r: f"r{r}" for r in outside}
+    spell = dict(outside) if isinstance(outside, dict) else {r: f"r{r}" for r in outside}
     outs = outs or {}
     body = []
     for op, dst, a, b in code:
@@ -284,19 +282,16 @@ def _op_lines(code, variant: str, loads=None, outside=(), outs=None) -> tuple[li
             expr = f"np.{_UFUNCS[op]}({{a}}{', {b}' if op in _BINARY else ''}, out={outs[dst]})"
         spell[dst] = outs.get(dst, f"r{dst}")
         lhs = "" if dst in outs else f"r{dst} = "
-        names = {"i": a, "a": spell.get(a), "b": spell.get(b)}
-        if guard is None:
-            body.append(lhs + expr.format(**names))
-            continue
-        if guard.on == "r":
-            body.append("x = " + expr.format(**names))
-            body += _guard_lines(guard, variant)
-            body += [] if dst in outs else [f"r{dst} = x"]
-        else:
-            body.append(f"x = {names[guard.on]}")
-            body += _guard_lines(guard, variant)
+        names = {"i": a, "dst": dst, "a": spell.get(a), "b": spell.get(b)}
+        if guard is not None and guard.on != "r":
+            body += [f"x = {names[guard.on]}"] + _guard_lines(guard, variant)
             names[guard.on] = "x"
-            body.append(lhs + expr.format(**names))
+        *pre, value = expr.format(**names).split("\n")
+        body += pre
+        if guard is None or guard.on != "r":
+            body.append(lhs + value)
+        else:
+            body += ["x = " + value] + _guard_lines(guard, variant) + ([] if dst in outs else [f"r{dst} = x"])
     return body, spell
 
 
@@ -356,20 +351,17 @@ def _roots(deriv_regs, channels, flags) -> list[int]:
     return list(deriv_regs) + [i for kind, i in channels if kind == CHAN_REG] + list(flags)
 
 
-def _split(code, roots, scalar: bool):
+def _split(code, roots):
     """``(hoisted part, march part, frontier)`` of a tape.
 
     A non-load instruction whose operands trace back only to ``t`` and
-    constants is hoisted, except that the scalar march keeps OP_POW and
-    what reads it: the tables compute with the array spelling of ``pow``,
-    which can differ from the scalar one in the last bit (see ``_OPS``).
-    Each part takes the loads it reads; a load read by neither stays in
-    the march.  The frontier lists, in tape order, the hoisted registers
-    that the march part or ``roots`` read.
+    constants is hoisted.  Each part takes the loads it reads; a load
+    read by neither stays in the march.  The frontier lists, in tape
+    order, the hoisted registers that the march part or ``roots`` read.
     """
     varying, hoisted = set(), set()
     for op, dst, a, b in code:
-        if op == OP_STATE or (scalar and op == OP_POW) or varying.intersection(_reads(op, a, b)):
+        if op == OP_STATE or varying.intersection(_reads(op, a, b)):
             varying.add(dst)
         elif op not in _LOADS:
             hoisted.add(dst)
@@ -465,7 +457,12 @@ def _emit_tables(code, frontier) -> list[str]:
     """
     body = ["shape = (t.shape[0], consts.shape[1])", "hit = np.zeros(shape, dtype=np.bool_)"]
     for (op, dst, a, b), dead in zip(code, _dead_after(code, frontier)):
-        body += _op_lines([(op, dst, a, b)], "fast", outside=_reads(op, a, b))[0]
+        spell, outs = {r: f"r{r}" for r in _reads(op, a, b)}, None
+        if op == OP_POW:
+            # into a full copy of the exponent: numpy's power has fast paths for a stride-0 one
+            body.append(f"r{dst} = np.array(np.broadcast_to(r{b}, shape))")
+            spell[b], outs = f"r{dst}", {dst: f"r{dst}"}
+        body += _op_lines([(op, dst, a, b)], "fast", outside=spell, outs=outs)[0]
         if dead:
             body.append("del " + ", ".join(f"r{r}" for r in dead))
     # materialised, so every row the march reads is a contiguous array, as without tables
@@ -498,8 +495,13 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     instruction in order.
     """
     n = len(deriv_regs)
-    table, code, frontier = _split(code, _roots(deriv_regs, channels, flags), True) if hoist else ((), code, ())
+    table, code, frontier = _split(code, _roots(deriv_regs, channels, flags)) if hoist else ((), code, ())
     body, spell = _op_lines(code, "scalar", _MARCH_LOADS, frontier)
+    # each pow's one-element buffers (see _OPS); a constant exponent is stored once, before the loop
+    pows = {dst: b for op, dst, a, b in code if op == OP_POW}
+    loaded = {dst for op, dst, *_ in code if op == OP_CONST}
+    fixed = [f"e{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded]
+    body = [s for s in body if s not in fixed]
     timed = any(op == OP_T for op, *_ in code)
     # stage 0 keeps the grid row that stage 3 of the step before read, stage 2 the half row of stage 1
     reads = {1: "h{j}[step]", 3: "g{j}[step + 1]"}
@@ -522,6 +524,8 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         inside = " and ".join(f"abs(s{i}) <= blow_limit" for i in range(n))
         loop += [f"if not ({inside}):", f"    status = {STATUS_BLOWUP}", "    break"]
     fn_body = [f"c{i} = float(consts[{i}])" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
+    fn_body += ["power, pa, po = np.power, np.empty(1), np.empty(1)"] if pows else []
+    fn_body += [f"e{dst} = np.empty(1)" for dst in pows] + fixed
     if frontier:
         fn_body += [f"{_tuple(f'{tab}{j}' for j in range(len(frontier)))} = {arg}"
                     for tab, arg in (("g", "grid"), ("h", "half"))]
@@ -537,7 +541,7 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
 
 
 def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
-    """``march(all_consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
     event_step, ln_counts, rec_counts)``, returning each lane's last accepted state, (n_states, W).
 
     The march holds the states, the compensation terms and the stage
@@ -552,9 +556,9 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     plain slice until the first drop) holds each one's column in the
     caller's arrays.  ``survivors`` computes the hoisted part's registers
     over constants alone as (W,) rows; the rest is read from stage-time
-    tables built every ``_TABLE_STEPS`` steps.  A stage whose table row
-    notes a guard, or whose own guards hold anywhere (one
-    ``np.count_nonzero``), is rerun by the masked ``stage``, which
+    tables over the live lanes, built every ``_TABLE_STEPS`` steps.  A
+    stage whose table row notes a guard, or whose own guards hold anywhere
+    (one ``np.count_nonzero``), is rerun by the masked ``stage``, which
     evaluates the whole tape in order; so is every stage while a guard
     over constants holds for some lane.  A lane that fails, in a stage or
     at the update, has its status, event step, ``rec_counts`` and last
@@ -575,7 +579,7 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         lines += ["def stage(t, y, consts, ln_floor, ln_counts, lanes):"] + _indent(
             ["dom = np.zeros(t.shape[0], dtype=np.bool_)"] + masked
             + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
-    table, code, frontier = _split(code, roots, False) if hoist else ([], code, [])
+    table, code, frontier = _split(code, roots) if hoist else ([], code, [])
     # the hoisted part splits into registers over constants alone and the rest;
     # each side keeps its guards, read or not, for their domain errors and clamps
     const = _constant(table)
@@ -605,10 +609,7 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         if _guarded(table):
             chunk += ["gH", "hH"]
             hits = ["ghit, hhit = gH.any(axis=1).tolist(), hH.any(axis=1).tolist()"]
-        # built over every lane, then cut to the live ones: numpy's power picks its
-        # loop by the operands' strides, so a table one lane wide could differ in the last bit
-        tabs = ("[" + "".join(f"{{0}}{j}, " for j in range(len(tabled)))
-                + "{0}H] = (np.ascontiguousarray(x[:, cols]) for x in tables({1}, all_consts, ln_floor))")
+        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(tabled))) + "{0}H] = tables({1}, consts, ln_floor)"
         loop += ["if step == kend:"] + _indent(
             [f"kend = min(step + {_TABLE_STEPS}, n_steps)", "ts = t0 + np.arange(step, kend + 1)[:, None] * dt",
              tabs.format("g", "ts"), tabs.format("h", "ts[:-1] + hdt")] + hits + ["kbase = step"])
@@ -685,13 +686,13 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         loop += ["if np.count_nonzero(ok) == S.size:", "    S, Q = N, E", "else:"] + _indent(
             ["dom = ~ok.all(axis=0)"] + drop(STATUS_BLOWUP, "step + 1", "step + 1", new="N, E"))
     fn_body = ["hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
-               "lanes, cols, consts = np.arange(y0.shape[1]), slice(None), all_consts",
+               "lanes, cols = np.arange(y0.shape[1]), slice(None)",
                "S, Q, K, Y = y0, np.zeros(y0.shape), np.empty((4,) + y0.shape), np.empty(y0.shape)",
                survivors]
     fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
     fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y"]
-    return lines + ["def march(all_consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
+    return lines + ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
 
@@ -741,7 +742,7 @@ def table_columns(prog: Program, chan_kind, chan_idx) -> int:
     over ``t``, the guard mask and the other table's time column)."""
     channels = tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
     code = prog.code.tolist()
-    table, _, frontier = _split(code, _roots(prog.deriv_regs.tolist(), channels, prog.g_regs.tolist()), True)
+    table, _, frontier = _split(code, _roots(prog.deriv_regs.tolist(), channels, prog.g_regs.tolist()))
     if not table:
         return 0
     timed, live, most = set(), set(), 0
@@ -754,13 +755,13 @@ def table_columns(prog: Program, chan_kind, chan_idx) -> int:
     return 2 * len(frontier) + most + 2
 
 
-def tape_stats(prog: Program, lanes: bool) -> dict:
+def tape_stats(prog: Program) -> dict:
     """``{"instructions": N, "hoisted": H}``: the tape's length and how many of
-    its non-load instructions the march of that variant reads from
-    stage-time tables (see ``_split``).  A scalar run whose hoisted part
-    hits a guard evaluates them in order instead; H still counts them."""
+    its non-load instructions the marches read from stage-time tables (see
+    ``_split``).  A scalar run whose hoisted part hits a guard evaluates
+    them in order instead; H still counts them."""
     code = prog.code.tolist()
-    table = _split(code, (), not lanes)[0]
+    table = _split(code, ())[0]
     return {"instructions": len(code), "hoisted": sum(op not in _LOADS for op, *_ in table)}
 
 
@@ -852,8 +853,7 @@ def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
     leaves the march at its domain error or blow-up; per-lane ``status``,
     ``event_step``, ``ln_counts``, ``rec_counts`` and the (n_steps+1, W)
     passivity flags mirror the scalar kernel, and waveforms are bit-equal
-    to it for tapes without OP_POW (see _OPS).  ``gflag`` None skips the
-    flags.  Returns each lane's last accepted state, (n_states, W).
+    to it.  ``gflag`` None skips the flags.  Returns each lane's last accepted state, (n_states, W).
     """
     march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)[1]
     status[:] = STATUS_OK

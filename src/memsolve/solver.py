@@ -90,7 +90,7 @@ class SimResult:
     passivity_flags: np.ndarray    # per-sample 0/1
     ln_clamps: int
     blowup_step: int | None
-    tape: dict                     # engine.tape_stats of the scalar march
+    tape: dict                     # engine.tape_stats: tape length, instructions read from tables
 
     @property
     def blown_up(self) -> bool:
@@ -163,7 +163,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         passivity_flags=gflag,
         ln_clamps=ln_clamps + transform_clamps,
         blowup_step=blowup_step,
-        tape=engine.tape_stats(prog, lanes=False),
+        tape=engine.tape_stats(prog),
     )
 
 

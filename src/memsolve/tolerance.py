@@ -31,7 +31,7 @@ import numpy as np
 
 from . import engine
 from .engine import eval_expr_array_clamped
-from .netlist import Netlist, lower
+from .netlist import Netlist, ValidationFailed, lower
 from .solver import (
     BLOWUP_LIMIT,
     LN_FLOOR,
@@ -139,7 +139,7 @@ class StabilityReport:
     master_seed: int
     tolerance: float
     unstable: bool
-    tape: dict                       # engine.tape_stats of the lane march
+    tape: dict                       # engine.tape_stats: tape length, instructions read from tables
     timings_s: dict                  # prepare (perturb + lower), kernel, reduce
     ln_clamps: int                   # ln clamps over every lane, the nominal one included
     lane_steps: int                  # recorded samples over every lane
@@ -189,7 +189,11 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
     redraws = 0
     for i in range(cfg.iterations):       # one perturbed netlist alive at a time
         perturbed, n = _perturb(net, cfg, i)
-        system = lower(perturbed)
+        try:
+            system = lower(perturbed)
+        except ValidationFailed as exc:   # the nominal netlist passed: a draw broke it
+            raise ValueError(f"iteration {i}: a drawn component value broke an element invariant:\n"
+                             + "\n".join(map(str, exc.diagnostics))) from None
         if not system.program.same_structure(nominal.program):
             raise AssertionError("perturbation changed program structure")
         consts[:, i + 1], y0[:, i + 1] = system.program.consts, system.y0()
@@ -230,7 +234,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
         master_seed=cfg.master_seed,
         tolerance=cfg.max_relative_error,
         unstable=len(failures) > 0.2 * cfg.iterations,
-        tape=engine.tape_stats(nominal.program, lanes=True),
+        tape=engine.tape_stats(nominal.program),
         timings_s={"prepare": prepared - start, "kernel": ran - prepared,
                    "reduce": time.perf_counter() - ran},
         **counts,

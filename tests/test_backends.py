@@ -155,10 +155,9 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
     """Scalar runs and one lane run over the same constants agree exactly.
 
     ``consts`` (n_consts, width) defaults to the program's constants,
-    perturbed by up to 5% in every lane but the first.  Waveforms are
-    bit-equal unless the tape has OP_POW, whose scalar spelling (libm
-    pow) and lane spelling (array np.power) may differ in the last bit.
-    Returns the lane run's (status, event_step, ln_counts).
+    perturbed by up to 5% in every lane but the first.  Waveforms and
+    final states are bit-equal on every tape.  Returns the lane run's
+    (status, event_step, ln_counts).
     """
     prog = sys.program
     if consts is None:
@@ -171,7 +170,6 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
     chan_kind = np.array([engine.CHAN_REG] + [engine.CHAN_STATE] * len(state_channels),
                          dtype=np.int32)
     chan_idx = np.array([sys.node_regs[sys.output_node]] + state_channels, dtype=np.int32)
-    has_pow = bool(np.any(prog.code[:, 0] == engine.OP_POW))
 
     rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b = _run_lanes(
         prog, consts, y0, chan_kind, chan_idx, dt, n_steps)
@@ -180,13 +178,10 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
                                                    chan_kind, chan_idx, dt, n_steps)
         assert (status[w], event[w], ln_counts[w], rec_counts[w]) == (st, ev, ln, n)
         assert np.array_equal(gflag_b[:n, w], gflag[:n])
-        if has_pow:
-            np.testing.assert_allclose(rec_b[:n, :, w], rec[:n], rtol=1e-12, atol=0.0)
-        else:
-            assert np.array_equal(rec_b[:n, :, w], rec[:n], equal_nan=True)
-            # a blown lane keeps its last accepted state; the scalar run, the failing one
-            if status[w] != engine.STATUS_BLOWUP:
-                assert np.array_equal(y_b[:, w], y, equal_nan=True)
+        assert np.array_equal(rec_b[:n, :, w], rec[:n], equal_nan=True)
+        # a blown lane keeps its last accepted state; the scalar run, the failing one
+        if status[w] != engine.STATUS_BLOWUP:
+            assert np.array_equal(y_b[:, w], y, equal_nan=True)
     return status, event, ln_counts
 
 
@@ -196,10 +191,10 @@ def test_batch_kernel_matches_scalar_runs():
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(netlists(), st.sampled_from((50, 300)))
-def test_scalar_and_lane_variants_agree_on_random_netlists(net, n_steps):
+@given(netlists(), st.sampled_from((50, 300)), st.sampled_from((1, 3)))
+def test_scalar_and_lane_variants_agree_on_random_netlists(net, n_steps, width):
     # 300 steps cross a lane-table chunk boundary (engine._TABLE_STEPS)
-    assert_variants_agree(lower(net), n_steps=n_steps)
+    assert_variants_agree(lower(net), width=width, n_steps=n_steps)
 
 
 # --- the march's exit paths -------------------------------------------------
@@ -296,7 +291,7 @@ def test_guards_over_t_alone(expr, expected, status, event, ln_count):
     # dt = 1/64 makes every stage time exact; 600 steps span three lane-table chunks
     sys = lower(parse_netlist(T_ONLY.format(expr=expr)))
     prog = sys.program
-    assert engine.tape_stats(prog, lanes=True)["hoisted"] > 0
+    assert engine.tape_stats(prog)["hoisted"] > 0
     dt, n_steps, width = 1 / 64, 600, 3
     chan = (np.array([engine.CHAN_REG, engine.CHAN_STATE], dtype=np.int32),
             np.array([sys.node_regs["a"], 0], dtype=np.int32))
@@ -319,8 +314,7 @@ def test_tape_read_entirely_from_tables(expr):
     sys = lower(parse_netlist(f'integrator int1 out=x C=1 ic=0 in=a:1\nfgen f1 out=a expr="{expr}"\noutput x\n'))
     prog = sys.program
     loads = np.isin(prog.code[:, 0], [engine.OP_CONST, engine.OP_T, engine.OP_STATE])
-    for lanes in (False, True):
-        assert engine.tape_stats(prog, lanes) == {"instructions": len(prog.code), "hoisted": int((~loads).sum())}
+    assert engine.tape_stats(prog) == {"instructions": len(prog.code), "hoisted": int((~loads).sum())}
     assert_variants_agree(sys, width=3, dt=1 / 64, n_steps=600)
     if expr == "cos(t)":
         res = simulate(sys, SimConfig(dt=1 / 64, t_end=600 / 64))
@@ -392,8 +386,8 @@ def test_guards_over_constants_alone_rerun_every_stage_until_their_lanes_leave()
 
 
 def test_a_lane_does_not_see_its_neighbours_fail():
-    # (0.1 + 0.3*t)^2 is read from the tables; numpy's power squares instead when its
-    # exponent is a stride-0 column, as in a table one lane wide
+    # (0.1 + 0.3*t)^2 is read from the tables, which are rebuilt over the live lanes:
+    # a lane's values depend neither on how many lanes march nor on when one leaves
     src = 'integrator int1 out=x C=1 ic=1 in=a:1\nfgen f1 out=a expr="(0.1 + 0.3*t)^2 + sqrt({c} - t)"\noutput x\n'
     systems = [lower(parse_netlist(src.format(c=c))) for c in (20.0, 0.3)]
     y0 = np.repeat(systems[0].y0()[:, None], 2, axis=1)
@@ -406,6 +400,8 @@ def test_a_lane_does_not_see_its_neighbours_fail():
     assert runs[0][1].tolist() == [engine.STATUS_OK, engine.STATUS_OK]
     assert runs[1][1].tolist() == [engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR]
     assert np.array_equal(runs[0][4][:, :, 0], runs[1][4][:, :, 0])
+    alone = _run_lanes(systems[0].program, systems[0].program.consts[:, None], y0[:, :1], *chan, 1 / 64, 600)
+    assert np.array_equal(alone[4][:, :, 0], runs[0][4][:, :, 0])
 
 
 # --- the stacked lane march ---------------------------------------------------

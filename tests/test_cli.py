@@ -215,6 +215,9 @@ def test_oversize_run_exits_2(tmp_path, population_spec_file, capsys, monkeypatc
     ("compile", "log_linear", ("u0 = 1", "u0 = 800"), [], "u0 = 800.0 is too large"),   # exp(u0) overflows
     ("simulate", None, None, ["--dt", "1e-2", "--t-end", "1e308"], "too many steps"),
     ("stability", None, None, ["--dt", "1e-320", "--t-end", "0.1"], "too many steps"),
+    # the linear family's m x m x (n+1) coefficient table is checked before it is allocated
+    ("compile", "second_order", ("n = 2", "n = 1000000000000"), [], "n = 1000000000000, m = 1 (m*m*(n+1)"),
+    ("compile", "second_order", ("m = 1", "m = 100000"), [], "n = 2, m = 100000 (m*m*(n+1) values) = 224 GiB"),
 ])
 def test_out_of_range_number_exits_2(tmp_path, capsys, command, equation, edit, args, message):
     source = tmp_path / "in.net"
@@ -228,6 +231,19 @@ def test_out_of_range_number_exits_2(tmp_path, capsys, command, equation, edit, 
     out = tmp_path / "x.out"
     assert main([command, str(source), *args, "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_drawn_value_that_breaks_an_invariant_names_its_iteration(tmp_path, capsys):
+    # C is valid, but a draw of up to +50% overflows it to inf
+    source = tmp_path / "big.net"
+    source.write_text("integrator i1 out=y C=1.7e308 ic=1 in=y:1\noutput y\n")
+    out = tmp_path / "x.csv"
+    assert main(["stability", str(source), "--tolerance", "0.5", "--iterations", "5",
+                 "--dt", "1e-2", "--t-end", "0.1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "iteration 3: a drawn component value broke an element invariant" in err
+    assert "[element-invariant] i1: capacitance must be positive, got inf" in err
     assert not out.exists()
 
 

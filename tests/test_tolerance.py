@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from memsolve.compiler import (
     TurbulentIde,
     VolterraPopulation,
+    compile_equation,
     compile_turbulent,
     compile_volterra_population,
+    load_equation_spec,
 )
 from memsolve import engine
 from memsolve.engine import eval_expr_array_clamped
@@ -254,9 +257,8 @@ def _transformed(rec, ok_cols, transform, dt):
 
 
 def test_batch_runner_matches_one_simulate_per_set():
-    # The lane march's waveforms equal the scalar kernel's bit for bit on
-    # tapes without pow (both circuits here).  The growth circuit loses
-    # some iterations to blow-up.
+    # The lane march's waveforms equal the scalar kernel's bit for bit.
+    # The growth circuit loses some iterations to blow-up.
     cases = [(population_netlist(), SimConfig(dt=5e-3, t_end=1.0), set()),
              (parse_netlist(GROWTH), SimConfig(dt=2e-2, t_end=26.0), {"blow-up"})]
     cfg = ToleranceConfig(iterations=12, master_seed=5)
@@ -281,6 +283,21 @@ def test_batch_runner_matches_one_simulate_per_set():
         assert ok_cols == [i for i in range(len(systems)) if i not in expected]
         out = _transformed(rec, ok_cols, net.output_transform, sim.dt)
         assert np.array_equal(out, np.stack(columns, axis=1))
+
+
+def test_simulate_records_the_bits_of_the_sweeps_nominal_lane():
+    # the turbulent tape squares through pow, in the march and in a stage-time table
+    sys = lower(compile_equation(load_equation_spec(
+        Path(__file__).parent.parent / "equations" / "turbulent_diffusion.eq")))
+    assert engine.OP_POW in sys.program.code[:, 0]
+    sim = SimConfig(dt=1e-3, t_end=4.0, record_channels=(sys.output_node,))
+    raw = simulate(sys, sim).waveform.channel(sys.output_node)   # before the output transform
+    for width in (1, 2):
+        consts = np.repeat(sys.program.consts[:, None], width, axis=1)
+        y0 = np.repeat(sys.y0()[:, None], width, axis=1)
+        rec, ok_cols, _, _ = _run_batch(sys, consts, y0, sim)
+        assert ok_cols == list(range(width))
+        assert rec[:, 0, 0].tobytes() == raw.tobytes()
 
 
 @pytest.mark.parametrize("make_netlist, t_end, fails",
