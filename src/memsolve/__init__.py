@@ -48,6 +48,7 @@ from .compiler import (
     LinearFirstOrderIde,
     LinearOdeSystem,
     TurbulentIde,
+    UnsupportedEquationError,
     UnsupportedKernelError,
     VolterraPopulation,
     compile_equation,

@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 input error, 3 unsupported feature,
 information where available.
 
 ``MEMSOLVE_BACKEND`` may be ``numpy`` or ``auto``; ``simulate`` and
-``stability`` reject any other value as an input error.
+``stability`` reject any other value as an input error; only the CLI
+reads it.  Every rule of what a run may do is the library's.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .backend import resolve_backend
 from .compiler import (
     HigherOrderComposed,
     HigherOrderSingleMem,
-    LinearOdeSystem,
-    UnsupportedKernelError,
+    UnsupportedEquationError,
     compile_equation,
     effective_memductance,
     load_equation_spec,
@@ -43,10 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
-
-
-class _UnsupportedFeature(Exception):
-    pass
 
 
 def _write_manifest(out_path: str, command: str, argv, inputs, config, outputs) -> None:
@@ -100,19 +96,10 @@ def _cmd_compile(args, argv) -> int:
     return EXIT_OK
 
 
-def _load_for_run(path: str, t_end: float):
-    """Load a netlist to run up to ``t_end``, rejecting runs past a fitted integrating factor."""
-    net = load_netlist(path)
-    valid_to = net.meta.get("alpha_valid_to")
-    if valid_to is not None and t_end > float(valid_to):
-        raise ValueError(f"--t-end {t_end:g} is beyond the fitted integrating factor's horizon "
-                         f"alpha_valid_to={valid_to}; recompile with a larger alpha_horizon")
-    return net
-
-
 def _cmd_simulate(args, argv) -> int:
+    resolve_backend()  # rejects a bad MEMSOLVE_BACKEND
     start = time.perf_counter()
-    ode = lower(_load_for_run(args.netlist, args.t_end))
+    ode = lower(load_netlist(args.netlist))
     loaded = time.perf_counter()
     channels = tuple(c for c in (args.channels or "").split(",") if c)
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, record_channels=channels)
@@ -146,11 +133,7 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _solve_reference(spec, dt, t_end):
-    if isinstance(spec, LinearOdeSystem):
-        raise _UnsupportedFeature(
-            "linear ODE systems have no memory integral; compile and simulate them instead"
-        )
-    if isinstance(spec, (HigherOrderSingleMem, HigherOrderComposed)):
+    if isinstance(spec, (HigherOrderSingleMem, HigherOrderComposed)):  # the chain route
         return solve_memristive_chain(
             effective_memductance(spec), spec.f, spec.n, spec.ics, spec.omega0, dt, t_end
         )
@@ -189,7 +172,7 @@ def _cmd_oracle(args, argv) -> int:
 
 def _cmd_stability(args, argv) -> int:
     resolve_backend()  # rejects a bad MEMSOLVE_BACKEND
-    net = _load_for_run(args.netlist, args.t_end)
+    net = load_netlist(args.netlist)
     cfg = ToleranceConfig(
         max_relative_error=args.tolerance,
         iterations=args.iterations,
@@ -242,8 +225,6 @@ def _cmd_convergence(args, argv) -> int:
     except ValueError:
         print(f"bad --dt-list {args.dt_list!r}", file=sys.stderr)
         return EXIT_INPUT
-    if isinstance(spec, (LinearOdeSystem, HigherOrderSingleMem, HigherOrderComposed)):
-        raise _UnsupportedFeature("convergence studies run on the first-order equation families")
     start = time.perf_counter()
     study = convergence_study(to_ide_spec(spec), dt_list, args.t_end)
     solved = time.perf_counter()
@@ -324,10 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except UnsupportedKernelError as exc:
-        print(f"unsupported kernel: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except _UnsupportedFeature as exc:
+    except UnsupportedEquationError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValidationFailed as exc:

@@ -27,8 +27,8 @@ The integrating factor is synthesized in closed form from a small
 antiderivative table (sums of constants, powers of t, exponentials and
 sinusoids of affine arguments).  Anything else falls back to a
 Chebyshev fit of the numerically integrated coefficient on a declared
-horizon, emitted as a Horner polynomial; the fallback and its validity
-range are recorded in the netlist metadata.
+horizon, emitted as a Horner polynomial; the netlist declares that
+horizon as its ``valid_to``, which the simulator enforces.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "LinearFirstOrderIde",
     "TurbulentIde",
     "EquationSpecError",
+    "UnsupportedEquationError",
     "UnsupportedKernelError",
     "parse_equation_spec",
     "load_equation_spec",
@@ -89,7 +90,11 @@ class EquationSpecError(ValueError):
         self.line = line
 
 
-class UnsupportedKernelError(ValueError):
+class UnsupportedEquationError(EquationSpecError):
+    """A well-formed equation that the requested route cannot take (exit 3 in the CLI)."""
+
+
+class UnsupportedKernelError(UnsupportedEquationError):
     """Kernel not realizable on the circuit route."""
 
 
@@ -549,7 +554,7 @@ def compile_turbulent(spec: TurbulentIde) -> Netlist:
     net = Netlist(meta={"family": "turbulent", "alpha": a_src})
     if fallback:
         net.meta["alpha_fallback"] = "chebyshev-fit"
-        net.meta["alpha_valid_to"] = format_number(spec.alpha_horizon)
+        net.valid_to = spec.alpha_horizon
     net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=g, f=f, omega0=0.0), "v")
     net.add("fg1", FunctionGenerator(signal=inv_alpha), "inv_alpha")
     net.add("mul1", Multiplier(inputs=("v", "inv_alpha")), "u_rec")
@@ -710,16 +715,17 @@ def compile_equation(spec: EquationSpec) -> Netlist:
 
 
 def to_ide_spec(spec: EquationSpec) -> IdeSpec:
-    """Reference-solver view of the originating equation (first-order families)."""
+    """Reference-solver view of the originating equation; the one place that
+    decides which families have it (the first-order ones)."""
     if isinstance(spec, VolterraPopulation):
         return IdeSpec(form="volterra_population", y0=spec.n0, a=spec.a, b=spec.b, k1=spec.k1, k2=spec.k2)
     if isinstance(spec, LinearFirstOrderIde):
         return IdeSpec(form="linear_first_order", y0=spec.u0, k2=spec.k)
     if isinstance(spec, TurbulentIde):
         return IdeSpec(form="turbulent", y0=spec.u0, p=spec.p, k1=spec.k1, k2=spec.k2)
-    raise EquationSpecError(
-        f"no direct integro-differential form for {type(spec).__name__}; "
-        "higher-order chains use the dedicated chain discretization"
+    raise UnsupportedEquationError(
+        f"no direct integro-differential form for {type(spec).__name__}: the reference solver "
+        "takes the first-order families, and `oracle` higher-order chains too"
     )
 
 
@@ -756,9 +762,9 @@ def parse_equation_spec(text: str) -> EquationSpec:
             return None, None
         return entries.pop(key)
 
-    def num(key, required=True, default=None, whole=False):
+    def num(key, required=True, default=None, whole=False, positive=False):
         value, lineno = take(key, required)
-        return default if value is None else _num_at(value, key, lineno, whole)
+        return default if value is None else _num_at(value, key, lineno, whole, positive)
 
     def expr(key, allowed, required=True):
         value, lineno = take(key, required)
@@ -789,7 +795,7 @@ def parse_equation_spec(text: str) -> EquationSpec:
             k1=k1,
             k2=k2,
             u0=num("u0"),
-            alpha_horizon=num("alpha_horizon", required=False, default=8.0),
+            alpha_horizon=num("alpha_horizon", required=False, default=8.0, positive=True),
         )
     elif family in ("higher_order_single", "higher_order_composed"):
         order = int(num("n", whole=True))
@@ -802,8 +808,8 @@ def parse_equation_spec(text: str) -> EquationSpec:
             gs = tuple(expr(f"g{i + 1}", {"t", "v", "omega"}) for i in range(order))
             spec = HigherOrderComposed(n=order, gs=gs, f=f, ics=ics, omega0=omega0)
     elif family == "linear":
-        n = int(num("n", whole=True))
-        m = int(num("m", whole=True))
+        n = int(num("n", whole=True, positive=True))
+        m = int(num("m", whole=True, positive=True))
         check_grid_bytes(m * m, n + 1, f"the coefficient table of n = {n}, m = {m} (m*m*(n+1) values)",
                          "lower n or m")
         coeffs = np.zeros((m, m, n + 1))
@@ -860,7 +866,7 @@ def _indexed(key: str):
     return parts
 
 
-def _num_at(value: str, key: str, lineno: int, whole: bool = False) -> float:
+def _num_at(value: str, key: str, lineno: int, whole: bool = False, positive: bool = False) -> float:
     try:
         x = float(value)
     except ValueError:
@@ -868,4 +874,6 @@ def _num_at(value: str, key: str, lineno: int, whole: bool = False) -> float:
     if not math.isfinite(x) or (whole and not x.is_integer()):
         what = "finite whole number" if whole else "finite number"
         raise EquationSpecError(f"{key} must be a {what}, got {value!r}", lineno)
+    if positive and x <= 0.0:
+        raise EquationSpecError(f"{key} must be positive, got {value!r}", lineno)
     return x

@@ -4,7 +4,9 @@ File format: one declaration per line, ``#`` starts a comment; see
 ``docs/netlist-format.md``.  An element line is ``<kind> <id> out=<node>``
 and the fields its kind declares in :mod:`memsolve.elements`; any other
 key is an error.  ``node`` lines are optional (nodes referenced by
-elements are registered implicitly) but emitted by the serializer.  The
+elements are registered implicitly) but emitted by the serializer.
+``valid_to <t>`` declares the horizon the expressions hold to; every
+``#`` line, ``# meta:`` included, is only a comment.  The
 optional ``in=`` of a memristive integrator defaults to its own output,
 which is the feedback wiring that turns the element into an
 integro-differential building block; memristors exist only in this
@@ -20,6 +22,7 @@ derivative from (t, states).
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 from dataclasses import dataclass, field
@@ -40,7 +43,7 @@ from .elements import (
     take,
 )
 from .engine import Program, TapeBuilder
-from .exprs import Expr, ExprError, parse_expr, pretty, variables
+from .exprs import Expr, ExprError, format_number, parse_expr, pretty, variables
 
 __all__ = [
     "Netlist",
@@ -90,7 +93,8 @@ class Netlist:
     nodes: set[str] = field(default_factory=set)
     output_node: str | None = None
     output_transform: Expr | None = None
-    meta: dict[str, str] = field(default_factory=dict)
+    valid_to: float | None = None   # the horizon the expressions hold to, when they hold on less
+    meta: dict[str, str] = field(default_factory=dict)   # written as comments, never read back
 
     # -- construction -------------------------------------------------
 
@@ -121,6 +125,8 @@ class Netlist:
         lines = []
         for key in sorted(self.meta):
             lines.append(f"# meta: {key}={self.meta[key]}")
+        if self.valid_to is not None:
+            lines.append(f"valid_to {format_number(self.valid_to)}")
         for node in sorted(self.nodes):
             lines.append(f"node {node}")
         for eid in sorted(self.elements):
@@ -151,13 +157,6 @@ def load_netlist(path) -> Netlist:
 def parse_netlist(text: str) -> Netlist:
     net = Netlist()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("# meta:"):
-            body = stripped[len("# meta:"):].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                net.meta[k.strip()] = v.strip()
-            continue
         try:
             words = shlex.split(raw, comments=True)
         except ValueError as exc:
@@ -179,6 +178,11 @@ def _parse_declaration(net: Netlist, kind: str, args: list[str], lineno: int) ->
         if len(args) != 1:
             raise NetlistParseError("node takes exactly one name", lineno)
         net.add_node(args[0])
+        return
+    if kind == "valid_to":
+        if len(args) != 1 or net.valid_to is not None:
+            raise NetlistParseError("valid_to takes one number, once", lineno)
+        net.valid_to = float(args[0])
         return
 
     cls = KINDS.get(kind)
@@ -238,6 +242,8 @@ def validate(net: Netlist) -> list[Diagnostic]:
         diags.append(Diagnostic("<output>", "output-missing", "no output node declared"))
     elif net.output_node not in drivers:
         diags.append(Diagnostic(net.output_node, "output-undriven", "output node has no driver"))
+    if net.valid_to is not None and not 0.0 < net.valid_to < math.inf:
+        diags.append(Diagnostic("<valid_to>", "valid-to", f"must be a positive finite time, got {net.valid_to!r}"))
     if net.output_transform is not None:
         extra = variables(net.output_transform) - TRANSFORM_VARS
         if extra:
@@ -300,7 +306,7 @@ class OdeSystem:
     omega_state_index: dict[str, int]
     output_node: str
     output_transform: Expr | None
-    g_element_ids: tuple[str, ...]
+    valid_to: float | None      # the netlist's declared horizon
 
     @property
     def n_states(self) -> int:
@@ -386,7 +392,7 @@ def lower(net: Netlist) -> OdeSystem:
         omega_state_index=omega_index,
         output_node=net.output_node,
         output_transform=net.output_transform,
-        g_element_ids=tuple(mem_ids),
+        valid_to=net.valid_to,
     )
 
 

@@ -13,10 +13,10 @@ below at ``LN_FLOOR`` and the clamp activations are counted; state
 magnitudes above ``BLOWUP_LIMIT`` (or non-finite states) truncate the
 run and are reported rather than raised.
 
-A run whose waveform record (samples x channels x parameter sets, 8
-bytes each), with a single run's stage-time tables, would exceed
-``waveform.MAX_RECORD_BYTES`` is rejected with a ``ValueError`` before
-anything is allocated.
+:func:`check_run` rejects a run past the netlist's ``valid_to``, or one
+whose record (samples x channels x parameter sets, 8 bytes each), with a
+single run's stage-time tables, would exceed ``waveform.MAX_RECORD_BYTES``,
+with a ``ValueError`` before anything is allocated or drawn.
 """
 
 from __future__ import annotations
@@ -31,24 +31,31 @@ from .engine import eval_expr_array_clamped
 from .netlist import OdeSystem
 from .waveform import Waveform, check_grid_bytes, grid_steps
 
-__all__ = ["SimConfig", "SimResult", "SimulationError", "simulate", "relative_error", "BLOWUP_LIMIT",
-           "LN_FLOOR"]
+__all__ = ["SimConfig", "SimResult", "SimulationError", "simulate", "relative_error", "check_run",
+           "BLOWUP_LIMIT", "LN_FLOOR"]
 
 BLOWUP_LIMIT = 1e12
 LN_FLOOR = 1e-9
 REL_ERR_EPS = 1e-12
 OUTPUT_CHANNEL = "out"
+_TRANSFORM_ROWS = 4096   # per transform call: temporaries of 32 KiB, and few calls at 30-70 us each
 
 
-def check_record_size(n_steps: int, channels: int, runs: int = 1, tables: int = 0) -> None:
-    """Reject a record of ``n_steps + 1`` samples x ``channels`` x ``runs``, plus
-    ``tables`` more columns over the grid, over the cap.
+def check_run(sys: OdeSystem, sim: SimConfig, channels: int, runs: int = 1, tables: int = 0) -> None:
+    """Reject a run of ``sys`` over ``sim``'s grid that goes past the netlist's
+    ``valid_to``, or whose record of ``n_steps + 1`` samples x ``channels`` x
+    ``runs``, plus ``tables`` more columns over the grid, is over the cap.
 
     A single run's stage-time tables span its whole grid, so ``simulate``
-    counts them as ``tables`` columns (``engine.table_columns``).  A
-    stability sweep's peak is the record plus O(min(n_steps, 256) x runs)
-    for the lane march's tables and one chunk of its reduction.
+    counts them as ``tables`` columns (``engine.table_columns``); its output
+    transform runs over chunks of samples in place.  A stability sweep's peak
+    is the record plus O(min(n_steps, 256) x runs) for the lane march's tables
+    and one chunk of its reduction.
     """
+    if sys.valid_to is not None and sim.t_end > sys.valid_to:
+        raise ValueError(f"t_end = {sim.t_end:g} is past the netlist's horizon valid_to {sys.valid_to:g} "
+                         "(a fitted integrating factor); recompile with a larger alpha_horizon")
+    n_steps = sim.n_steps
     what = f"the run would record {n_steps + 1} samples x {channels} channel(s) x {runs} run(s)"
     check_grid_bytes(
         n_steps + 1, channels * runs + tables,
@@ -117,10 +124,11 @@ def _resolve_channels(sys: OdeSystem, names) -> tuple[np.ndarray, np.ndarray]:
 def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimResult:
     """Integrate the system over [0, t_end]; deterministic for fixed inputs.
 
-    ``backend`` (or, when None, ``MEMSOLVE_BACKEND``) may be ``numpy`` or
-    ``auto``; anything else raises ``ValueError``.
+    :func:`check_run` applies first.  ``backend`` may be ``numpy`` or ``auto``
+    (the default; ``MEMSOLVE_BACKEND`` is not read); anything else raises
+    ``ValueError``.
     """
-    _backend.resolve_backend(backend)
+    _backend.resolve_backend(backend or "auto")
     if OUTPUT_CHANNEL in cfg.record_channels:
         raise ValueError(f"channel name {OUTPUT_CHANNEL!r} is reserved for the output signal")
     names = (OUTPUT_CHANNEL,) + cfg.record_channels
@@ -128,7 +136,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
 
     n_steps = cfg.n_steps
     prog = sys.program
-    check_record_size(n_steps, len(names), tables=engine.table_columns(prog, chan_kind, chan_idx))
+    check_run(sys, cfg, len(names), tables=engine.table_columns(prog, chan_kind, chan_idx))
     rec = np.empty((n_steps + 1, len(names)), dtype=np.float64)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
 
@@ -143,15 +151,13 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
 
     rec = rec[:recorded]
     gflag = gflag[:recorded]
-    out_col = rec[:, 0]
     transform_clamps = 0
     if sys.output_transform is not None:
-        tgrid = cfg.dt * np.arange(recorded, dtype=np.float64)
-        out_col, transform_clamps = eval_expr_array_clamped(
-            sys.output_transform, {"v": out_col, "t": tgrid}, LN_FLOOR
-        )
-        rec = rec.copy()
-        rec[:, 0] = out_col
+        for first in range(0, recorded, _TRANSFORM_ROWS):
+            out = rec[first:first + _TRANSFORM_ROWS, 0]
+            tcol = cfg.dt * np.arange(first, first + len(out))
+            out[:], clamps = eval_expr_array_clamped(sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+            transform_clamps += clamps
 
     blowup_step = event if status == engine.STATUS_BLOWUP else None
     wf = Waveform(t0=0.0, dt=cfg.dt, names=names, data=rec)

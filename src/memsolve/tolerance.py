@@ -37,7 +37,7 @@ from .solver import (
     LN_FLOOR,
     REL_ERR_EPS,
     SimConfig,
-    check_record_size,
+    check_run,
     # Not called here: perfbench/spans.py patches tolerance.simulate and .perturb by name.
     simulate,  # noqa: F401
 )
@@ -113,6 +113,7 @@ def _perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> tuple[
         nodes=set(net.nodes),
         output_node=net.output_node,
         output_transform=net.output_transform,   # readout arithmetic: untouched
+        valid_to=net.valid_to,
         meta=dict(net.meta),
     )
     for eid in sorted(net.elements):
@@ -182,7 +183,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
     start = time.perf_counter()
     nominal = lower(net)                  # validates the netlist before any draw
     width = 1 + cfg.iterations
-    check_record_size(sim.n_steps, 1, width)
+    check_run(nominal, sim, 1, width)
     consts = np.empty((len(nominal.program.consts), width))
     y0 = np.empty((nominal.n_states, width))
     consts[:, 0], y0[:, 0] = nominal.program.consts, nominal.y0()

@@ -51,6 +51,15 @@ def test_resolve_backend(monkeypatch):
     assert backend.resolve_backend("numpy") == "numpy"
 
 
+def test_simulate_does_not_read_the_environment(monkeypatch):
+    # MEMSOLVE_BACKEND is the command line's setting; a library call checks only its argument
+    monkeypatch.setenv(backend.BACKEND_ENV, "numba")
+    sys = lower(parse_netlist(FIG2_NETLIST))
+    assert len(simulate(sys, SimConfig(dt=0.1, t_end=0.2)).waveform) == 3
+    with pytest.raises(ValueError, match="unknown backend 'numba'"):
+        simulate(sys, SimConfig(dt=0.1, t_end=0.2), backend="numba")
+
+
 # --- random valid netlists ---------------------------------------------------
 
 

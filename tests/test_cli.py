@@ -218,6 +218,12 @@ def test_oversize_run_exits_2(tmp_path, population_spec_file, capsys, monkeypatc
     # the linear family's m x m x (n+1) coefficient table is checked before it is allocated
     ("compile", "second_order", ("n = 2", "n = 1000000000000"), [], "n = 1000000000000, m = 1 (m*m*(n+1)"),
     ("compile", "second_order", ("m = 1", "m = 100000"), [], "n = 2, m = 100000 (m*m*(n+1) values) = 224 GiB"),
+    # a linear system's order and size are checked before the table is sized or filled
+    ("compile", "second_order", ("n = 2", "n = -1"), [], "line 3: n must be positive, got '-1'"),
+    ("compile", "second_order", ("m = 1", "m = 0"), [], "line 4: m must be positive, got '0'"),
+    # a fit on [0, 0] or [0, -1] would declare a horizon no run can keep
+    ("compile", "turbulent_diffusion", ("u0 = 1", "u0 = 1\nalpha_horizon = 0"), [],
+     "line 9: alpha_horizon must be positive, got '0'"),
 ])
 def test_out_of_range_number_exits_2(tmp_path, capsys, command, equation, edit, args, message):
     source = tmp_path / "in.net"
@@ -259,7 +265,24 @@ def test_run_past_fitted_integrating_factor_exits_2(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
     extra = ["--iterations", "5"] if command == "stability" else []
     assert main([command, net_path, "--dt", "1e-2", "--t-end", "8", *extra, "-o", str(out)]) == 2
-    assert "alpha_valid_to=3" in capsys.readouterr().err
+    assert "t_end = 8 is past the netlist's horizon valid_to 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("horizon, message", [
+    ("nan", "[valid-to] <valid_to>: must be a positive finite time, got nan"),
+    ("inf", "[valid-to] <valid_to>: must be a positive finite time, got inf"),
+    ("0", "[valid-to] <valid_to>: must be a positive finite time, got 0.0"),
+    ("-1", "[valid-to] <valid_to>: must be a positive finite time, got -1.0"),
+    ("5e-324", "t_end = 1 is past the netlist's horizon valid_to 4.94066e-324"),
+])
+def test_bad_or_passed_horizon_declaration_exits_2(tmp_path, capsys, command, horizon, message):
+    net_path = tmp_path / "fig2.net"
+    net_path.write_text(FIG2_NETLIST + f"valid_to {horizon}\n")
+    out = tmp_path / "x.csv"
+    assert main([command, str(net_path), "--dt", "1e-2", "--t-end", "1", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -278,6 +301,17 @@ def test_oracle_linear_family_unsupported(tmp_path, capsys):
     spec = tmp_path / "lin.eq"
     spec.write_text("family = linear\nn = 1\nm = 1\na[1][1][1] = 1\na[1][1][0] = 1\nic[1][0] = 1\n")
     assert main(["oracle", str(spec), "-o", str(tmp_path / "x.csv")]) == 3
+    assert "unsupported: no direct integro-differential form for LinearOdeSystem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("equation", ["second_order", "oscillator_chain"])
+def test_convergence_without_a_direct_form_exits_3(tmp_path, capsys, equation):
+    # compiler.to_ide_spec decides; oracle alone has a route for higher-order chains
+    spec = Path(__file__).parent.parent / "equations" / f"{equation}.eq"
+    out = tmp_path / "x.csv"
+    assert main(["convergence", str(spec), "--dt-list", "2e-3,1e-3", "-o", str(out)]) == 3
+    assert "unsupported: no direct integro-differential form for" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stability_reports_terminal_mean(tmp_path, population_spec_file, capsys):

@@ -359,7 +359,7 @@ def test_turbulent_alpha_fallback_fit():
     )
     net = compile_turbulent(spec)
     assert net.meta["alpha_fallback"] == "chebyshev-fit"
-    assert net.meta["alpha_valid_to"] == "3"
+    assert net.valid_to == 3.0 and "alpha_valid_to" not in net.meta
     assert max_rel_vs_oracle(net, to_ide_spec(spec), 1e-3, 2.5) < 0.01
 
 
@@ -381,7 +381,24 @@ def test_antiderivative_table_differentiates_back(src):
         assert dF == pytest.approx(eval_expr(p, {"t": t}), rel=1e-5, abs=1e-7)
 
 
-@pytest.mark.parametrize("src", ["exp(-t^2)", "1/(1+t)", "t^-1", "ln(t)"])
+@pytest.mark.parametrize("src", ["exp(-2*t)/8", "(t^2 + sin(t))/(-4)", "cos(3*t)/(1 + 1)"])
+def test_antiderivative_divided_by_a_constant_matches_quadrature(src):
+    p = parse_expr(src, {"t"})
+    anti = antiderivative_t(p)
+    assert anti is not None
+    ts = np.linspace(0.0, 2.0, 20001)
+    pv = eval_expr_array(p, {"t": ts})
+    quad = np.sum(0.5 * (pv[1:] + pv[:-1]) * np.diff(ts))      # trapezoid, error ~1e-9
+    assert eval_expr(anti, {"t": 2.0}) - eval_expr(anti, {"t": 0.0}) == pytest.approx(quad, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("src", [
+    "exp(-t^2)", "1/(1+t)", "t^-1", "ln(t)",
+    "exp(t)/t",                  # a divisor over t
+    "exp(t)/(1 - 1)", "t/0",     # a zero divisor
+    "exp(t)/ln(-1)",             # a divisor outside its domain
+    "exp(-t^2)/8",               # a constant divisor over a miss
+])
 def test_antiderivative_table_misses(src):
     assert antiderivative_t(parse_expr(src, {"t"})) is None
 

@@ -10,6 +10,7 @@ from memsolve.netlist import (
     parse_netlist,
     validate,
 )
+from memsolve.tolerance import ToleranceConfig, perturb
 
 FIG3_NETLIST = """
 # single memristive integrator in feedback (population-growth circuit)
@@ -120,6 +121,36 @@ def test_round_trip_preserves_lowered_system(tmp_path, fig2_netlist):
         assert np.array_equal(a.program.consts, b.program.consts)
         assert a.node_regs == b.node_regs
         assert a.output_node == b.output_node
+
+
+def test_valid_to_round_trips_and_survives_perturbation():
+    net = parse_netlist(FIG3_NETLIST + "valid_to 2.5\n")
+    assert net.valid_to == 2.5 and validate(net) == []
+    text = net.to_text()
+    assert text.startswith("valid_to 2.5\n")
+    assert parse_netlist(text).to_text() == text
+    assert lower(net).valid_to == 2.5
+    assert perturb(net, ToleranceConfig(max_relative_error=0.5), 0).valid_to == 2.5
+    plain = parse_netlist(FIG3_NETLIST)                 # printed only when declared
+    assert "valid_to" not in plain.to_text() and lower(plain).valid_to is None
+
+
+@pytest.mark.parametrize("line", ["valid_to", "valid_to 1 2", "valid_to soon", "valid_to 1\nvalid_to 2"])
+def test_malformed_valid_to_is_a_parse_error(line):
+    with pytest.raises(NetlistParseError, match="line [56]: "):
+        parse_netlist(FIG3_NETLIST + line + "\n")
+
+
+def test_meta_comments_are_only_comments():
+    # what the compiler writes in ``# meta:`` comments is never read back
+    plain = parse_netlist(FIG3_NETLIST)
+    noted = parse_netlist("# meta: alpha_valid_to=1\n# meta: family=turbulent\n" + FIG3_NETLIST)
+    assert noted.meta == {} and noted.valid_to is None
+    assert noted.to_text() == plain.to_text()
+    a, b = lower(plain), lower(noted)
+    assert a.states == b.states and a.valid_to is b.valid_to is None
+    assert a.program.same_structure(b.program)
+    assert np.array_equal(a.program.consts, b.program.consts)
 
 
 def test_lower_state_dimensions(fig2_netlist):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,12 +8,15 @@ import pytest
 
 import memsolve.waveform as waveform
 from memsolve import engine
-from memsolve.compiler import compile_equation, load_equation_spec
+from memsolve.compiler import compile_equation, load_equation_spec, parse_equation_spec
 from memsolve.netlist import lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, relative_error, simulate
+from memsolve.tolerance import ToleranceConfig, stability_run
 from memsolve.waveform import GridMismatchError, Waveform
 
 from conftest import fig2_closed_form
+
+EQUATIONS = Path(__file__).parent.parent / "equations"
 
 DECAY = """
 integrator int1 out=v C=1 ic=1 in=v:1
@@ -231,3 +235,57 @@ def test_oversize_stage_time_tables_are_rejected_before_they_are_built(monkeypat
     monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * (1 + columns) * 8)
     assert len(simulate(sys, cfg).waveform) == 11
     assert len(built) == 2                       # the grid and the half-step tables
+
+
+def test_output_transform_peak_does_not_grow_with_the_horizon():
+    # the transform runs over chunks of samples in place in the record: beyond
+    # the record and its passivity flags, a run holds a fixed allowance
+    sys = lower(compile_equation(load_equation_spec(EQUATIONS / "log_linear.eq")))
+    assert sys.output_transform is not None
+
+    def beyond_record(n_steps):
+        cfg = SimConfig(dt=4.0 / n_steps, t_end=4.0)
+        simulate(sys, cfg)                          # warm: the march is generated on first use
+        tracemalloc.start()
+        try:
+            simulate(sys, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (n_steps + 1) * 9             # float64 record, uint8 flags
+
+    short, long = beyond_record(10000), beyond_record(40000)
+    assert long < short + 0.05 * 8 * 40001          # a whole-grid temporary is 8 * 40001 bytes
+
+
+FITTED_SPEC = """\
+family = turbulent
+p = "exp(-t^2)"
+k1 = "1/2*exp(-t)"
+k2 = "exp(-s)"
+u0 = 1
+alpha_horizon = 3
+"""
+
+
+def test_run_past_the_declared_horizon_is_rejected_before_any_kernel_or_draw(monkeypatch):
+    # exp(-t^2) has no tabulated antiderivative, so alpha is a fit on [0, 3];
+    # extrapolated to t = 8 it blows up near t = 4.7, which a sweep would
+    # blame on the nominal circuit
+    net = compile_equation(parse_equation_spec(FITTED_SPEC))
+    assert net.valid_to == 3.0 and lower(net).valid_to == 3.0
+
+    def never(*args):
+        raise AssertionError("a run past the horizon reached a kernel or a draw")
+
+    for name in ("memsolve.backend.rk4_python", "memsolve.engine.rk4_run_batch", "memsolve.tolerance._perturb"):
+        monkeypatch.setattr(name, never)
+    past = SimConfig(dt=1e-2, t_end=8.0)
+    with pytest.raises(ValueError, match="t_end = 8 is past the netlist's horizon valid_to 3"):
+        simulate(lower(net), past)
+    with pytest.raises(ValueError, match="t_end = 8 is past the netlist's horizon valid_to 3"):
+        stability_run(net, ToleranceConfig(iterations=5), past)
+    monkeypatch.undo()
+    up_to = SimConfig(dt=1e-2, t_end=3.0)
+    assert not simulate(lower(net), up_to).blown_up
+    assert stability_run(net, ToleranceConfig(iterations=5), up_to).iterations == 5
