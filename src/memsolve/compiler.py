@@ -378,7 +378,9 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
 
     Falls back to a Chebyshev fit (emitted in Horner form) of the
     numerically integrated coefficient on [0, horizon] when the
-    antiderivative table does not apply.
+    antiderivative table does not apply.  A horizon too small for the
+    fit's grid, its domain scale or its coefficients to be finite is an
+    input error that names ``alpha_horizon``.
     """
     anti = antiderivative_t(p)
     if anti is not None:
@@ -387,6 +389,8 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
 
     n_grid = 4096
     ts = np.linspace(0.0, horizon, n_grid + 1)
+    if not (np.all(np.diff(ts) > 0.0) and math.isfinite(ts[-1]) and math.isfinite(2.0 / horizon)):
+        raise EquationSpecError(f"alpha_horizon = {horizon!r} leaves no finite, increasing fit grid on [0, horizon]")
     pv = eval_expr_array(p, {"t": ts})
     if pv.ndim == 0:
         pv = np.full(ts.shape, float(pv))
@@ -396,7 +400,11 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
     best = None
     for deg in (8, 12, 16, 20):
         cheb = np.polynomial.Chebyshev.fit(ts, cum, deg)
-        poly = cheb.convert(kind=np.polynomial.Polynomial)
+        with np.errstate(all="ignore"):   # the power basis scales the i-th coefficient by (2/horizon)^i
+            poly = cheb.convert(kind=np.polynomial.Polynomial)
+        if not np.all(np.isfinite(poly.coef)):
+            raise EquationSpecError(f"alpha_horizon = {horizon!r} is too small: "
+                                    f"the degree-{deg} fit's coefficients overflow")
         err = float(np.max(np.abs(poly(ts) - cum)))
         if best is None or err < best[0]:
             best = (err, poly)
@@ -674,7 +682,11 @@ def compile_linear(spec: LinearOdeSystem) -> Netlist:
                 else:
                     negative.append((target, -w))
         inputs = [nd for nd, _ in direct]
-        resistances = [1.0 / w for _, w in direct]
+        with np.errstate(over="ignore"):
+            resistances = [1.0 / w for _, w in direct]
+        if not all(map(math.isfinite, [*resistances, *(w for _, w in direct + negative)])):
+            raise EquationSpecError(f"equation {j + 1}: a coefficient over the leading one, or its "
+                                    "reciprocal (an input resistance), is outside the float range")
         if negative:
             net.add(
                 f"neg{j + 1:02d}",

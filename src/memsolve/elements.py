@@ -15,7 +15,9 @@ part of what the simulator measures.
 
 Each kind declares every field once, on its attribute, in text order:
 the netlist parser and printer, :func:`element_inputs`,
-:func:`element_problems` and the tolerance draws all read them.
+:func:`element_problems` and the tolerance draws all read them.  The
+lowering reads an element's numbers with arithmetic alone, so a number
+may also be a lane column: one value per parameter set of a sweep.
 """
 
 from __future__ import annotations
@@ -60,15 +62,16 @@ class Field:
     ``draw`` is its place in the draw order if it holds component values.
     ``ok`` is the validity rule of each number it holds, ``problem`` the
     diagnostic (``{x}``: the number) for one that breaks it; ``redraw``
-    makes it the draws' redraw rule too.  Non-finite ``initial`` states make
-    one problem of their element.  ``rank`` orders reading, and so picks the
-    fault reported for a line with several.
+    makes it the draws' redraw rule too.  An ``initial`` state's rule is
+    finiteness, and its breaches make one problem of their element.
+    ``rank`` orders reading, and so picks the fault reported for a line
+    with several.
     """
 
     rank, optional, few = 1, False, ""
 
     def __init__(self, key, draw=None, ok=None, problem="", redraw=False, initial=False):
-        self.key, self.draw, self.ok, self.problem = key, draw, ok, problem
+        self.key, self.draw, self.ok, self.problem = key, draw, math.isfinite if initial else ok, problem
         self.redraw, self.initial = ok if redraw else None, initial
 
     def __set_name__(self, kind, attr):
@@ -84,8 +87,9 @@ class Field:
         x = getattr(elem, self.attr)
         return () if self.ok(x) else [self.problem.format(x=repr(float(x)))]
 
-    def perturb(self, attrs, scale):
-        attrs[self.attr] = scale(attrs[self.attr], self.redraw)
+    def replace(self, attrs, fn):
+        """Replace in ``attrs`` each component value ``x`` it holds, in draw order, by ``fn(x, self)``."""
+        attrs[self.attr] = fn(attrs[self.attr], self)
 
 
 class Expression(Field):
@@ -105,8 +109,8 @@ class Expression(Field):
         extra = variables(getattr(elem, self.attr)) - self.scope
         return [self.problem.format(extra=sorted(extra))] if extra else []
 
-    def perturb(self, attrs, scale):  # each literal is a component value, with no rule of its own
-        attrs[self.attr] = map_constants(attrs[self.attr], lambda _i, c: scale(c))
+    def replace(self, attrs, fn):  # each literal is a component value, with no rule of its own
+        attrs[self.attr] = map_constants(attrs[self.attr], lambda _i, c: fn(c, self))
 
 
 class Inputs(Field):
@@ -156,8 +160,8 @@ class Inputs(Field):
             out += [self.problem.format(x=repr(float(x))) for x in numbers if not self.ok(x)]
         return out
 
-    def perturb(self, attrs, scale):
-        attrs[self.values] = tuple(scale(x, self.redraw) for x in attrs[self.values])
+    def replace(self, attrs, fn):
+        attrs[self.values] = tuple(fn(x, self) for x in attrs[self.values])
 
 
 class _Kind:
@@ -174,7 +178,7 @@ class _Kind:
         for f in cls.FIELDS:  # for the dataclass: required, or None if optional
             setattr(cls, f.attr, field(default=None if f.optional else MISSING))
         cls.DRAWS = tuple(sorted((f for f in cls.FIELDS if f.draw is not None), key=lambda f: f.draw))
-        cls.INITIALS = tuple(f.attr for f in cls.FIELDS if f.initial)
+        cls.INITIALS = tuple(f for f in cls.FIELDS if f.initial)
         cls.RULES = tuple(f for f in cls.FIELDS if f.problem or f.few)  # the fields with a diagnostic
         cls.INPUTS = next((f for f in cls.FIELDS if isinstance(f, Inputs)), None)  # its one wiring field
 
@@ -272,6 +276,6 @@ def element_problems(elem: Element) -> list[str]:
     kind, problems = elem.KIND, []
     for f in elem.RULES:
         problems += f.problems(kind, elem)
-    if not all(math.isfinite(getattr(elem, a)) for a in elem.INITIALS):
+    if not all(f.ok(getattr(elem, f.attr)) for f in elem.INITIALS):
         problems.append("non-finite initial condition")
     return problems

@@ -136,7 +136,7 @@ class TapeBuilder:
 
     def const(self, value: float) -> int:
         idx = len(self._consts)
-        self._consts.append(float(value))
+        self._consts.append(value)
         return self.emit(OP_CONST, self.new_reg(), idx)
 
     def load_t(self) -> int:

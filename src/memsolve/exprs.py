@@ -449,7 +449,7 @@ def map_constants(e: Expr, fn: Callable[[int, float], float]) -> Expr:
         if isinstance(node, Const):
             i = counter[0]
             counter[0] += 1
-            return Const(float(fn(i, node.value)))
+            return Const(fn(i, node.value))
         if isinstance(node, Unary):
             return Unary(node.op, go(node.arg))
         if isinstance(node, Binary):

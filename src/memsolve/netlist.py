@@ -56,6 +56,7 @@ __all__ = [
     "load_netlist",
     "validate",
     "lower",
+    "lower_unchecked",
     "netlist_stats",
 ]
 
@@ -331,12 +332,22 @@ def lower(net: Netlist) -> OdeSystem:
     diags = validate(net)
     if diags:
         raise ValidationFailed(diags)
+    return lower_unchecked(net)
 
+
+def lower_unchecked(net: Netlist) -> OdeSystem:
+    """:func:`lower` without validation, for numbers the element rules cannot read.
+
+    The arithmetic takes each component value as it comes, so a netlist
+    whose values are lane columns, one value per parameter set, lowers to
+    (n, W) constants and initial states, each column the one its values'
+    own netlist lowers to.  The caller checks each set against the rules.
+    """
     integ_ids = sorted(eid for eid, e in net.elements.items() if e.MEMORY)
     mem_ids = sorted(eid for eid, e in net.elements.items() if isinstance(e, MemIntegrator))
 
-    states = [StateSlot(eid, "integrator_output", float(net.elements[eid].ic)) for eid in integ_ids]
-    states += [StateSlot(eid, "memristor_omega", float(net.elements[eid].omega0)) for eid in mem_ids]
+    states = [StateSlot(eid, "integrator_output", net.elements[eid].ic) for eid in integ_ids]
+    states += [StateSlot(eid, "memristor_omega", net.elements[eid].omega0) for eid in mem_ids]
     omega_index = {eid: len(integ_ids) + j for j, eid in enumerate(mem_ids)}
 
     b = TapeBuilder()
@@ -371,10 +382,11 @@ def lower(net: Netlist) -> OdeSystem:
         elem = net.elements[eid]
         if isinstance(elem, Integrator):
             if elem.inputs:
-                weights = [1.0 / (elem.c * r) for r in elem.resistances]
+                with np.errstate(divide="ignore", over="ignore"):   # as float division, but a C*R of 0 weighs inf
+                    weights = [np.divide(1.0, elem.c * r) for r in elem.resistances]
                 deriv_regs[i] = _inverting_sum(b, weights, [node_regs[n] for n in elem.inputs])
-            else:
-                deriv_regs[i] = b.const(0.0)
+            else:   # 0.0, a lane column of them if C is one
+                deriv_regs[i] = b.const(np.zeros_like(elem.c))
         else:
             u_reg = node_regs[elem.input] if elem.input is not None else node_regs[net.out_node[eid]]
             env = {"t": t_reg, "v": u_reg, "omega": state_regs[omega_index[eid]]}

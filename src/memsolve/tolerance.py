@@ -11,8 +11,13 @@ arithmetic, not hardware, and is left untouched.
 Draws come from a per-iteration generator seeded from
 (master_seed, iteration_index), so iterations are reproducible and
 order-independent: the report does not depend on how the sweep is
-scheduled.  A draw that breaks its field's redraw rule (a potentiometer
-ratio reaching 1) is redrawn and the redraws counted.
+scheduled.  An iteration draws all its values in one call; a draw that
+breaks its field's redraw rule (a potentiometer ratio reaching 1) is
+redrawn and the redraws counted.  The sweep checks each iteration's
+values against the element rules, then lowers the netlist once with
+every component value a lane column, into the constant and
+initial-state columns of the whole sweep; :func:`perturb` is one of
+those columns as a netlist of its own.
 
 The reference curve is the unperturbed netlist's own simulation, so the
 report isolates the effect of component error from discretization
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import engine
 from .engine import eval_expr_array_clamped
-from .netlist import Netlist, ValidationFailed, lower
+from .netlist import Netlist, lower, lower_unchecked, validate
 from .solver import (
     BLOWUP_LIMIT,
     LN_FLOOR,
@@ -73,42 +78,27 @@ class ToleranceConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
-class _Draws:
-    def __init__(self, cfg: ToleranceConfig, iteration_index: int):
-        self.rng = np.random.default_rng([cfg.master_seed, iteration_index])
-        self.eps = cfg.max_relative_error
-        self.gaussian = cfg.distribution == "truncated_gaussian"
-        self.redraws = 0
-
-    def delta(self) -> float:
-        if self.eps == 0.0:
-            return 0.0
-        if self.gaussian:
-            return float(np.clip(self.rng.normal(0.0, self.eps / 3.0), -self.eps, self.eps))
-        return float(self.rng.uniform(-self.eps, self.eps))
-
-    def scale(self, value: float, valid=None) -> float:
-        for _ in range(_MAX_REDRAWS):
-            out = value * (1.0 + self.delta())
-            if valid is None or valid(out):
-                return out
-            self.redraws += 1
-        raise RuntimeError(f"no valid perturbation of {value!r} after {_MAX_REDRAWS} redraws")
-
-
 def perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> Netlist:
     """Independent perturbed copy of the netlist for one iteration.
 
     Structure is preserved exactly (same elements, wiring and expression
     shapes), so all iterations lower to programs with identical code and
-    differing constant tables.
+    differing constant tables: the sweep's column of this iteration.
     """
     return _perturb(net, cfg, iteration_index)[0]
 
 
 def _perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> tuple[Netlist, int]:
     """:func:`perturb` and the number of draws it redrew."""
-    draws = _Draws(cfg, iteration_index)
+    values, _, redrawn = _components(net)
+    with np.errstate(over="ignore"):      # a drawn value may overflow to inf, as a float product does
+        drawn, redraws = _draw(values, redrawn, cfg, iteration_index)
+    it = iter(drawn.tolist())
+    return _replace(net, lambda _x, _f: next(it)), redraws
+
+
+def _replace(net: Netlist, fn) -> Netlist:
+    """Copy of ``net`` with each component value ``x``, held by field ``f``, replaced by ``fn(x, f)``, in draw order."""
     out = Netlist(
         nodes=set(net.nodes),
         output_node=net.output_node,
@@ -121,11 +111,81 @@ def _perturb(net: Netlist, cfg: ToleranceConfig, iteration_index: int) -> tuple[
         if elem.DRAWS:
             attrs = dict(vars(elem))
             for f in elem.DRAWS:
-                f.perturb(attrs, draws.scale)
+                f.replace(attrs, fn)
             elem = type(elem)(**attrs)
         out.elements[eid] = elem
         out.out_node[eid] = net.out_node[eid]
-    return out, draws.redraws
+    return out
+
+
+def _components(net: Netlist):
+    """The netlist's component values in draw order, the field holding each,
+    and the places and rules of those that a draw must keep to their rule."""
+    values, fields = [], []
+    _replace(net, lambda x, f: values.append(x) or fields.append(f) or x)
+    redrawn = [(k, f.redraw) for k, f in enumerate(fields) if f.redraw is not None]
+    return np.array(values, dtype=np.float64), fields, redrawn
+
+
+def _draw(values: np.ndarray, redrawn, cfg: ToleranceConfig, iteration_index: int) -> tuple[np.ndarray, int]:
+    """One iteration's component values, and how many draws it redrew.
+
+    Each value is scaled by 1 + delta, the deltas drawn in one call, in draw
+    order, from the iteration's own generator.  A value that breaks its
+    redraw rule takes the next delta, and each value after it the delta
+    after its own: the one delta short is drawn in one more call.
+    """
+    rng = np.random.default_rng([cfg.master_seed, iteration_index])
+    eps = cfg.max_relative_error
+
+    def deltas(n):
+        if eps == 0.0:
+            return np.zeros(n)
+        if cfg.distribution == "truncated_gaussian":
+            return np.clip(rng.normal(0.0, eps / 3.0, size=n), -eps, eps)
+        return rng.uniform(-eps, eps, size=n)
+
+    d = deltas(len(values))
+    out = values * (1.0 + d)
+    first = redraws = tries = 0
+    while True:
+        bad = next((k for k, rule in redrawn if k >= first and not rule(out[k])), None)
+        if bad is None:
+            return out, redraws
+        tries = tries + 1 if bad == first else 1
+        if tries == _MAX_REDRAWS:
+            raise RuntimeError(f"no valid perturbation of {float(values[bad])!r} after {_MAX_REDRAWS} redraws")
+        redraws += 1
+        d = np.concatenate((d, deltas(1)))
+        out[bad:] = values[bad:] * (1.0 + d[bad + redraws:])
+        first = bad
+
+
+def _lane_columns(net: Netlist, cfg: ToleranceConfig, width: int):
+    """The sweep's (n_consts, W) constants and (n_states, W) initial states, and its redraws.
+
+    Column 0 is the nominal set and column i + 1 iteration i's, the columns
+    of ``lower(perturb(net, cfg, i))``: one netlist whose component values
+    are the columns lowers them all.
+    """
+    values, fields, redrawn = _components(net)
+    table = np.empty((len(values), width))
+    table[:, 0] = values
+    redraws = 0
+    with np.errstate(over="ignore", divide="ignore"):    # as float arithmetic: inf, silently
+        for i in range(width - 1):
+            table[:, i + 1], n = _draw(values, redrawn, cfg, i)
+            redraws += n
+        # the element rules read one number at a time; the nominal column passed them
+        broken = [j - 1 for k, f in enumerate(fields) if f.ok is not None
+                  for j, x in enumerate(table[k].tolist()) if not f.ok(x)]
+        if broken:
+            i = min(broken)
+            raise ValueError(f"iteration {i}: a drawn component value broke an element invariant:\n"
+                             + "\n".join(map(str, validate(perturb(net, cfg, i)))))
+        rows = iter(table)
+        lanes = lower_unchecked(_replace(net, lambda _x, _f: next(rows)))
+    return lanes.program.consts.reshape(-1, width), lanes.y0().reshape(-1, width), redraws
 
 
 @dataclass
@@ -141,7 +201,7 @@ class StabilityReport:
     tolerance: float
     unstable: bool
     tape: dict                       # engine.tape_stats: tape length, instructions read from tables
-    timings_s: dict                  # prepare (perturb + lower), kernel, reduce
+    timings_s: dict                  # prepare (draw, then lower once), kernel, reduce
     ln_clamps: int                   # ln clamps over every lane, the nominal one included
     lane_steps: int                  # recorded samples over every lane
 
@@ -184,21 +244,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
     nominal = lower(net)                  # validates the netlist before any draw
     width = 1 + cfg.iterations
     check_run(nominal, sim, 1, width)
-    consts = np.empty((len(nominal.program.consts), width))
-    y0 = np.empty((nominal.n_states, width))
-    consts[:, 0], y0[:, 0] = nominal.program.consts, nominal.y0()
-    redraws = 0
-    for i in range(cfg.iterations):       # one perturbed netlist alive at a time
-        perturbed, n = _perturb(net, cfg, i)
-        try:
-            system = lower(perturbed)
-        except ValidationFailed as exc:   # the nominal netlist passed: a draw broke it
-            raise ValueError(f"iteration {i}: a drawn component value broke an element invariant:\n"
-                             + "\n".join(map(str, exc.diagnostics))) from None
-        if not system.program.same_structure(nominal.program):
-            raise AssertionError("perturbation changed program structure")
-        consts[:, i + 1], y0[:, i + 1] = system.program.consts, system.y0()
-        redraws += n
+    consts, y0, redraws = _lane_columns(net, cfg, width)
     prepared = time.perf_counter()
     rec, ok_cols, failures, counts = _run_batch(nominal, consts, y0, sim)
     ran = time.perf_counter()

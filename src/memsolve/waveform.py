@@ -51,9 +51,8 @@ def check_grid_bytes(samples: int, columns: int, what: str, remedy: str) -> None
     """
     size = samples * columns * 8
     if size > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"{what} = {size / 2**30:.3g} GiB, over the {MAX_RECORD_BYTES / 2**30:g} GiB cap; {remedy}"
-        )
+        gib = size / 2**30 if size < 1e300 else math.inf   # an int past the float range prints as inf
+        raise ValueError(f"{what} = {gib:.3g} GiB, over the {MAX_RECORD_BYTES / 2**30:g} GiB cap; {remedy}")
 
 
 def write_csv(path, header, columns) -> None:

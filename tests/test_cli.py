@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_oversize_run_exits_2(tmp_path, population_spec_file, capsys, monkeypatc
         raise AssertionError("an oversize run got past its size check")
 
     monkeypatch.setattr("memsolve.backend.rk4_python", never)
-    monkeypatch.setattr("memsolve.tolerance._perturb", never)
+    monkeypatch.setattr("memsolve.tolerance._draw", never)
     monkeypatch.setattr("memsolve.oracle.eval_expr_array", never)  # the reference route's tables
     monkeypatch.setattr("memsolve.oracle.solve_ide", never)        # a convergence study's marches
     net_path = tmp_path / "fig2.net"
@@ -250,6 +251,26 @@ def test_drawn_value_that_breaks_an_invariant_names_its_iteration(tmp_path, caps
     err = capsys.readouterr().err
     assert "iteration 3: a drawn component value broke an element invariant" in err
     assert "[element-invariant] i1: capacitance must be positive, got inf" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon, message", [
+    # the fit grid on [0, 5e-324] cannot increase, and numpy's domain scale 2/horizon overflows
+    ("5e-324", "alpha_horizon = 5e-324 leaves no finite, increasing fit grid on [0, horizon]"),
+    # the grid and scale are finite, but the power basis's coefficients overflow
+    ("1e-300", "alpha_horizon = 1e-300 is too small: the degree-8 fit's coefficients overflow"),
+])
+def test_degenerate_alpha_horizon_exits_2_quietly(tmp_path, capfd, horizon, message):
+    spec = tmp_path / "fit.eq"
+    spec.write_text('family = turbulent\np = "exp(-t^2)"\nk1 = "1/2*exp(-t)"\n'
+                    f'k2 = "exp(-s)"\nu0 = 1\nalpha_horizon = {horizon}\n')
+    out = tmp_path / "fit.net"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compile", str(spec), "-o", str(out)]) == 2
+    captured = capfd.readouterr()       # LAPACK writes its complaints straight to the descriptors
+    assert captured.err == message + "\n" and captured.out == ""
+    assert [str(w.message) for w in caught] == []
     assert not out.exists()
 
 

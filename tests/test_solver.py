@@ -278,7 +278,7 @@ def test_run_past_the_declared_horizon_is_rejected_before_any_kernel_or_draw(mon
     def never(*args):
         raise AssertionError("a run past the horizon reached a kernel or a draw")
 
-    for name in ("memsolve.backend.rk4_python", "memsolve.engine.rk4_run_batch", "memsolve.tolerance._perturb"):
+    for name in ("memsolve.backend.rk4_python", "memsolve.engine.rk4_run_batch", "memsolve.tolerance._draw"):
         monkeypatch.setattr(name, never)
     past = SimConfig(dt=1e-2, t_end=8.0)
     with pytest.raises(ValueError, match="t_end = 8 is past the netlist's horizon valid_to 3"):

@@ -159,9 +159,11 @@ def _drawn_values(net):
         map_constants(e, lambda _i, c: out.append(c) or c)
         return out
 
-    a, f, i, m, p = (net.elements[eid] for eid in ("a1", "f1", "i1", "m1", "p1"))
-    return [*a.gains, *literals(f.signal), i.c, *i.resistances, i.ic,
-            m.c, m.ic, m.omega0, *literals(m.g), *literals(m.f), p.alpha]
+    order = {"adder": lambda e: [*e.gains], "fgen": lambda e: literals(e.signal),
+             "integrator": lambda e: [e.c, *e.resistances, e.ic],
+             "memintegrator": lambda e: [e.c, e.ic, e.omega0, *literals(e.g), *literals(e.f)],
+             "pot": lambda e: [e.alpha], "mul": lambda e: []}
+    return [v for eid in sorted(net.elements) for v in order[net.elements[eid].KIND](net.elements[eid])]
 
 
 @pytest.mark.parametrize("distribution", ["uniform", "truncated_gaussian"])
@@ -212,9 +214,9 @@ def test_redraws_reach_the_report_not_the_netlist(distribution, redraws):
 
 def test_oversize_sweep_is_rejected_before_any_draw(monkeypatch):
     def no_draws(*args):
-        raise AssertionError("perturbed an iteration of a run over the record cap")
+        raise AssertionError("drew an iteration of a run over the record cap")
 
-    monkeypatch.setattr(tolerance, "_perturb", no_draws)
+    monkeypatch.setattr(tolerance, "_draw", no_draws)
     cfg = ToleranceConfig(iterations=10**8)       # 4001 x 1 x (10^8 + 1) x 8 bytes: 3.2 TB
     with pytest.raises(ValueError, match="GiB cap"):
         stability_run(parse_netlist(GROWTH), cfg, SimConfig(dt=1e-3, t_end=4.0))
@@ -222,6 +224,88 @@ def test_oversize_sweep_is_rejected_before_any_draw(monkeypatch):
     monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * 5 * 8)
     with pytest.raises(ValueError, match="11 samples x 1 channel\\(s\\) x 6 run"):
         stability_run(parse_netlist(GROWTH), ToleranceConfig(iterations=5), SimConfig(dt=0.1, t_end=1.0))
+
+
+def _scalar_draws(net, cfg, i):
+    """Iteration ``i``'s component values drawn one at a time, each redrawn until its rule holds."""
+    rng = np.random.default_rng([cfg.master_seed, i])
+    eps, out, redraws = cfg.max_relative_error, [], 0
+    for eid in sorted(net.elements):
+        pot = net.elements[eid].KIND == "pot"
+        for v in _drawn_values(SimpleNamespace(elements={eid: net.elements[eid]})):
+            while True:
+                if cfg.distribution == "uniform":
+                    d = float(rng.uniform(-eps, eps))
+                else:
+                    d = float(np.clip(rng.normal(0.0, eps / 3.0), -eps, eps))
+                x = v * (1.0 + d)
+                if not pot or 0.0 < x < 1.0:
+                    break
+                redraws += 1
+            out.append(x)
+    return out, redraws
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated_gaussian"])
+def test_redrawn_values_follow_the_scalar_draw_sequence(distribution):
+    # a redraw takes the next draw, and every later value the draws after it
+    net = parse_netlist(EVERY_DRAW)
+    cfg = ToleranceConfig(max_relative_error=0.3, distribution=distribution)
+    total = 0
+    for i in range(40):
+        values, redraws = _scalar_draws(net, cfg, i)
+        pert, n = _perturb(net, cfg, i)
+        assert (_drawn_values(pert), n) == (values, redraws)
+        total += n
+    assert total > 0
+
+
+# Every drawable kind; an input-less integrator, whose slope is the constant
+# 0.0; a potentiometer that draws push past 1, so that iterations redraw,
+# second in draw order, so that a redraw shifts the draws of the rest.
+EVERY_DRAW = """
+memintegrator m1 out=v C=1.5 ic=1 g="1 + 0.1*omega" f="0.3*v - 2" omega0=0.2 in=w
+adder a1 out=s in=d:1.5 in=v:-0.25
+mul x1 out=y in=v in=w
+integrator i1 out=w C=2 ic=0.5 in=s:4 in=d:3
+integrator i2 out=q C=3 ic=-1
+pot b1 out=z in=y alpha=0.99
+fgen f1 out=d expr="sin(2*t) + 0.5"
+output z
+"""
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated_gaussian"])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.9])
+def test_sweep_columns_are_each_perturbed_lowering(monkeypatch, distribution, eps):
+    # The sweep lowers one netlist whose component values are lane columns;
+    # column i + 1 is iteration i's own netlist lowered alone, bit for bit.
+    net = parse_netlist(EVERY_DRAW)
+    cfg = ToleranceConfig(max_relative_error=eps, iterations=30, distribution=distribution)
+    seen, run_batch = [], tolerance._run_batch
+    monkeypatch.setattr(tolerance, "_run_batch", lambda *args: seen.append(args) or run_batch(*args))
+    report = stability_run(net, cfg, SimConfig(dt=0.1, t_end=0.2))
+    _, consts, y0, _ = seen[0]
+    systems = [lower(net)] + [lower(perturb(net, cfg, i)) for i in range(cfg.iterations)]
+    assert consts.shape == (len(systems[0].program.consts), 1 + cfg.iterations)
+    assert y0.shape == (systems[0].n_states, 1 + cfg.iterations)
+    for j, system in enumerate(systems):
+        assert consts[:, j].tobytes() == system.program.consts.tobytes()
+        assert y0[:, j].tobytes() == system.y0().tobytes()
+    assert report.redraws == sum(_perturb(net, cfg, i)[1] for i in range(cfg.iterations))
+    assert (report.redraws > 0) == (eps > 0.0)
+
+
+def test_drawn_initial_state_that_overflows_names_its_iteration():
+    # the sweep checks every set's values against the element rules before
+    # lowering them together; an initial state's rule is finiteness
+    net = parse_netlist("integrator i1 out=y C=1 ic=1.7e308 in=y:1\noutput y\n")
+    cfg = ToleranceConfig(max_relative_error=0.5, iterations=6)
+    first = next(i for i in range(6) if perturb(net, cfg, i).elements["i1"].ic == np.inf)
+    with pytest.raises(ValueError) as err:
+        stability_run(net, cfg, SimConfig(dt=0.1, t_end=1.0))
+    assert str(err.value) == (f"iteration {first}: a drawn component value broke an element invariant:\n"
+                              "[element-invariant] i1: non-finite initial condition")
 
 
 def test_output_transform_not_perturbed():
