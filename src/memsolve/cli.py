@@ -220,10 +220,10 @@ def _cmd_stability(args, argv) -> int:
 
 def _cmd_convergence(args, argv) -> int:
     spec = load_equation_spec(args.spec)
-    try:
-        dt_list = [float(x) for x in args.dt_list.split(",") if x]
+    try:  # an empty entry is an error too, not a step size fewer
+        dt_list = [float(x) for x in args.dt_list.split(",")]
     except ValueError:
-        print(f"bad --dt-list {args.dt_list!r}", file=sys.stderr)
+        print(f"bad --dt-list {args.dt_list!r}: every comma-separated entry must be a number", file=sys.stderr)
         return EXIT_INPUT
     start = time.perf_counter()
     study = convergence_study(to_ide_spec(spec), dt_list, args.t_end)

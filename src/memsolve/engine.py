@@ -13,8 +13,11 @@ inlined four times per step:
   parameter sets side by side in numpy arrays (every Monte Carlo
   sweep).  It stacks the states, compensation terms and stage slopes
   as (n_states, W) arrays, so a stage input, the compensated update and
-  the blow-up test are each one set of numpy calls.  It computes
-  without masks and tests all guards of a stage with one
+  the blow-up test are each one set of numpy calls.  Every call writes
+  into a buffer the march owns, passed as the ufunc's positional
+  output (one per register, guard mask, stage input and update term,
+  allocated for the live width), so a step allocates no array.  It
+  computes without masks and tests all guards of a stage with one
   ``np.count_nonzero``; a stage whose guard holds anywhere is rerun
   masked, and a lane that fails leaves every per-lane array.
 
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -226,15 +230,24 @@ _OPS = {
 }
 
 
-# The numpy variants' expressions as ufuncs, so the lane march can write a
-# slope straight into its slot with ``out=`` (the operators are these ufuncs).
+# The numpy variants' expressions as ufuncs, so a march can write a register
+# into a buffer it owns, passed as the positional output (the operators are
+# these ufuncs).  ``_COMPARE`` does the same for the guard tests' comparisons.
 _UFUNCS = {OP_ADD: "add", OP_SUB: "subtract", OP_MUL: "multiply", OP_DIV: "true_divide",
            OP_NEG: "negative", OP_EXP: "exp", OP_LN: "log", OP_SIN: "sin", OP_COS: "cos",
            OP_SQRT: "sqrt", OP_ABS: "absolute", OP_POW: "power"}
+_COMPARE = {"==": "equal", "!=": "not_equal", "<": "less", "<=": "less_equal"}
+# binds every ufunc a buffered march or table build calls to a local
+_BOUND = sorted({*_UFUNCS.values(), *_COMPARE.values(), "bitwise_or"})
+_BIND = f"{', '.join(_BOUND)} = {', '.join('np.' + x for x in _BOUND)}"
 
 
-def _guard_lines(g: _Guard, variant: str) -> list[str]:
-    """What happens to ``x`` (the checked value) where the guard's test holds."""
+def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
+    """What happens to ``x`` (the checked value) where the guard's test holds.
+
+    ``mask`` names a bool buffer of the fast variant: the test writes its
+    hits there and ors them into ``hit``, or, if it is ``hit``, starts it.
+    """
     test = (g.clamp or g.bad).format("x")
     if variant == "scalar":
         # inside the march's step loop: a domain error ends the march
@@ -242,7 +255,11 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
         return [f"if {test}:"] + ["    " + s for s in then]
     if variant == "fast":
         # every lane alive: only note the hit; the march then reruns the stage masked
-        return [f"hit |= {test}"]
+        if mask is None:
+            return [f"hit |= {test}"]
+        lhs, cmp, rhs = test.split(" ")
+        return [f"{_COMPARE[cmp]}({lhs}, {rhs}, {mask})"] + (
+            [] if mask == "hit" else [f"bitwise_or(hit, {mask}, hit)"])
     if variant == "masked":
         # a lane stops counting at its first domain error, as the scalar march stops there
         flag = "ln_counts[lanes[~dom & m]] += 1" if g.clamp else "dom |= m"
@@ -257,19 +274,21 @@ def _guard_lines(g: _Guard, variant: str) -> list[str]:
                f"    x = np.where(m, {g.safe}, x)"])
 
 
-def _op_lines(code, variant: str, loads=None, outside=(), outs=None) -> tuple[list[str], dict[int, str]]:
+def _op_lines(code, variant: str, loads=None, outside=(), outs=None, masks=None) -> tuple[list[str], dict[int, str]]:
     """One assignment to a local ``r<dst>`` per instruction, guards included.
 
     ``loads`` maps OP_CONST, OP_T and OP_STATE to the name of a local the
     caller provides (``{i}`` is the operand); those loads then emit no
     line.  ``outside`` lists registers that ``code`` reads but the caller
     computes, as locals ``r<n>``, or maps them to their spelling.
-    ``outs`` maps registers to arrays their instruction writes into (a
-    numpy variant's ufunc ``out=``); such a register is spelled as its
-    array.  Returns the lines and how each register is spelled.
+    ``outs`` maps registers to arrays their instruction writes into: a
+    numpy variant's ufunc, bound to a local (``_BIND``), gets the array
+    as its positional output, and the register is spelled as the array.
+    ``masks`` maps guarded registers to the bool buffer of their test
+    (``_guard_lines``).  Returns the lines and how each register is spelled.
     """
     spell = dict(outside) if isinstance(outside, dict) else {r: f"r{r}" for r in outside}
-    outs = outs or {}
+    outs, masks = outs or {}, masks or {}
     body = []
     for op, dst, a, b in code:
         expr, guard = _OPS[op]
@@ -279,19 +298,20 @@ def _op_lines(code, variant: str, loads=None, outside=(), outs=None) -> tuple[li
             spell[dst] = loads[op].format(i=a)
             continue
         if dst in outs:
-            expr = f"np.{_UFUNCS[op]}({{a}}{', {b}' if op in _BINARY else ''}, out={outs[dst]})"
+            expr = f"{_UFUNCS[op]}({{a}}{', {b}' if op in _BINARY else ''}, {outs[dst]})"
         spell[dst] = outs.get(dst, f"r{dst}")
         lhs = "" if dst in outs else f"r{dst} = "
         names = {"i": a, "dst": dst, "a": spell.get(a), "b": spell.get(b)}
+        checks = _guard_lines(guard, variant, masks.get(dst)) if guard is not None else []
         if guard is not None and guard.on != "r":
-            body += [f"x = {names[guard.on]}"] + _guard_lines(guard, variant)
+            body += [f"x = {names[guard.on]}"] + checks
             names[guard.on] = "x"
         *pre, value = expr.format(**names).split("\n")
         body += pre
         if guard is None or guard.on != "r":
             body.append(lhs + value)
         else:
-            body += ["x = " + value] + _guard_lines(guard, variant) + ([] if dst in outs else [f"r{dst} = x"])
+            body += ["x = " + value] + checks + ([] if dst in outs else [f"r{dst} = x"])
     return body, spell
 
 
@@ -455,7 +475,7 @@ def _emit_tables(code, frontier) -> list[str]:
     ``consts`` is (n_consts, W).  A register is dropped after its last
     read, so only a few (times, W) temporaries are alive at once.
     """
-    body = ["shape = (t.shape[0], consts.shape[1])", "hit = np.zeros(shape, dtype=np.bool_)"]
+    body = [_BIND, "shape = (t.shape[0], consts.shape[1])", "hit = np.zeros(shape, dtype=np.bool_)"]
     for (op, dst, a, b), dead in zip(code, _dead_after(code, frontier)):
         spell, outs = {r: f"r{r}" for r in _reads(op, a, b)}, None
         if op == OP_POW:
@@ -471,12 +491,13 @@ def _emit_tables(code, frontier) -> list[str]:
     return ["def tables(t, consts, ln_floor):"] + _indent(body) + [""]
 
 
-def _update_terms(k, s: str, q: str, new: str, comp: str, dt="dt", two="2.0", six="6.0") -> list[str]:
+def _update_terms(k, s: str, q: str, new: str) -> list[str]:
     """Compensated (Kahan) update of the state ``s`` from the stage slopes ``k``
-    into ``new`` and ``comp``; keeps the roundoff floor near eps*|y|, so
-    small-step runs stay truncation-dominated."""
-    return [f"term = {dt} * ({k[0]} + {two} * {k[1]} + {two} * {k[2]} + {k[3]}) / {six} - {q}",
-            f"{new} = {s} + term", f"{comp} = ({new} - {s}) - term"]
+    into ``new`` and ``q``; keeps the roundoff floor near eps*|y|, so
+    small-step runs stay truncation-dominated.  The lane march makes the
+    same operations in the same order into its buffers (``_emit_lanes``)."""
+    return [f"term = dt * ({k[0]} + 2.0 * {k[1]} + 2.0 * {k[2]} + {k[3]}) / 6.0 - {q}",
+            f"{new} = {s} + term", f"{q} = ({new} - {s}) - term"]
 
 
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
@@ -502,7 +523,9 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     loaded = {dst for op, dst, *_ in code if op == OP_CONST}
     fixed = [f"e{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded]
     body = [s for s in body if s not in fixed]
-    timed = any(op == OP_T for op, *_ in code)
+    # the stage time only where an instruction or a root reads it
+    read = {r for op, _, a, b in code for r in _reads(op, a, b)}.union(_roots(deriv_regs, channels, flags))
+    timed = any(op == OP_T and dst in read for op, dst, *_ in code)
     # stage 0 keeps the grid row that stage 3 of the step before read, stage 2 the half row of stage 1
     reads = {1: "h{j}[step]", 3: "g{j}[step + 1]"}
     loop = []
@@ -517,7 +540,7 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
             loop.append(f"gflag[step] = 1 if {negative} else 0" if flags else "gflag[step] = 0")
             loop += ["recorded = step + 1", "if step == n_steps:", "    break"]
     for i in range(n):
-        loop += _update_terms([f"k{s}_{i}" for s in range(4)], f"s{i}", f"q{i}", f"w{i}", f"q{i}")
+        loop += _update_terms([f"k{s}_{i}" for s in range(4)], f"s{i}", f"q{i}", f"w{i}")
     loop += [f"s{i} = w{i}" for i in range(n)]
     if n:
         # NaN and inf fail the comparison, so they count as a blow-up too
@@ -548,17 +571,27 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     slopes stacked, as ``S`` and ``Q`` (n_states, W) and ``K`` (4,
     n_states, W): a stage input, the compensated update and the blow-up
     test are each one set of numpy calls whatever the number of states.
-    The tape reads the states as rows of the stage input ``U``, and an
-    instruction that computes a slope writes it into its row of ``K``.
     Signs are folded first (``_fold_signs``).
+
+    Away from a rerun the march allocates nothing per step: every ufunc
+    writes into a buffer the march owns, passed as its positional output.
+    Each register the stages compute has its own (W,) buffer (a slope
+    goes straight into its row of ``K``), each guard after a stage's first
+    its own bool buffer (the first writes ``hit``), a stage input goes
+    into ``U``, and the update into ``N`` and ``Q`` in place, with ``T`` and
+    ``OK`` for the term and the blow-up test.  ``S`` starts as a copy of
+    ``y0`` and swaps with ``N`` at each accepted step.  Stage 0 reads the
+    states as rows ``s<i>`` of ``S`` (``n<i>`` of ``N`` swap with them), the
+    other stages as rows ``u<i>`` of ``U``.
 
     Per-lane arrays hold the live lanes alone; ``lanes`` (and ``cols``, a
     plain slice until the first drop) holds each one's column in the
-    caller's arrays.  ``survivors`` computes the hoisted part's registers
-    over constants alone as (W,) rows; the rest is read from stage-time
-    tables over the live lanes, built every ``_TABLE_STEPS`` steps.  A
-    stage whose table row notes a guard, or whose own guards hold anywhere
-    (one ``np.count_nonzero``), is rerun by the masked ``stage``, which
+    caller's arrays.  ``survivors`` allocates the buffers for the live
+    width and computes the hoisted part's registers over constants alone
+    as (W,) rows; the rest is read from stage-time tables over the live
+    lanes, built every ``_TABLE_STEPS`` steps.  A stage whose table row
+    notes a guard, or whose own guards hold anywhere (one
+    ``np.count_nonzero``), is rerun by the masked ``stage``, which
     evaluates the whole tape in order; so is every stage while a guard
     over constants holds for some lane.  A lane that fails, in a stage or
     at the update, has its status, event step, ``rec_counts`` and last
@@ -586,7 +619,25 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     once = _slice(table, [r for r in frontier + _guarded(table) if r in const])
     tabled = [r for r in frontier if r not in const]
     table = _slice(table, tabled + [r for r in _guarded(table) if r not in const])
-    # the survivors' set-up: K's rows, the march's constants and the registers over constants alone
+    # stage 0 needs the roots and the guards, stages 1 to 3 the slopes and the guards
+    guards = _guarded(code)
+    stage_code = [_slice(code, roots + guards)] + 3 * [_slice(code, list(deriv_regs) + guards)]
+    # stage 0 reads rows of S (for the tape and the recorded states), stages 1 to 3 rows of U
+    srows = sorted({a for op, _, a, _ in stage_code[0] if op == OP_STATE}
+                   | {i for kind, i in channels if kind == CHAN_STATE})
+    urows = sorted({a for op, _, a, _ in stage_code[1] if op == OP_STATE})
+    made = {dst for scode in stage_code for op, dst, *_ in scode if op not in _LOADS}
+    regs = [dst for op, dst, *_ in code if dst in made and dst not in deriv_regs]
+    # a slope goes straight into its row of K (the first row, if it is the slope of two states)
+    slopes = {}
+    for i, r in enumerate(deriv_regs):
+        if r in made:
+            slopes.setdefault(r, i)
+    timed = [any(op == OP_T for op, *_ in scode) for scode in stage_code]
+    masks = {r: f"m{r}" for r in guards[1:]}
+    masks.update({r: "hit" for r in guards[:1]})
+    # the survivors' set-up: K's rows, the march's constants, the registers over constants alone
+    # and the buffers for the live width
     named = [f"K{s}_{i}" for s in range(4) for i in range(n)]
     named += [f"c{i}" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
     named += [f"r{dst}" for op, dst, *_ in once if dst in frontier and op not in _LOADS]
@@ -598,10 +649,22 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         once_lines = (["hit = np.zeros(consts.shape[1], dtype=np.bool_)"] + once_lines
                       + ["every = np.count_nonzero(hit)"])
         named.append("every")
-    body += once_lines
-    named = "".join(f", {x}" for x in named)
-    lines += ["def survivors(consts, K, ln_floor):"] + _indent(body + [f"return consts.shape[1], *K{named}", ""])
-    survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, ln_floor)"
+    body += once_lines + ["width = consts.shape[1]"]
+    buffers = []
+    if n:
+        rows = [(f"{x}{i}", f"{x.upper()}[{i}]") for x in "sn" for i in srows] + [(f"u{i}", f"U[{i}]") for i in urows]
+        body += ["N, U, T = (np.empty(S.shape) for _ in range(3))", "OK = np.empty(S.shape, dtype=np.bool_)"]
+        body += [f"{name} = {row}" for name, row in rows]
+        buffers += ["N", "U", "T", "OK"] + [name for name, _ in rows]
+    floats = [f"r{r}" for r in regs] + (["t"] if any(timed) else [])
+    bools = list(masks.values()) + ["F", "G"][:len(flags)]
+    for names, kind in ((floats, ""), (bools, ", dtype=np.bool_")):
+        if names:
+            buffers += names
+            body.append(f"{_tuple(names)} = (np.empty(width{kind}) for _ in range({len(names)}))")
+    named = "".join(f", {x}" for x in named + buffers)
+    lines += ["def survivors(consts, K, S, ln_floor):"] + _indent(body + [f"return width, *K{named}", ""])
+    survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, S, ln_floor)"
     chunk, hits, loop = [], [], []
     if table:
         lines += _emit_tables(table, tabled)
@@ -626,68 +689,61 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
                  f"(x.compress(keep, axis=-1) for x in (lanes, {new}, {', '.join(per_lane)}))",
                  "cols = lanes"] + hits + [survivors, "if not width:", "    break"])
 
-    # stage 0 needs the roots and the guards, stages 1 to 3 the slopes and the guards
-    guards = _guarded(code)
-    stage_code = [_slice(code, roots + guards)] + 3 * [_slice(code, list(deriv_regs) + guards)]
     n_chan = len(channels)
     for s, t in enumerate(_STAGE_TIMES):
         scode = stage_code[s]
-        timed = any(op == OP_T for op, *_ in scode)
-        loop += [f"t = np.full(width, {t})"] if timed and t else []
-        if s == 0 or not n:
-            loop.append("U = S")
-        else:
-            loop.append(f"U = S + {'dt_' if s == 3 else 'hdt_'} * K{s - 1}")
-        # a slope computed by this stage's code goes straight into its row of K
-        made = {dst for op, dst, *_ in scode if op not in _LOADS}
-        outs = {}
-        for i, r in enumerate(deriv_regs):
-            if r in made:
-                outs.setdefault(r, f"K{s}_{i}")
-        fast, spell = _op_lines(scode, "fast", _MARCH_LOADS, frontier, outs)
-        # the stage's first guard starts its hit mask
-        first = next((k for k, x in enumerate(fast) if x.startswith("hit |= ")), None)
-        if first is not None:
-            fast[first] = "hit = " + fast[first][len("hit |= "):]
+        # stage 2 runs at the time of stage 1, which a drop in stage 1 leaves unwritten
+        t = t or _STAGE_TIMES[1]
+        loop += [f"t.fill({t})"] if timed[s] else []
+        if s and n:
+            loop += [f"multiply({'dt_' if s == 3 else 'hdt_'}, K{s - 1}, U)", "add(S, U, U)"]
+        outs = {r: f"r{r}" for r in regs} | {r: f"K{s}_{i}" for r, i in slopes.items()}
+        loads = {**_MARCH_LOADS, OP_STATE: "s{i}"} if s == 0 else _MARCH_LOADS
+        fast, spell = _op_lines(scode, "fast", loads, frontier, outs, masks)
         read = {r for op, _, a, b in scode for r in _reads(op, a, b)} | set(deriv_regs)
-        states = sorted({a for op, _, a, _ in scode if op == OP_STATE})
         tab, row = "ghhg"[s], ("j", "j", "j", "j + 1")[s]
-        loop += [f"u{i} = U[{i}]" for i in states]
         if s == 0:
-            probes = [spell[i] if kind == CHAN_REG else f"S[{i}]" for kind, i in channels]
+            probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
             probes += [spell[g] for g in flags]
             read |= set(roots)
         loop += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(tabled) if s != 2 and r in read]
         loop += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
-                        if outs.get(r) != f"K{s}_{i}"]
+                        if spell[r] != f"K{s}_{i}"]
         loop += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
         rerun = (["every"] if _guarded(once) else []) + ([f"{tab}hit[{row}]"] if _guarded(table) else [])
-        rerun += ["np.count_nonzero(hit)"] if _guarded(scode) else []
+        rerun += ["np.count_nonzero(hit)"] if guards else []
         if rerun:
             kept = [f"p{j}" for j in range(len(probes))] if s == 0 else []
-            # stage 2 computes with the time and the table rows of stage 1
-            kept += (["t"] if timed else []) + [f"r{r}" for r in tabled if r in read] if s == 1 else []
+            # stage 2 computes with the table rows of stage 1
+            kept += [f"r{r}" for r in tabled if r in read] if s == 1 else []
             target = "[" + ", ".join(kept) + "]" if s == 0 else "_"
-            at = "t" if timed else f"np.full(width, {t or _STAGE_TIMES[1]})"
+            at = "t" if timed[s] else f"np.full(width, {t})"
             loop += [f"if {' or '.join(rerun)}:"] + _indent(
-                [f"dom, {f'K[{s}]' if n else '_'}, {target} = stage({at}, U, consts, ln_floor, ln_counts, lanes)",
+                [f"dom, {f'K[{s}]' if n else '_'}, {target} = "
+                 f"stage({at}, {'U' if s and n else 'S'}, consts, ln_floor, ln_counts, lanes)",
                  "if np.count_nonzero(dom):"] + _indent(
                      # stage 0 fails before the step's sample is recorded
                      drop(STATUS_DOMAIN_ERROR, "step", "step" if s == 0 else "step + 1", kept)))
         if s == 0:
-            negative = " | ".join(f"(p{n_chan + j} < 0.0)" for j in range(len(flags)))
             loop += [f"rec[step, {c}, cols] = p{c}" for c in range(n_chan)]
-            loop += [f"gflag[step, cols] = {negative}"] if flags else []
+            for j in range(len(flags)):  # a negative memductance
+                loop += [f"less(p{n_chan + j}, 0.0, {'G' if j else 'F'})"] + (["bitwise_or(F, G, F)"] if j else [])
+            loop += ["gflag[step, cols] = F"] if flags else []
             loop += ["if step == n_steps:", "    break"]
     if n:
-        loop += _update_terms(("K0", "K1", "K2", "K3"), "S", "Q", "N", "E", "dt_", "two", "six")
+        # _update_terms into the buffers; U (the stage inputs) and T (the term) are spent when reused
+        loop += ["multiply(two, K1, T)", "add(K0, T, T)", "multiply(two, K2, U)", "add(T, U, T)",
+                 "add(T, K3, T)", "multiply(dt_, T, T)", "true_divide(T, six, T)", "subtract(T, Q, T)",
+                 "add(S, T, N)", "subtract(N, S, Q)", "subtract(Q, T, Q)"]
         # NaN and inf fail the comparison, so they count as a blow-up too
-        loop.append("ok = np.abs(N) <= blow_limit")
-        loop += ["if np.count_nonzero(ok) == S.size:", "    S, Q = N, E", "else:"] + _indent(
-            ["dom = ~ok.all(axis=0)"] + drop(STATUS_BLOWUP, "step + 1", "step + 1", new="N, E"))
-    fn_body = ["hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
+        loop += ["absolute(N, T)", "less_equal(T, blow_limit, OK)"]
+        swap = [f"{_tuple(f'{x}{i}' for x in 'sn' for i in srows)} = "
+                f"{_tuple(f'{x}{i}' for x in 'ns' for i in srows)}"] if srows else []
+        loop += ["if np.count_nonzero(OK) == OK.size:", "    S, N = N, S"] + _indent(swap) + ["else:"] + _indent(
+            ["dom = ~OK.all(axis=0)"] + drop(STATUS_BLOWUP, "step + 1", "step + 1", new="N, Q"))
+    fn_body = [_BIND, "hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
                "lanes, cols = np.arange(y0.shape[1]), slice(None)",
-               "S, Q, K, Y = y0, np.zeros(y0.shape), np.empty((4,) + y0.shape), np.empty(y0.shape)",
+               "S, Q, K, Y = y0.copy(), np.zeros(y0.shape), np.empty((4,) + y0.shape), np.empty(y0.shape)",
                survivors]
     fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
@@ -711,7 +767,10 @@ def _emit(code, deriv_regs, channels, flags, lanes: bool, hoist: bool) -> str:
 
 def _compile(source: str, name: str):
     namespace = {"np": np, "math": math, "DomainError": DomainError}
-    exec(compile(source, f"<memsolve {name}>", "exec"), namespace)
+    # one function at a time: compiling them together holds all their syntax trees at once
+    # (a turbulent lane march peaked at 1.7 MB that way, at 1.0 MB one function at a time)
+    for function in re.split(r"^(?=def )", source, flags=re.M):
+        exec(compile(function, f"<memsolve {name}>", "exec"), namespace)
     return namespace[name]
 
 

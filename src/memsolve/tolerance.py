@@ -72,7 +72,7 @@ class ToleranceConfig:
             )
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.master_seed < 0:
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a non-negative 64-bit integer")
         if self.distribution not in ("uniform", "truncated_gaussian"):
             raise ValueError(f"unknown distribution {self.distribution!r}")

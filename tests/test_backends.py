@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -152,11 +153,14 @@ def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     rec = np.empty((n_steps + 1, chan_kind.shape[0], width))
     gflag = np.zeros((n_steps + 1, width), dtype=np.uint8) if flags else None
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
+    given = consts.tobytes(), y0.tobytes()
     y_out = engine.rk4_run_batch(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
         rec, gflag, status, event, ln_counts, rec_counts,
     )
+    # the march computes into buffers of its own, never into its caller's arrays
+    assert (consts.tobytes(), y0.tobytes()) == given
     return rec_counts, status, event, ln_counts, rec, gflag, y_out
 
 
@@ -413,6 +417,18 @@ def test_a_lane_does_not_see_its_neighbours_fail():
     assert np.array_equal(alone[4][:, :, 0], runs[0][4][:, :, 0])
 
 
+def test_lanes_reading_t_keep_the_stage_time_after_a_drop():
+    # v*t is computed in the march, not read from a table: a lane fails where
+    # sqrt(a - v*t) leaves its domain, some at a half-step time, and stage 2
+    # then runs at stage 1's time over the survivors
+    src = 'memintegrator mem1 out=v C=1 ic=1 g="-0.2 + 0.1*sqrt({a} - v*t)" f="v" omega0=0\noutput v\n'
+    systems = [lower(parse_netlist(src.format(a=a))) for a in (9.0, 0.33, 0.51, 0.77, 1.03, 1.29, 9.0)]
+    consts = np.stack([s.program.consts for s in systems], axis=1)
+    status, event, _ = assert_variants_agree(systems[0], dt=0.1, n_steps=40, consts=consts)
+    assert status.tolist() == [engine.STATUS_OK] + 5 * [engine.STATUS_DOMAIN_ERROR] + [engine.STATUS_OK]
+    assert len(set(event.tolist())) == 6
+
+
 # --- the stacked lane march ---------------------------------------------------
 
 
@@ -422,6 +438,14 @@ def test_single_state_lanes_match_scalar_runs():
                               'fgen f1 out=a expr="sin(3*t) - exp(-t)"\noutput x\n'))
     assert sys.n_states == 1
     assert_variants_agree(sys, width=5, dt=1e-2, n_steps=300, seed=3)
+
+
+def test_stateless_lanes_match_scalar_runs():
+    # no state at all: a stage rerun for the time guard reads no stage input
+    sys = lower(parse_netlist('fgen f1 out=a expr="sqrt(0.5 - t) * cos(t)"\noutput a\n'))
+    assert sys.n_states == 0
+    status, event, _ = assert_variants_agree(sys, width=3, dt=0.0625, n_steps=16)
+    assert status.tolist() == 3 * [engine.STATUS_DOMAIN_ERROR]
 
 
 def test_three_state_lanes_all_alive_through_ln_clamp_reruns():
@@ -453,12 +477,14 @@ def test_guard_read_only_by_a_recorded_register():
 
 
 class _Counted(np.ndarray):
-    """An array that counts the ufunc calls it takes part in, and passes that on."""
+    """An array that counts the ufunc calls it takes part in, and passes that on;
+    ``fresh`` counts those without an output array, which allocate their result."""
 
-    calls = 0
+    calls = fresh = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         _Counted.calls += 1
+        _Counted.fresh += out is None
         plain = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
         if out is not None:
             kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _Counted) else o for o in out)
@@ -500,13 +526,28 @@ def _lane_calls(sys, n_steps, dead, width=101, dt=1e-3):
         y0[0, 50] = 1e13                 # over the blow-up limit after the update of step 0
     chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32)
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
-    _Counted.calls = 0
+    _Counted.calls = _Counted.fresh = 0
     engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, prog.g_regs, *chan, y0, 0.0, dt, n_steps,
                          1e-9, 1e12, np.empty((n_steps + 1, 1, width)), None,
                          status, event, ln_counts, rec_counts)
     assert status[50] == (engine.STATUS_BLOWUP if dead else engine.STATUS_OK) and event[50] == (1 if dead else n_steps)
     assert np.all(np.delete(status, 50) == engine.STATUS_OK)
-    return _Counted.calls
+    return np.array([_Counted.calls, _Counted.fresh])
+
+
+def _lane_calls_per_step(monkeypatch, name, dead):
+    """``[calls, fresh]`` per step of the sweep's lane march over the equation ``name``
+    (W = 101): the difference of a 30-step and a 10-step run leaves 20 steps and no
+    table builds."""
+    path = Path(__file__).parent.parent / "equations" / f"{name}.eq"
+    sys = lower(compile_equation(load_equation_spec(path)))
+    engine._march.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "np", _CountingNumpy())
+            return (_lane_calls(sys, 30, dead) - _lane_calls(sys, 10, dead)) / 20
+    finally:
+        engine._march.cache_clear()      # drop the marches generated against the counting numpy
 
 
 @pytest.mark.parametrize("name, most, dead", [
@@ -519,24 +560,41 @@ def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
     """numpy calls per step of the sweep's lane march (W = 101).
 
     Counted: every ufunc call (operators, reductions and ``.any()`` included)
-    and every ``count_nonzero``, ``where`` and ``full``.  The difference of
-    a 30-step and a 10-step run leaves 20 steps and no table builds.  With
-    one set of numpy calls per stage input, compensated update and blow-up
-    test, folded signs and ``count_nonzero`` guard tests, the marches take
-    48 and 61 calls; with one set per state they take 72 and 92.  A lane
-    that blows up at step 0 leaves the march, and the 100 others march on
-    at the same count.
+    and every ``count_nonzero``, ``where`` and ``full``.  With one set of
+    numpy calls per stage input, compensated update and blow-up test,
+    folded signs and ``count_nonzero`` guard tests, the marches take 48
+    and 61 calls; with one set per state they take 72 and 92.  A lane that
+    blows up at step 0 leaves the march, and the 100 others march on at
+    the same count.
     """
+    calls, _ = _lane_calls_per_step(monkeypatch, name, dead)
+    assert calls <= most
+
+
+@pytest.mark.parametrize("name", ["population_growth", "turbulent_diffusion"])
+@pytest.mark.parametrize("dead", [False, True], ids=["all_alive", "one_lane_dropped"])
+def test_lane_march_allocates_no_array_per_step(monkeypatch, name, dead):
+    """Every ufunc call of a step writes into a buffer the march owns: none
+    takes ``out=None``, before or after a lane leaves."""
+    calls, fresh = _lane_calls_per_step(monkeypatch, name, dead)
+    assert calls > 0 and fresh == 0
+
+
+def _scalar_source(sys):
+    prog = sys.program
+    chan = ((engine.CHAN_REG, sys.node_regs[sys.output_node]),)
+    return engine._emit(tuple(map(tuple, prog.code.tolist())), tuple(prog.deriv_regs.tolist()), chan,
+                        tuple(prog.g_regs.tolist()), False, True)
+
+
+@pytest.mark.parametrize("name", ["second_order", "log_linear", "oscillator_chain"])
+def test_scalar_march_computes_no_unread_stage_time(name):
+    # lowering loads t for every netlist; these three read it nowhere in the march
     path = Path(__file__).parent.parent / "equations" / f"{name}.eq"
-    sys = lower(compile_equation(load_equation_spec(path)))
-    engine._march.cache_clear()
-    try:
-        with monkeypatch.context() as patched:
-            patched.setattr(engine, "np", _CountingNumpy())
-            per_step = (_lane_calls(sys, 30, dead) - _lane_calls(sys, 10, dead)) / 20
-    finally:
-        engine._march.cache_clear()      # drop the marches generated against the counting numpy
-    assert per_step <= most
+    assert not re.search(r"^ *t = ", _scalar_source(lower(compile_equation(load_equation_spec(path)))), re.M)
+    # a memductance over v*t reads it at every stage time (stage 2 reuses stage 1's)
+    sys = lower(parse_netlist('memintegrator mem1 out=v C=1 ic=1 g="-0.5 + 0.1*(v*t)" f="v" omega0=0\noutput v\n'))
+    assert len(re.findall(r"^ *t = ", _scalar_source(sys), re.M)) == 3
 
 
 def _same_lowering(a, b):

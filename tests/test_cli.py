@@ -208,6 +208,22 @@ def test_oversize_run_exits_2(tmp_path, population_spec_file, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args, message", [
+    # the seed seeds numpy's generators, which take 64 bits
+    ("stability", ["--seed", "99999999999999999999999"], "master_seed must be a non-negative 64-bit integer"),
+    # an empty entry is not dropped: it names the list
+    ("convergence", ["--dt-list", "1e-2,,5e-3,2.5e-3"], "bad --dt-list '1e-2,,5e-3,2.5e-3'"),
+])
+def test_bad_flag_value_exits_2(tmp_path, population_spec_file, capsys, command, args, message):
+    net_path = tmp_path / "fig2.net"
+    net_path.write_text(FIG2_NETLIST)
+    source = population_spec_file if command == "convergence" else str(net_path)
+    out = tmp_path / "x.csv"
+    assert main([command, source, *args, "--t-end", "1", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, equation, edit, args, message", [
     ("compile", "log_linear", ("u0 = 1", "u0 = nan"), [], "line 5: u0 must be a finite number, got 'nan'"),
     ("compile", "second_order", ("ic[1][0] = 1", "ic[1][0] = inf"), [], "line 8: ic[1][0] must be a finite"),

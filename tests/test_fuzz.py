@@ -64,3 +64,58 @@ def test_extreme_numbers_exit_0_2_or_3(tmp_path, capsys, equation):
                 code = main([command[0], str(mutated), "-o", out, *command[1:]])
                 assert code in (0, 2, 3), (command[0], mutated.read_text(), capsys.readouterr().err)
     capsys.readouterr()
+
+
+# --- command-line flags at extremes ------------------------------------------
+
+FLAG_VALUES = ("nan", "inf", "-inf", "-0", "5e-324", "1e308", str(2**64))
+# every value is an invalid setting of its flag or puts the run over the record cap,
+# but these, which would start a real sweep
+VALID = {("--tolerance", "-0"), ("--tolerance", "5e-324"), ("--seed", "-0")}
+FLAGS = {
+    "simulate": ("net", {"--dt": "1e-2", "--t-end": "0.5"}),
+    "oracle": ("eq", {"--dt": "1e-2", "--t-end": "0.5"}),
+    "stability": ("net", {"--dt": "1e-2", "--t-end": "0.5", "--tolerance": "0.1",
+                          "--iterations": "4", "--seed": "1"}),
+    "convergence": ("eq", {"--dt-list": "4e-2,2e-2,1e-2", "--t-end": "0.4"}),
+}
+
+
+def _exit_code(argv) -> int:
+    """``cli.main``'s exit code, argparse's rejections (``SystemExit``) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _flag_cases(flags):
+    """The command's flags with one of them set to an extreme value; ``--dt-list``
+    gets it at each of its three places."""
+    for flag, nominal in flags.items():
+        for value in FLAG_VALUES:
+            if (flag, value) in VALID:
+                continue
+            if flag != "--dt-list":
+                yield {**flags, flag: value}
+                continue
+            for place in range(3):
+                entries = nominal.split(",")
+                entries[place] = value
+                yield {**flags, flag: ",".join(entries)}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_extreme_flags_exit_2(tmp_path, capsys, command):
+    source = Path(__file__).parent.parent / "equations" / "population_growth.eq"
+    if FLAGS[command][0] == "net":
+        net = tmp_path / "nominal.net"
+        assert main(["compile", str(source), "-o", str(net), "--quiet"]) == 0
+        source = net
+    out = tmp_path / "out.csv"
+    for flags in _flag_cases(FLAGS[command][1]):
+        # --flag=value, so that argparse reads "-inf" and "-0" as values
+        argv = [command, str(source), "-o", str(out), "--quiet", *(f"{k}={v}" for k, v in flags.items())]
+        assert _exit_code(argv) == 2, (argv, capsys.readouterr().err)
+        assert not out.exists()
+    capsys.readouterr()

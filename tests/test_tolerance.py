@@ -499,6 +499,10 @@ def test_config_validation():
         ToleranceConfig(iterations=0)
     with pytest.raises(ValueError):
         ToleranceConfig(distribution="cauchy")
+    for seed in (-1, 2**64, 99999999999999999999999):
+        with pytest.raises(ValueError, match="master_seed must be a non-negative 64-bit integer"):
+            ToleranceConfig(master_seed=seed)
+    assert ToleranceConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
