@@ -14,10 +14,10 @@ from .exprs import (
     ExprError,
     ExprSyntaxError,
     UnknownVariableError,
-    eval_expr,
     parse_expr,
     pretty,
 )
+from .engine import eval_expr
 from .elements import (
     Adder,
     FunctionGenerator,

@@ -45,14 +45,13 @@ from .exprs import (
     Expr,
     Unary,
     Var,
-    eval_expr,
     format_number,
     parse_expr,
     pretty,
     substitute,
     variables,
 )
-from .engine import eval_expr_array
+from .engine import eval_expr, eval_expr_array
 from .netlist import Netlist
 from .elements import Adder, FunctionGenerator, Integrator, MemIntegrator, Multiplier
 from .oracle import IdeSpec

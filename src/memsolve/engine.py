@@ -40,11 +40,11 @@ the in-order tape.  A tape with nothing to hoist (constant loads aside)
 generates the same march as without tables.  Every march and table computes
 ``pow`` with numpy's array loop: a lane is bit-equal to its scalar run.
 
-A third variant evaluates one expression over numpy arrays
-(:func:`eval_expr_array` and :func:`eval_expr_array_clamped`): output
-transforms over a recorded waveform and the reference solver's
-coefficient tables.  Its guards raise
-:class:`~memsolve.exprs.DomainError` instead of masking lanes.
+Two more variants evaluate one expression, raising
+:class:`~memsolve.exprs.DomainError` instead of masking lanes: over
+arrays (:func:`eval_expr_array`: output transforms, the reference
+coefficient tables) and over floats (:func:`eval_expr`: constant
+folding, the reference chain march).
 
 Kernel status codes: 0 = completed, 1 = expression domain error,
 2 = state blow-up (magnitude above the blow-up limit or non-finite).
@@ -190,9 +190,9 @@ class TapeBuilder:
 # variables) as ``y`` and the constant table as ``consts``; for lanes
 # every one of them carries the lane axis.  The marches read these loads
 # from locals instead (``_MARCH_LOADS``).  An expression written as a
-# pair is (scalar, numpy): the scalar march computes in Python floats,
-# the other variants over numpy arrays.  A scalar expression may start
-# with statements, one per line; {dst} names the destination register.
+# pair is (float, numpy): the scalar march and the strict scalar evaluator
+# compute in Python floats, the others over numpy arrays.  A float one may
+# start with statements, one per line; {dst} names the destination register.
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ _OPS = {
     OP_SQRT: (("math.sqrt({a})", "np.sqrt({a})"),
               _Guard("a", "{0} < 0.0", "0.0", "sqrt of negative value")),
     OP_ABS: ("abs({a})", None),
-    # numpy's array loop in every march, the scalar one's over one-element buffers (_emit_scalar);
+    # numpy's array loop everywhere, the float variants' over one-element buffers (_emit_scalar);
     # libm pow and numpy's fast paths for a stride-0 exponent of 2, 0.5 or -1 differ in the last bit
     OP_POW: (("pa[0] = {a}\ne{dst}[0] = {b}\npower(pa, e{dst}, po).item()", "np.power({a}, {b})"),
              _Guard("r", "{0} != {0}", "0.0", "pow outside the real domain")),
@@ -265,8 +265,9 @@ def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
         flag = "ln_counts[lanes[~dom & m]] += 1" if g.clamp else "dom |= m"
         return [f"m = {test}", "if m.any():", "    " + flag,
                 f"    x = np.where(m, {g.safe}, x)"]
-    strict = [f"if ({g.bad.format('x')}).any():", f"    raise DomainError({g.msg!r})"]
-    if not g.clamp:
+    bad = g.bad.format("x") if variant == "strict" else f"({g.bad.format('x')}).any()"
+    strict = [f"if {bad}:", f"    raise DomainError({g.msg!r})"]
+    if not g.clamp or variant == "strict":
         return strict
     # ``ln_floor`` None is strict evaluation; otherwise clamp and count as the kernels do
     return (["if ln_floor is None:"] + ["    " + s for s in strict]
@@ -293,7 +294,7 @@ def _op_lines(code, variant: str, loads=None, outside=(), outs=None, masks=None)
     for op, dst, a, b in code:
         expr, guard = _OPS[op]
         if isinstance(expr, tuple):
-            expr = expr[variant != "scalar"]
+            expr = expr[variant not in ("scalar", "strict")]
         if loads and op in loads:
             spell[dst] = loads[op].format(i=a)
             continue
@@ -825,30 +826,83 @@ def tape_stats(prog: Program) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Array expressions
+# Expressions
 #
 # An expression compiles to a tape whose states are its bound variables,
-# one OP_STATE slot per name; the array variant of that tape evaluates it
-# over numpy arrays, broadcasting the bindings against each other.
+# one OP_STATE slot per name.  The array variant evaluates it over numpy
+# arrays, broadcasting the bindings; the strict scalar one over Python
+# floats.  Both check only the result for finiteness (1/exp(1000) is 0).
 
 
-@functools.lru_cache(maxsize=256)
-def _evaluator(e: Expr, names: tuple[str, ...]):
-    """The generated evaluation of ``e`` and its constant table, cached per (expr, names)."""
+def _lower_expr(e: Expr, names: tuple[str, ...]) -> tuple[Program, int]:
+    """The tape of ``e`` over the variables ``names`` and its result register."""
     used = variables(e)
     unbound = sorted(used - set(names))
     if unbound:
         raise DomainError(f"unbound variable '{unbound[0]}'")
     b = TapeBuilder()
     out = b.compile_expr(e, {n: b.load_state(i) for i, n in enumerate(names) if n in used})
-    prog = b.finish([out], [])
+    return b.finish([out], []), out
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluator(e: Expr, names: tuple[str, ...]):
+    """The generated array evaluation of ``e`` and its constant table, cached per (expr, names)."""
+    prog, out = _lower_expr(e, names)
     body, spell = _op_lines(prog.code.tolist(), "array")
     lines = ["def evaluate(y, consts, ln_floor):"] + _indent(["n_clamped = 0"] + body)
     lines.append(f"    return {spell[out]}, n_clamped")
     return _compile("\n".join(lines) + "\n", "evaluate"), prog.consts
 
 
-def _eval_array(e: Expr, bindings, ln_floor):
+@functools.lru_cache(maxsize=256)
+def _binder(code, n_vars: int, out: int):
+    """``bind(consts)`` for one expression tape structure, shared by every constant table.
+
+    It returns ``evaluate(y0, ..., y<n_vars - 1>)``, Python floats in and
+    out, which holds its own ``pow`` buffers.
+    """
+    body, spell = _op_lines(code, "strict", {OP_CONST: "c{i}", OP_STATE: "y{i}"})
+    pows = [dst for op, dst, *_ in code if op == OP_POW]
+    setup = [f"c{a} = float(consts[{a}])" for op, _, a, _ in code if op == OP_CONST]
+    setup += ["power, pa, po = np.power, np.empty(1), np.empty(1)"] if pows else []
+    setup += [f"e{dst} = np.empty(1)" for dst in pows]
+    # x - x is 0.0 for every finite x, NaN for NaN and the infinities
+    body += [f"if {spell[out]} - {spell[out]} != 0.0:", "    raise DomainError('non-finite result')",
+             f"return {spell[out]}"]
+    head = f"def evaluate({', '.join(f'y{i}' for i in range(n_vars))}):"
+    lines = ["def bind(consts):"] + _indent(setup + [head] + _indent(body) + ["return evaluate"])
+    return _compile("\n".join(lines) + "\n", "bind")
+
+
+def scalar_evaluator(e: Expr, names):
+    """``e`` as a function of one float per name in ``names``, in that order.
+
+    Strict like :func:`eval_expr_array`, with its messages.  Call it under
+    ``np.errstate(all="ignore")``: numpy's ``exp`` and ``pow`` warn on overflow.
+    """
+    prog, out = _lower_expr(e, tuple(names))
+    return _binder(tuple(map(tuple, prog.code.tolist())), len(names), out)(prog.consts)
+
+
+def eval_expr(e: Expr, bindings) -> float:
+    """Evaluate ``e`` with every variable bound to a float; strict about domain errors."""
+    fn = scalar_evaluator(e, tuple(bindings))
+    with np.errstate(all="ignore"):
+        return fn(*map(float, bindings.values()))
+
+
+def eval_expr_array(e: Expr, bindings) -> np.ndarray:
+    """Evaluate ``e`` with array-valued bindings, broadcast together; strict domain checks."""
+    return eval_expr_array_clamped(e, bindings, None)[0]
+
+
+def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, int]:
+    """Like :func:`eval_expr_array` but clamp ln arguments below ``ln_floor`` (None: strict).
+
+    Returns the values and the number of clamped samples.  This is the
+    simulator-side evaluation mode; the default evaluator stays strict.
+    """
     fn, consts = _evaluator(e, tuple(bindings))
     with np.errstate(all="ignore"):
         out, n_clamped = fn([np.asarray(v, dtype=float) for v in bindings.values()], consts, ln_floor)
@@ -856,20 +910,6 @@ def _eval_array(e: Expr, bindings, ln_floor):
     if not np.all(np.isfinite(out)):
         raise DomainError("non-finite result")
     return out, n_clamped
-
-
-def eval_expr_array(e: Expr, bindings) -> np.ndarray:
-    """Evaluate ``e`` with array-valued bindings, broadcast together; strict domain checks."""
-    return _eval_array(e, bindings, None)[0]
-
-
-def eval_expr_array_clamped(e: Expr, bindings, ln_floor: float) -> tuple[np.ndarray, int]:
-    """Like :func:`eval_expr_array` but clamp ln arguments below ``ln_floor``.
-
-    Returns the values and the number of clamped samples.  This is the
-    simulator-side evaluation mode; the default evaluator stays strict.
-    """
-    return _eval_array(e, bindings, ln_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,13 @@ minus, ``^``.  All binary operators of equal precedence associate to
 the left (including ``^``).  ASTs are immutable and safe to share
 across threads.
 
-Evaluation here is scalar only, in strict IEEE double precision with
-libm functions: ``ln`` of a non-positive number, division by zero,
-fractional powers of negatives and any non-finite intermediate raise
-:class:`DomainError`.  Constant folding and the reference solver's chain
-march use it.  Evaluation over numpy arrays (output transforms,
-coefficient tables) is generated from the opcode table in
-:mod:`memsolve.engine`, which also holds the simulator's ``ln`` clamp.
+Evaluation lives in :mod:`memsolve.engine`, generated from its opcode
+table: strict over floats (``eval_expr``) and arrays (``eval_expr_array``)
+with only the result checked for finiteness (``1/exp(1000)`` is 0).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
@@ -38,7 +33,6 @@ __all__ = [
     "UnknownVariableError",
     "DomainError",
     "parse_expr",
-    "eval_expr",
     "pretty",
     "variables",
     "substitute",
@@ -271,76 +265,6 @@ class _Parser:
 def parse_expr(source: str, allowed_vars: Iterable[str]) -> Expr:
     """Parse ``source`` into an AST, rejecting variables outside ``allowed_vars``."""
     return _Parser(_tokenize(source), frozenset(allowed_vars)).parse()
-
-
-# ---------------------------------------------------------------------------
-# Strict scalar evaluation
-
-
-def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``e`` with every variable bound; strict about domain errors."""
-    return _eval(e, bindings)
-
-
-def _check(x: float, what: str) -> float:
-    if not math.isfinite(x):
-        raise DomainError(f"non-finite result in {what}")
-    return x
-
-
-def _eval(e: Expr, b: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(b[e.name])
-        except KeyError:
-            raise DomainError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Unary):
-        x = _eval(e.arg, b)
-        op = e.op
-        if op == "neg":
-            return -x
-        if op == "exp":
-            try:
-                return _check(math.exp(x), "exp")
-            except OverflowError:
-                raise DomainError("non-finite result in exp") from None
-        if op == "ln":
-            if x <= 0.0:
-                raise DomainError(f"ln of non-positive value {x!r}")
-            return math.log(x)
-        if op == "sin":
-            return math.sin(x)
-        if op == "cos":
-            return math.cos(x)
-        if op == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if op == "abs":
-            return abs(x)
-        raise AssertionError(f"bad unary op {op!r}")
-    x = _eval(e.lhs, b)
-    y = _eval(e.rhs, b)
-    op = e.op
-    if op == "add":
-        return _check(x + y, "+")
-    if op == "sub":
-        return _check(x - y, "-")
-    if op == "mul":
-        return _check(x * y, "*")
-    if op == "div":
-        if y == 0.0:
-            raise DomainError("division by zero")
-        return _check(x / y, "/")
-    if op == "pow":
-        try:
-            r = math.pow(x, y)
-        except (ValueError, OverflowError):
-            raise DomainError(f"pow({x!r}, {y!r}) outside the real domain") from None
-        return _check(r, "^")
-    raise AssertionError(f"bad binary op {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ re-sums the whole history every step, O(steps^2).  Every form and
 kernel runs in one Heun loop in plain Python floats, with the
 right-hand side and the running-sum quadrature written inline and
 picked by flags fixed before the loop, so a step calls no Python
-function (only the general kernel's re-sum stays a call).  Before allocating
-anything, a run whose grid-length arrays would exceed
-``waveform.MAX_RECORD_BYTES`` is rejected with a ``ValueError``.
+function (only the general kernel's re-sum stays a call; the order-n
+chain's step calls only ``g`` and ``f``).  Before allocating anything, a
+run whose grid-length arrays would exceed ``waveform.MAX_RECORD_BYTES``
+is rejected with a ``ValueError``.
 
 The method stays independent of the circuit route: the only thing it
-shares with :mod:`memsolve.engine` is expression-to-array evaluation
-(the coefficient tables); it never uses ``lower``, netlists or the RK4
-march.  Both routes are second-order-consistent but structurally
-unrelated, which is what makes their agreement meaningful.
+shares with :mod:`memsolve.engine` is expression evaluation (coefficient
+tables, the chain's ``g`` and ``f``); it never uses ``lower``, netlists
+or the RK4 march.  Both routes are second-order-consistent but
+structurally unrelated, which is what makes their agreement meaningful.
 
 Non-separable kernels K(t, s) are supported here even though the
 circuit route requires the separable form k1(t)*k2(s); the asymmetry is
@@ -31,13 +32,14 @@ deliberate and lets tests exhibit the circuit-side restriction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import eval_expr_array
-from .exprs import Expr, eval_expr, variables
+from .engine import eval_expr_array, scalar_evaluator
+from .exprs import Expr, variables
 from .waveform import Waveform, check_grid_bytes, grid_steps
 
 __all__ = [
@@ -234,6 +236,44 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     return wf
 
 
+# The chain's Heun march, written out per order: the states v, v', ... are y0, y1, ..., each
+# one's slope the next, the last one's -g*v (a; b at the predictor p0, p1, ...).  Returns the
+# number of steps accepted: n, or fewer if the next one blows up.
+_CHAIN_MARCH = """\
+def march(g, f, ics, w, dt, n, out):
+    {y}, = ics
+    hdt = 0.5 * dt
+    fh = f(0.0, y0, w)
+    out[0] = y0
+    for k in range(n):
+        tn = (k + 1) * dt
+        a = -g(k * dt, y0, w) * y0
+        {p}, = {predict},
+        w_new = w + hdt * (fh + f(tn, p0, w + dt * fh))
+        b = -g(tn, p0, w_new) * p0
+        {new}, = {correct},
+        if not ({inside}):
+            return k
+        {y}, w = {new}, w_new
+        fh = f(tn, y0, w)
+        out[k + 1] = y0
+    return n
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_march(order: int):
+    y, p, new = ([f"{x}{i}" for i in range(order)] for x in "ypn")
+    dy, dp = y[1:] + ["a"], p[1:] + ["b"]
+    namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT}
+    exec(_CHAIN_MARCH.format(
+        y=", ".join(y), p=", ".join(p), new=", ".join(new),
+        predict=", ".join(f"{y[i]} + dt * {dy[i]}" for i in range(order)),
+        correct=", ".join(f"{y[i]} + hdt * ({dy[i]} + {dp[i]})" for i in range(order)),
+        inside=" and ".join(f"abs({x}) <= BLOWUP_LIMIT" for x in new)), namespace)
+    return namespace["march"]
+
+
 def solve_memristive_chain(
     g: Expr, f: Expr, order: int, ics, omega0: float, dt: float, t_end: float
 ) -> Waveform:
@@ -242,45 +282,20 @@ def solve_memristive_chain(
     Solves d^n v / dt^n = -g(w, v, t) * v with w(t) = integral_0^t
     f(w, v, s) ds, by Heun stepping on (v, v', ..., v^(n-1)) and
     trapezoidal marching of the memory accumulator.  ``ics`` lists
-    v(0), v'(0), ..., v^(n-1)(0).
+    v(0), v'(0), ..., v^(n-1)(0).  ``g`` and ``f`` become float functions once.
     """
     ics = [float(x) for x in ics]
     if order < 1 or len(ics) != order:
         raise ValueError("need order >= 1 and exactly `order` initial conditions")
     n = grid_steps(dt, t_end)
     _check_size(dt, n, 1)
-
-    def chain_rhs(t, Y, w):
-        return Y[1:] + [-eval_expr(g, {"t": t, "v": Y[0], "omega": w}) * Y[0]]
-
+    g, f = (scalar_evaluator(e, ("t", "v", "omega")) for e in (g, f))
     vs = np.empty(n + 1)
-    Y = ics
-    w = float(omega0)
-    fh = eval_expr(f, {"t": 0.0, "v": Y[0], "omega": w})
-    vs[0] = Y[0]
-    blowup = None
-    last = n
-    for k in range(n):
-        tk, tn = k * dt, (k + 1) * dt
-        fk = chain_rhs(tk, Y, w)
-        Y_pred = [y + dt * d for y, d in zip(Y, fk)]
-        w_pred = w + dt * fh
-        fh_pred = eval_expr(f, {"t": tn, "v": Y_pred[0], "omega": w_pred})
-        w_new = w + 0.5 * dt * (fh + fh_pred)
-        f_pred = chain_rhs(tn, Y_pred, w_new)
-        Y_new = [y + 0.5 * dt * (d + e) for y, d, e in zip(Y, fk, f_pred)]
-        if not all(map(math.isfinite, Y_new)) or max(map(abs, Y_new)) > BLOWUP_LIMIT:
-            blowup = k + 1
-            last = k
-            break
-        Y = Y_new
-        w = w_new
-        fh = eval_expr(f, {"t": tn, "v": Y[0], "omega": w})
-        vs[k + 1] = Y[0]
-
+    with np.errstate(all="ignore"):  # numpy's exp and pow warn on overflow; the evaluators raise
+        last = _chain_march(order)(g, f, ics, float(omega0), dt, n, memoryview(vs))
     wf = Waveform(t0=0.0, dt=dt, names=("y",), data=vs[: last + 1, None])
-    if blowup is not None:
-        wf.meta["blowup_step"] = blowup
+    if last < n:
+        wf.meta["blowup_step"] = last + 1
     return wf
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import engine
 from .engine import eval_expr_array_clamped
+from .exprs import DomainError
 from .netlist import Netlist, lower, lower_unchecked, validate
 from .solver import (
     BLOWUP_LIMIT,
@@ -263,7 +264,13 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
         out = rec[rows, 0, ok_cols]
         if nominal.output_transform is not None:
             tcol = sim.dt * np.arange(first, first + len(out))[:, None]
-            out, _ = eval_expr_array_clamped(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+            try:
+                out, _ = eval_expr_array_clamped(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+            except DomainError:
+                row, j, msg = _first_failure(nominal.output_transform, out, tcol)
+                who, step = f"iteration {ok_cols[j] - 1}" if j else "the nominal circuit", first + row
+                raise DomainError(f"{who}: the output transform fails at step {step} "
+                                  f"(t={step * sim.dt:g}): {msg}") from None
         ref = out[:, 0]
         denom = np.maximum(np.abs(ref), REL_ERR_EPS)
         # ``out`` is F-ordered; the summation order of mean and percentile, and
@@ -286,6 +293,18 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
                    "reduce": time.perf_counter() - ran},
         **counts,
     )
+
+
+def _first_failure(transform, out, tcol) -> tuple[int, int, str]:
+    """The first row of ``out``, then its first column, where ``transform`` raises, and the message."""
+    def error(v, t):
+        try:
+            eval_expr_array_clamped(transform, {"v": v, "t": t}, LN_FLOOR)
+        except DomainError as exc:
+            return str(exc)
+
+    row = next(r for r in range(len(out)) if error(out[r], tcol[r]))
+    return row, *next((j, m) for j in range(out.shape[1]) if (m := error(out[row, j], tcol[row])))
 
 
 def _run_batch(system, consts, y0, sim):

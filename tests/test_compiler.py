@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from memsolve.compiler import (
     split_separable,
     to_ide_spec,
 )
-from memsolve.engine import eval_expr_array
-from memsolve.exprs import Const, eval_expr, parse_expr, pretty
+from memsolve.engine import eval_expr, eval_expr_array
+from memsolve.exprs import Const, parse_expr, pretty
 from memsolve.netlist import lower, netlist_stats, validate
 from memsolve.oracle import solve_ide, solve_memristive_chain
 from memsolve.solver import SimConfig, relative_error, simulate
@@ -484,3 +485,21 @@ def test_compiled_netlists_survive_serialization():
         assert np.array_equal(a.program.consts, b.program.consts)
         assert a.states == b.states
         assert a.output_transform == b.output_transform
+
+
+def test_constant_folding_builds_no_evaluator_per_literal():
+    # Folding evaluates constant subtrees with the strict scalar evaluator,
+    # generated once per expression structure: the same equation with other
+    # literals reuses every function the first compile built.
+    import memsolve.engine as engine
+
+    text = (Path(__file__).parent.parent / "equations" / "turbulent_diffusion.eq").read_text()
+    other = text.replace("1/8*exp(-2*t)", "3/16*exp(-3*t)").replace("1/2*exp(-t)", "2/5*exp(-t)")
+    assert other != text
+    engine._binder.cache_clear()
+    compile_equation(parse_equation_spec(text))
+    built = engine._binder.cache_info().misses
+    assert built > 0
+    net = compile_equation(parse_equation_spec(other))
+    assert engine._binder.cache_info().misses == built
+    assert "exp(-3*t)" in net.to_text()

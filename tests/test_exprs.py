@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsolve.engine import eval_expr_array, eval_expr_array_clamped
+from memsolve.engine import eval_expr, eval_expr_array, eval_expr_array_clamped
 from memsolve.exprs import (
     Binary,
     Const,
@@ -15,7 +15,6 @@ from memsolve.exprs import (
     UnknownVariableError,
     Var,
     count_constants,
-    eval_expr,
     map_constants,
     parse_expr,
     pretty,
@@ -101,11 +100,55 @@ DOMAIN_CASES = [
 def test_eval_domain_errors():
     for src, value, message in DOMAIN_CASES + [("t + v", 1.0, "unbound variable 'v'")]:
         e = parse_expr(src, ALL)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             eval_expr(e, {"t": value})
+        assert str(exc.value) == message
         with pytest.raises(DomainError) as exc:
             eval_expr_array(e, {"t": np.array([1.0, value])})
         assert str(exc.value) == message
+
+
+# Only the result is checked for finiteness, by both variants: an intermediate
+# may overflow if the result comes back finite.
+@pytest.mark.parametrize("src, want", [
+    ("1/exp(1000)", 0.0),
+    ("0*exp(1000)", "non-finite result"),
+    ("exp(1000)-exp(1000)", "non-finite result"),
+    ("sin(exp(1000))", "non-finite result"),
+    ("exp(1000)/exp(1000)", "non-finite result"),
+    ("-1/exp(1000)^2", -0.0),
+])
+def test_overflowing_intermediates_scalar_and_array_agree(src, want):
+    e = parse_expr(src, ALL)
+    if isinstance(want, float):
+        for got in (eval_expr(e, {}), float(eval_expr_array(e, {}))):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+        return
+    for evaluate in (eval_expr, eval_expr_array):
+        with pytest.raises(DomainError) as exc:
+            evaluate(e, {})
+        assert str(exc.value) == want
+
+
+TURBULENT_P = 'family = turbulent\np = "{}"\nk1 = "1/2*exp(-t)"\nk2 = "exp(-s)"\nu0 = 1\n'
+
+
+def test_compile_folds_a_constant_through_an_overflowing_intermediate(tmp_path, capsys):
+    """A constant p of 1/exp(1000) folds to 0 (exit 0, the netlist of p = 0);
+    one of 0*exp(1000) + 1/8 is NaN, an input error (exit 2)."""
+    from memsolve.cli import main
+
+    nets = []
+    for name, p in (("overflow", "1/exp(1000)"), ("zero", "0")):
+        (tmp_path / f"{name}.eq").write_text(TURBULENT_P.format(p))
+        nets.append(tmp_path / f"{name}.net")
+        assert main(["compile", str(tmp_path / f"{name}.eq"), "-o", str(nets[-1]), "--quiet"]) == 0
+    assert nets[0].read_text() == nets[1].read_text()
+    (tmp_path / "nan.eq").write_text(TURBULENT_P.format("0*exp(1000) + 1/8"))
+    capsys.readouterr()
+    assert main(["compile", str(tmp_path / "nan.eq"), "-o", str(tmp_path / "nan.net"), "--quiet"]) == 2
+    assert "non-finite result" in capsys.readouterr().err
+    assert not (tmp_path / "nan.net").exists()
 
 
 def test_eval_is_deterministic():

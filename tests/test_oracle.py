@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import memsolve.oracle as oracle
 from memsolve.engine import eval_expr_array
-from memsolve.exprs import DomainError, parse_expr, pretty
+from memsolve.compiler import HigherOrderComposed, effective_memductance
+from memsolve.exprs import Binary, Const, DomainError, Unary, Var, parse_expr, pretty
 from memsolve.oracle import BLOWUP_LIMIT, IdeSpec, convergence_study, solve_ide, solve_memristive_chain
 from memsolve.waveform import Waveform, grid_steps
 
@@ -28,6 +29,9 @@ def population_spec(a=2.0, b=0.001, k1="exp(-t)", k2="exp(s)*s/(1+s)", y0=1.0):
         k1=parse_expr(k1, {"t"}),
         k2=parse_expr(k2, {"s"}),
     )
+
+
+CHAIN_VARS = {"t", "v", "omega"}
 
 
 def turbulent_spec(p="1/8*exp(-2*t)", k1="1/2*exp(-t)", k2="exp(-s)"):
@@ -104,10 +108,9 @@ def test_general_kernel_path_matches_separable_path(spec):
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
 
 
-def test_separable_march_tabulates_coefficients_once(monkeypatch):
-    # Guards the O(steps) route: no per-step tree walk, and a fixed number of
-    # grid tabulations whatever the step count.
-    calls = dict.fromkeys(("eval_expr", "eval_expr_array"), 0)
+def _calls_per_run(monkeypatch, run, dts):
+    """Calls of the evaluator builders ``oracle`` imports, per run of ``run(dt)``."""
+    calls = dict.fromkeys(("scalar_evaluator", "eval_expr_array"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(oracle, name), _name=name):
             calls[_name] += 1
@@ -115,12 +118,27 @@ def test_separable_march_tabulates_coefficients_once(monkeypatch):
 
         monkeypatch.setattr(oracle, name, counted)
     per_run = []
-    for dt in (4e-2, 4e-3):  # 100 and 1000 steps
+    for dt in dts:
         calls.update(dict.fromkeys(calls, 0))
-        solve_ide(turbulent_spec(), dt, 4.0)
+        run(dt)
         per_run.append(dict(calls))
+    return per_run
+
+
+def test_separable_march_tabulates_coefficients_once(monkeypatch):
+    # Guards the O(steps) route: no scalar evaluation at all, and a fixed
+    # number of grid tabulations whatever the step count.
+    per_run = _calls_per_run(monkeypatch, lambda dt: solve_ide(turbulent_spec(), dt, 4.0), (4e-2, 4e-3))
     assert per_run[0] == per_run[1]
-    assert per_run[0]["eval_expr"] == 0 and per_run[0]["eval_expr_array"] > 0
+    assert per_run[0]["scalar_evaluator"] == 0 and per_run[0]["eval_expr_array"] > 0
+
+
+def test_chain_builds_its_evaluators_once(monkeypatch):
+    # g and f become float functions once per run, whatever the step count.
+    g, f = parse_expr("1 + 0.5*omega", CHAIN_VARS), parse_expr("v*v", CHAIN_VARS)
+    per_run = _calls_per_run(
+        monkeypatch, lambda dt: solve_memristive_chain(g, f, 2, [1.0, 0.0], 0.0, dt, 4.0), (4e-2, 4e-3))
+    assert per_run == [{"scalar_evaluator": 2, "eval_expr_array": 0}] * 2
 
 
 @pytest.mark.parametrize("spec", [
@@ -370,3 +388,169 @@ def test_flat_loop_matches_closure_march_on_drawn_coefficients(form, kernel, qua
     spec = IdeSpec(form=form, y0=y0, a=a, b=b, p=parse_expr(f"({c[3]!r})*exp(-t)", {"t"}),
                    memory="quadratic" if quadratic or form == "turbulent" else "linear", **memory)
     assert_same_march(spec, dt, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the chain march: frozen copies of the list-building
+# Heun loop that ``solve_memristive_chain`` replaced and of the strict tree
+# walk over ``math`` that evaluated g and f in it (four walks per step).  That
+# walk raised on any non-finite intermediate, so the cases below keep every
+# intermediate finite.
+
+
+def _frozen_check(x, what):
+    if not math.isfinite(x):
+        raise DomainError(f"non-finite result in {what}")
+    return x
+
+
+def _frozen_eval(e, b):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return float(b[e.name])
+        except KeyError:
+            raise DomainError(f"unbound variable '{e.name}'") from None
+    if isinstance(e, Unary):
+        x = _frozen_eval(e.arg, b)
+        op = e.op
+        if op == "neg":
+            return -x
+        if op == "exp":
+            try:
+                return _frozen_check(math.exp(x), "exp")
+            except OverflowError:
+                raise DomainError("non-finite result in exp") from None
+        if op == "ln":
+            if x <= 0.0:
+                raise DomainError(f"ln of non-positive value {x!r}")
+            return math.log(x)
+        if op == "sin":
+            return math.sin(x)
+        if op == "cos":
+            return math.cos(x)
+        if op == "sqrt":
+            if x < 0.0:
+                raise DomainError(f"sqrt of negative value {x!r}")
+            return math.sqrt(x)
+        if op == "abs":
+            return abs(x)
+        raise AssertionError(f"bad unary op {op!r}")
+    x = _frozen_eval(e.lhs, b)
+    y = _frozen_eval(e.rhs, b)
+    op = e.op
+    if op == "add":
+        return _frozen_check(x + y, "+")
+    if op == "sub":
+        return _frozen_check(x - y, "-")
+    if op == "mul":
+        return _frozen_check(x * y, "*")
+    if op == "div":
+        if y == 0.0:
+            raise DomainError("division by zero")
+        return _frozen_check(x / y, "/")
+    if op == "pow":
+        try:
+            r = math.pow(x, y)
+        except (ValueError, OverflowError):
+            raise DomainError(f"pow({x!r}, {y!r}) outside the real domain") from None
+        return _frozen_check(r, "^")
+    raise AssertionError(f"bad binary op {op!r}")
+
+
+def frozen_chain(g, f, order, ics, omega0, dt, t_end):
+    ics = [float(x) for x in ics]
+    n = grid_steps(dt, t_end)
+
+    def chain_rhs(t, Y, w):
+        return Y[1:] + [-_frozen_eval(g, {"t": t, "v": Y[0], "omega": w}) * Y[0]]
+
+    vs = np.empty(n + 1)
+    Y = ics
+    w = float(omega0)
+    fh = _frozen_eval(f, {"t": 0.0, "v": Y[0], "omega": w})
+    vs[0] = Y[0]
+    blowup = None
+    last = n
+    for k in range(n):
+        tk, tn = k * dt, (k + 1) * dt
+        fk = chain_rhs(tk, Y, w)
+        Y_pred = [y + dt * d for y, d in zip(Y, fk)]
+        w_pred = w + dt * fh
+        fh_pred = _frozen_eval(f, {"t": tn, "v": Y_pred[0], "omega": w_pred})
+        w_new = w + 0.5 * dt * (fh + fh_pred)
+        f_pred = chain_rhs(tn, Y_pred, w_new)
+        Y_new = [y + 0.5 * dt * (d + e) for y, d, e in zip(Y, fk, f_pred)]
+        if not all(map(math.isfinite, Y_new)) or max(map(abs, Y_new)) > BLOWUP_LIMIT:
+            blowup = k + 1
+            last = k
+            break
+        Y = Y_new
+        w = w_new
+        fh = _frozen_eval(f, {"t": tn, "v": Y[0], "omega": w})
+        vs[k + 1] = Y[0]
+
+    wf = Waveform(t0=0.0, dt=dt, names=("y",), data=vs[: last + 1, None])
+    if blowup is not None:
+        wf.meta["blowup_step"] = blowup
+    return wf
+
+
+def _composed_g():
+    # g1 = 1 + 0.5*omega inner, g2 = omega*(1 + 0.1*v) outer: g reads v and omega
+    spec = HigherOrderComposed(n=2, gs=(parse_expr("1 + 0.5*omega", CHAIN_VARS),
+                                        parse_expr("omega*(1 + 0.1*v)", CHAIN_VARS)),
+                               f=parse_expr("v", CHAIN_VARS), ics=(1.0, 0.0))
+    return pretty(effective_memductance(spec))
+
+
+# (g, f, ics, t_end); only + - * / in g and f, so the new march must match bit for bit
+ARITHMETIC_CHAINS = {
+    "order1": ("1 + v*v", "v - omega/4", [0.5], 4.0),
+    "order2": ("2 - omega/(1 + v*v)", "v*v - omega", [1.0, 0.0], 4.0),
+    "order3": ("1 + 0.5*omega", "v - omega/4", [1.0, 0.0, -0.5], 4.0),
+    "composed": (_composed_g(), "v", [1.0, 0.0], 4.0),
+    "blowup": ("-5 - 0.1*omega", "v/3", [1.0], 10.0),
+}
+# exp, ln and ^ in g and f: libm and numpy may differ in the last bit
+TRANSCENDENTAL_CHAINS = {
+    "order1": ("1 + 0.1*exp(-t)*v", "ln(1 + v^2)", [0.5], 4.0),
+    "order2": ("1 + 0.1*exp(-t)*omega + 0.01*ln(1 + v^2)", "v^2 - sqrt(abs(omega))", [1.0, 0.0], 4.0),
+    "order3": ("1 + 0.2*sin(omega)^2", "exp(-abs(v))*cos(t)", [1.0, 0.0, -0.5], 4.0),
+    "blowup": ("-4*exp(0.01*t) - 0.1*omega^2", "v^3/(1 + v^2)", [1.0], 10.0),
+}
+
+
+def _both_chains(case, dt=1e-2):
+    g, f, ics, t_end = case
+    g, f = parse_expr(g, CHAIN_VARS), parse_expr(f, CHAIN_VARS)
+    new = solve_memristive_chain(g, f, len(ics), ics, 0.25, dt, t_end)
+    old = frozen_chain(g, f, len(ics), ics, 0.25, dt, t_end)
+    assert len(new) == len(old)
+    assert new.meta.get("blowup_step") == old.meta.get("blowup_step")
+    return new, old
+
+
+@pytest.mark.parametrize("name", ARITHMETIC_CHAINS)
+def test_chain_march_matches_frozen_march_bit_for_bit(name):
+    new, old = _both_chains(ARITHMETIC_CHAINS[name])
+    assert new.data.tobytes() == old.data.tobytes()
+    assert ("blowup_step" in new.meta) == (name == "blowup")
+
+
+@pytest.mark.parametrize("name", TRANSCENDENTAL_CHAINS)
+def test_chain_march_matches_frozen_march_with_transcendentals(name):
+    new, old = _both_chains(TRANSCENDENTAL_CHAINS[name])
+    np.testing.assert_allclose(new.data, old.data, rtol=1e-15, atol=0.0)
+    differ = int(np.count_nonzero(new.data != old.data))
+    print(f"chain {name}: {differ} of {new.data.size} values differ from the frozen march")
+    assert ("blowup_step" in new.meta) == (name == "blowup")
+
+
+def test_chain_leaving_the_domain_raises_like_the_frozen_march():
+    # sqrt(v) leaves the real domain where cos(t) turns negative
+    g, f = parse_expr("sqrt(v)", CHAIN_VARS), parse_expr("v", CHAIN_VARS)
+    for march in (solve_memristive_chain, frozen_chain):
+        with pytest.raises(DomainError, match="sqrt of negative value"):
+            march(g, f, 2, [1.0, 0.0], 0.0, 1e-2, 4.0)

@@ -15,8 +15,8 @@ from memsolve.compiler import (
 )
 from memsolve import engine
 from memsolve.engine import eval_expr_array_clamped
-from memsolve.exprs import map_constants, parse_expr
-from memsolve.netlist import lower, parse_netlist
+from memsolve.exprs import DomainError, map_constants, parse_expr
+from memsolve.netlist import load_netlist, lower, parse_netlist
 import memsolve.solver as solver
 import memsolve.tolerance as tolerance
 import memsolve.waveform as waveform
@@ -516,3 +516,36 @@ def test_failing_nominal_circuit_is_an_input_error(src, t_end, kind):
     with pytest.raises(ValueError, match=f"nominal circuit fails \\({kind} at step \\d+\\)"):
         stability_run(parse_netlist(src), ToleranceConfig(iterations=4),
                       SimConfig(dt=1e-2, t_end=t_end))
+
+
+# A turbulent equation whose integrating factor has no closed form: the
+# compiler fits it, and the sweep draws every coefficient of the fit.  Kept
+# here, not under equations/, which the benchmark reads.
+FITTED_TURBULENT = """\
+family = turbulent
+p = "0.152*exp(-t^2)"
+k1 = "exp(-t)"
+k2 = "exp(-s)"
+u0 = 1
+alpha_horizon = 4
+"""
+
+
+def test_readout_transform_failure_names_its_iteration(tmp_path, capsys):
+    # a lane completes the march, but its readout transform goes non-finite
+    from memsolve.cli import main
+
+    (tmp_path / "fit.eq").write_text(FITTED_TURBULENT)
+    net, csv = str(tmp_path / "fit.net"), str(tmp_path / "fit.csv")
+    assert main(["compile", str(tmp_path / "fit.eq"), "-o", net, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["stability", net, "--tolerance", "0.1", "--iterations", "100", "--seed", "12345",
+                 "--dt", "1e-3", "--t-end", "4", "-o", csv, "--quiet"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "iteration 29: the output transform fails at step 3962 (t=3.962): non-finite result"
+    assert not Path(csv).exists()
+    # that iteration alone: its run to the step before reads out, to that step it does not
+    drawn = perturb(load_netlist(net), ToleranceConfig(max_relative_error=0.1, master_seed=12345), 29)
+    simulate(lower(drawn), SimConfig(dt=1e-3, t_end=3.961))
+    with pytest.raises(DomainError, match="non-finite result"):
+        simulate(lower(drawn), SimConfig(dt=1e-3, t_end=3.962))
