@@ -51,7 +51,7 @@ from .exprs import (
     substitute,
     variables,
 )
-from .engine import eval_expr, eval_expr_array
+from .engine import eval_expr, eval_expr_array, first_failure
 from .netlist import Netlist
 from .elements import Adder, FunctionGenerator, Integrator, MemIntegrator, Multiplier
 from .oracle import IdeSpec
@@ -379,7 +379,8 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
     numerically integrated coefficient on [0, horizon] when the
     antiderivative table does not apply.  A horizon too small for the
     fit's grid, its domain scale or its coefficients to be finite is an
-    input error that names ``alpha_horizon``.
+    input error that names ``alpha_horizon``; a ``p`` that leaves its
+    domain on the fit grid is one that names ``p`` and the first such time.
     """
     anti = antiderivative_t(p)
     if anti is not None:
@@ -390,7 +391,12 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
     ts = np.linspace(0.0, horizon, n_grid + 1)
     if not (np.all(np.diff(ts) > 0.0) and math.isfinite(ts[-1]) and math.isfinite(2.0 / horizon)):
         raise EquationSpecError(f"alpha_horizon = {horizon!r} leaves no finite, increasing fit grid on [0, horizon]")
-    pv = eval_expr_array(p, {"t": ts})
+    try:
+        pv = eval_expr_array(p, {"t": ts})
+    except DomainError:
+        row, _, msg = first_failure(p, {"t": ts}, None)
+        raise EquationSpecError(f"p fails on the integrating-factor fit grid "
+                                f"at t = {float(ts[row])!r}: {msg}") from None
     if pv.ndim == 0:
         pv = np.full(ts.shape, float(pv))
     dt = ts[1] - ts[0]

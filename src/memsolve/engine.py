@@ -21,19 +21,24 @@ inlined four times per step:
   ``np.count_nonzero``; a stage whose guard holds anywhere is rerun
   masked, and a lane that fails leaves every per-lane array.
 
+Both marches run the tape as lowered, signs spelled where it is built
+(``a + (-b)`` as ``a - b`` in :meth:`TapeBuilder.compile_expr`, a one-term
+inverting stage as a product by the negated weight), so a lane executes
+the instructions of its scalar run.
+
 Both marches read the tape's state-independent part (every instruction
 whose operands trace back only to ``t`` and constants) from stage-time
-tables.  RK4 visits only the grid times ``t0 + step*dt`` and the
-half-step times ``t0 + step*dt + dt/2``, so that part, evaluated once
-over those times by the array code, gives every stage its values:
+tables.  RK4 visits only the grid times ``step*dt`` and the half-step
+times ``step*dt + dt/2``, so that part, evaluated once over those times
+by the array code, gives every stage its values:
 
 * the scalar march gets tables over the whole grid, built once per run.
   If a hoisted guard holds anywhere on the grid, the run takes the
   march that evaluates every instruction in order instead;
 * the lane march builds (times x live lanes) tables every
   ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard hit is
-  rerun masked, like a stage whose own guards hold.  The registers over
-  constants alone are (W,) rows, worked out again when a lane leaves.
+  rerun masked, like a stage whose own guards hold; a guard over
+  constants alone is noted on every row while it holds for some lane.
 
 Either way domain errors, ``ln`` clamp counts and event steps come from
 the in-order tape.  A tape with nothing to hoist (constant loads aside)
@@ -60,7 +65,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +127,10 @@ class Program:
         )
 
 
+def _is_neg(e: Expr) -> bool:
+    return isinstance(e, Unary) and e.op == "neg"
+
+
 class TapeBuilder:
     def __init__(self):
         self._code: list[tuple[int, int, int, int]] = []
@@ -156,7 +164,9 @@ class TapeBuilder:
         return self.emit(_BINARY_OPS[op], self.new_reg(), a, b)
 
     def compile_expr(self, e: Expr, env: dict[str, int]) -> int:
-        """Emit code computing ``e``; ``env`` maps variable names to registers."""
+        """Emit code computing ``e``; ``env`` maps variable names to registers.
+        ``a + (-b)`` is emitted as ``a - b`` and ``(-a) + b`` as ``b - a``, which IEEE
+        arithmetic defines alike; operands go lhs first, so guards fire in source order."""
         if isinstance(e, Const):
             return self.const(e.value)
         if isinstance(e, Var):
@@ -164,6 +174,12 @@ class TapeBuilder:
         if isinstance(e, Unary):
             return self.unary(e.op, self.compile_expr(e.arg, env))
         if isinstance(e, Binary):
+            if e.op == "add" and _is_neg(e.rhs):
+                a = self.compile_expr(e.lhs, env)
+                return self.binary("sub", a, self.compile_expr(e.rhs.arg, env))
+            if e.op == "add" and _is_neg(e.lhs):
+                a = self.compile_expr(e.lhs.arg, env)
+                return self.binary("sub", self.compile_expr(e.rhs, env), a)
             a = self.compile_expr(e.lhs, env)
             b = self.compile_expr(e.rhs, env)
             return self.binary(e.op, a, b)
@@ -337,7 +353,7 @@ def _stage_inputs(s: int, n_states: int) -> list[str]:
 
 
 # Stage times: 0 and 3 start and end the step; 2 reuses the time of 1.
-_STAGE_TIMES = ("t0 + step * dt", "t0 + step * dt + hdt", None, "t0 + (step + 1) * dt")
+_STAGE_TIMES = ("step * dt", "step * dt + hdt", None, "(step + 1) * dt")
 
 
 # ---------------------------------------------------------------------------
@@ -405,55 +421,6 @@ def _slice(code, wanted):
     return kept[::-1]
 
 
-def _constant(code) -> set[int]:
-    """The registers of ``code`` computed from constants alone."""
-    const = set()
-    for op, dst, a, b in code:
-        if op == OP_CONST or (op not in _LOADS and const.issuperset(_reads(op, a, b))):
-            const.add(dst)
-    return const
-
-
-def _fold_signs(code, roots):
-    """``code`` with negations folded away, for the lane march; exact in IEEE arithmetic.
-
-    ``a + (-b)`` becomes ``a - b``, and ``-(c*x)`` becomes ``(-c)*x``, with
-    ``-c`` a new register over constants (computed once per run), when
-    the negation or the product is read only there.  Rounding is
-    symmetric in sign, so only the sign bit of a NaN can differ.
-    """
-    op_of = {dst: (op, a, b) for op, dst, a, b in code}
-    uses = Counter(r for op, _, a, b in code for r in _reads(op, a, b))
-    uses.update(roots)
-    const = _constant(code)
-
-    def only_read_here(r, op):
-        return op_of.get(r, (None,))[0] == op and uses[r] == 1
-
-    new = {}                      # dst -> its replacement instructions
-    dropped = set()
-    for op, dst, a, b in code:
-        if op == OP_ADD:
-            neg, other = (b, a) if only_read_here(b, OP_NEG) else (a, b)
-            if only_read_here(neg, OP_NEG):
-                new[dst] = [(OP_SUB, dst, other, op_of[neg][1])]
-                dropped.add(neg)
-    fresh = max((dst for _, dst, _, _ in code), default=-1) + 1
-    for op, dst, a, b in code:
-        if op == OP_NEG and dst not in dropped and dst not in const and only_read_here(a, OP_MUL):
-            x, y = op_of[a][1:]
-            if x in const or y in const:
-                pair = (fresh, y) if x in const else (x, fresh)
-                new[dst] = [(OP_NEG, fresh, x if x in const else y, 0), (OP_MUL, dst, *pair)]
-                dropped.add(a)
-                fresh += 1
-    out = []
-    for row in code:
-        if row[1] not in dropped:
-            out += new.get(row[1], [row])
-    return out
-
-
 def _dead_after(code, frontier) -> list[list[int]]:
     """Per instruction of a table build, the registers it reads or writes last
     (the frontier aside): the build drops them there."""
@@ -502,7 +469,7 @@ def _update_terms(k, s: str, q: str, new: str) -> list[str]:
 
 
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
-    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag)``.
+    """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag)``.
 
     Writes each recorded sample to ``rec`` and ``gflag`` and returns
     ``(recorded, status, event_step, ln_clamps, state)``: the number of
@@ -559,20 +526,19 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
              "for step in range(n_steps + 1):"] + _indent(loop)
     fn_body.append(f"return recorded, status, step + 1 if status == {STATUS_BLOWUP} else step, n_ln, "
                    + _tuple(f"s{i}" for i in range(n)))
-    head = "def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag"
+    head = "def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag"
     return (_emit_tables(table, frontier) if table else []) + [
         head + (", grid, half):" if table else "):")] + _indent(fn_body)
 
 
-def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
-    """``march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
+    """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
     event_step, ln_counts, rec_counts)``, returning each lane's last accepted state, (n_states, W).
 
     The march holds the states, the compensation terms and the stage
     slopes stacked, as ``S`` and ``Q`` (n_states, W) and ``K`` (4,
     n_states, W): a stage input, the compensated update and the blow-up
     test are each one set of numpy calls whatever the number of states.
-    Signs are folded first (``_fold_signs``).
 
     Away from a rerun the march allocates nothing per step: every ufunc
     writes into a buffer the march owns, passed as its positional output.
@@ -587,23 +553,22 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
 
     Per-lane arrays hold the live lanes alone; ``lanes`` (and ``cols``, a
     plain slice until the first drop) holds each one's column in the
-    caller's arrays.  ``survivors`` allocates the buffers for the live
-    width and computes the hoisted part's registers over constants alone
-    as (W,) rows; the rest is read from stage-time tables over the live
-    lanes, built every ``_TABLE_STEPS`` steps.  A stage whose table row
-    notes a guard, or whose own guards hold anywhere (one
-    ``np.count_nonzero``), is rerun by the masked ``stage``, which
-    evaluates the whole tape in order; so is every stage while a guard
-    over constants holds for some lane.  A lane that fails, in a stage or
-    at the update, has its status, event step, ``rec_counts`` and last
-    accepted state written through ``lanes`` and leaves every per-lane
-    array; ``survivors`` then works out the set-up again.  A stage skips
+    caller's arrays.  ``survivors`` takes the constants' rows and
+    allocates the buffers for the live width.  The hoisted part is read
+    from stage-time tables over the live lanes, built every
+    ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard, or
+    whose own guards hold anywhere (one ``np.count_nonzero``), is rerun by
+    the masked ``stage``, which evaluates the whole tape in order; a guard
+    over constants alone notes every row, so every stage is rerun while
+    it holds for some lane.  A lane that fails, in a stage or at the
+    update, has its status, event step, ``rec_counts`` and last accepted
+    state written through ``lanes`` and leaves every per-lane array;
+    ``survivors`` then runs again for the new width.  A stage skips
     the unguarded instructions whose value it does not use (stages 1 to
     3 use only the slopes).
     """
     n = len(deriv_regs)
     roots = _roots(deriv_regs, channels, flags)
-    code = _fold_signs(code, roots)
     lines = []
     if _guarded(code):
         # where a guard holds, a lane keeps computing with the guard's safe value
@@ -613,13 +578,9 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         lines += ["def stage(t, y, consts, ln_floor, ln_counts, lanes):"] + _indent(
             ["dom = np.zeros(t.shape[0], dtype=np.bool_)"] + masked
             + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
-    table, code, frontier = _split(code, roots) if hoist else ([], code, [])
-    # the hoisted part splits into registers over constants alone and the rest;
-    # each side keeps its guards, read or not, for their domain errors and clamps
-    const = _constant(table)
-    once = _slice(table, [r for r in frontier + _guarded(table) if r in const])
-    tabled = [r for r in frontier if r not in const]
-    table = _slice(table, tabled + [r for r in _guarded(table) if r not in const])
+    table, code, frontier = _split(code, roots)
+    # the tables keep their guards, read or not, for their domain errors and clamps
+    table = _slice(table, frontier + _guarded(table))
     # stage 0 needs the roots and the guards, stages 1 to 3 the slopes and the guards
     guards = _guarded(code)
     stage_code = [_slice(code, roots + guards)] + 3 * [_slice(code, list(deriv_regs) + guards)]
@@ -637,20 +598,11 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     timed = [any(op == OP_T for op, *_ in scode) for scode in stage_code]
     masks = {r: f"m{r}" for r in guards[1:]}
     masks.update({r: "hit" for r in guards[:1]})
-    # the survivors' set-up: K's rows, the march's constants, the registers over constants alone
-    # and the buffers for the live width
-    named = [f"K{s}_{i}" for s in range(4) for i in range(n)]
-    named += [f"c{i}" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
-    named += [f"r{dst}" for op, dst, *_ in once if dst in frontier and op not in _LOADS]
+    # the survivors' set-up: K's rows, the march's constants and the buffers for the live width
+    const_idx = sorted({a for op, _, a, _ in code if op == OP_CONST})
+    named = [f"K{s}_{i}" for s in range(4) for i in range(n)] + [f"c{i}" for i in const_idx]
     body = [f"K{s}_{i} = K[{s}, {i}]" for s in range(4) for i in range(n)]
-    body += [f"c{i} = consts[{i}]" for i in sorted({a for op, _, a, _ in code + once if op == OP_CONST})]
-    once_lines = _op_lines(once, "fast", _MARCH_LOADS)[0]
-    if _guarded(once):
-        # a guard over constants holds at every stage time: rerun every stage
-        once_lines = (["hit = np.zeros(consts.shape[1], dtype=np.bool_)"] + once_lines
-                      + ["every = np.count_nonzero(hit)"])
-        named.append("every")
-    body += once_lines + ["width = consts.shape[1]"]
+    body += [f"c{i} = consts[{i}]" for i in const_idx] + ["width = consts.shape[1]"]
     buffers = []
     if n:
         rows = [(f"{x}{i}", f"{x.upper()}[{i}]") for x in "sn" for i in srows] + [(f"u{i}", f"U[{i}]") for i in urows]
@@ -664,18 +616,18 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
             buffers += names
             body.append(f"{_tuple(names)} = (np.empty(width{kind}) for _ in range({len(names)}))")
     named = "".join(f", {x}" for x in named + buffers)
-    lines += ["def survivors(consts, K, S, ln_floor):"] + _indent(body + [f"return width, *K{named}", ""])
-    survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, S, ln_floor)"
+    lines += ["def survivors(consts, K, S):"] + _indent(body + [f"return width, *K{named}", ""])
+    survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, S)"
     chunk, hits, loop = [], [], []
     if table:
-        lines += _emit_tables(table, tabled)
-        chunk = [f"{x}{j}" for x in "gh" for j in range(len(tabled))]
+        lines += _emit_tables(table, frontier)
+        chunk = [f"{x}{j}" for x in "gh" for j in range(len(frontier))]
         if _guarded(table):
             chunk += ["gH", "hH"]
             hits = ["ghit, hhit = gH.any(axis=1).tolist(), hH.any(axis=1).tolist()"]
-        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(tabled))) + "{0}H] = tables({1}, consts, ln_floor)"
+        tabs = "[" + "".join(f"{{0}}{j}, " for j in range(len(frontier))) + "{0}H] = tables({1}, consts, ln_floor)"
         loop += ["if step == kend:"] + _indent(
-            [f"kend = min(step + {_TABLE_STEPS}, n_steps)", "ts = t0 + np.arange(step, kend + 1)[:, None] * dt",
+            [f"kend = min(step + {_TABLE_STEPS}, n_steps)", "ts = np.arange(step, kend + 1)[:, None] * dt",
              tabs.format("g", "ts"), tabs.format("h", "ts[:-1] + hdt")] + hits + ["kbase = step"])
         loop.append("j = step - kbase")
 
@@ -707,16 +659,15 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
             probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
             probes += [spell[g] for g in flags]
             read |= set(roots)
-        loop += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(tabled) if s != 2 and r in read]
+        loop += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(frontier) if s != 2 and r in read]
         loop += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
                         if spell[r] != f"K{s}_{i}"]
         loop += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
-        rerun = (["every"] if _guarded(once) else []) + ([f"{tab}hit[{row}]"] if _guarded(table) else [])
-        rerun += ["np.count_nonzero(hit)"] if guards else []
+        rerun = ([f"{tab}hit[{row}]"] if _guarded(table) else []) + (["np.count_nonzero(hit)"] if guards else [])
         if rerun:
             kept = [f"p{j}" for j in range(len(probes))] if s == 0 else []
             # stage 2 computes with the table rows of stage 1
-            kept += [f"r{r}" for r in tabled if r in read] if s == 1 else []
+            kept += [f"r{r}" for r in frontier if r in read] if s == 1 else []
             target = "[" + ", ".join(kept) + "]" if s == 0 else "_"
             at = "t" if timed[s] else f"np.full(width, {t})"
             loop += [f"if {' or '.join(rerun)}:"] + _indent(
@@ -749,7 +700,7 @@ def _emit_lanes(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
     fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y"]
-    return lines + ["def march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
+    return lines + ["def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
 
@@ -758,12 +709,14 @@ def _emit(code, deriv_regs, channels, flags, lanes: bool, hoist: bool) -> str:
 
     The stages are inlined into the step loop.  ``channels`` are the
     recorded (kind, index) pairs and ``flags`` the memductance registers
-    whose sign sets a recorded sample's passivity flag.  ``hoist`` reads
-    the tape's state-independent part from stage-time tables (see
-    ``_split``).  Built from opcodes and indices only.
+    whose sign sets a recorded sample's passivity flag.  The lane march
+    reads the tape's state-independent part from stage-time tables (see
+    ``_split``), and so does the scalar one if ``hoist``.  Built from
+    opcodes and indices only.
     """
-    emit = _emit_lanes if lanes else _emit_scalar
-    return "\n".join(emit(code, deriv_regs, channels, flags, hoist)) + "\n"
+    lines = (_emit_lanes(code, deriv_regs, channels, flags) if lanes
+             else _emit_scalar(code, deriv_regs, channels, flags, hoist))
+    return "\n".join(lines) + "\n"
 
 
 def _compile(source: str, name: str):
@@ -912,12 +865,28 @@ def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, in
     return out, n_clamped
 
 
+def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
+    """Where :func:`eval_expr_array_clamped` of ``e`` raises over ``bindings``, which
+    broadcast to (rows,) or (rows, columns): its first failing row, the first
+    failing column of that row, and the message there."""
+    arrays = [x.reshape(len(x), -1) for x in np.broadcast_arrays(*map(np.asarray, bindings.values()))]
+
+    def error(*at):
+        try:
+            eval_expr_array_clamped(e, {n: x[at] for n, x in zip(bindings, arrays)}, ln_floor)
+        except DomainError as exc:
+            return str(exc)
+
+    row = next(r for r in range(len(arrays[0])) if error(r))
+    return row, *next((j, m) for j in range(arrays[0].shape[1]) if (m := error(row, j)))
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 
 
 def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
-            y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag):
+            y0, dt, n_steps, ln_floor, blow_limit, rec, gflag):
     """Classical fixed-step RK4 over the tape.
 
     ``rec`` is (n_steps+1, n_channels); ``gflag`` is (n_steps+1,) and set
@@ -927,11 +896,11 @@ def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
     on an error).
     """
     tables, march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False)
-    args = (consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag)
+    args = (consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag)
     with np.errstate(all="ignore"):  # domain errors are reported through the status
         if tables is None:
             return march(*args)
-        ts = t0 + np.arange(n_steps + 1)[:, None] * dt
+        ts = np.arange(n_steps + 1)[:, None] * dt
         *grid, grid_hit = tables(ts, consts[:, None], ln_floor)
         *half, half_hit = tables(ts[:-1] + 0.5 * dt, consts[:, None], ln_floor)
         if grid_hit.any() or half_hit.any():
@@ -943,7 +912,7 @@ def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
 
 
 def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
-                  y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+                  y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
                   event_step, ln_counts, rec_counts):
     """Run W independent parameter sets of one program in lockstep.
 
@@ -964,5 +933,5 @@ def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
     # 0-d arrays: numpy compares against them faster than against Python floats
     ln_floor, blow_limit = np.array(ln_floor, dtype=np.float64), np.array(blow_limit, dtype=np.float64)
     with np.errstate(all="ignore"):
-        return march(consts, y0, t0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+        return march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
                      event_step, ln_counts, rec_counts)

@@ -37,7 +37,6 @@ __all__ = [
     "variables",
     "substitute",
     "map_constants",
-    "count_constants",
     "format_number",
     "FUNCTIONS",
 ]
@@ -353,16 +352,6 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if isinstance(e, Binary):
         return Binary(e.op, substitute(e.lhs, mapping), substitute(e.rhs, mapping))
     return e
-
-
-def count_constants(e: Expr) -> int:
-    if isinstance(e, Const):
-        return 1
-    if isinstance(e, Unary):
-        return count_constants(e.arg)
-    if isinstance(e, Binary):
-        return count_constants(e.lhs) + count_constants(e.rhs)
-    return 0
 
 
 def map_constants(e: Expr, fn: Callable[[int, float], float]) -> Expr:

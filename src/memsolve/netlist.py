@@ -392,8 +392,7 @@ def lower_unchecked(net: Netlist) -> OdeSystem:
             env = {"t": t_reg, "v": u_reg, "omega": state_regs[omega_index[eid]]}
             g_reg = b.compile_expr(elem.g, env)
             g_regs.append(g_reg)
-            current = b.binary("mul", g_reg, u_reg)
-            deriv_regs[i] = b.unary("neg", b.binary("mul", b.const(1.0 / elem.c), current))
+            deriv_regs[i] = _inverting_sum(b, [1.0 / elem.c], [b.binary("mul", g_reg, u_reg)])
             deriv_regs[omega_index[eid]] = b.compile_expr(elem.f, env)
 
     program = b.finish(deriv_regs, g_regs)
@@ -409,7 +408,10 @@ def lower_unchecked(net: Netlist) -> OdeSystem:
 
 
 def _inverting_sum(b: TapeBuilder, weights, regs) -> int:
-    """-(w0*x0 + w1*x1 + ...), the summing stage of adders and integrators."""
+    """-(w0*x0 + w1*x1 + ...), the summing stage of adders and integrators (a
+    memristive one sums g*v alone); one term is (-w0)*x0, which rounds alike."""
+    if len(regs) == 1:
+        return b.binary("mul", b.const(-weights[0]), regs[0])
     terms = [b.binary("mul", b.const(w), r) for w, r in zip(weights, regs)]
     acc = terms[0]
     for term in terms[1:]:

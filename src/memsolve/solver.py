@@ -27,7 +27,8 @@ import numpy as np
 
 from . import backend as _backend
 from . import engine
-from .engine import eval_expr_array_clamped
+from .engine import eval_expr_array_clamped, first_failure
+from .exprs import DomainError
 from .netlist import OdeSystem
 from .waveform import Waveform, check_grid_bytes, grid_steps
 
@@ -142,7 +143,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
 
     recorded, status, event, ln_clamps, state = _backend.rk4_python(
         prog.code, prog.consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, sys.y0(), 0.0, cfg.dt, n_steps,
+        chan_kind, chan_idx, sys.y0(), cfg.dt, n_steps,
         LN_FLOOR, BLOWUP_LIMIT, rec, gflag,
     )
 
@@ -156,7 +157,12 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         for first in range(0, recorded, _TRANSFORM_ROWS):
             out = rec[first:first + _TRANSFORM_ROWS, 0]
             tcol = cfg.dt * np.arange(first, first + len(out))
-            out[:], clamps = eval_expr_array_clamped(sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+            try:
+                out[:], clamps = eval_expr_array_clamped(sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+            except DomainError:
+                row, _, msg = first_failure(sys.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+                raise DomainError(f"the output transform fails at step {first + row} "
+                                  f"(t={(first + row) * cfg.dt:g}): {msg}") from None
             transform_clamps += clamps
 
     blowup_step = event if status == engine.STATUS_BLOWUP else None

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import eval_expr_array_clamped
+from .engine import eval_expr_array_clamped, first_failure
 from .exprs import DomainError
 from .netlist import Netlist, lower, lower_unchecked, validate
 from .solver import (
@@ -267,7 +267,7 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
             try:
                 out, _ = eval_expr_array_clamped(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
             except DomainError:
-                row, j, msg = _first_failure(nominal.output_transform, out, tcol)
+                row, j, msg = first_failure(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
                 who, step = f"iteration {ok_cols[j] - 1}" if j else "the nominal circuit", first + row
                 raise DomainError(f"{who}: the output transform fails at step {step} "
                                   f"(t={step * sim.dt:g}): {msg}") from None
@@ -295,18 +295,6 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
     )
 
 
-def _first_failure(transform, out, tcol) -> tuple[int, int, str]:
-    """The first row of ``out``, then its first column, where ``transform`` raises, and the message."""
-    def error(v, t):
-        try:
-            eval_expr_array_clamped(transform, {"v": v, "t": t}, LN_FLOOR)
-        except DomainError as exc:
-            return str(exc)
-
-    row = next(r for r in range(len(out)) if error(out[r], tcol[r]))
-    return row, *next((j, m) for j in range(out.shape[1]) if (m := error(out[row, j], tcol[row])))
-
-
 def _run_batch(system, consts, y0, sim):
     """Run every parameter set in one lane march of ``system``'s program.
 
@@ -328,7 +316,7 @@ def _run_batch(system, consts, y0, sim):
     rec_counts = np.zeros(width, dtype=np.int64)
     engine.rk4_run_batch(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, y0, 0.0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
+        chan_kind, chan_idx, y0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
         rec, None, status, event, ln_counts, rec_counts,    # no passivity flags
     )
     kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}

@@ -143,7 +143,7 @@ def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
     out = engine.rk4_run(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12, rec, gflag,
+        chan_kind, chan_idx, y0, dt, n_steps, 1e-9, 1e12, rec, gflag,
     )
     return (*out, rec, gflag)
 
@@ -156,7 +156,7 @@ def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     given = consts.tobytes(), y0.tobytes()
     y_out = engine.rk4_run_batch(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, y0, 0.0, dt, n_steps, 1e-9, 1e12,
+        chan_kind, chan_idx, y0, dt, n_steps, 1e-9, 1e12,
         rec, gflag, status, event, ln_counts, rec_counts,
     )
     # the march computes into buffers of its own, never into its caller's arrays
@@ -282,6 +282,34 @@ output x
     assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("expr, ln_count", [("-ln(0.5 - t) + 1/(0.5 - t)", 1),
+                                             ("1/(0.5 - t) + -ln(0.5 - t)", 0)])
+def test_ln_clamp_before_a_domain_error_follows_source_order(expr, ln_count):
+    # at t = 0.5 (stage 3 of step 7, dt = 1/16) ln clamps and the division fails
+    # in the same stage: the clamp counts only if its operand comes first
+    sys = lower(parse_netlist(f'integrator int1 out=x C=1 ic=1 in=a:1\nfgen f1 out=a expr="{expr}"\noutput x\n'))
+    prog = sys.program
+    chan = np.array([engine.CHAN_STATE], dtype=np.int32), np.array([0], dtype=np.int32)
+    _, status, event, ln, *_ = _run_scalar(prog, prog.consts, sys.y0(), *chan, 0.0625, 16)
+    assert (status, event, ln) == (engine.STATUS_DOMAIN_ERROR, 7, ln_count)
+    assert_variants_agree(sys, width=3, dt=0.0625, n_steps=16, consts=np.repeat(prog.consts[:, None], 3, axis=1))
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "equations").glob("*.eq")),
+                         ids=lambda p: p.stem)
+def test_sample_tapes_spell_their_signs(path):
+    """No sum reads a negation, and no negation reads a product by a constant
+    that nothing else reads: both marches run these tapes as lowered."""
+    code = lower(compile_equation(load_equation_spec(path))).program.code.tolist()
+    op_of = {dst: (op, a, b) for op, dst, a, b in code}
+    reads = [r for op, _, a, b in code for r in engine._reads(op, a, b)]
+    for op, dst, a, b in code:
+        if op == engine.OP_ADD:
+            assert engine.OP_NEG not in (op_of[a][0], op_of[b][0])
+        if op == engine.OP_NEG and op_of[a][0] == engine.OP_MUL and reads.count(a) == 1:
+            assert engine.OP_CONST not in (op_of[op_of[a][1]][0], op_of[op_of[a][2]][0])
+
+
 # --- guards over t alone: read from stage-time tables --------------------------
 
 T_ONLY = """
@@ -383,7 +411,8 @@ def test_guards_over_constants_alone_rerun_every_stage_until_their_lanes_leave()
     Lane 1 clamps ``ln`` at every stage, so every stage is rerun masked
     until it fails at t > 0.7; lane 2 fails at stage 0 of step 0, and
     lane 3 at the first stage time past 0.3, while lane 1 stays.  The
-    set-up is worked out again after each drop.
+    guards over constants are tabulated like the rest: every table row
+    notes them while lane 1 or 2 marches.
     """
     params = [(2.0, 1.0, 5.0), (1e-12, 1.0, 0.7), (2.0, 0.2, 5.0), (2.0, 1.0, 0.3), (3.0, 1.5, 5.0)]
     systems = [lower(parse_netlist(CONST_GUARDS.format(a=a, b=b, c=c))) for a, b, c in params]
@@ -527,7 +556,7 @@ def _lane_calls(sys, n_steps, dead, width=101, dt=1e-3):
     chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32)
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
     _Counted.calls = _Counted.fresh = 0
-    engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, prog.g_regs, *chan, y0, 0.0, dt, n_steps,
+    engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, prog.g_regs, *chan, y0, dt, n_steps,
                          1e-9, 1e12, np.empty((n_steps + 1, 1, width)), None,
                          status, event, ln_counts, rec_counts)
     assert status[50] == (engine.STATUS_BLOWUP if dead else engine.STATUS_OK) and event[50] == (1 if dead else n_steps)
@@ -562,7 +591,7 @@ def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
     Counted: every ufunc call (operators, reductions and ``.any()`` included)
     and every ``count_nonzero``, ``where`` and ``full``.  With one set of
     numpy calls per stage input, compensated update and blow-up test,
-    folded signs and ``count_nonzero`` guard tests, the marches take 48
+    signs spelled in the tape and ``count_nonzero`` guard tests, the marches take 48
     and 61 calls; with one set per state they take 72 and 92.  A lane that
     blows up at step 0 leaves the march, and the 100 others march on at
     the same count.

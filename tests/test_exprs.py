@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsolve import engine
 from memsolve.engine import eval_expr, eval_expr_array, eval_expr_array_clamped
 from memsolve.exprs import (
     Binary,
@@ -14,7 +15,6 @@ from memsolve.exprs import (
     Unary,
     UnknownVariableError,
     Var,
-    count_constants,
     map_constants,
     parse_expr,
     pretty,
@@ -108,6 +108,48 @@ def test_eval_domain_errors():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("src, message", [
+    ("-sqrt(x) + 1/y", "sqrt of negative value"),
+    ("1/y + -sqrt(x)", "division by zero"),
+])
+def test_operands_raise_in_source_order(src, message):
+    # a sum with a negated operand is emitted as a difference, still lhs first
+    e = parse_expr(src, {"x", "y"})
+    for evaluate, x, y in ((eval_expr, -1.0, 0.0), (eval_expr_array, np.array([-1.0]), np.array([0.0]))):
+        with pytest.raises(DomainError) as exc:
+            evaluate(e, {"x": x, "y": y})
+        assert str(exc.value) == message
+
+
+SIGNED = [-0.0, 0.0, -math.inf, math.inf, 5e-324, -5e-324, 1e308, -1e308, 1.5, -2.0 / 3.0, 0.1, -3.0]
+
+
+@pytest.mark.parametrize("src, unfolded", [
+    ("a + -b", lambda a, b: np.add(a, np.negative(b))),
+    ("-a + b", lambda a, b: np.add(np.negative(a), b)),
+    ("-a + -b", lambda a, b: np.add(np.negative(a), np.negative(b))),
+])
+def test_sums_of_negations_round_like_the_unfolded_sum(src, unfolded):
+    """``a + (-b)`` runs as ``a - b`` and ``(-a) + b`` as ``b - a``: bit for bit the
+    sum of the negation, signed zeros included; a non-finite one raises."""
+    e = parse_expr(src, {"a", "b"})
+    ops = engine._lower_expr(e, ("a", "b"))[0].code[:, 0].tolist()
+    assert engine.OP_ADD not in ops and ops.count(engine.OP_NEG) == (src == "-a + -b")
+    a, b = (g.ravel() for g in np.meshgrid(SIGNED, SIGNED))
+    with np.errstate(all="ignore"):
+        want = unfolded(a, b)
+    ok = np.isfinite(want)
+    assert eval_expr_array(e, {"a": a[ok], "b": b[ok]}).tobytes() == want[ok].tobytes()
+    for x, y, w in zip(a.tolist(), b.tolist(), want.tolist()):
+        if math.isfinite(w):
+            assert np.float64(eval_expr(e, {"a": x, "b": y})).tobytes() == np.float64(w).tobytes()
+        else:
+            with pytest.raises(DomainError, match="non-finite result"):
+                eval_expr(e, {"a": x, "b": y})
+    spelled = {"a + -b": "a - b", "-a + b": "b - a", "-a + -b": "-a - b"}[src]
+    assert eval_expr_array(parse_expr(spelled, {"a", "b"}), {"a": a[ok], "b": b[ok]}).tobytes() == want[ok].tobytes()
+
+
 # Only the result is checked for finiteness, by both variants: an intermediate
 # may overflow if the result comes back finite.
 @pytest.mark.parametrize("src, want", [
@@ -147,8 +189,21 @@ def test_compile_folds_a_constant_through_an_overflowing_intermediate(tmp_path, 
     (tmp_path / "nan.eq").write_text(TURBULENT_P.format("0*exp(1000) + 1/8"))
     capsys.readouterr()
     assert main(["compile", str(tmp_path / "nan.eq"), "-o", str(tmp_path / "nan.net"), "--quiet"]) == 2
-    assert "non-finite result" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite result" in err
+    assert "p fails on the integrating-factor fit grid at t = 0.0: non-finite result" in err
     assert not (tmp_path / "nan.net").exists()
+
+
+def test_fit_grid_domain_error_names_p_and_the_time(tmp_path, capsys):
+    from memsolve.cli import main
+
+    # sqrt(2 - t) has no closed-form integral; the fit grid of [0, 8] steps by 1/512
+    (tmp_path / "sqrt.eq").write_text(TURBULENT_P.format("0.1*sqrt(2 - t)"))
+    assert main(["compile", str(tmp_path / "sqrt.eq"), "-o", str(tmp_path / "sqrt.net"), "--quiet"]) == 2
+    assert ("p fails on the integrating-factor fit grid at t = 2.001953125: sqrt of negative value"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sqrt.net").exists()
 
 
 def test_eval_is_deterministic():
@@ -202,7 +257,6 @@ def test_variables_and_substitute():
 
 def test_map_constants_preorder():
     e = parse_expr("-2 + 0.001*v + exp(-t)*omega", {"t", "v", "omega"})
-    assert count_constants(e) == 2
     seen = []
     e2 = map_constants(e, lambda i, c: seen.append((i, c)) or c * 2)
     assert seen == [(0, 2.0), (1, 0.001)]

@@ -9,6 +9,7 @@ import pytest
 import memsolve.waveform as waveform
 from memsolve import engine
 from memsolve.compiler import compile_equation, load_equation_spec, parse_equation_spec
+from memsolve.exprs import DomainError
 from memsolve.netlist import lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, relative_error, simulate
 from memsolve.tolerance import ToleranceConfig, stability_run
@@ -212,6 +213,15 @@ def test_oversize_record_is_rejected_before_allocation(monkeypatch):
         simulate(sys, SimConfig(dt=0.1, t_end=1.0, record_channels=("v", "v")))
 
 
+def test_output_transform_failure_names_its_step():
+    # x = exp(-t) drops below 0.5 past t = ln 2: the first such sample is step 70
+    sys = lower(parse_netlist('integrator int1 out=x C=1 ic=1 in=x:1\noutput x transform="sqrt(v - 0.5)"\n'))
+    with pytest.raises(DomainError) as exc:
+        simulate(sys, SimConfig(dt=1e-2, t_end=2.0))
+    assert str(exc.value) == "the output transform fails at step 70 (t=0.7): sqrt of negative value"
+    assert math.exp(-0.69) > 0.5 > math.exp(-0.7)
+
+
 def test_oversize_stage_time_tables_are_rejected_before_they_are_built(monkeypatch):
     built = []
     march_for = engine._march_for
@@ -224,8 +234,8 @@ def test_oversize_stage_time_tables_are_rejected_before_they_are_built(monkeypat
     path = Path(__file__).parent.parent / "equations" / "population_growth.eq"
     sys = lower(compile_equation(load_equation_spec(path)))
     cfg = SimConfig(dt=0.1, t_end=1.0)
-    # the grid and half-step tables of its 3 frontier registers, and the build's temporaries
-    columns = 12
+    # the grid and half-step tables of its 2 frontier registers, and the build's temporaries
+    columns = 10
     # the record (11 samples x 1 channel) fits; the record and the tables do not
     monkeypatch.setattr(waveform, "MAX_RECORD_BYTES", 11 * (1 + columns) * 8 - 8)
     with pytest.raises(ValueError, match="GiB cap") as exc:
