@@ -33,7 +33,7 @@ from .compiler import (
     to_ide_spec,
 )
 from .exprs import DomainError
-from .netlist import ValidationFailed, load_netlist, lower, validate
+from .netlist import ValidationFailed, load_netlist, lower, netlist_stats, validate
 from .oracle import convergence_study, solve_ide, solve_memristive_chain
 from .solver import SimConfig, SimulationError, relative_error, simulate
 from .tolerance import DEFAULT_MASTER_SEED, ToleranceConfig, stability_run
@@ -83,15 +83,26 @@ def _write_gnuplot(out_path: str, columns: list[tuple[int, str]], ylabel: str) -
 
 
 def _cmd_compile(args, argv) -> int:
+    start = time.perf_counter()
     spec = load_equation_spec(args.spec)
+    parsed = time.perf_counter()
     net = compile_equation(spec)
+    compiled = time.perf_counter()
     diags = validate(net)
     if diags:  # compile output failing validation is a tool bug
         for d in diags:
             print(str(d), file=sys.stderr)
         return EXIT_INTERNAL
+    validated = time.perf_counter()
     net.save(args.out)
-    _write_manifest(args.out, "compile", argv, [args.spec], {"family": net.meta.get("family")}, [args.out])
+    written = time.perf_counter()
+    config = {
+        "family": net.meta.get("family"),
+        "netlist_stats": netlist_stats(net),
+        "timings_s": {"parse": parsed - start, "compile": compiled - parsed,
+                      "validate": validated - compiled, "write": written - validated},
+    }
+    _write_manifest(args.out, "compile", argv, [args.spec], config, [args.out])
     _info(args, f"wrote {args.out} ({net.meta.get('family')}, {len(net.elements)} elements)")
     return EXIT_OK
 
@@ -235,7 +246,8 @@ def _cmd_convergence(args, argv) -> int:
         _write_manifest(args.out, "convergence", argv, [args.spec],
                         {"dt_list": dt_list, "t_end": args.t_end,
                          "observed_order": study.observed_order, "steps": study.steps,
-                         "timings_s": {"solve": solved - start, "write": written - solved}},
+                         "timings_s": {"solve": solved - start, "solve_per_dt": study.solve_s,
+                                       "write": written - solved}},
                         [args.out])
         _info(args, f"wrote {args.out}")
     return EXIT_OK

@@ -10,14 +10,14 @@ formed every step by composite trapezoidal quadrature over the stored
 history.  For a separable kernel K = k1(t) * k2(s) the quadrature is a
 running sum of k2(s_i) * phi_i scaled by k1(t), and k1, k2 and p are
 tabulated once on the time grid: O(steps) overall.  A general K(t, s)
-re-sums the whole history every step, O(steps^2).  Every form and
-kernel runs in one Heun loop in plain Python floats, with the
-right-hand side and the running-sum quadrature written inline and
-picked by flags fixed before the loop, so a step calls no Python
-function (only the general kernel's re-sum stays a call; the order-n
-chain's step calls only ``g`` and ``f``).  Before allocating anything, a
-run whose grid-length arrays would exceed ``waveform.MAX_RECORD_BYTES``
-is rejected with a ``ValueError``.
+re-sums the whole history every step, O(steps^2).  Each structure (the
+form, the memory nonlinearity and the kernel kind) compiles its own Heun
+loop in plain Python floats once, with that form's right-hand side and
+quadrature written inline, so a step tests no flag and calls no Python
+function (only the general kernel's re-sum stays a call).  The order-n
+chain runs a loop written out per order whose step calls only ``g`` and
+``f``.  Before allocating anything, a run whose grid-length arrays would
+exceed ``waveform.MAX_RECORD_BYTES`` is rejected with a ``ValueError``.
 
 The method stays independent of the circuit route: the only thing it
 shares with :mod:`memsolve.engine` is expression evaluation (coefficient
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +102,16 @@ class IdeSpec:
                     raise ValueError(f"{name} uses variables {sorted(extra)}, allowed: {sorted(allowed)}")
 
 
-def _grid_table(expr: Expr | None, var: str, ts: np.ndarray, default: float) -> memoryview:
+def _grid_table(expr: Expr | None, var: str, ts: np.ndarray, default: float) -> np.ndarray:
     """``expr`` sampled once on the grid ``ts`` (``default`` where absent).
 
-    The values stay a compact float64 array; the memoryview over it hands
-    out Python floats, which the Heun loop of :func:`solve_ide` does its
+    The values stay a compact float64 array; a memoryview over it hands
+    out Python floats, which the Heun march of :func:`solve_ide` does its
     arithmetic in.  A value that leaves the real domain anywhere on the
     grid raises ``DomainError``.
     """
     vals = eval_expr_array(expr, {var: ts}) if expr is not None else default
-    return memoryview(np.full(len(ts), vals))
+    return np.full(len(ts), vals)
 
 
 def _check_size(dt: float, n: int, arrays: int) -> None:
@@ -120,6 +121,13 @@ def _check_size(dt: float, n: int, arrays: int) -> None:
                      "use a larger --dt or a shorter --t-end")
 
 
+def _kernel_kind(spec: IdeSpec) -> str | None:
+    """``"general"`` for a K(t, s), ``"separable"`` for k1(t)*k2(s), None without memory."""
+    if spec.kernel is not None:
+        return "general"
+    return "separable" if spec.k1 is not None or spec.k2 is not None else None
+
+
 def _ide_arrays(spec: IdeSpec) -> int:
     """Grid-length arrays :func:`solve_ide` holds for ``spec``.
 
@@ -127,43 +135,100 @@ def _ide_arrays(spec: IdeSpec) -> int:
     ``k1`` and ``k2`` tables (separable kernel) or the history of a
     general kernel.
     """
-    if spec.kernel is not None:
-        memory = 1
-    elif spec.k1 is not None or spec.k2 is not None:
-        memory = 2
-    else:
-        memory = 0
+    memory = {"general": 1, "separable": 2, None: 0}[_kernel_kind(spec)]
     return 2 + memory + (spec.form == "turbulent")
+
+
+# solve_ide's Heun march, written out per structure: the form's right-hand side over y, M
+# and (turbulent) p[k], p[j]; phi per the memory; M per the kernel kind.  Returns the
+# number of steps accepted: n, or fewer if the next one blows up (NaN and +-inf fail the
+# one comparison too).
+_IDE_MARCH = """\
+def march(yk, a, b, dt, n, out, p=None, c1=None, c2=None, resum=None, phis=None):
+    hdt = 0.5 * dt
+    out[0] = yk{start}
+    for {row} in {rows}:
+        fk = {fk}
+        y_pred = yk + dt * fk{predict}
+        f_pred = {f_pred}
+        yn = yk + hdt * (fk + f_pred)
+        if not (abs(yn) <= BLOWUP_LIMIT):
+            return j - 1
+        out[j] = yk = yn{accept}
+    return n
+"""
+
+_RHS = {
+    "volterra_population": "{y} * (a - b * {y} - {m})",
+    "linear_first_order": "{m}",
+    "turbulent": "-({p} * {y} + {m})",
+    "generic_first_order": "a * {y} + b + {m}",
+}
+
+# M per kernel kind: M(t_0) = 0 and sample 0 joins the memory; M at the predictor; M at
+# the accepted sample, before it joins the running sum (unused after the last step).  A
+# separable kernel reads c1 = k1*dt and c2 = k2 at t_j:
+#     M(t_j) = k1(t_j) * dt * (S + w_j - (w_0 + w_j)/2),  w_i = k2(s_i) * phi_i,
+# with S = w_0 + ... + w_{j-1} the running sum and w_j the trial sample.  Without memory
+# the right-hand side reads M as the literal 0.0, which it still adds: x + 0.0 is +0.0
+# for an x of -0.0.
+_MEMORY = {
+    "separable": ("\n    mk = 0.0\n    first = c2[0] * {phi}\n    total = 0.0 + first",
+                  "\n        w = c2j * {phi}\n        m = c1j * (total + w - 0.5 * (first + w))",
+                  "\n        w = c2j * {phi}\n        mk = c1j * (total + w - 0.5 * (first + w))"
+                  "\n        total += w"),
+    "general": ("\n    mk = 0.0\n    phis[0] = {phi}",
+                "\n        m = resum(j, {phi})",
+                "\n        mk = resum(j, {phi})"),
+    None: ("", "", ""),
+}
+
+
+@functools.lru_cache(maxsize=32)
+def _ide_march(form: str, memory: str, kernel: str | None):
+    phi = "({y} * {y})" if memory == "quadratic" else "{y}"
+    start, predict, accept = (part.format(phi=phi.format(y=y)) for part, y in
+                              zip(_MEMORY[kernel], ("yk", "y_pred", "yn")))
+    names, cols = ["j"], ["range(1, n + 1)"]
+    if form == "turbulent":
+        names += ["pk", "pj"]
+        cols += ["p", "p[1:]"]
+    if kernel == "separable":
+        names += ["c1j", "c2j"]
+        cols += ["c1[1:]", "c2[1:]"]
+    m, mk = ("m", "mk") if kernel else ("0.0", "0.0")
+    namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT}
+    exec(_IDE_MARCH.format(
+        start=start, predict=predict, accept=accept, row=", ".join(names),
+        rows=cols[0] if len(cols) == 1 else f"zip({', '.join(cols)})",
+        fk=_RHS[form].format(y="yk", m=mk, p="pk"),
+        f_pred=_RHS[form].format(y="y_pred", m=m, p="pj")), namespace)
+    return namespace["march"]
 
 
 def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     """March the equation over [0, t_end]; channel ``y``; truncates on blow-up.
 
-    One Heun loop serves every form and kernel; flags fixed before the
-    loop pick the right-hand side and the way M is formed.  For a
-    separable kernel K = k1(t) * k2(s),
-
-        M(t_j) = k1(t_j) * dt * (S + w_j - (w_0 + w_j)/2),
-
-    where S = w_0 + ... + w_{j-1} is the running sum of the accepted
-    samples w_i = k2(s_i) * phi_i and w_j is the trial sample.  A general
-    K(t, s) re-sums the whole history, O(j) per evaluation.
+    Each structure (form, memory, kernel kind) compiles its own Heun
+    march once, with the right-hand side and the quadrature written
+    inline, so a step tests no flag.  ``k1 * dt``, ``k2`` and ``p`` are
+    tabulated on the grid before the march; ``k1[j] * dt * (...)`` rounds
+    as ``(k1[j] * dt) * (...)``.  A general K(t, s) re-sums the whole
+    history, O(j) per evaluation.
     """
     n = grid_steps(dt, t_end)
     _check_size(dt, n, _ide_arrays(spec))
     ts = dt * np.arange(n + 1)
-    volterra = spec.form == "volterra_population"
-    turbulent = spec.form == "turbulent"
-    linear = spec.form == "linear_first_order"
-    a, b = spec.a, spec.b
-    if turbulent:
-        p = _grid_table(spec.p, "t", ts, 0.0)
-    general = spec.kernel is not None
-    separable = not general and (spec.k1 is not None or spec.k2 is not None)
-    if separable:
-        k1 = _grid_table(spec.k1, "t", ts, 1.0)
-        k2 = _grid_table(spec.k2, "s", ts, 1.0)
-    elif general:
+    kind = _kernel_kind(spec)
+    tables = {}
+    if spec.form == "turbulent":
+        tables["p"] = memoryview(_grid_table(spec.p, "t", ts, 0.0))
+    if kind == "separable":
+        c1 = _grid_table(spec.k1, "t", ts, 1.0)
+        with np.errstate(over="ignore"):  # as a float product, k1 * dt may overflow to inf
+            c1 *= dt
+        tables.update(c1=memoryview(c1), c2=memoryview(_grid_table(spec.k2, "s", ts, 1.0)))
+    elif kind == "general":
         kernel = spec.kernel
         phis = np.empty(n + 1)
 
@@ -173,66 +238,14 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
             vals = eval_expr_array(kernel, {"t": ts[j], "s": ts[: j + 1]}) * phis[: j + 1]
             return dt * (vals.sum() - 0.5 * (vals[0] + vals[j]))
 
-    quadratic = spec.memory == "quadratic"
+        tables.update(resum=resum, phis=phis)
 
     ys = np.empty(n + 1)
-    out = memoryview(ys)
-    yk = out[0] = float(spec.y0)
-    # Sample 0 joins the memory; M(t_0) = 0.
-    phik = yk * yk if quadratic else yk
-    mk = total = first = 0.0
-    if separable:
-        first = k2[0] * phik
-        total += first
-    elif general:
-        phis[0] = phik
-    blowup = None
-    last = n
-    for k in range(n):
-        j = k + 1
-        if volterra:
-            fk = yk * (a - b * yk - mk)
-        elif turbulent:
-            fk = -(p[k] * yk + mk)
-        elif linear:
-            fk = mk
-        else:
-            fk = a * yk + b + mk
-        y_pred = yk + dt * fk
-        phi = y_pred * y_pred if quadratic else y_pred
-        if separable:
-            w = k2[j] * phi
-            m = k1[j] * dt * (total + w - 0.5 * (first + w))
-        elif general:
-            m = resum(j, phi)
-        else:
-            m = 0.0
-        if volterra:
-            f_pred = y_pred * (a - b * y_pred - m)
-        elif turbulent:
-            f_pred = -(p[j] * y_pred + m)
-        elif linear:
-            f_pred = m
-        else:
-            f_pred = a * y_pred + b + m
-        yn = yk + 0.5 * dt * (fk + f_pred)
-        if not math.isfinite(yn) or abs(yn) > BLOWUP_LIMIT:
-            blowup = j
-            last = k
-            break
-        out[j] = yk = yn
-        # M(t_j) at the accepted sample, before it joins the running sum (unused after the last step).
-        phik = yn * yn if quadratic else yn
-        if separable:
-            w = k2[j] * phik
-            mk = k1[j] * dt * (total + w - 0.5 * (first + w))
-            total += w
-        elif general:
-            mk = resum(j, phik)
-
+    march = _ide_march(spec.form, spec.memory, kind)
+    last = march(float(spec.y0), spec.a, spec.b, dt, n, memoryview(ys), **tables)
     wf = Waveform(t0=0.0, dt=dt, names=("y",), data=ys[: last + 1, None])
-    if blowup is not None:
-        wf.meta["blowup_step"] = blowup
+    if last < n:
+        wf.meta["blowup_step"] = last + 1
     return wf
 
 
@@ -304,6 +317,7 @@ class ConvergenceStudy:
     rows: list[tuple[float, float, float]]  # (dt, terminal value, Richardson estimate)
     observed_order: float
     steps: list[int]                         # Heun steps marched per dt
+    solve_s: list[float]                     # seconds each march took, per dt
 
     def __str__(self):
         lines = [f"{'dt':>12}  {'terminal':>18}  {'richardson':>12}"]
@@ -327,9 +341,11 @@ def convergence_study(spec: IdeSpec, dt_list, t_end: float) -> ConvergenceStudy:
         raise ValueError("dt_list must be strictly decreasing with >= 3 entries")
     for dt in dts:
         _check_size(dt, grid_steps(dt, t_end), _ide_arrays(spec))
-    terminals, steps = [], []
+    terminals, steps, solve_s = [], [], []
     for dt in dts:
+        start = time.perf_counter()
         wf = solve_ide(spec, dt, t_end)
+        solve_s.append(time.perf_counter() - start)
         if "blowup_step" in wf.meta:
             raise ValueError(f"solution blows up before t={t_end} at dt={dt}")
         terminals.append(float(wf.channel("y")[-1]))
@@ -345,4 +361,4 @@ def convergence_study(spec: IdeSpec, dt_list, t_end: float) -> ConvergenceStudy:
         order = math.log(diffs[-2] / diffs[-1]) / math.log(dts[-3] / dts[-2])
     else:
         order = float("nan")
-    return ConvergenceStudy(rows=rows, observed_order=order, steps=steps)
+    return ConvergenceStudy(rows=rows, observed_order=order, steps=steps, solve_s=solve_s)

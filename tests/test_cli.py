@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memsolve.cli import main
-from memsolve.netlist import load_netlist, lower
+from memsolve.netlist import load_netlist, lower, netlist_stats
 from memsolve.solver import SimConfig, simulate
 from memsolve.tolerance import ToleranceConfig, _run_batch, perturb
 from memsolve.waveform import Waveform
@@ -57,6 +57,20 @@ def test_compile_writes_netlist_and_manifest(tmp_path, population_spec_file, cap
     assert manifest["command"] == "compile"
     assert manifest["config"]["family"] == "volterra_population"
     assert manifest["tool_version"]
+
+
+def test_compile_manifest_records_netlist_stats_and_phase_timings(tmp_path, population_spec_file):
+    out = str(tmp_path / "population.net")
+    assert main(["compile", population_spec_file, "-o", out, "--quiet"]) == 0
+    config = json.load(open(out + ".manifest.json"))["config"]
+    assert config["netlist_stats"] == netlist_stats(load_netlist(out))
+    assert config["netlist_stats"]["memristors"] == 1
+    assert set(config["timings_s"]) == {"parse", "compile", "validate", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in config["timings_s"].values())
+    # timings go only in the manifest: a second compile writes the same netlist bytes
+    again = str(tmp_path / "again.net")
+    assert main(["compile", population_spec_file, "-o", again, "--quiet"]) == 0
+    assert open(out, "rb").read() == open(again, "rb").read()
 
 
 def test_compile_malformed_expression_exits_2(tmp_path, capsys):
@@ -560,9 +574,19 @@ def test_reference_manifests_record_phase_timings_and_steps(tmp_path, population
     assert main(["convergence", population_spec_file, "--dt-list", "4e-2,2e-2,1e-2", "--t-end", "1",
                  "-o", conv, "--quiet"]) == 0
     config = json.load(open(conv + ".manifest.json"))["config"]
-    assert set(config["timings_s"]) == {"solve", "write"}
-    assert all(isinstance(v, float) and v >= 0.0 for v in config["timings_s"].values())
+    timings = config["timings_s"]
+    assert set(timings) == {"solve", "solve_per_dt", "write"}
+    per_dt = timings.pop("solve_per_dt")
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert config["steps"] == [25, 50, 100]
+    # one march time per step size, aligned with the steps, within the solve phase
+    assert len(per_dt) == len(config["steps"]) and all(isinstance(v, float) and v >= 0.0 for v in per_dt)
+    assert sum(per_dt) <= timings["solve"]
+    # timings go only in the manifest: a second study writes the same CSV bytes
+    again = str(tmp_path / "conv_again.csv")
+    assert main(["convergence", population_spec_file, "--dt-list", "4e-2,2e-2,1e-2", "--t-end", "1",
+                 "-o", again, "--quiet"]) == 0
+    assert open(conv, "rb").read() == open(again, "rb").read()
     # a truncated run counts the steps it kept, up to the one that blew up
     spec = tmp_path / "growth.eq"
     spec.write_text('family = volterra_population\na = 50\nb = 0\nk1 = "-1"\nk2 = "exp(s)"\nn0 = 1\n')

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 import memsolve.oracle as oracle
 from memsolve.engine import eval_expr_array
-from memsolve.compiler import HigherOrderComposed, effective_memductance
+from memsolve.compiler import (
+    HigherOrderComposed,
+    UnsupportedEquationError,
+    effective_memductance,
+    load_equation_spec,
+    to_ide_spec,
+)
 from memsolve.exprs import Binary, Const, DomainError, Unary, Var, parse_expr, pretty
 from memsolve.oracle import BLOWUP_LIMIT, IdeSpec, convergence_study, solve_ide, solve_memristive_chain
 from memsolve.waveform import Waveform, grid_steps
@@ -131,6 +138,26 @@ def test_separable_march_tabulates_coefficients_once(monkeypatch):
     per_run = _calls_per_run(monkeypatch, lambda dt: solve_ide(turbulent_spec(), dt, 4.0), (4e-2, 4e-3))
     assert per_run[0] == per_run[1]
     assert per_run[0]["scalar_evaluator"] == 0 and per_run[0]["eval_expr_array"] > 0
+
+
+def test_convergence_study_builds_one_march_per_structure():
+    # Each form/memory/kernel structure generates its Heun march once; a
+    # second study of the same equation reuses it for every step size.
+    specs = {}
+    for path in sorted((Path(__file__).parent.parent / "equations").glob("*.eq")):
+        try:
+            specs[path.stem] = to_ide_spec(load_equation_spec(str(path)))
+        except UnsupportedEquationError:
+            continue
+    assert sorted(specs) == ["log_linear", "population_growth", "turbulent_diffusion"]
+    dts = [4e-2, 2e-2, 1e-2, 5e-3]
+    for name, spec in specs.items():
+        oracle._ide_march.cache_clear()
+        for built in (1, 0):
+            before = oracle._ide_march.cache_info()
+            convergence_study(spec, dts, 4.0)
+            after = oracle._ide_march.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (built, len(dts) - built), name
 
 
 def test_chain_builds_its_evaluators_once(monkeypatch):
@@ -358,7 +385,10 @@ def test_flat_loop_matches_closure_march(form, memory, kernel):
     IdeSpec(form="turbulent", y0=1.0, p=parse_expr("-30", {"t"}), k1=parse_expr("1", {"t"})),
     IdeSpec(form="generic_first_order", y0=2.0, kernel=parse_expr("exp(t - s)", {"t", "s"}),
             memory="quadratic"),
-], ids=["memory_free", "separable", "turbulent", "general_quadratic"])
+    # b*y0 overflows: f_0 = -inf, the predictor is -inf, the quadrature forms
+    # -inf - (-inf) and the first non-finite yn is NaN, not +-inf.
+    population_spec(a=0.0, b=1e308, k1="1", k2="1", y0=2.0),
+], ids=["memory_free", "separable", "turbulent", "general_quadratic", "nan"])
 def test_flat_loop_matches_closure_march_through_blowup(spec):
     assert "blowup_step" in assert_same_march(spec, 1e-2, 10.0).meta
 
@@ -367,6 +397,14 @@ def test_flat_loop_matches_closure_march_through_blowup(spec):
 def test_flat_loop_keeps_signed_zeros(y0):
     for kernel in KERNELS.values():
         assert_same_march(IdeSpec(form="volterra_population", y0=y0, a=-1.0, **kernel), 0.1, 1.0)
+
+
+def test_flat_loop_adds_a_zero_memory_to_signed_zeros():
+    # Without memory M is 0.0 and still added: a*y + b + M is +0.0, not -0.0,
+    # for y = -0.0 and b = -0.0, which the CSV prints as 0, not -0.
+    for form, memory in FORM_CASES:
+        spec = IdeSpec(form=form, y0=-0.0, a=1.0, b=-0.0, p=parse_expr("1", {"t"}), memory=memory)
+        assert_same_march(spec, 0.1, 1.0)
 
 
 _coef = st.floats(-3.0, 3.0, allow_nan=False)
