@@ -15,11 +15,11 @@ inlined four times per step:
   as (n_states, W) arrays, so a stage input, the compensated update and
   the blow-up test are each one set of numpy calls.  Every call writes
   into a buffer the march owns, passed as the ufunc's positional
-  output (one per register, guard mask, stage input and update term,
-  allocated for the live width), so a step allocates no array.  It
-  computes without masks and tests all guards of a stage with one
-  ``np.count_nonzero``; a stage whose guard holds anywhere is rerun
-  masked, and a lane that fails leaves every per-lane array.
+  output (one per register, stage input and update term, a row per guard
+  of one bool buffer, for the live width), so a step allocates no array.
+  It computes without masks and tests all guards of a stage with one
+  ``np.count_nonzero`` of that buffer; a stage whose guard holds anywhere
+  is rerun masked, and a lane that fails leaves every per-lane array.
 
 Both marches run the tape as lowered, signs spelled where it is built
 (``a + (-b)`` as ``a - b`` in :meth:`TapeBuilder.compile_expr`, a one-term
@@ -261,8 +261,8 @@ _BIND = f"{', '.join(_BOUND)} = {', '.join('np.' + x for x in _BOUND)}"
 def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
     """What happens to ``x`` (the checked value) where the guard's test holds.
 
-    ``mask`` names a bool buffer of the fast variant: the test writes its
-    hits there and ors them into ``hit``, or, if it is ``hit``, starts it.
+    ``mask`` names a bool buffer of the fast variant, the guard's own row
+    of the lane march's ``H``: the test writes its hits there.
     """
     test = (g.clamp or g.bad).format("x")
     if variant == "scalar":
@@ -274,8 +274,7 @@ def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
         if mask is None:
             return [f"hit |= {test}"]
         lhs, cmp, rhs = test.split(" ")
-        return [f"{_COMPARE[cmp]}({lhs}, {rhs}, {mask})"] + (
-            [] if mask == "hit" else [f"bitwise_or(hit, {mask}, hit)"])
+        return [f"{_COMPARE[cmp]}({lhs}, {rhs}, {mask})"]
     if variant == "masked":
         # a lane stops counting at its first domain error, as the scalar march stops there
         flag = "ln_counts[lanes[~dom & m]] += 1" if g.clamp else "dom |= m"
@@ -543,21 +542,21 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     Away from a rerun the march allocates nothing per step: every ufunc
     writes into a buffer the march owns, passed as its positional output.
     Each register the stages compute has its own (W,) buffer (a slope
-    goes straight into its row of ``K``), each guard after a stage's first
-    its own bool buffer (the first writes ``hit``), a stage input goes
-    into ``U``, and the update into ``N`` and ``Q`` in place, with ``T`` and
-    ``OK`` for the term and the blow-up test.  ``S`` starts as a copy of
-    ``y0`` and swaps with ``N`` at each accepted step.  Stage 0 reads the
-    states as rows ``s<i>`` of ``S`` (``n<i>`` of ``N`` swap with them), the
-    other stages as rows ``u<i>`` of ``U``.
+    goes straight into its row of ``K``), each guard its own row of the
+    bool buffer ``H``, a stage input goes into ``U``, and the update into
+    ``N`` and ``Q`` in place, with ``D`` for both doubled slopes (one call
+    over ``K[1:3]``), ``T`` and ``OK`` for the term and the blow-up test.
+    ``S`` starts as a copy of ``y0`` and swaps with ``N`` at each accepted
+    step.  Stage 0 reads the states as rows ``s<i>`` of ``S`` (``n<i>`` of
+    ``N`` swap with them), the other stages as rows ``u<i>`` of ``U``.
 
     Per-lane arrays hold the live lanes alone; ``lanes`` (and ``cols``, a
     plain slice until the first drop) holds each one's column in the
     caller's arrays.  ``survivors`` takes the constants' rows and
     allocates the buffers for the live width.  The hoisted part is read
     from stage-time tables over the live lanes, built every
-    ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard, or
-    whose own guards hold anywhere (one ``np.count_nonzero``), is rerun by
+    ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard, or whose
+    own guards hold anywhere (one ``np.count_nonzero`` of ``H``), is rerun by
     the masked ``stage``, which evaluates the whole tape in order; a guard
     over constants alone notes every row, so every stage is rerun while
     it holds for some lane.  A lane that fails, in a stage or at the
@@ -596,8 +595,7 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         if r in made:
             slopes.setdefault(r, i)
     timed = [any(op == OP_T for op, *_ in scode) for scode in stage_code]
-    masks = {r: f"m{r}" for r in guards[1:]}
-    masks.update({r: "hit" for r in guards[:1]})
+    masks = {r: f"m{r}" for r in guards}
     # the survivors' set-up: K's rows, the march's constants and the buffers for the live width
     const_idx = sorted({a for op, _, a, _ in code if op == OP_CONST})
     named = [f"K{s}_{i}" for s in range(4) for i in range(n)] + [f"c{i}" for i in const_idx]
@@ -606,15 +604,17 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     buffers = []
     if n:
         rows = [(f"{x}{i}", f"{x.upper()}[{i}]") for x in "sn" for i in srows] + [(f"u{i}", f"U[{i}]") for i in urows]
-        body += ["N, U, T = (np.empty(S.shape) for _ in range(3))", "OK = np.empty(S.shape, dtype=np.bool_)"]
-        body += [f"{name} = {row}" for name, row in rows]
-        buffers += ["N", "U", "T", "OK"] + [name for name, _ in rows]
+        body += ["N, U, T = (np.empty(S.shape) for _ in range(3))", "OK = np.empty(S.shape, dtype=np.bool_)",
+                 "K12, D = K[1:3], np.empty((2,) + S.shape)", "D0, D1 = D"] + [f"{x} = {row}" for x, row in rows]
+        buffers += ["N", "U", "T", "OK", "K12", "D", "D0", "D1"] + [name for name, _ in rows]
     floats = [f"r{r}" for r in regs] + (["t"] if any(timed) else [])
-    bools = list(masks.values()) + ["F", "G"][:len(flags)]
-    for names, kind in ((floats, ""), (bools, ", dtype=np.bool_")):
+    for names, kind in ((floats, ""), (["F", "G"][:len(flags)], ", dtype=np.bool_")):
         if names:
             buffers += names
             body.append(f"{_tuple(names)} = (np.empty(width{kind}) for _ in range({len(names)}))")
+    if guards:
+        body += [f"H = np.empty(({len(guards)}, width), dtype=np.bool_)", f"{_tuple(masks.values())} = H"]
+        buffers += ["H", *masks.values()]
     named = "".join(f", {x}" for x in named + buffers)
     lines += ["def survivors(consts, K, S):"] + _indent(body + [f"return width, *K{named}", ""])
     survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, S)"
@@ -663,7 +663,7 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         loop += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
                         if spell[r] != f"K{s}_{i}"]
         loop += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
-        rerun = ([f"{tab}hit[{row}]"] if _guarded(table) else []) + (["np.count_nonzero(hit)"] if guards else [])
+        rerun = ([f"{tab}hit[{row}]"] if _guarded(table) else []) + (["np.count_nonzero(H)"] if guards else [])
         if rerun:
             kept = [f"p{j}" for j in range(len(probes))] if s == 0 else []
             # stage 2 computes with the table rows of stage 1
@@ -683,9 +683,9 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
             loop += ["gflag[step, cols] = F"] if flags else []
             loop += ["if step == n_steps:", "    break"]
     if n:
-        # _update_terms into the buffers; U (the stage inputs) and T (the term) are spent when reused
-        loop += ["multiply(two, K1, T)", "add(K0, T, T)", "multiply(two, K2, U)", "add(T, U, T)",
-                 "add(T, K3, T)", "multiply(dt_, T, T)", "true_divide(T, six, T)", "subtract(T, Q, T)",
+        # _update_terms into the buffers, both doubled slopes at once; T (the term) is spent when reused
+        loop += ["multiply(two, K12, D)", "add(K0, D0, T)", "add(T, D1, T)", "add(T, K3, T)",
+                 "multiply(dt_, T, T)", "true_divide(T, six, T)", "subtract(T, Q, T)",
                  "add(S, T, N)", "subtract(N, S, Q)", "subtract(Q, T, Q)"]
         # NaN and inf fail the comparison, so they count as a blow-up too
         loop += ["absolute(N, T)", "less_equal(T, blow_limit, OK)"]

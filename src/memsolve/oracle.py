@@ -10,11 +10,12 @@ formed every step by composite trapezoidal quadrature over the stored
 history.  For a separable kernel K = k1(t) * k2(s) the quadrature is a
 running sum of k2(s_i) * phi_i scaled by k1(t), and k1, k2 and p are
 tabulated once on the time grid: O(steps) overall.  A general K(t, s)
-re-sums the whole history every step, O(steps^2).  Each structure (the
-form, the memory nonlinearity and the kernel kind) compiles its own Heun
-loop in plain Python floats once, with that form's right-hand side and
-quadrature written inline, so a step tests no flag and calls no Python
-function (only the general kernel's re-sum stays a call).  The order-n
+re-sums the whole history every step, O(steps^2), over one evaluation
+of K(t_j, s_0..s_j) per step.  Each structure (the form, the memory
+nonlinearity and the kernel kind) compiles its own Heun loop in plain
+Python floats once, with that form's right-hand side and quadrature
+written inline, so a step tests no flag and calls no Python function
+(only the general kernel's row and re-sums stay calls).  The order-n
 chain runs a loop written out per order whose step calls only ``g`` and
 ``f``.  Before allocating anything, a run whose grid-length arrays would
 exceed ``waveform.MAX_RECORD_BYTES`` is rejected with a ``ValueError``.
@@ -144,7 +145,7 @@ def _ide_arrays(spec: IdeSpec) -> int:
 # number of steps accepted: n, or fewer if the next one blows up (NaN and +-inf fail the
 # one comparison too).
 _IDE_MARCH = """\
-def march(yk, a, b, dt, n, out, p=None, c1=None, c2=None, resum=None, phis=None):
+def march(yk, a, b, dt, n, out, p=None, c1=None, c2=None, krow=None, resum=None, phis=None):
     hdt = 0.5 * dt
     out[0] = yk{start}
     for {row} in {rows}:
@@ -167,7 +168,8 @@ _RHS = {
 
 # M per kernel kind: M(t_0) = 0 and sample 0 joins the memory; M at the predictor; M at
 # the accepted sample, before it joins the running sum (unused after the last step).  A
-# separable kernel reads c1 = k1*dt and c2 = k2 at t_j:
+# general kernel's two sums of a step share its row kj = K(t_j, s_0..s_j): only phis[j]
+# differs between them.  A separable kernel reads c1 = k1*dt and c2 = k2 at t_j:
 #     M(t_j) = k1(t_j) * dt * (S + w_j - (w_0 + w_j)/2),  w_i = k2(s_i) * phi_i,
 # with S = w_0 + ... + w_{j-1} the running sum and w_j the trial sample.  Without memory
 # the right-hand side reads M as the literal 0.0, which it still adds: x + 0.0 is +0.0
@@ -178,8 +180,8 @@ _MEMORY = {
                   "\n        w = c2j * {phi}\n        mk = c1j * (total + w - 0.5 * (first + w))"
                   "\n        total += w"),
     "general": ("\n    mk = 0.0\n    phis[0] = {phi}",
-                "\n        m = resum(j, {phi})",
-                "\n        mk = resum(j, {phi})"),
+                "\n        kj = krow(j)\n        m = resum(kj, j, {phi})",
+                "\n        mk = resum(kj, j, {phi})"),
     None: ("", "", ""),
 }
 
@@ -214,7 +216,7 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     inline, so a step tests no flag.  ``k1 * dt``, ``k2`` and ``p`` are
     tabulated on the grid before the march; ``k1[j] * dt * (...)`` rounds
     as ``(k1[j] * dt) * (...)``.  A general K(t, s) re-sums the whole
-    history, O(j) per evaluation.
+    history, O(j) per evaluation, and evaluates each step's row of K once.
     """
     n = grid_steps(dt, t_end)
     _check_size(dt, n, _ide_arrays(spec))
@@ -232,13 +234,17 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
         kernel = spec.kernel
         phis = np.empty(n + 1)
 
-        def resum(j, phi):
+        def krow(j):
+            """K(t_j, s_0..s_j), shared by the step's two sums."""
+            return eval_expr_array(kernel, {"t": ts[j], "s": ts[: j + 1]})
+
+        def resum(kj, j, phi):
             """M(t_j) over the accepted samples 0..j-1 and ``phi`` as sample j (j >= 1)."""
             phis[j] = phi
-            vals = eval_expr_array(kernel, {"t": ts[j], "s": ts[: j + 1]}) * phis[: j + 1]
+            vals = kj * phis[: j + 1]
             return dt * (vals.sum() - 0.5 * (vals[0] + vals[j]))
 
-        tables.update(resum=resum, phis=phis)
+        tables.update(krow=krow, resum=resum, phis=phis)
 
     ys = np.empty(n + 1)
     march = _ide_march(spec.form, spec.memory, kind)

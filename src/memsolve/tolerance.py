@@ -29,6 +29,7 @@ lane march of :mod:`memsolve.engine`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -273,11 +274,13 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
                                   f"(t={step * sim.dt:g}): {msg}") from None
         ref = out[:, 0]
         denom = np.maximum(np.abs(ref), REL_ERR_EPS)
-        # ``out`` is F-ordered; the summation order of mean and percentile, and
-        # so the report's last bits, follow the layout: reduce C-ordered rows.
+        # ``out`` is F-ordered; the mean's summation order, and so the report's
+        # last bits, follow the layout: reduce C-ordered rows.  The mean is
+        # taken first, then the rows are sorted in place for the percentiles.
         rel = np.ascontiguousarray(np.abs(out[:, 1:] - ref[:, None]) / denom[:, None])
         mean[rows] = rel.mean(axis=1)
-        p10[rows], p90[rows] = np.percentile(rel, [10.0, 90.0], axis=1)
+        rel.sort(axis=1)
+        p10[rows], p90[rows] = (_sorted_percentile(rel, q) for q in (10.0, 90.0))
 
     return StabilityReport(
         t=sim.dt * np.arange(n_rows, dtype=np.float64),
@@ -293,6 +296,27 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
                    "reduce": time.perf_counter() - ran},
         **counts,
     )
+
+
+def _sorted_percentile(x: np.ndarray, q: float) -> np.ndarray:
+    """The ``q``-th percentile of each row of ``x``, whose rows are sorted (NaN last).
+
+    Bit for bit ``np.percentile(x, q, axis=1)`` (its default, linear
+    method), which would partition a copy of ``x`` and import ``numpy.ma``:
+    the same virtual index, neighbours, weight and interpolation, and NaN
+    for a row that holds one.
+    """
+    n = x.shape[1]
+    v = (n - 1) * (q / 100)
+    lo = math.floor(v)
+    # at or past the last index numpy takes the last element for both neighbours, as index -1,
+    # and weighs them by v - (-1)
+    lo, hi, g = (n - 1, n - 1, v + 1) if v >= n - 1 else (lo, lo + 1, v - lo)
+    a, b = x[:, lo], x[:, hi]
+    d = b - a
+    out = b - d * (1 - g) if g >= 0.5 else a + d * g
+    np.copyto(out, x[:, -1], where=np.isnan(x[:, -1]))
+    return out
 
 
 def _run_batch(system, consts, y0, sim):

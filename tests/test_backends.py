@@ -505,6 +505,27 @@ def test_guard_read_only_by_a_recorded_register():
     assert (status[0], event[0]) == (engine.STATUS_DOMAIN_ERROR, 6)
 
 
+def test_a_stage_reruns_for_a_guard_past_its_first():
+    # Two guards in every stage, sqrt(x + 1) first: only sqrt(x - c) holds, in
+    # lane 1 (c = 0.5) alone, at stage 3 of step 6 (x = exp(-t) drops below
+    # 0.5).  Each guard has its own row of the lane march's guard buffer, and
+    # the rerun test must count them all.
+    b = engine.TapeBuilder()
+    b.load_t()
+    x = b.load_state(0)
+    slope = b.binary("mul", b.const(-1.0), x)
+    first = b.unary("sqrt", b.binary("add", x, b.const(1.0)))
+    second = b.unary("sqrt", b.binary("sub", x, b.const(0.5)))
+    prog = b.finish([slope], [])
+    assert engine._guarded(engine._split(prog.code.tolist(), [slope, first])[1]) == [first, second]
+    sys = SimpleNamespace(program=prog, y0=lambda: np.array([1.0]),
+                          omega_state_index={}, node_regs={"p": first}, output_node="p")
+    consts = np.array([[-1.0, 1.0, c] for c in (0.0, 0.5, -1.0)]).T
+    status, event, ln_counts = assert_variants_agree(sys, dt=0.1, n_steps=20, consts=consts)
+    ok, dom = engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR
+    assert (status.tolist(), event.tolist(), ln_counts.tolist()) == ([ok, dom, ok], [20, 6, 20], [0, 0, 0])
+
+
 class _Counted(np.ndarray):
     """An array that counts the ufunc calls it takes part in, and passes that on;
     ``fresh`` counts those without an output array, which allocate their result."""
@@ -591,10 +612,11 @@ def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
     Counted: every ufunc call (operators, reductions and ``.any()`` included)
     and every ``count_nonzero``, ``where`` and ``full``.  With one set of
     numpy calls per stage input, compensated update and blow-up test,
-    signs spelled in the tape and ``count_nonzero`` guard tests, the marches take 48
-    and 61 calls; with one set per state they take 72 and 92.  A lane that
-    blows up at step 0 leaves the march, and the 100 others march on at
-    the same count.
+    signs spelled in the tape, ``count_nonzero`` guard tests over one
+    stacked guard buffer and both doubled slopes of the update in one
+    call, the marches take 47 and 56 calls; with one set per state they
+    took 72 and 92.  A lane that blows up at step 0 leaves the march, and
+    the 100 others march on at the same count.
     """
     calls, _ = _lane_calls_per_step(monkeypatch, name, dead)
     assert calls <= most

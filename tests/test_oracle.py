@@ -140,6 +140,16 @@ def test_separable_march_tabulates_coefficients_once(monkeypatch):
     assert per_run[0]["scalar_evaluator"] == 0 and per_run[0]["eval_expr_array"] > 0
 
 
+def test_general_kernel_evaluates_each_row_once(monkeypatch):
+    # The predictor's and the accepted sample's sums of step j share the row
+    # K(t_j, s_0..s_j): one evaluation per step, not two, with the bits of
+    # the frozen closure march, which evaluated the row in each sum.
+    spec = IdeSpec(form="generic_first_order", y0=0.75, a=0.5, b=-0.25,
+                   kernel=parse_expr("exp(-t*s)", {"t", "s"}))
+    per_run = _calls_per_run(monkeypatch, lambda dt: assert_same_march(spec, dt, 2.0), (1e-2,))
+    assert per_run == [{"scalar_evaluator": 0, "eval_expr_array": 200}]
+
+
 def test_convergence_study_builds_one_march_per_structure():
     # Each form/memory/kernel structure generates its Heun march once; a
     # second study of the same equation reuses it for every step size.

@@ -1,3 +1,7 @@
+import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -410,6 +414,49 @@ def test_chunked_reduction_equals_the_whole_matrix(monkeypatch, make_netlist, t_
         p10, p90 = np.percentile(rel, [10.0, 90.0], axis=1)
         for got, want in ((rep.mean, rel.mean(axis=1)), (rep.p10, p10), (rep.p90, p90)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 11, 100])
+def test_sorted_percentiles_equal_numpys(width):
+    # Seeded rows with ties, zeros, infinities and NaN, and whole rows of
+    # each (and of -0.0): over the sorted rows the helper is np.percentile's
+    # linear method, bit for bit, NaN where a row holds one (inf - inf is NaN
+    # in both).
+    rng = np.random.default_rng(width)
+    x = rng.standard_exponential((64, width))
+    x[::3] = np.round(x[::3], 1)
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.05] = np.inf
+    x[rng.random(x.shape) < 0.03] = np.nan
+    x[:4] = np.array([0.0, -0.0, np.inf, np.nan])[:, None]
+    x[4, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        want = np.percentile(x, [10.0, 90.0], axis=1)
+        x.sort(axis=1)
+        got = [tolerance._sorted_percentile(x, q) for q in (10.0, 90.0)]
+    assert np.array_equal(got, want, equal_nan=True) and np.array(got).tobytes() == want.tobytes()
+    assert np.isfinite(want).any() and np.isnan(want).any()
+
+
+EQUATIONS = Path(__file__).parent.parent / "equations"
+
+
+def test_sweep_leaves_numpy_ma_unimported():
+    # np.percentile imports numpy.ma (through np.unique) on its first call; the
+    # reduction sorts and interpolates instead, in a fresh interpreter too.
+    code = ("import sys\n"
+            "from memsolve.compiler import compile_equation, load_equation_spec\n"
+            "from memsolve.solver import SimConfig\n"
+            "from memsolve.tolerance import ToleranceConfig, stability_run\n"
+            f"net = compile_equation(load_equation_spec({str(EQUATIONS / 'population_growth.eq')!r}))\n"
+            "stability_run(net, ToleranceConfig(iterations=10), SimConfig(dt=0.1, t_end=1.0))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(tolerance.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+    calls = {node.func.attr for node in ast.walk(ast.parse(Path(tolerance.__file__).read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not calls & {"percentile", "quantile", "nanpercentile", "nanquantile"}
 
 
 def _sweep_peaks(net, iterations, sim, monkeypatch):
