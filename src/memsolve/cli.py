@@ -331,6 +331,9 @@ def main(argv=None) -> int:
     except (ValueError, SimulationError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:  # parsing and checking recurse once per level of the input
+        print("the input nests too deeply to read", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # anything else is a tool defect
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -43,7 +43,11 @@ __all__ = [
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+# The binary operators, each stated once: symbol -> (precedence, node op).  All
+# associate to the left.  The tokenizer, the parser and the printer read it.
+_BINARY = {"+": (1, "add"), "-": (1, "sub"), "*": (2, "mul"), "/": (2, "div"), "^": (4, "pow")}
+_UNARY = 3  # a sign binds looser than ^: -t^2 is -(t^2)
+_ATOM = 5  # an exponent is a signed atom: t^-2
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +68,7 @@ class Unary:
 
 @dataclass(frozen=True, slots=True)
 class Binary:
-    op: str  # BINARY_OPS member
+    op: str  # a node op of _BINARY
     lhs: "Expr"
     rhs: "Expr"
 
@@ -115,7 +119,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
         if c in " \t\r\n":
             i += 1
             continue
-        if c in "+-*/^":
+        if c in _BINARY:
             tokens.append((_TOK_OP, c, i))
             i += 1
             continue
@@ -160,7 +164,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive-descent parser
+# Precedence-climbing parser
 
 
 class _Parser:
@@ -184,59 +188,33 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        e = self.sum()
+        e = self.expr(1)
         tok = self.peek()
         if tok[0] != _TOK_EOF:
             raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
         return e
 
-    def sum(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _TOK_OP and text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Binary("add" if text == "+" else "sub", e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _TOK_OP and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = Binary("mul" if text == "*" else "div", e, rhs)
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == _TOK_OP and text == "-":
+    def expr(self, level: int) -> Expr:
+        """Operands joined by the binary operators that bind at ``level`` or tighter."""
+        e = self.operand(level)
+        while (op := _BINARY.get(self.peek()[1])) and op[0] >= level:
             self.advance()
-            return Unary("neg", self.unary())
-        return self.power()
+            e = Binary(op[1], e, self.expr(op[0] + 1))  # left association
+        return e
 
-    def power(self) -> Expr:
-        e = self.atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _TOK_OP and text == "^":
-                self.advance()
-                rhs = self.pow_arg()
-                e = Binary("pow", e, rhs)
-            else:
-                return e
-
-    def pow_arg(self) -> Expr:
-        # Exponent may carry its own sign: t^-2.
-        kind, text, _ = self.peek()
-        if kind == _TOK_OP and text == "-":
+    def operand(self, level: int) -> Expr:
+        """An atom, or the signs before the operand they negate."""
+        signs = 0
+        while self.peek()[1] == "-":
             self.advance()
-            return Unary("neg", self.pow_arg())
-        return self.atom()
+            signs += 1
+        if not signs:
+            return self.atom()
+        # -t^2 is -(t^2); an exponent's signs take a signed atom, so t^-2^3 is (t^-2)^3
+        e = self.expr(max(level, _UNARY))
+        for _ in range(signs):
+            e = Unary("neg", e)
+        return e
 
     def atom(self) -> Expr:
         kind, text, offset = self.advance()
@@ -246,13 +224,13 @@ class _Parser:
             except ValueError:
                 raise ExprSyntaxError(f"malformed number {text!r}", offset) from None
         if kind == _TOK_LPAREN:
-            e = self.sum()
+            e = self.expr(1)
             self.expect(_TOK_RPAREN, "')'")
             return e
         if kind == _TOK_IDENT:
             if text in FUNCTIONS:
                 self.expect(_TOK_LPAREN, f"'(' after function {text!r}")
-                arg = self.sum()
+                arg = self.expr(1)
                 self.expect(_TOK_RPAREN, "')'")
                 return Unary(text, arg)
             if text not in self.allowed:
@@ -276,21 +254,8 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-_LEVEL_SUM = 1
-_LEVEL_TERM = 2
-_LEVEL_UNARY = 3
-_LEVEL_POW = 4
-_LEVEL_ATOM = 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, (Const, Var)):
-        if isinstance(e, Const) and e.value < 0:
-            return _LEVEL_UNARY
-        return _LEVEL_ATOM
-    if isinstance(e, Unary):
-        return _LEVEL_UNARY if e.op == "neg" else _LEVEL_ATOM
-    return {"add": _LEVEL_SUM, "sub": _LEVEL_SUM, "mul": _LEVEL_TERM, "div": _LEVEL_TERM, "pow": _LEVEL_POW}[e.op]
+# node op -> (spelling, precedence); sums print spaced
+_SPELLING = {op: (f" {symbol} " if prec == 1 else symbol, prec) for symbol, (prec, op) in _BINARY.items()}
 
 
 def pretty(e: Expr) -> str:
@@ -298,35 +263,25 @@ def pretty(e: Expr) -> str:
     return _pp(e, 0)
 
 
-def _pp(e: Expr, min_level: int) -> str:
-    lvl = _level(e)
+def _pp(e: Expr, level: int) -> str:
+    """``e`` as an operand at ``level``, in parentheses if it binds looser."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Unary) and e.op != "neg":
+        return f"{e.op}({_pp(e.arg, 0)})"
     if isinstance(e, Const):
-        s = format_number(abs(e.value)) if e.value < 0 else format_number(e.value)
-        if e.value < 0:
-            s = "-" + s
-    elif isinstance(e, Var):
-        s = e.name
+        s, prec = format_number(e.value), _UNARY if e.value < 0 else _ATOM
     elif isinstance(e, Unary):
-        if e.op == "neg":
-            s = "-" + _pp(e.arg, _LEVEL_UNARY)
-        else:
-            s = f"{e.op}({_pp(e.arg, 0)})"
+        s, prec = "-" + _pp(e.arg, _UNARY), _UNARY
     else:
-        op = e.op
-        if op in ("add", "sub"):
-            s = f"{_pp(e.lhs, _LEVEL_SUM)} {'+' if op == 'add' else '-'} {_pp(e.rhs, _LEVEL_TERM)}"
-        elif op in ("mul", "div"):
-            s = f"{_pp(e.lhs, _LEVEL_TERM)}{'*' if op == 'mul' else '/'}{_pp(e.rhs, _LEVEL_UNARY)}"
-        else:  # pow; exponent may be a bare sign chain, anything else needs parens
-            rhs = e.rhs
-            if isinstance(rhs, Unary) and rhs.op == "neg":
-                rhs_s = "-" + _pp(rhs.arg, _LEVEL_ATOM)
-            else:
-                rhs_s = _pp(rhs, _LEVEL_ATOM)
-            s = f"{_pp(e.lhs, _LEVEL_POW)}^{rhs_s}"
-    if lvl < min_level:
-        return f"({s})"
-    return s
+        spelling, prec = _SPELLING[e.op]
+        rhs = e.rhs
+        if e.op == "pow" and isinstance(rhs, Unary) and rhs.op == "neg":
+            rhs_s = "-" + _pp(rhs.arg, _ATOM)  # an exponent carries its own sign: t^-2
+        else:
+            rhs_s = _pp(rhs, prec + 1)  # left association
+        s = _pp(e.lhs, prec) + spelling + rhs_s
+    return f"({s})" if prec < level else s
 
 
 # ---------------------------------------------------------------------------

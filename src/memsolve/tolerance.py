@@ -204,7 +204,7 @@ class StabilityReport:
     unstable: bool
     tape: dict                       # engine.tape_stats: tape length, instructions read from tables
     timings_s: dict                  # prepare (draw, then lower once), kernel, reduce
-    ln_clamps: int                   # ln clamps over every lane, the nominal one included
+    ln_clamps: int                   # ln clamps of every lane's march and of the reduced lanes' readout
     lane_steps: int                  # recorded samples over every lane
 
     @property
@@ -266,12 +266,13 @@ def stability_run(net: Netlist, cfg: ToleranceConfig, sim: SimConfig) -> Stabili
         if nominal.output_transform is not None:
             tcol = sim.dt * np.arange(first, first + len(out))[:, None]
             try:
-                out, _ = eval_expr_array_clamped(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
+                out, clamps = eval_expr_array_clamped(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
             except DomainError:
                 row, j, msg = first_failure(nominal.output_transform, {"v": out, "t": tcol}, LN_FLOOR)
                 who, step = f"iteration {ok_cols[j] - 1}" if j else "the nominal circuit", first + row
                 raise DomainError(f"{who}: the output transform fails at step {step} "
                                   f"(t={step * sim.dt:g}): {msg}") from None
+            counts["ln_clamps"] += clamps
         ref = out[:, 0]
         denom = np.maximum(np.abs(ref), REL_ERR_EPS)
         # ``out`` is F-ordered; the mean's summation order, and so the report's

@@ -601,10 +601,10 @@ def _lane_calls_per_step(monkeypatch, name, dead):
 
 
 @pytest.mark.parametrize("name, most, dead", [
-    pytest.param("population_growth", 54, False, id="population_growth-54"),
-    pytest.param("turbulent_diffusion", 66, False, id="turbulent_diffusion-66"),
-    pytest.param("population_growth", 54, True, id="population_growth-54-one_lane_dropped"),
-    pytest.param("turbulent_diffusion", 66, True, id="turbulent_diffusion-66-one_lane_dropped"),
+    pytest.param("population_growth", 47, False, id="population_growth-47"),
+    pytest.param("turbulent_diffusion", 56, False, id="turbulent_diffusion-56"),
+    pytest.param("population_growth", 47, True, id="population_growth-47-one_lane_dropped"),
+    pytest.param("turbulent_diffusion", 56, True, id="turbulent_diffusion-56-one_lane_dropped"),
 ])
 def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
     """numpy calls per step of the sweep's lane march (W = 101).

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memsolve import engine
 from memsolve.engine import eval_expr, eval_expr_array, eval_expr_array_clamped
 from memsolve.exprs import (
+    FUNCTIONS,
     Binary,
     Const,
     DomainError,
@@ -15,6 +16,8 @@ from memsolve.exprs import (
     Unary,
     UnknownVariableError,
     Var,
+    _tokenize,
+    format_number,
     map_constants,
     parse_expr,
     pretty,
@@ -295,3 +298,227 @@ def test_pretty_parse_round_trip(e):
 @given(_exprs(3))
 def test_pretty_is_stable(e):
     assert pretty(parse_expr(pretty(e), ALL)) == pretty(e)
+
+
+# --- differential tests against the recursive-descent parser and printer -----
+#
+# Frozen copies of the parser and printer that spelled each precedence level
+# as its own method and constant: the precedence-climbing parser and the
+# table-driven printer must agree with them on every AST, every error (class,
+# message and offset) and every printed string.
+
+
+class _DescentParser:
+    def __init__(self, tokens, allowed):
+        self.tokens = tokens
+        self.allowed = allowed
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {what}", tok[2])
+        return tok
+
+    def parse(self):
+        e = self.sum()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+        return e
+
+    def sum(self):
+        e = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                rhs = self.term()
+                e = Binary("add" if text == "+" else "sub", e, rhs)
+            else:
+                return e
+
+    def term(self):
+        e = self.unary()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                rhs = self.unary()
+                e = Binary("mul" if text == "*" else "div", e, rhs)
+            else:
+                return e
+
+    def unary(self):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Unary("neg", self.unary())
+        return self.power()
+
+    def power(self):
+        e = self.atom()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text == "^":
+                self.advance()
+                rhs = self.pow_arg()
+                e = Binary("pow", e, rhs)
+            else:
+                return e
+
+    def pow_arg(self):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Unary("neg", self.pow_arg())
+        return self.atom()
+
+    def atom(self):
+        kind, text, offset = self.advance()
+        if kind == "num":
+            try:
+                return Const(float(text))
+            except ValueError:
+                raise ExprSyntaxError(f"malformed number {text!r}", offset) from None
+        if kind == "(":
+            e = self.sum()
+            self.expect(")", "')'")
+            return e
+        if kind == "ident":
+            if text in FUNCTIONS:
+                self.expect("(", f"'(' after function {text!r}")
+                arg = self.sum()
+                self.expect(")", "')'")
+                return Unary(text, arg)
+            if text not in self.allowed:
+                raise UnknownVariableError(text, offset)
+            return Var(text)
+        raise ExprSyntaxError(f"expected a value, found {text!r}" if text else "unexpected end of input", offset)
+
+
+def _descent_parse(source, allowed):
+    return _DescentParser(_tokenize(source), frozenset(allowed)).parse()
+
+
+def _descent_level(e):
+    if isinstance(e, (Const, Var)):
+        if isinstance(e, Const) and e.value < 0:
+            return 3
+        return 5
+    if isinstance(e, Unary):
+        return 3 if e.op == "neg" else 5
+    return {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 4}[e.op]
+
+
+def _descent_pp(e, min_level):
+    lvl = _descent_level(e)
+    if isinstance(e, Const):
+        s = format_number(abs(e.value)) if e.value < 0 else format_number(e.value)
+        if e.value < 0:
+            s = "-" + s
+    elif isinstance(e, Var):
+        s = e.name
+    elif isinstance(e, Unary):
+        if e.op == "neg":
+            s = "-" + _descent_pp(e.arg, 3)
+        else:
+            s = f"{e.op}({_descent_pp(e.arg, 0)})"
+    else:
+        op = e.op
+        if op in ("add", "sub"):
+            s = f"{_descent_pp(e.lhs, 1)} {'+' if op == 'add' else '-'} {_descent_pp(e.rhs, 2)}"
+        elif op in ("mul", "div"):
+            s = f"{_descent_pp(e.lhs, 2)}{'*' if op == 'mul' else '/'}{_descent_pp(e.rhs, 3)}"
+        else:
+            rhs = e.rhs
+            if isinstance(rhs, Unary) and rhs.op == "neg":
+                rhs_s = "-" + _descent_pp(rhs.arg, 5)
+            else:
+                rhs_s = _descent_pp(rhs, 5)
+            s = f"{_descent_pp(e.lhs, 4)}^{rhs_s}"
+    if lvl < min_level:
+        return f"({s})"
+    return s
+
+
+ALLOWED = {"t", "s", "v"}
+# whole tokens, near-tokens and characters the tokenizer rejects ("x" is not an allowed variable)
+_ALPHABET = ["t", "s", "v", "x", "1", "2.5", "1e3", ".", "3.", "7e+2", "exp", "ln", "sin",
+             "(", ")", "+", "-", "*", "/", "^", " ", "e", "_a", "\u00b2", "\u00e9"]
+_CHARS = sorted(set("".join(_ALPHABET)) | {""})          # a corruption: replace or delete a character
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source, ALLOWED)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+_leaves = st.sampled_from(["t", "s", "v", "0", "1", "2.5", ".5", "3.", "1e3", "7e+2", "1E-2"])
+# source text built from the grammar, with optional spaces, signs and parentheses
+_sources = st.recursive(_leaves, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "^", " + ", " - ", "^-", "*-"]), sub).map("".join),
+    sub.map(lambda src: f"({src})"),
+    sub.map(lambda src: "-" + src),
+    st.tuples(st.sampled_from(FUNCTIONS), sub).map(lambda p: f"{p[0]}({p[1]})"),
+), max_leaves=12)
+
+
+@st.composite
+def _corrupted_sources(draw):
+    source = draw(_sources)
+    if draw(st.integers(0, 4)) == 0:        # a fifth lose or change one character
+        at = draw(st.integers(0, max(len(source) - 1, 0)))
+        source = source[:at] + draw(st.sampled_from(_CHARS)) + source[at + 1:]
+    return source
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join))
+def test_parser_agrees_with_recursive_descent_on_token_strings(source):
+    assert _outcome(parse_expr, source) == _outcome(_descent_parse, source)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_corrupted_sources())
+@example("t^-2^3").via("an exponent's sign takes a signed atom: (t^-2)^3")
+@example("t^--2*3").via("and the product binds looser: (t^--2)*3")
+@example("-t^2 + 2*-t").via("a sign binds looser than ^ and may follow *")
+def test_parser_agrees_with_recursive_descent_on_grammar_sources(source):
+    assert _outcome(parse_expr, source) == _outcome(_descent_parse, source)
+
+
+_signed_consts = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, -2.0, -1e300, 1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+_signed_trees = st.recursive(st.one_of(_signed_consts.map(Const), _vars.map(Var)), lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["neg", *FUNCTIONS]), sub).map(lambda p: Unary(*p)),
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), sub, sub).map(lambda p: Binary(*p)),
+), max_leaves=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_signed_trees)
+@example(Binary("pow", Var("t"), Unary("neg", Unary("neg", Const(2.0))))).via("one sign of an exponent is bare")
+@example(Binary("mul", Const(-0.0), Binary("pow", Const(-2.0), Const(-2.5)))).via("negative literals")
+def test_printer_agrees_with_per_level_printer(e):
+    assert pretty(e) == _descent_pp(e, 0)
+
+
+def test_parentheses_nest_past_the_per_level_parsers_limit():
+    # the recursive-descent parser took five frames per parenthesis and
+    # stopped near 197; the precedence-climbing parser takes three
+    assert parse_expr("(" * 300 + "t" + ")" * 300, {"t"}) == Var("t")

@@ -119,3 +119,29 @@ def test_extreme_flags_exit_2(tmp_path, capsys, command):
         assert _exit_code(argv) == 2, (argv, capsys.readouterr().err)
         assert not out.exists()
     capsys.readouterr()
+
+
+# --- inputs nested past the interpreter's recursion limit ----------------------
+
+DEPTH = 2000
+DEEP = {
+    "parentheses": f'fgen f0 out=a0 expr="{"(" * DEPTH}t{")" * DEPTH}"\noutput a0\n',
+    "signs": f'fgen f0 out=a0 expr="{"-" * DEPTH}t"\noutput a0\n',
+    "flat_sum": f'fgen f0 out=a0 expr="{" + ".join(["t"] * DEPTH)}"\noutput a0\n',
+    "adder_chain": 'fgen f0 out=a0 expr="t"\n'
+                   + "".join(f"adder a{k} out=a{k} in=a{k - 1}:1\n" for k in range(1, DEPTH + 1))
+                   + f"output a{DEPTH}\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deeply_nested_input_exits_2(tmp_path, capsys, shape):
+    """The parser, ``validate``'s variable scan and its algebraic-loop search
+    recurse once per level; past the interpreter's limit the input is too
+    deep to read, an input error."""
+    net = tmp_path / "deep.net"
+    net.write_text(DEEP[shape])
+    assert main(["simulate", str(net), "-o", str(tmp_path / "out.csv"), "--dt", "1e-2", "--t-end", "0.1",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "nests too deeply" in err

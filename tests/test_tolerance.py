@@ -596,3 +596,12 @@ def test_readout_transform_failure_names_its_iteration(tmp_path, capsys):
     simulate(lower(drawn), SimConfig(dt=1e-3, t_end=3.961))
     with pytest.raises(DomainError, match="non-finite result"):
         simulate(lower(drawn), SimConfig(dt=1e-3, t_end=3.962))
+
+
+def test_sweep_counts_its_readouts_ln_clamps_as_simulate_does():
+    # x = exp(-t) falls below 0.5 at t = ln 2: the readout's ln clamps on the last 131 samples
+    net = parse_netlist('integrator i1 out=x C=1 ic=1 in=x:1\noutput x transform="ln(v - 0.5)"\n')
+    sim = SimConfig(dt=1e-2, t_end=2)
+    assert simulate(lower(net), sim).ln_clamps == 131
+    report = stability_run(net, ToleranceConfig(max_relative_error=0.0, iterations=4), sim)
+    assert report.ln_clamps == 5 * 131       # four identical iterations and the nominal lane
