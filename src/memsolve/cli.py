@@ -128,6 +128,7 @@ def _cmd_simulate(args, argv) -> int:
         "channels": list(channels),
         "passivity_steps": res.passivity_steps,
         "ln_clamps": res.ln_clamps,
+        "first_ln_clamp": res.first_ln_clamp,
         "blowup_step": res.blowup_step,
         "truncated": res.blown_up,
         "backend": "numpy",
@@ -137,7 +138,9 @@ def _cmd_simulate(args, argv) -> int:
     _write_manifest(args.out, "simulate", argv, [args.netlist], config, outputs)
     _info(args, f"wrote {args.out} ({len(res.waveform)} samples)")
     _info(args, f"passivity warnings: {res.passivity_steps} samples with negative memductance")
-    _info(args, f"ln clamps: {res.ln_clamps}")
+    first = res.first_ln_clamp
+    _info(args, f"ln clamps: {res.ln_clamps}"
+          + (f" (the march's first at step {first['step']}, t={first['t']:g})" if first else ""))
     if res.blown_up:
         _info(args, f"run truncated: state blow-up at step {res.blowup_step} (noted in manifest)")
     return EXIT_OK

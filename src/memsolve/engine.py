@@ -8,7 +8,11 @@ generates the whole RK4 march for one program structure, with the tape
 inlined four times per step:
 
 * the scalar march, run by :func:`rk4_run` (single runs), keeps states,
-  stage slopes and constants in Python-float locals;
+  stage slopes and constants in Python-float locals.  Its step loop
+  calls numpy only for the ufuncs whose bits it must reproduce (``exp``
+  and ``log``, bound to locals, ``pow`` over one-element buffers, and
+  ``sin`` and ``cos`` of a non-finite value), and it writes samples and
+  passivity flags through memoryviews;
 * the lane march, run by :func:`rk4_run_batch`, advances a batch of
   parameter sets side by side in numpy arrays (every Monte Carlo
   sweep).  It stacks the states, compensation terms and stage slopes
@@ -229,9 +233,9 @@ _OPS = {
     OP_MUL: ("{a} * {b}", None),
     OP_DIV: ("{a} / {b}", _Guard("b", "{0} == 0.0", "1.0", "division by zero")),
     OP_NEG: ("-{a}", None),
-    # exp and ln stay numpy's in the scalar march: libm's differ in the last bit
-    OP_EXP: (("float(np.exp({a}))", "np.exp({a})"), None),
-    OP_LN: (("float(np.log({a}))", "np.log({a})"),
+    # exp and ln stay numpy's in the scalar march (bound to locals, _float_setup): libm's differ in the last bit
+    OP_EXP: (("float(exp({a}))", "np.exp({a})"), None),
+    OP_LN: (("float(log({a}))", "np.log({a})"),
             _Guard("a", "{0} <= 0.0", "ln_floor", "ln of non-positive value", clamp="{0} < ln_floor")),
     # math.sin and math.cos equal numpy's, but raise on infinities where numpy gives NaN
     OP_SIN: (("math.sin({a}) if {a} - {a} == 0.0 else float(np.sin({a}))", "np.sin({a})"), None),
@@ -239,9 +243,10 @@ _OPS = {
     OP_SQRT: (("math.sqrt({a})", "np.sqrt({a})"),
               _Guard("a", "{0} < 0.0", "0.0", "sqrt of negative value")),
     OP_ABS: ("abs({a})", None),
-    # numpy's array loop everywhere, the float variants' over one-element buffers (_emit_scalar);
-    # libm pow and numpy's fast paths for a stride-0 exponent of 2, 0.5 or -1 differ in the last bit
-    OP_POW: (("pa[0] = {a}\ne{dst}[0] = {b}\npower(pa, e{dst}, po).item()", "np.power({a}, {b})"),
+    # numpy's array loop everywhere, the float variants' over one-element buffers written and read
+    # through memoryviews (_float_setup); libm pow and numpy's fast paths for a stride-0 exponent
+    # of 2, 0.5 or -1 differ in the last bit
+    OP_POW: (("pam[0] = {a}\nem{dst}[0] = {b}\npower(pa, e{dst}, po)\npom[0]", "np.power({a}, {b})"),
              _Guard("r", "{0} != {0}", "0.0", "pow outside the real domain")),
 }
 
@@ -267,7 +272,9 @@ def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
     test = (g.clamp or g.bad).format("x")
     if variant == "scalar":
         # inside the march's step loop: a domain error ends the march
-        then = ["x = " + g.safe, "n_ln += 1"] if g.clamp else [f"status = {STATUS_DOMAIN_ERROR}", "break"]
+        # the first clamp notes its step; an unclamped step pays nothing for it
+        then = (["x = " + g.safe, "if not n_ln:", "    first_ln = step", "n_ln += 1"] if g.clamp
+                else [f"status = {STATUS_DOMAIN_ERROR}", "break"])
         return [f"if {test}:"] + ["    " + s for s in then]
     if variant == "fast":
         # every lane alive: only note the hit; the march then reruns the stage masked
@@ -467,13 +474,33 @@ def _update_terms(k, s: str, q: str, new: str) -> list[str]:
             f"{new} = {s} + term", f"{q} = ({new} - {s}) - term"]
 
 
+def _float_setup(code, body: list[str], spell) -> tuple[list[str], list[str]]:
+    """``(set-up, body)`` for the float spellings of ``code`` (``_OPS``) in ``body``.
+
+    The set-up binds numpy's ``exp`` and ``log`` to locals and makes each
+    ``pow``'s one-element buffers, with memoryviews over them that the
+    spelling writes and reads.  It runs once, after the constant loads: a
+    constant exponent is stored there, and its store leaves ``body``.
+    """
+    pows = {dst: b for op, dst, a, b in code if op == OP_POW}
+    loaded = {dst for op, dst, *_ in code if op == OP_CONST}
+    fixed = [f"em{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded]
+    setup = ["exp, log = np.exp, np.log"]
+    if pows:
+        setup += ["power, pa, po = np.power, np.empty(1), np.empty(1)", "pam, pom = memoryview(pa), memoryview(po)"]
+        setup += [f"e{dst} = np.empty(1)" for dst in pows] + [f"em{dst} = memoryview(e{dst})" for dst in pows]
+    return setup + fixed, [s for s in body if s not in fixed]
+
+
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag)``.
 
-    Writes each recorded sample to ``rec`` and ``gflag`` and returns
-    ``(recorded, status, event_step, ln_clamps, state)``: the number of
-    recorded samples, the status code, the step of the event, the ``ln``
-    clamp count and the tuple of states at exit.
+    Writes each recorded sample to ``rec`` (through one flat memoryview,
+    so ``rec`` must be C-contiguous float64) and, if ``flags``, its
+    passivity flag to ``gflag``.  Returns ``(recorded, status, event_step,
+    ln_clamps, first_clamp, state)``: the number of recorded samples, the
+    status code, the step of the event, the ``ln`` clamp count, the step
+    of the first clamp (None without one) and the tuple of states at exit.
 
     With a hoisted part the source starts with ``tables`` and the march
     takes two more arguments, ``grid`` and ``half``: per frontier
@@ -485,45 +512,45 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     n = len(deriv_regs)
     table, code, frontier = _split(code, _roots(deriv_regs, channels, flags)) if hoist else ((), code, ())
     body, spell = _op_lines(code, "scalar", _MARCH_LOADS, frontier)
-    # each pow's one-element buffers (see _OPS); a constant exponent is stored once, before the loop
-    pows = {dst: b for op, dst, a, b in code if op == OP_POW}
-    loaded = {dst for op, dst, *_ in code if op == OP_CONST}
-    fixed = [f"e{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded]
-    body = [s for s in body if s not in fixed]
+    setup, body = _float_setup(code, body, spell)
     # the stage time only where an instruction or a root reads it
     read = {r for op, _, a, b in code for r in _reads(op, a, b)}.union(_roots(deriv_regs, channels, flags))
     timed = any(op == OP_T and dst in read for op, dst, *_ in code)
     # stage 0 keeps the grid row that stage 3 of the step before read, stage 2 the half row of stage 1
     reads = {1: "h{j}[step]", 3: "g{j}[step + 1]"}
+    values = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
     loop = []
     for s, t in enumerate(_STAGE_TIMES):
         loop += ([f"t = {t}"] if timed and t else []) + _stage_inputs(s, n)
         loop += [f"r{r} = " + reads[s].format(j=j) for j, r in enumerate(frontier) if s in reads] + body
         loop += [f"k{s}_{i} = {spell[r]}" for i, r in enumerate(deriv_regs)]
         if s == 0:
-            loop += [f"rec[step, {c}] = " + (spell[i] if kind == CHAN_REG else f"s{i}")
-                     for c, (kind, i) in enumerate(channels)]
-            negative = " or ".join(f"{spell[g]} < 0.0" for g in flags)
-            loop.append(f"gflag[step] = 1 if {negative} else 0" if flags else "gflag[step] = 0")
+            # rec is flat, one row of channels per step; a flag is a bool, stored as 0 or 1
+            if len(values) == 1:
+                loop.append(f"rec[step] = {values[0]}")
+            elif values:
+                loop += [f"at = step * {len(values)}"] + [f"rec[at{f' + {c}' if c else ''}] = {v}"
+                                                         for c, v in enumerate(values)]
+            loop += ["gflag[step] = " + " or ".join(f"{spell[g]} < 0.0" for g in flags)] if flags else []
             loop += ["recorded = step + 1", "if step == n_steps:", "    break"]
     for i in range(n):
         loop += _update_terms([f"k{s}_{i}" for s in range(4)], f"s{i}", f"q{i}", f"w{i}")
     loop += [f"s{i} = w{i}" for i in range(n)]
     if n:
-        # NaN and inf fail the comparison, so they count as a blow-up too
-        inside = " and ".join(f"abs(s{i}) <= blow_limit" for i in range(n))
+        # abs(s) <= blow_limit for every double: NaN and inf fail it, so they count as a blow-up too
+        inside = " and ".join(f"nblow <= s{i} <= blow_limit" for i in range(n))
         loop += [f"if not ({inside}):", f"    status = {STATUS_BLOWUP}", "    break"]
     fn_body = [f"c{i} = float(consts[{i}])" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
-    fn_body += ["power, pa, po = np.power, np.empty(1), np.empty(1)"] if pows else []
-    fn_body += [f"e{dst} = np.empty(1)" for dst in pows] + fixed
+    fn_body += setup + (['rec = memoryview(rec).cast("B").cast("d")'] if values else [])
+    fn_body += ["gflag = memoryview(gflag)"] if flags else []
     if frontier:
         fn_body += [f"{_tuple(f'{tab}{j}' for j in range(len(frontier)))} = {arg}"
                     for tab, arg in (("g", "grid"), ("h", "half"))]
         fn_body += [f"r{r} = g{j}[0]" for j, r in enumerate(frontier)]
     fn_body += [f"s{i} = float(y0[{i}])" for i in range(n)] + [f"q{i} = 0.0" for i in range(n)]
-    fn_body += ["hdt = 0.5 * dt", "n_ln = 0", f"status = {STATUS_OK}", "recorded = 0",
-             "for step in range(n_steps + 1):"] + _indent(loop)
-    fn_body.append(f"return recorded, status, step + 1 if status == {STATUS_BLOWUP} else step, n_ln, "
+    fn_body += ["hdt = 0.5 * dt", "nblow = -blow_limit", "n_ln = 0", "first_ln = None", f"status = {STATUS_OK}",
+                "recorded = 0", "for step in range(n_steps + 1):"] + _indent(loop)
+    fn_body.append(f"return recorded, status, step + 1 if status == {STATUS_BLOWUP} else step, n_ln, first_ln, "
                    + _tuple(f"s{i}" for i in range(n)))
     head = "def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag"
     return (_emit_tables(table, frontier) if table else []) + [
@@ -813,13 +840,12 @@ def _binder(code, n_vars: int, out: int):
     """``bind(consts)`` for one expression tape structure, shared by every constant table.
 
     It returns ``evaluate(y0, ..., y<n_vars - 1>)``, Python floats in and
-    out, which holds its own ``pow`` buffers.
+    out, which holds its own ``pow`` buffers (a constant exponent stored
+    once, by ``bind``).
     """
     body, spell = _op_lines(code, "strict", {OP_CONST: "c{i}", OP_STATE: "y{i}"})
-    pows = [dst for op, dst, *_ in code if op == OP_POW]
-    setup = [f"c{a} = float(consts[{a}])" for op, _, a, _ in code if op == OP_CONST]
-    setup += ["power, pa, po = np.power, np.empty(1), np.empty(1)"] if pows else []
-    setup += [f"e{dst} = np.empty(1)" for dst in pows]
+    setup, body = _float_setup(code, body, spell)
+    setup = [f"c{a} = float(consts[{a}])" for op, _, a, _ in code if op == OP_CONST] + setup
     # x - x is 0.0 for every finite x, NaN for NaN and the infinities
     body += [f"if {spell[out]} - {spell[out]} != 0.0:", "    raise DomainError('non-finite result')",
              f"return {spell[out]}"]
@@ -889,13 +915,18 @@ def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
             y0, dt, n_steps, ln_floor, blow_limit, rec, gflag):
     """Classical fixed-step RK4 over the tape.
 
-    ``rec`` is (n_steps+1, n_channels); ``gflag`` is (n_steps+1,) and set
-    to 1 on samples where any memductance register is negative.  Returns
-    ``(recorded, status, event_step, ln_clamps, state)``: the number of
-    recorded samples and the tuple of states at exit (the failing state
-    on an error).
+    ``rec`` is a C-contiguous float64 (n_steps+1, n_channels) array: the
+    march writes it through one flat memoryview.  ``gflag`` is a uint8
+    (n_steps+1,) array, zeroed here and set to 1 on samples where any
+    memductance register is negative.  Returns ``(recorded, status,
+    event_step, ln_clamps, first_clamp, state)``: the number of recorded
+    samples, the step of the first ``ln`` clamp (None without one) and the
+    tuple of states at exit (the failing state on an error).
     """
     tables, march = _march_for(code, deriv_regs, g_regs, chan_kind, chan_idx, False)
+    gflag[:] = 0  # a march without memductance registers writes no flag
+    # Python floats, as every register then is: a numpy bool is no flag to a memoryview
+    dt, ln_floor, blow_limit = float(dt), float(ln_floor), float(blow_limit)
     args = (consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag)
     with np.errstate(all="ignore"):  # domain errors are reported through the status
         if tables is None:

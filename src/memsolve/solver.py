@@ -9,9 +9,9 @@ The recorded waveform always carries the declared output signal as its
 first channel, named ``out``, with the netlist's output transform (if
 any) applied.  Additional node or ``omega:<element>`` channels can be
 requested.  Inside the stepper the argument of every ``ln`` is clamped
-below at ``LN_FLOOR`` and the clamp activations are counted; state
-magnitudes above ``BLOWUP_LIMIT`` (or non-finite states) truncate the
-run and are reported rather than raised.
+below at ``LN_FLOOR``, the clamp activations are counted and the step of
+the first is noted; state magnitudes above ``BLOWUP_LIMIT`` (or
+non-finite states) truncate the run and are reported rather than raised.
 
 :func:`check_run` rejects a run past the netlist's ``valid_to``, or one
 whose record (samples x channels x parameter sets, 8 bytes each), with a
@@ -96,7 +96,8 @@ class SimResult:
     waveform: Waveform
     passivity_steps: int           # recorded samples where any memductance < 0
     passivity_flags: np.ndarray    # per-sample 0/1
-    ln_clamps: int
+    ln_clamps: int                 # the march's and the output transform's
+    first_ln_clamp: dict | None    # {"step", "t"} of the march's first ln clamp; None without one
     blowup_step: int | None
     tape: dict                     # engine.tape_stats: tape length, instructions read from tables
 
@@ -139,9 +140,9 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
     prog = sys.program
     check_run(sys, cfg, len(names), tables=engine.table_columns(prog, chan_kind, chan_idx))
     rec = np.empty((n_steps + 1, len(names)), dtype=np.float64)
-    gflag = np.zeros(n_steps + 1, dtype=np.uint8)
+    gflag = np.empty(n_steps + 1, dtype=np.uint8)
 
-    recorded, status, event, ln_clamps, state = _backend.rk4_python(
+    recorded, status, event, ln_clamps, first_clamp, state = _backend.rk4_python(
         prog.code, prog.consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, sys.y0(), cfg.dt, n_steps,
         LN_FLOOR, BLOWUP_LIMIT, rec, gflag,
@@ -174,6 +175,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         passivity_steps=int(gflag.sum()),
         passivity_flags=gflag,
         ln_clamps=ln_clamps + transform_clamps,
+        first_ln_clamp=None if first_clamp is None else {"step": first_clamp, "t": first_clamp * cfg.dt},
         blowup_step=blowup_step,
         tape=engine.tape_stats(prog),
     )

@@ -23,6 +23,7 @@ from memsolve.exprs import Binary, Const, Unary, Var
 from memsolve.netlist import Netlist, lower, parse_netlist
 from memsolve.solver import SimConfig, SimulationError, simulate
 from memsolve.tolerance import ToleranceConfig, perturb, stability_run
+from memsolve.waveform import Waveform
 
 from conftest import FIG2_NETLIST
 
@@ -30,6 +31,14 @@ MEM = """
 memintegrator mem1 out=v C=1 ic=1 g="-2 + 0.001*v + exp(-t)*omega" f="exp(t)*t/(1+t)*v" omega0=0
 output v
 """
+
+SAMPLES = ("log_linear", "oscillator_chain", "population_growth", "second_order", "turbulent_diffusion")
+
+
+def _sample(name):
+    """The lowered circuit of the sample equation ``equations/<name>.eq``."""
+    return lower(compile_equation(load_equation_spec(Path(__file__).parent.parent / "equations" / f"{name}.eq")))
+
 
 def test_resolve_backend(monkeypatch):
     monkeypatch.delenv(backend.BACKEND_ENV, raising=False)
@@ -138,14 +147,16 @@ def netlists(draw):
 
 
 def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
-    """``(recorded, status, event_step, ln_clamps, final state, rec, gflag)`` of a scalar run."""
+    """``(recorded, status, event_step, ln_clamps, final state, rec, gflag)`` of a scalar run;
+    its first ``ln`` clamp is noted exactly when it clamps."""
     rec = np.full((n_steps + 1, chan_kind.shape[0]), np.nan)
     gflag = np.zeros(n_steps + 1, dtype=np.uint8)
-    out = engine.rk4_run(
+    n, status, event, ln, first, y = engine.rk4_run(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, dt, n_steps, 1e-9, 1e12, rec, gflag,
     )
-    return (*out, rec, gflag)
+    assert (first is None) == (ln == 0) and (first is None or first <= event)
+    return n, status, event, ln, y, rec, gflag
 
 
 def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
@@ -164,13 +175,14 @@ def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     return rec_counts, status, event, ln_counts, rec, gflag, y_out
 
 
-def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None):
+def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None, chan=None):
     """Scalar runs and one lane run over the same constants agree exactly.
 
     ``consts`` (n_consts, width) defaults to the program's constants,
-    perturbed by up to 5% in every lane but the first.  Waveforms and
-    final states are bit-equal on every tape.  Returns the lane run's
-    (status, event_step, ln_counts).
+    perturbed by up to 5% in every lane but the first.  ``chan`` (kinds,
+    indices) defaults to the output node and the first memristor state.
+    Waveforms and final states are bit-equal on every tape.  Returns the
+    lane run's (status, event_step, ln_counts).
     """
     prog = sys.program
     if consts is None:
@@ -179,10 +191,11 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
         consts[:, 1:] *= 1.0 + 0.05 * rng.uniform(-1, 1, size=(consts.shape[0], width - 1))
     width = consts.shape[1]
     y0 = np.repeat(sys.y0()[:, None], width, axis=1)
-    state_channels = list(sys.omega_state_index.values())[:1]
-    chan_kind = np.array([engine.CHAN_REG] + [engine.CHAN_STATE] * len(state_channels),
-                         dtype=np.int32)
-    chan_idx = np.array([sys.node_regs[sys.output_node]] + state_channels, dtype=np.int32)
+    if chan is None:
+        state_channels = list(sys.omega_state_index.values())[:1]
+        chan = (np.array([engine.CHAN_REG] + [engine.CHAN_STATE] * len(state_channels), dtype=np.int32),
+                np.array([sys.node_regs[sys.output_node]] + state_channels, dtype=np.int32))
+    chan_kind, chan_idx = chan
 
     rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b = _run_lanes(
         prog, consts, y0, chan_kind, chan_idx, dt, n_steps)
@@ -260,6 +273,76 @@ def test_blow_up_before_t_end(src, state):
     res = simulate(sys, SimConfig(dt=dt, t_end=dt * n_steps))
     assert res.blowup_step == event and len(res.waveform) == n
     assert_variants_agree(sys, width=4, dt=dt, n_steps=n_steps)
+
+
+LIMIT = 1e12                       # the blow-up limit of _run_scalar and _run_lanes
+PAST = np.nextafter(LIMIT, np.inf)  # LIMIT + 2**-13
+
+
+@pytest.mark.parametrize("x0, k, status, event", [
+    (0.0, 2.5e11, engine.STATUS_BLOWUP, 5),      # on +LIMIT after step 3, past it after step 4
+    (0.0, -2.5e11, engine.STATUS_BLOWUP, 5),     # the same at -LIMIT
+    (PAST - LIMIT, 2.5e11, engine.STATUS_BLOWUP, 4),     # one ulp past +LIMIT after step 3
+    (LIMIT - PAST, -2.5e11, engine.STATUS_BLOWUP, 4),    # and past -LIMIT
+    (LIMIT, 0.0, engine.STATUS_OK, 6),              # on the limit at every step
+    (-LIMIT, 0.0, engine.STATUS_OK, 6),
+    (PAST, 0.0, engine.STATUS_BLOWUP, 1),           # one ulp past it from the start
+    (-PAST, 0.0, engine.STATUS_BLOWUP, 1),
+    (-0.0, -0.0, engine.STATUS_OK, 6),           # -0.0 + -0.0 stays -0.0
+    (0.0, np.nan, engine.STATUS_BLOWUP, 1),
+    (0.0, np.inf, engine.STATUS_BLOWUP, 1),
+    (0.0, -np.inf, engine.STATUS_BLOWUP, 1),
+])
+def test_blow_up_test_at_its_boundary(x0, k, status, event):
+    """A state on the blow-up limit is accepted; one ulp past it, NaN and the infinities are not.
+
+    x' = k from x(0) = x0 at dt = 1: every update adds k exactly, so the
+    state after the update of step s is x0 + (s + 1) k.  The lane march
+    agrees with the scalar one lane by lane; the first lane is the
+    nominal x' = 0 from x(0) = 0.
+    """
+    b = engine.TapeBuilder()
+    prog = b.finish([b.const(0.0)], [])
+    chan = np.array([engine.CHAN_STATE], dtype=np.int32), np.array([0], dtype=np.int32)
+    consts, y0 = np.array([[0.0, k]]), np.array([[0.0, x0]])
+    n_steps = 6
+    rec_counts, st, ev, _, rec_b, _, y_b = _run_lanes(prog, consts, y0, *chan, 1.0, n_steps)
+    assert (st.tolist(), ev.tolist()) == ([engine.STATUS_OK, status], [n_steps, event])
+    for w in range(2):
+        n, st_w, ev_w, _, y, rec, _ = _run_scalar(prog, consts[:, w].copy(), y0[:, w].copy(), *chan, 1.0, n_steps)
+        assert (st_w, ev_w, n) == (st[w], ev[w], rec_counts[w])
+        assert rec_b[:n, :, w].tobytes() == rec[:n].tobytes()
+    assert n == (event if status == engine.STATUS_BLOWUP else n_steps + 1)
+    if status == engine.STATUS_OK:   # k = 0: the state keeps the bits of x0, -0.0 its sign
+        assert len({np.float64(v).tobytes() for v in (x0, y[0], y_b[0, 1], rec[n_steps, 0])}) == 1
+    if event == 4:
+        assert abs(y[0]) == PAST            # the state that failed the test, exactly
+
+
+def test_rk4_run_owns_its_flag_buffer():
+    # a march without memductance registers writes no flag: rk4_run zeroes gflag itself
+    mixed = lower(parse_netlist(MIXED.format(a=5.0, b=0.1, c=0.25)))   # cos(3t) - 0.5 changes sign
+    for sys, flagged in ((mixed, True), (_sample("second_order"), False)):
+        prog = sys.program
+        chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32)
+        flags = []
+        for fill in (0, 7):
+            rec, gflag = np.empty((201, 1)), np.full(201, fill, dtype=np.uint8)
+            out = engine.rk4_run(prog.code, prog.consts, prog.deriv_regs, prog.g_regs, *chan, sys.y0(),
+                                 1e-2, 200, 1e-9, 1e12, rec, gflag)
+            assert out[:2] == (201, engine.STATUS_OK)
+            flags.append(gflag)
+        assert np.array_equal(flags[0], flags[1])
+        assert set(flags[1].tolist()) == ({0, 1} if flagged else {0})
+
+
+def test_rk4_run_takes_numpy_scalars():
+    # the memductance reads t = step * dt at every stage: a float64 dt gives the same bits
+    sys = lower(parse_netlist('memintegrator mem1 out=v C=1 ic=1 g="-0.5 + 0.1*(v*t)" f="v" omega0=0\noutput v\n'))
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs["v"]], dtype=np.int32)
+    runs = [_run_scalar(sys.program, sys.program.consts, sys.y0(), *chan, dt, 300) for dt in (0.01, np.float64(0.01))]
+    assert runs[0][:4] == runs[1][:4] and runs[0][5].tobytes() == runs[1][5].tobytes()
+    assert set(runs[1][6].tolist()) == {0, 1} and np.array_equal(runs[0][6], runs[1][6])
 
 
 def test_domain_error_after_recorded_samples():
@@ -396,6 +479,26 @@ def test_lanes_dying_mid_run_match_their_scalar_runs():
     assert status.tolist() == [ok, dom, blow, dom, ok, blow]
     assert event[1] < event[2] < event[3] < event[5] < 200
     assert len(set(ln_counts.tolist())) == len(params)
+
+
+def test_variants_agree_on_many_recorded_channels(tmp_path):
+    # the output node, another node, a memristor state and a node recorded twice
+    sys = lower(parse_netlist(MIXED.format(a=5.0, b=0.1, c=0.25)))
+    names = ("z", "omega:mem1", "p", "p")
+    chan = (np.array([engine.CHAN_REG, engine.CHAN_REG, engine.CHAN_STATE, engine.CHAN_REG, engine.CHAN_REG],
+                     dtype=np.int32),
+            np.array([sys.node_regs[n] for n in ("v", "z")] + [sys.omega_state_index["mem1"]]
+                     + 2 * [sys.node_regs["p"]], dtype=np.int32))
+    assert_variants_agree(sys, width=4, dt=0.01, n_steps=200, chan=chan)
+    # simulate records the same channels, and its CSV reads back as %.12g of the scalar run
+    _, status, _, _, _, rec, _ = _run_scalar(sys.program, sys.program.consts, sys.y0(), *chan, 0.01, 200)
+    assert status == engine.STATUS_OK
+    path = tmp_path / "many.csv"
+    simulate(sys, SimConfig(dt=0.01, t_end=2.0, record_channels=names)).waveform.to_csv(path)
+    back = Waveform.from_csv(path)
+    assert back.names == ("out",) + names
+    assert np.array_equal(back.data, np.vectorize(lambda x: float(f"{x:.12g}"))(rec))
+    assert np.array_equal(back.data[:, 3], back.data[:, 4]) and not np.array_equal(back.data[:, 0], back.data[:, 1])
 
 
 CONST_GUARDS = """
@@ -589,8 +692,7 @@ def _lane_calls_per_step(monkeypatch, name, dead):
     """``[calls, fresh]`` per step of the sweep's lane march over the equation ``name``
     (W = 101): the difference of a 30-step and a 10-step run leaves 20 steps and no
     table builds."""
-    path = Path(__file__).parent.parent / "equations" / f"{name}.eq"
-    sys = lower(compile_equation(load_equation_spec(path)))
+    sys = _sample(name)
     engine._march.cache_clear()
     try:
         with monkeypatch.context() as patched:
@@ -641,11 +743,23 @@ def _scalar_source(sys):
 @pytest.mark.parametrize("name", ["second_order", "log_linear", "oscillator_chain"])
 def test_scalar_march_computes_no_unread_stage_time(name):
     # lowering loads t for every netlist; these three read it nowhere in the march
-    path = Path(__file__).parent.parent / "equations" / f"{name}.eq"
-    assert not re.search(r"^ *t = ", _scalar_source(lower(compile_equation(load_equation_spec(path)))), re.M)
+    assert not re.search(r"^ *t = ", _scalar_source(_sample(name)), re.M)
     # a memductance over v*t reads it at every stage time (stage 2 reuses stage 1's)
     sys = lower(parse_netlist('memintegrator mem1 out=v C=1 ic=1 g="-0.5 + 0.1*(v*t)" f="v" omega0=0\noutput v\n'))
     assert len(re.findall(r"^ *t = ", _scalar_source(sys), re.M)) == 3
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_scalar_step_loop_calls_numpy_only_for_its_ufuncs(name):
+    # records and flags go through memoryviews, pow's buffers too, and the blow-up test
+    # is a chained comparison; second_order, the one sample without a memristive
+    # integrator, has no memductance register and stores no flag
+    sys = _sample(name)
+    source = _scalar_source(sys)
+    loop = source[source.index("for step in range(n_steps + 1):"):source.rindex("return ")]
+    for spelling in (".item(", "np.", "abs(", "rec[step, "):
+        assert spelling not in loop
+    assert ("gflag[step] = " in loop) == (name != "second_order") == bool(len(sys.program.g_regs))
 
 
 def _same_lowering(a, b):

@@ -149,6 +149,21 @@ def test_simulate_blowup_exits_zero_with_manifest_note(tmp_path):
     assert manifest["config"]["blowup_step"] is not None
 
 
+def test_simulate_names_the_first_ln_clamp_of_the_march(tmp_path, capsys):
+    # ln(1 - t) clamps from t = 1: stage 3 of step 63 at dt = 1/64
+    net = tmp_path / "clamp.net"
+    net.write_text('integrator i1 out=x C=1 ic=1 in=a:1\nfgen f1 out=a expr="ln(1 - t)"\noutput x\n')
+    out = str(tmp_path / "clamp.csv")
+    assert main(["simulate", str(net), "--dt", "0.015625", "--t-end", "2", "-o", out]) == 0
+    config = json.load(open(out + ".manifest.json"))["config"]
+    assert (config["ln_clamps"], config["first_ln_clamp"]) == (258, {"step": 63, "t": 0.984375})
+    assert "ln clamps: 258 (the march's first at step 63, t=0.984375)\n" in capsys.readouterr().out
+    # the fig2 circuit clamps nowhere: the key is null
+    net.write_text(FIG2_NETLIST)
+    assert main(["simulate", str(net), "--dt", "0.1", "--t-end", "1", "-o", out, "--quiet"]) == 0
+    assert json.load(open(out + ".manifest.json"))["config"]["first_ln_clamp"] is None
+
+
 def test_oracle_against_circuit(tmp_path, population_spec_file, capsys):
     net_path = str(tmp_path / "pop.net")
     sim_path = str(tmp_path / "pop.csv")

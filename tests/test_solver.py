@@ -136,6 +136,20 @@ def test_ln_clamp_is_counted():
     assert short.ln_clamps == 0
 
 
+LN_FROM_T1 = 'integrator i1 out=x C=1 ic=1 in=a:1\nfgen f1 out=a expr="ln(1 - t)"\noutput x\n'
+
+
+def test_first_ln_clamp_of_the_march():
+    # the readout's clamps, on the last 131 samples, are counted but have no step in the march
+    net = parse_netlist('integrator i1 out=x C=1 ic=1 in=x:1\noutput x transform="ln(v - 0.5)"\n')
+    res = simulate(lower(net), SimConfig(dt=1e-2, t_end=2))
+    assert (res.ln_clamps, res.first_ln_clamp) == (131, None)
+    # ln(1 - t) clamps from t = 1, stage 3 of step 63 at dt = 1/64, then at every stage
+    # time: once in step 63, four times in each of steps 64-127 and once at step 128
+    res = simulate(lower(parse_netlist(LN_FROM_T1)), SimConfig(dt=1 / 64, t_end=2))
+    assert (res.ln_clamps, res.first_ln_clamp) == (1 + 4 * 64 + 1, {"step": 63, "t": 63 / 64})
+
+
 def test_output_transform_applied_and_clamped():
     net = parse_netlist(
         'integrator int1 out=v C=1 ic=1 in=v:1\noutput v transform="ln(v)"\n'
