@@ -220,6 +220,7 @@ def _cmd_stability(args, argv) -> int:
         "unstable": report.unstable,
         "ln_clamps": report.ln_clamps,
         "lane_steps": report.lane_steps,
+        "redone_steps": report.redone_steps,
         "backend": "numpy",
         "tape": report.tape,
         "timings_s": {**report.timings_s, "write": written - ran},

@@ -12,18 +12,22 @@ inlined four times per step:
   calls numpy only for the ufuncs whose bits it must reproduce (``exp``
   and ``log``, bound to locals, ``pow`` over one-element buffers, and
   ``sin`` and ``cos`` of a non-finite value), and it writes samples and
-  passivity flags through memoryviews;
+  passivity flags through memoryviews (a memductance register that loads
+  a constant sets its flags once, at exit);
 * the lane march, run by :func:`rk4_run_batch`, advances a batch of
   parameter sets side by side in numpy arrays (every Monte Carlo
   sweep).  It stacks the states, compensation terms and stage slopes
   as (n_states, W) arrays, so a stage input, the compensated update and
   the blow-up test are each one set of numpy calls.  Every call writes
   into a buffer the march owns, passed as the ufunc's positional
-  output (one per register, stage input and update term, a row per guard
-  of one bool buffer, for the live width), so a step allocates no array.
-  It computes without masks and tests all guards of a stage with one
-  ``np.count_nonzero`` of that buffer; a stage whose guard holds anywhere
-  is rerun masked, and a lane that fails leaves every per-lane array.
+  output (one per register, stage input and update term, a slab per
+  guard of one bool buffer, for the live width), so a step allocates no
+  array.  Its stages compute without masks and test no guard: the value
+  a guard checks has a stage axis, so one call per guard tests it over
+  the step's four stages, and one ``np.count_nonzero`` per step counts
+  every hit.  A step whose guard holds anywhere is redone exactly,
+  stage by stage, masked, and a lane that fails leaves every per-lane
+  array.
 
 Both marches run the tape as lowered, signs spelled where it is built
 (``a + (-b)`` as ``a - b`` in :meth:`TapeBuilder.compile_expr`, a one-term
@@ -40,8 +44,8 @@ by the array code, gives every stage its values:
   If a hoisted guard holds anywhere on the grid, the run takes the
   march that evaluates every instruction in order instead;
 * the lane march builds (times x live lanes) tables every
-  ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard hit is
-  rerun masked, like a stage whose own guards hold; a guard over
+  ``_TABLE_STEPS`` steps.  A step whose table rows note a guard hit is
+  redone masked, like a step whose own guards hold; a guard over
   constants alone is noted on every row while it holds for some lane.
 
 Either way domain errors, ``ln`` clamp counts and event steps come from
@@ -263,25 +267,22 @@ _BOUND = sorted({*_UFUNCS.values(), *_COMPARE.values(), "bitwise_or"})
 _BIND = f"{', '.join(_BOUND)} = {', '.join('np.' + x for x in _BOUND)}"
 
 
-def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
+def _guard_lines(g: _Guard, variant: str, failing=()) -> list[str]:
     """What happens to ``x`` (the checked value) where the guard's test holds.
 
-    ``mask`` names a bool buffer of the fast variant, the guard's own row
-    of the lane march's ``H``: the test writes its hits there.
+    ``failing`` are lines the scalar variant runs at a domain error before
+    it ends the march.
     """
     test = (g.clamp or g.bad).format("x")
     if variant == "scalar":
         # inside the march's step loop: a domain error ends the march
         # the first clamp notes its step; an unclamped step pays nothing for it
         then = (["x = " + g.safe, "if not n_ln:", "    first_ln = step", "n_ln += 1"] if g.clamp
-                else [f"status = {STATUS_DOMAIN_ERROR}", "break"])
+                else [f"status = {STATUS_DOMAIN_ERROR}", *failing, "break"])
         return [f"if {test}:"] + ["    " + s for s in then]
     if variant == "fast":
-        # every lane alive: only note the hit; the march then reruns the stage masked
-        if mask is None:
-            return [f"hit |= {test}"]
-        lhs, cmp, rhs = test.split(" ")
-        return [f"{_COMPARE[cmp]}({lhs}, {rhs}, {mask})"]
+        # a table build only notes the hit; the lane march then redoes the step masked
+        return [f"hit |= {test}"]
     if variant == "masked":
         # a lane stops counting at its first domain error, as the scalar march stops there
         flag = "ln_counts[lanes[~dom & m]] += 1" if g.clamp else "dom |= m"
@@ -297,7 +298,14 @@ def _guard_lines(g: _Guard, variant: str, mask=None) -> list[str]:
                f"    x = np.where(m, {g.safe}, x)"])
 
 
-def _op_lines(code, variant: str, loads=None, outside=(), outs=None, masks=None) -> tuple[list[str], dict[int, str]]:
+def _guard_test(g: _Guard, value: str, out: str) -> str:
+    """One comparison ufunc call: where the guard's test holds over ``value``, into the bool buffer ``out``."""
+    lhs, cmp, rhs = (g.clamp or g.bad).split(" ")
+    return f"{_COMPARE[cmp]}({lhs}, {rhs}, {out})".format(value)
+
+
+def _op_lines(code, variant: str, loads=None, outside=(), outs=None, checked=True,
+              failing=()) -> tuple[list[str], dict[int, str]]:
     """One assignment to a local ``r<dst>`` per instruction, guards included.
 
     ``loads`` maps OP_CONST, OP_T and OP_STATE to the name of a local the
@@ -307,11 +315,12 @@ def _op_lines(code, variant: str, loads=None, outside=(), outs=None, masks=None)
     ``outs`` maps registers to arrays their instruction writes into: a
     numpy variant's ufunc, bound to a local (``_BIND``), gets the array
     as its positional output, and the register is spelled as the array.
-    ``masks`` maps guarded registers to the bool buffer of their test
-    (``_guard_lines``).  Returns the lines and how each register is spelled.
+    ``checked`` False leaves the guards out (the lane march tests them
+    itself, ``_guard_test``); ``failing`` goes to ``_guard_lines``.
+    Returns the lines and how each register is spelled.
     """
     spell = dict(outside) if isinstance(outside, dict) else {r: f"r{r}" for r in outside}
-    outs, masks = outs or {}, masks or {}
+    outs = outs or {}
     body = []
     for op, dst, a, b in code:
         expr, guard = _OPS[op]
@@ -325,13 +334,13 @@ def _op_lines(code, variant: str, loads=None, outside=(), outs=None, masks=None)
         spell[dst] = outs.get(dst, f"r{dst}")
         lhs = "" if dst in outs else f"r{dst} = "
         names = {"i": a, "dst": dst, "a": spell.get(a), "b": spell.get(b)}
-        checks = _guard_lines(guard, variant, masks.get(dst)) if guard is not None else []
-        if guard is not None and guard.on != "r":
+        checks = _guard_lines(guard, variant, failing) if guard is not None and checked else []
+        if checks and guard.on != "r":
             body += [f"x = {names[guard.on]}"] + checks
             names[guard.on] = "x"
         *pre, value = expr.format(**names).split("\n")
         body += pre
-        if guard is None or guard.on != "r":
+        if not checks or guard.on != "r":
             body.append(lhs + value)
         else:
             body += ["x = " + value] + checks + ([] if dst in outs else [f"r{dst} = x"])
@@ -497,10 +506,12 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
 
     Writes each recorded sample to ``rec`` (through one flat memoryview,
     so ``rec`` must be C-contiguous float64) and, if ``flags``, its
-    passivity flag to ``gflag``.  Returns ``(recorded, status, event_step,
-    ln_clamps, first_clamp, state)``: the number of recorded samples, the
-    status code, the step of the event, the ``ln`` clamp count, the step
-    of the first clamp (None without one) and the tuple of states at exit.
+    passivity flag to ``gflag``: per step for the memductance registers
+    the tape computes, once at exit for those that load a constant.
+    Returns ``(recorded, status, event_step, ln_clamps, first_clamp,
+    state)``: the number of recorded samples, the status code, the step
+    of the event, the ``ln`` clamp count, the step of the first clamp
+    (None without one) and the tuple of states at exit.
 
     With a hoisted part the source starts with ``tables`` and the march
     takes two more arguments, ``grid`` and ``half``: per frontier
@@ -512,17 +523,22 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     n = len(deriv_regs)
     table, code, frontier = _split(code, _roots(deriv_regs, channels, flags)) if hoist else ((), code, ())
     body, spell = _op_lines(code, "scalar", _MARCH_LOADS, frontier)
+    # a domain error in stage 0 comes before the step's sample: it notes the samples recorded
+    first = _op_lines(code, "scalar", _MARCH_LOADS, frontier, failing=["recorded = step"])[0]
     setup, body = _float_setup(code, body, spell)
+    first = [s for s in first if s not in setup]
     # the stage time only where an instruction or a root reads it
     read = {r for op, _, a, b in code for r in _reads(op, a, b)}.union(_roots(deriv_regs, channels, flags))
     timed = any(op == OP_T and dst in read for op, dst, *_ in code)
+    loaded = {dst for op, dst, *_ in code if op == OP_CONST}
     # stage 0 keeps the grid row that stage 3 of the step before read, stage 2 the half row of stage 1
     reads = {1: "h{j}[step]", 3: "g{j}[step + 1]"}
     values = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
     loop = []
     for s, t in enumerate(_STAGE_TIMES):
         loop += ([f"t = {t}"] if timed and t else []) + _stage_inputs(s, n)
-        loop += [f"r{r} = " + reads[s].format(j=j) for j, r in enumerate(frontier) if s in reads] + body
+        loop += [f"r{r} = " + reads[s].format(j=j) for j, r in enumerate(frontier) if s in reads]
+        loop += first if s == 0 else body
         loop += [f"k{s}_{i} = {spell[r]}" for i, r in enumerate(deriv_regs)]
         if s == 0:
             # rec is flat, one row of channels per step; a flag is a bool, stored as 0 or 1
@@ -531,8 +547,9 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
             elif values:
                 loop += [f"at = step * {len(values)}"] + [f"rec[at{f' + {c}' if c else ''}] = {v}"
                                                          for c, v in enumerate(values)]
-            loop += ["gflag[step] = " + " or ".join(f"{spell[g]} < 0.0" for g in flags)] if flags else []
-            loop += ["recorded = step + 1", "if step == n_steps:", "    break"]
+            varying = [f"{spell[g]} < 0.0" for g in flags if g not in loaded]
+            loop += ["gview[step] = " + " or ".join(varying)] if varying else []
+            loop += ["if step == n_steps:", "    break"]
     for i in range(n):
         loop += _update_terms([f"k{s}_{i}" for s in range(4)], f"s{i}", f"q{i}", f"w{i}")
     loop += [f"s{i} = w{i}" for i in range(n)]
@@ -542,14 +559,18 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         loop += [f"if not ({inside}):", f"    status = {STATUS_BLOWUP}", "    break"]
     fn_body = [f"c{i} = float(consts[{i}])" for i in sorted({a for op, _, a, _ in code if op == OP_CONST})]
     fn_body += setup + (['rec = memoryview(rec).cast("B").cast("d")'] if values else [])
-    fn_body += ["gflag = memoryview(gflag)"] if flags else []
+    fn_body += ["gview = memoryview(gflag)"] if any(g not in loaded for g in flags) else []
     if frontier:
         fn_body += [f"{_tuple(f'{tab}{j}' for j in range(len(frontier)))} = {arg}"
                     for tab, arg in (("g", "grid"), ("h", "half"))]
         fn_body += [f"r{r} = g{j}[0]" for j, r in enumerate(frontier)]
     fn_body += [f"s{i} = float(y0[{i}])" for i in range(n)] + [f"q{i} = 0.0" for i in range(n)]
     fn_body += ["hdt = 0.5 * dt", "nblow = -blow_limit", "n_ln = 0", "first_ln = None", f"status = {STATUS_OK}",
-                "recorded = 0", "for step in range(n_steps + 1):"] + _indent(loop)
+                "recorded = None", "for step in range(n_steps + 1):"] + _indent(loop)
+    # every other exit comes after the step's sample
+    fn_body.append("recorded = step + 1 if recorded is None else recorded")
+    constant = [f"{spell[g]} < 0.0" for g in flags if g in loaded]
+    fn_body += [f"if {' or '.join(constant)}:", "    gflag[:recorded] = 1"] if constant else []
     fn_body.append(f"return recorded, status, step + 1 if status == {STATUS_BLOWUP} else step, n_ln, first_ln, "
                    + _tuple(f"s{i}" for i in range(n)))
     head = "def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag"
@@ -559,44 +580,59 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
 
 def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
-    event_step, ln_counts, rec_counts)``, returning each lane's last accepted state, (n_states, W).
+    event_step, ln_counts, rec_counts)``, returning each lane's last accepted state,
+    (n_states, W), and the number of steps redone.
 
     The march holds the states, the compensation terms and the stage
     slopes stacked, as ``S`` and ``Q`` (n_states, W) and ``K`` (4,
     n_states, W): a stage input, the compensated update and the blow-up
     test are each one set of numpy calls whatever the number of states.
 
-    Away from a rerun the march allocates nothing per step: every ufunc
+    Away from a redo the march allocates nothing per step: every ufunc
     writes into a buffer the march owns, passed as its positional output.
     Each register the stages compute has its own (W,) buffer (a slope
-    goes straight into its row of ``K``), each guard its own row of the
-    bool buffer ``H``, a stage input goes into ``U``, and the update into
-    ``N`` and ``Q`` in place, with ``D`` for both doubled slopes (one call
-    over ``K[1:3]``), ``T`` and ``OK`` for the term and the blow-up test.
+    goes straight into its row of ``K``), stage ``s`` writes its input
+    into ``U[s - 1]`` (rows ``u<s>_<i>``), and the update goes into ``N``
+    and ``Q`` in place, with ``D`` for both doubled slopes (one call over
+    ``K[1:3]``), ``T`` and ``OK`` for the term and the blow-up test.
     ``S`` starts as a copy of ``y0`` and swaps with ``N`` at each accepted
     step.  Stage 0 reads the states as rows ``s<i>`` of ``S`` (``n<i>`` of
-    ``N`` swap with them), the other stages as rows ``u<i>`` of ``U``.
+    ``N`` swap with them).
+
+    The stages compute without testing a guard.  The value a guard checks
+    has a stage axis instead: a register's (4, W) buffer ``R<v>`` (rows
+    ``r<v>_<s>``; a slope's is its column of ``K``), so one call tests the
+    guard over the step's four stages into its (4, W) slab of the bool
+    buffer ``H``; a state is tested in two, its row of ``S`` in stage 0
+    and its column of ``U`` after stage 3.  A value the stages do not
+    compute (a table row, ``t`` or a constant) is tested in each stage.
+    After stage 3, and after stage 0 of the last step, one
+    ``np.count_nonzero`` of ``H`` and the step's table rows tell whether a
+    guard held; if one did, the step is redone exactly from ``S`` and
+    ``Q``, stage by stage, by the masked ``stage``, which evaluates the
+    whole tape in order.  Where no guard holds it computes the bits of
+    the fast stage, at the same stage times.  Stage 0 records the step's
+    sample before the redo, so a lane the redo drops there gets NaN and
+    flag 0 back.  A guard over constants alone notes every table row, so
+    every step is redone while it holds for some lane.
 
     Per-lane arrays hold the live lanes alone; ``lanes`` (and ``cols``, a
     plain slice until the first drop) holds each one's column in the
     caller's arrays.  ``survivors`` takes the constants' rows and
     allocates the buffers for the live width.  The hoisted part is read
     from stage-time tables over the live lanes, built every
-    ``_TABLE_STEPS`` steps.  A stage whose table row notes a guard, or whose
-    own guards hold anywhere (one ``np.count_nonzero`` of ``H``), is rerun by
-    the masked ``stage``, which evaluates the whole tape in order; a guard
-    over constants alone notes every row, so every stage is rerun while
-    it holds for some lane.  A lane that fails, in a stage or at the
-    update, has its status, event step, ``rec_counts`` and last accepted
-    state written through ``lanes`` and leaves every per-lane array;
-    ``survivors`` then runs again for the new width.  A stage skips
-    the unguarded instructions whose value it does not use (stages 1 to
-    3 use only the slopes).
+    ``_TABLE_STEPS`` steps.  A lane that fails, in a redone stage or at
+    the update, has its status, event step, ``rec_counts`` and last
+    accepted state written through ``lanes`` and leaves every per-lane
+    array; ``survivors`` then runs again for the new width.  A stage
+    skips the unguarded instructions whose value it does not use (stages
+    1 to 3 use only the slopes).
     """
     n = len(deriv_regs)
     roots = _roots(deriv_regs, channels, flags)
     lines = []
-    if _guarded(code):
+    redo = bool(_guarded(code))
+    if redo:
         # where a guard holds, a lane keeps computing with the guard's safe value
         masked, mspell = _op_lines(code, "masked")
         mprobes = [mspell[i] if kind == CHAN_REG else f"y[{i}]" for kind, i in channels]
@@ -622,27 +658,52 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         if r in made:
             slopes.setdefault(r, i)
     timed = [any(op == OP_T for op, *_ in scode) for scode in stage_code]
-    masks = {r: f"m{r}" for r in guards}
+    # (guarded register, guard, the value it checks): a value the stages compute gets a
+    # stage axis (stacked), a state's is its row of S and its column of U
+    checks = [(r, g, {"a": a, "b": b, "r": r}[g.on]) for op, r, a, b in code if (g := _OPS[op][1]) is not None]
+    state_of = {dst: a for op, dst, a, _ in code if op == OP_STATE}
+    stacked = {v for _, _, v in checks if v in made}
+    states = {v: state_of[v] for _, _, v in checks if v in state_of}
     # the survivors' set-up: K's rows, the march's constants and the buffers for the live width
     const_idx = sorted({a for op, _, a, _ in code if op == OP_CONST})
     named = [f"K{s}_{i}" for s in range(4) for i in range(n)] + [f"c{i}" for i in const_idx]
     body = [f"K{s}_{i} = K[{s}, {i}]" for s in range(4) for i in range(n)]
     body += [f"c{i} = consts[{i}]" for i in const_idx] + ["width = consts.shape[1]"]
-    buffers = []
+    # views as (names, what they view): made once per width, as every buffer
+    views = []
     if n:
-        rows = [(f"{x}{i}", f"{x.upper()}[{i}]") for x in "sn" for i in srows] + [(f"u{i}", f"U[{i}]") for i in urows]
-        body += ["N, U, T = (np.empty(S.shape) for _ in range(3))", "OK = np.empty(S.shape, dtype=np.bool_)",
-                 "K12, D = K[1:3], np.empty((2,) + S.shape)", "D0, D1 = D"] + [f"{x} = {row}" for x, row in rows]
-        buffers += ["N", "U", "T", "OK", "K12", "D", "D0", "D1"] + [name for name, _ in rows]
-    floats = [f"r{r}" for r in regs] + (["t"] if any(timed) else [])
+        body += ["N, T = (np.empty(S.shape) for _ in range(2))", "U = np.empty((3,) + S.shape)",
+                 "OK = np.empty(S.shape, dtype=np.bool_)", "K12, D = K[1:3], np.empty((2,) + S.shape)"]
+        named += ["N", "U", "T", "OK", "K12", "D"]
+        views += [("D0, D1", "D"), ("U1, U2, U3", "U")] + [(f"{x}{i}", f"{x.upper()}[{i}]") for x in "sn" for i in srows]
+        views += [(f"u{s}_{i}", f"U[{s - 1}, {i}]") for s in (1, 2, 3) for i in urows]
+        views += [(f"U{i}_t", f"U[:, {i}]") for i in sorted(set(states.values()))]
+    floats = [f"r{r}" for r in regs if r not in stacked] + (["t"] if any(timed) else [])
     for names, kind in ((floats, ""), (["F", "G"][:len(flags)], ", dtype=np.bool_")):
         if names:
-            buffers += names
+            named += names
             body.append(f"{_tuple(names)} = (np.empty(width{kind}) for _ in range({len(names)}))")
+    for v in sorted(stacked):
+        if v in slopes:
+            views.append((f"R{v}", f"K[:, {slopes[v]}]"))
+        else:
+            body.append(f"R{v} = np.empty((4, width))")
+            named.append(f"R{v}")
+        views.append((", ".join(f"r{v}_{s}" for s in range(4)), f"R{v}"))
     if guards:
-        body += [f"H = np.empty(({len(guards)}, width), dtype=np.bool_)", f"{_tuple(masks.values())} = H"]
-        buffers += ["H", *masks.values()]
-    named = "".join(f", {x}" for x in named + buffers)
+        # one (4, W) slab per guard; H0 holds the stage-0 rows, the last step's
+        body.append(f"H = np.empty(({len(guards)}, 4, width), dtype=np.bool_)")
+        named.append("H")
+        views.append(("H0", "H[:, 0]"))
+        for k, (r, _, v) in enumerate(checks):
+            if v in stacked:
+                views += [(f"m{r}", f"H[{k}]"), (f"m{r}_0", f"H[{k}, 0]")]
+            elif v in states:
+                views += [(f"m{r}_0", f"H[{k}, 0]"), (f"m{r}_t", f"H[{k}, 1:]")]
+            else:
+                views += [(f"m{r}_{s}", f"H[{k}, {s}]") for s in range(4)]
+    body += [f"{x} = {e}" for x, e in views]
+    named = "".join(f", {x}" for x in named + [x for x, _ in views])
     lines += ["def survivors(consts, K, S):"] + _indent(body + [f"return width, *K{named}", ""])
     survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, S)"
     chunk, hits, loop = [], [], []
@@ -658,57 +719,70 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
              tabs.format("g", "ts"), tabs.format("h", "ts[:-1] + hdt")] + hits + ["kbase = step"])
         loop.append("j = step - kbase")
 
-    def drop(status, event, count, kept=(), new="S, Q"):
+    def drop(status, event, count, new="S, Q", then=()):
         """Write the failed lanes (``dom``) through ``lanes`` and keep the rest, C-ordered
         (indexing along the last axis would leave every row strided, and each ufunc slower)."""
-        per_lane = ["K", "consts"] + chunk + list(kept)
+        per_lane = ["K", "consts"] + chunk
         return (["fail, keep = lanes[dom], ~dom",
                  f"status[fail], event_step[fail], rec_counts[fail], Y[:, fail] = "
-                 f"{status}, {event}, {count}, S[:, dom]",
+                 f"{status}, {event}, {count}, S[:, dom]", *then,
                  f"lanes, S, Q, {', '.join(per_lane)} = "
                  f"(x.compress(keep, axis=-1) for x in (lanes, {new}, {', '.join(per_lane)}))",
                  "cols = lanes"] + hits + [survivors, "if not width:", "    break"])
 
     n_chan = len(channels)
+    stages, spells = [], []
     for s, t in enumerate(_STAGE_TIMES):
         scode = stage_code[s]
-        # stage 2 runs at the time of stage 1, which a drop in stage 1 leaves unwritten
-        t = t or _STAGE_TIMES[1]
-        loop += [f"t.fill({t})"] if timed[s] else []
+        # stage 2 runs at the time of stage 1, which is still in t
+        fast = [f"t.fill({t})"] if timed[s] and t else []
         if s and n:
-            loop += [f"multiply({'dt_' if s == 3 else 'hdt_'}, K{s - 1}, U)", "add(S, U, U)"]
-        outs = {r: f"r{r}" for r in regs} | {r: f"K{s}_{i}" for r, i in slopes.items()}
-        loads = {**_MARCH_LOADS, OP_STATE: "s{i}"} if s == 0 else _MARCH_LOADS
-        fast, spell = _op_lines(scode, "fast", loads, frontier, outs, masks)
-        read = {r for op, _, a, b in scode for r in _reads(op, a, b)} | set(deriv_regs)
+            fast += [f"multiply({'dt_' if s == 3 else 'hdt_'}, K{s - 1}, U{s})", f"add(S, U{s}, U{s})"]
+        outs = ({r: f"r{r}_{s}" if r in stacked else f"r{r}" for r in regs}
+                | {r: f"K{s}_{i}" for r, i in slopes.items()})
+        loads = {**_MARCH_LOADS, OP_STATE: f"u{s}_{{i}}" if s else "s{i}"}
+        ops, spell = _op_lines(scode, "fast", loads, frontier, outs, checked=False)
+        read = {r for op, _, a, b in scode for r in _reads(op, a, b)} | set(deriv_regs) | set(roots if s == 0 else ())
         tab, row = "ghhg"[s], ("j", "j", "j", "j + 1")[s]
-        if s == 0:
-            probes = [spell[i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
-            probes += [spell[g] for g in flags]
-            read |= set(roots)
-        loop += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(frontier) if s != 2 and r in read]
-        loop += fast + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs)
-                        if spell[r] != f"K{s}_{i}"]
-        loop += [f"p{j} = {e}" for j, e in enumerate(probes)] if s == 0 else []
-        rerun = ([f"{tab}hit[{row}]"] if _guarded(table) else []) + (["np.count_nonzero(H)"] if guards else [])
-        if rerun:
-            kept = [f"p{j}" for j in range(len(probes))] if s == 0 else []
-            # stage 2 computes with the table rows of stage 1
-            kept += [f"r{r}" for r in frontier if r in read] if s == 1 else []
-            target = "[" + ", ".join(kept) + "]" if s == 0 else "_"
-            at = "t" if timed[s] else f"np.full(width, {t})"
-            loop += [f"if {' or '.join(rerun)}:"] + _indent(
-                [f"dom, {f'K[{s}]' if n else '_'}, {target} = "
-                 f"stage({at}, {'U' if s and n else 'S'}, consts, ln_floor, ln_counts, lanes)",
-                 "if np.count_nonzero(dom):"] + _indent(
-                     # stage 0 fails before the step's sample is recorded
-                     drop(STATUS_DOMAIN_ERROR, "step", "step" if s == 0 else "step + 1", kept)))
-        if s == 0:
-            loop += [f"rec[step, {c}, cols] = p{c}" for c in range(n_chan)]
-            for j in range(len(flags)):  # a negative memductance
-                loop += [f"less(p{n_chan + j}, 0.0, {'G' if j else 'F'})"] + (["bitwise_or(F, G, F)"] if j else [])
-            loop += ["gflag[step, cols] = F"] if flags else []
-            loop += ["if step == n_steps:", "    break"]
+        fast += [f"r{r} = {tab}{q}[{row}]" for q, r in enumerate(frontier) if s != 2 and r in read]
+        fast += ops + [f"K{s}_{i}[...] = {spell[r]}" for i, r in enumerate(deriv_regs) if spell[r] != f"K{s}_{i}"]
+        # the values the stages do not stack are tested where they are read; a state's stage 0 row here
+        fast += [_guard_test(g, spell[v], f"m{r}_{s}") for r, g, v in checks
+                 if v not in stacked and (v not in states or s == 0)]
+        stages.append(fast)
+        spells.append(spell)
+    probes = [spells[0][i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
+    probes += [spells[0][g] for g in flags]
+    record = [f"rec[step, {c}, cols] = p{c}" for c in range(n_chan)]
+    for j in range(len(flags)):  # a negative memductance
+        record += [f"less(p{n_chan + j}, 0.0, {'G' if j else 'F'})"] + (["bitwise_or(F, G, F)"] if j else [])
+    record += ["gflag[step, cols] = F"] if flags else []
+    loop += stages[0] + [f"p{j} = {e}" for j, e in enumerate(probes)] + record
+    if redo:
+        # one call per guard over its stacked values (a state's stage 0 row is tested in stage 0);
+        # the last step ran stage 0 alone
+        step_tests = [_guard_test(g, f"R{v}", f"m{r}") for r, g, v in checks if v in stacked]
+        step_tests += [_guard_test(g, f"U{states[v]}_t", f"m{r}_t") for r, g, v in checks if v in states]
+        last_tests = [_guard_test(g, spells[0][v], f"m{r}_0") for r, g, v in checks if v in stacked]
+        held = (["ghit[j] or hhit[j] or ghit[j + 1]"] if _guarded(table) else []) + (["np.count_nonzero(H)"] if guards else [])
+        held_last = (["ghit[j]"] if _guarded(table) else []) + (["np.count_nonzero(H0)"] if guards else [])
+        loop += ["if step == n_steps:"] + _indent(last_tests + [f"held = {' or '.join(held_last)}"])
+        loop += ["else:"] + _indent(stages[1] + stages[2] + stages[3] + step_tests + [f"held = {' or '.join(held)}"])
+        times = _tuple(t or _STAGE_TIMES[1] for t in _STAGE_TIMES)
+        # stage 0 fails before the step's sample: the lane keeps NaN and flag 0 there
+        unrecord = ["if not s:", "    rec[step, :, fail] = np.nan"] + (["    gflag[step, fail] = 0"] if flags else [])
+        stage = (["if s:", f"    multiply(dt_ if s == 3 else hdt_, K[s - 1], U1)", "    add(S, U1, U1)"] if n else [])
+        stage += [f"dom, {'K[s]' if n else '_'}, P = stage(np.full(width, {times}[s]), "
+                  f"{'U1 if s else S' if n else 'S'}, consts, ln_floor, ln_counts, lanes)"]
+        stage += ["if not s:"] + _indent([f"{_tuple(f'p{j}' for j in range(len(probes)))} = P"] + record)
+        stage += ["if np.count_nonzero(dom):"] + _indent(drop(STATUS_DOMAIN_ERROR, "step", "step + (s > 0)", then=unrecord))
+        loop += ["if held:"] + _indent(
+            ["# a guard held: redo the step exactly from S and Q, stage by stage",
+             "redone += 1", "for s in range(1 if step == n_steps else 4):"] + _indent(stage)
+            + ["if not width:", "    break"])
+        loop += ["if step == n_steps:", "    break"]
+    else:
+        loop += ["if step == n_steps:", "    break"] + stages[1] + stages[2] + stages[3]
     if n:
         # _update_terms into the buffers, both doubled slopes at once; T (the term) is spent when reused
         loop += ["multiply(two, K12, D)", "add(K0, D0, T)", "add(T, D1, T)", "add(T, K3, T)",
@@ -723,10 +797,10 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     fn_body = [_BIND, "hdt = 0.5 * dt", "dt_, hdt_, two, six = (np.array(v) for v in (dt, hdt, 2.0, 6.0))",
                "lanes, cols = np.arange(y0.shape[1]), slice(None)",
                "S, Q, K, Y = y0.copy(), np.zeros(y0.shape), np.empty((4,) + y0.shape), np.empty(y0.shape)",
-               survivors]
+               survivors, "redone = 0"]
     fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
-    fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y"]
+    fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y, redone"]
     return lines + ["def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
@@ -952,7 +1026,9 @@ def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
     leaves the march at its domain error or blow-up; per-lane ``status``,
     ``event_step``, ``ln_counts``, ``rec_counts`` and the (n_steps+1, W)
     passivity flags mirror the scalar kernel, and waveforms are bit-equal
-    to it.  ``gflag`` None skips the flags.  Returns each lane's last accepted state, (n_states, W).
+    to it.  ``gflag`` None skips the flags.  Returns each lane's last
+    accepted state, (n_states, W), and the number of steps the march redid
+    because a guard held in some lane.
     """
     march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)[1]
     status[:] = STATUS_OK

@@ -206,6 +206,7 @@ class StabilityReport:
     timings_s: dict                  # prepare (draw, then lower once), kernel, reduce
     ln_clamps: int                   # ln clamps of every lane's march and of the reduced lanes' readout
     lane_steps: int                  # recorded samples over every lane
+    redone_steps: int                # lane-march steps redone because a guard held in some lane
 
     @property
     def failed(self) -> tuple[int, ...]:
@@ -327,7 +328,8 @@ def _run_batch(system, consts, y0, sim):
     set.  Returns the raw (n_steps+1, 1, W) record of the output node, the
     columns of the sets that completed, in order, for the others the
     failure kind and step keyed by column, and the lanes' totals of ``ln``
-    clamps and recorded samples (``ln_clamps`` and ``lane_steps``).
+    clamps and recorded samples (``ln_clamps`` and ``lane_steps``), and the
+    steps the march redid because a guard held (``redone_steps``).
     """
     prog = system.program
     width = consts.shape[1]
@@ -339,7 +341,7 @@ def _run_batch(system, consts, y0, sim):
     event = np.zeros(width, dtype=np.int64)
     ln_counts = np.zeros(width, dtype=np.int64)
     rec_counts = np.zeros(width, dtype=np.int64)
-    engine.rk4_run_batch(
+    _, redone = engine.rk4_run_batch(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
         rec, None, status, event, ln_counts, rec_counts,    # no passivity flags
@@ -347,5 +349,5 @@ def _run_batch(system, consts, y0, sim):
     kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}
     failures = {i: (kinds[status[i]], int(event[i]))
                 for i in range(width) if status[i] != engine.STATUS_OK}
-    counts = {"ln_clamps": int(ln_counts.sum()), "lane_steps": int(rec_counts.sum())}
+    counts = {"ln_clamps": int(ln_counts.sum()), "lane_steps": int(rec_counts.sum()), "redone_steps": redone}
     return rec, [i for i in range(width) if i not in failures], failures, counts

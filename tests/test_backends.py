@@ -165,24 +165,28 @@ def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
     gflag = np.zeros((n_steps + 1, width), dtype=np.uint8) if flags else None
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
     given = consts.tobytes(), y0.tobytes()
-    y_out = engine.rk4_run_batch(
+    y_out, redone = engine.rk4_run_batch(
         prog.code, consts, prog.deriv_regs, prog.g_regs,
         chan_kind, chan_idx, y0, dt, n_steps, 1e-9, 1e12,
         rec, gflag, status, event, ln_counts, rec_counts,
     )
     # the march computes into buffers of its own, never into its caller's arrays
     assert (consts.tobytes(), y0.tobytes()) == given
-    return rec_counts, status, event, ln_counts, rec, gflag, y_out
+    return rec_counts, status, event, ln_counts, rec, gflag, y_out, redone
 
 
-def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None, chan=None):
+def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None, chan=None, y0=None,
+                          flags=True):
     """Scalar runs and one lane run over the same constants agree exactly.
 
     ``consts`` (n_consts, width) defaults to the program's constants,
-    perturbed by up to 5% in every lane but the first.  ``chan`` (kinds,
-    indices) defaults to the output node and the first memristor state.
-    Waveforms and final states are bit-equal on every tape.  Returns the
-    lane run's (status, event_step, ln_counts).
+    perturbed by up to 5% in every lane but the first, and ``y0``
+    (n_states, width) to the system's initial states in every lane.
+    ``chan`` (kinds, indices) defaults to the output node and the first
+    memristor state.  Waveforms, passivity flags (unless ``flags`` is
+    False: the lanes then march without them) and final states are
+    bit-equal on every tape, NaN and 0 past a run's last sample included.
+    Returns the lane run's (status, event_step, ln_counts).
     """
     prog = sys.program
     if consts is None:
@@ -190,21 +194,22 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
         consts = np.repeat(prog.consts[:, None], width, axis=1)
         consts[:, 1:] *= 1.0 + 0.05 * rng.uniform(-1, 1, size=(consts.shape[0], width - 1))
     width = consts.shape[1]
-    y0 = np.repeat(sys.y0()[:, None], width, axis=1)
+    if y0 is None:
+        y0 = np.repeat(sys.y0()[:, None], width, axis=1)
     if chan is None:
         state_channels = list(sys.omega_state_index.values())[:1]
         chan = (np.array([engine.CHAN_REG] + [engine.CHAN_STATE] * len(state_channels), dtype=np.int32),
                 np.array([sys.node_regs[sys.output_node]] + state_channels, dtype=np.int32))
     chan_kind, chan_idx = chan
 
-    rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b = _run_lanes(
-        prog, consts, y0, chan_kind, chan_idx, dt, n_steps)
+    rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b, _ = _run_lanes(
+        prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags)
     for w in range(width):
-        n, st, ev, ln, y, rec, gflag = _run_scalar(prog, consts[:, w].copy(), sys.y0(),
+        n, st, ev, ln, y, rec, gflag = _run_scalar(prog, consts[:, w].copy(), y0[:, w].copy(),
                                                    chan_kind, chan_idx, dt, n_steps)
         assert (status[w], event[w], ln_counts[w], rec_counts[w]) == (st, ev, ln, n)
-        assert np.array_equal(gflag_b[:n, w], gflag[:n])
-        assert np.array_equal(rec_b[:n, :, w], rec[:n], equal_nan=True)
+        assert not flags or np.array_equal(gflag_b[:, w], gflag)
+        assert np.array_equal(rec_b[:, :, w], rec, equal_nan=True)
         # a blown lane keeps its last accepted state; the scalar run, the failing one
         if status[w] != engine.STATUS_BLOWUP:
             assert np.array_equal(y_b[:, w], y, equal_nan=True)
@@ -306,7 +311,7 @@ def test_blow_up_test_at_its_boundary(x0, k, status, event):
     chan = np.array([engine.CHAN_STATE], dtype=np.int32), np.array([0], dtype=np.int32)
     consts, y0 = np.array([[0.0, k]]), np.array([[0.0, x0]])
     n_steps = 6
-    rec_counts, st, ev, _, rec_b, _, y_b = _run_lanes(prog, consts, y0, *chan, 1.0, n_steps)
+    rec_counts, st, ev, _, rec_b, _, y_b, _ = _run_lanes(prog, consts, y0, *chan, 1.0, n_steps)
     assert (st.tolist(), ev.tolist()) == ([engine.STATUS_OK, status], [n_steps, event])
     for w in range(2):
         n, st_w, ev_w, _, y, rec, _ = _run_scalar(prog, consts[:, w].copy(), y0[:, w].copy(), *chan, 1.0, n_steps)
@@ -424,7 +429,7 @@ def test_guards_over_t_alone(expr, expected, status, event, ln_count):
     assert np.array_equal(rec[:n, 0], expected(dt * np.arange(n)))
     consts = np.repeat(prog.consts[:, None], width, axis=1)
     y0 = np.repeat(sys.y0()[:, None], width, axis=1)
-    rec_counts, st, ev, ln_counts, rec_b, _, _ = _run_lanes(prog, consts, y0, *chan, dt, n_steps)
+    rec_counts, st, ev, ln_counts, rec_b, _, _, _ = _run_lanes(prog, consts, y0, *chan, dt, n_steps)
     for w in range(width):
         assert (st[w], ev[w], ln_counts[w], rec_counts[w]) == (status, event, ln_count, n)
         assert np.array_equal(rec_b[:, :, w], rec, equal_nan=True)
@@ -507,11 +512,11 @@ output v
 """
 
 
-def test_guards_over_constants_alone_rerun_every_stage_until_their_lanes_leave():
+def test_guards_over_constants_alone_redo_every_step_until_their_lanes_leave():
     """The memductance reads constants alone, through ``ln(a)`` and ``sqrt(b - 0.5)``;
     ``sqrt(c - t)`` is a time guard, read from the tables.
 
-    Lane 1 clamps ``ln`` at every stage, so every stage is rerun masked
+    Lane 1 clamps ``ln`` at every stage, so every step is redone masked
     until it fails at t > 0.7; lane 2 fails at stage 0 of step 0, and
     lane 3 at the first stage time past 0.3, while lane 1 stays.  The
     guards over constants are tabulated like the rest: every table row
@@ -629,6 +634,134 @@ def test_a_stage_reruns_for_a_guard_past_its_first():
     assert (status.tolist(), event.tolist(), ln_counts.tolist()) == ([ok, dom, ok], [20, 6, 20], [0, 0, 0])
 
 
+# --- the lane march's per-step redo -----------------------------------------------
+#
+# y' = -y from y = 1 at dt = 3: every stage value is exact, 1.375**n times
+# (1, -0.5, 1.75, -4.25) at stages 0 to 3 of step n, so a guard can be made to
+# hold at one stage of one step alone.  -y, negative at every stage 0, is the
+# memductance register: a lane's flag is 1 at each sample it records.
+
+REDO_DT = 3.0
+Y_STAGES = (1.0, -0.5, 1.75, -4.25)
+NEVER = 100.0
+
+
+def _decay(guard, lanes, w=None):
+    """``(sys, consts, y0, chan)``: y' = -y and z' = ``guard(b, y, c, w)``, one lane per
+    entry of ``lanes``, its constant c (slot 1).  With ``w = (a, b)`` a third state w,
+    ``w' = (y - a)*(y - b)``, starts at the lane's entry instead, and c is 0."""
+    b = engine.TapeBuilder()
+    b.load_t()
+    y = b.load_state(0)
+    slope = b.binary("mul", b.const(-1.0), y)
+    c = b.const(0.0)
+    ws = b.load_state(2) if w else None
+    wslope = [b.binary("mul", b.binary("sub", y, b.const(w[0])), b.binary("sub", y, b.const(w[1])))] if w else []
+    probe = guard(b, y, c, ws)
+    prog = b.finish([slope, probe] + wslope, [slope])
+    sys = SimpleNamespace(program=prog, y0=lambda: np.array([1.0, 0.0] + ([1.0] if w else [])))
+    width = len(lanes)
+    consts = np.repeat(prog.consts[:, None], width, axis=1)
+    y0 = np.repeat(sys.y0()[:, None], width, axis=1)
+    (y0 if w else consts)[2 if w else 1] = lanes
+    n_states = len(sys.y0())
+    chan = (np.array([engine.CHAN_REG] + [engine.CHAN_STATE] * n_states, dtype=np.int32),
+            np.array([probe] + list(range(n_states)), dtype=np.int32))
+    return sys, consts, y0, chan
+
+
+def _ln_abs(b, y, c, w):
+    return b.unary("ln", b.unary("abs", b.binary("sub", y, c)))      # clamps where y == c
+
+
+def _ln_state(b, y, c, w):
+    return b.unary("ln", w)                                         # clamps where w < ln_floor
+
+
+def _div(b, y, c, w):
+    return b.binary("div", b.const(1.0), b.binary("sub", y, c))      # fails where y == c
+
+
+def _redo(sys, consts, y0, chan, n_steps, flags):
+    """The variants agree; returns the lane run's (status, event_step, ln_counts, redone steps)."""
+    status, event, ln_counts = assert_variants_agree(sys, dt=REDO_DT, n_steps=n_steps, consts=consts, y0=y0,
+                                                     chan=chan, flags=flags)
+    redone = _run_lanes(sys.program, consts, y0, *chan, REDO_DT, n_steps, flags)[-1]
+    return status.tolist(), event.tolist(), ln_counts.tolist(), redone
+
+
+# per stage, (a, b, w0): w' = (y - a)*(y - b) takes w below 0 at that stage of step 0 alone
+W_DIPS = {1: (0.25, 1.5, 0.5), 2: (-1.0, 0.5, 0.5), 3: (1.5, 2.0, 0.1)}
+
+
+@pytest.mark.parametrize("flags", [True, False], ids=["flags", "no_flags"])
+@pytest.mark.parametrize("kind", ["register", "state"])
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_redo_of_a_guard_that_holds_at_one_stage(stage, kind, flags):
+    """The guard of ``ln`` holds in lane 1 alone, at one stage of one step: over a
+    register the stages compute (``|y - c|``, its stacked buffer) at step 1, or over a
+    state (w, its row of S and column of the stage inputs) at step 0.  That step is
+    redone; every lane still equals its scalar run and lane 1 counts one clamp."""
+    if kind == "register":
+        # the stage's value of y at step 1
+        sys, consts, y0, chan = _decay(_ln_abs, [NEVER, 1.375 * Y_STAGES[stage], NEVER])
+    else:
+        a, b, w0 = W_DIPS[stage]
+        sys, consts, y0, chan = _decay(_ln_state, [NEVER, w0, NEVER], w=(a, b))
+    assert _redo(sys, consts, y0, chan, 4, flags) == ([0, 0, 0], [4, 4, 4], [0, 1, 0], 1)
+
+
+@pytest.mark.parametrize("flags", [True, False], ids=["flags", "no_flags"])
+@pytest.mark.parametrize("step", [2, 4], ids=["step_2", "last_step"])
+@pytest.mark.parametrize("guard", ["clamp", "domain_error"])
+def test_redo_of_a_guard_at_stage_0(guard, step, flags):
+    """y == c in lane 1 at stage 0 of step 2, or of the last step, which runs stage 0
+    alone.  The fast stage 0 has recorded the step's sample and flag when the redo
+    finds the guard: a clamp is counted once, and a lane that fails there keeps NaN
+    and flag 0 at that step, with ``rec_counts`` = step, as in its scalar run."""
+    sys, consts, y0, chan = _decay(_ln_abs if guard == "clamp" else _div, [NEVER, 1.375 ** step, NEVER])
+    ok, dom = engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR
+    status, event, ln_counts, redone = _redo(sys, consts, y0, chan, 4, flags)
+    assert redone == 1
+    if guard == "clamp":
+        assert (status, event, ln_counts) == ([ok] * 3, [4] * 3, [0, 1, 0])
+    else:
+        assert (status, event, ln_counts) == ([ok, dom, ok], [4, step, 4], [0] * 3)
+        rec_counts, *_ = _run_lanes(sys.program, consts, y0, *chan, REDO_DT, 4, flags)
+        assert rec_counts.tolist() == [5, step, 5]
+
+
+@pytest.mark.parametrize("flags", [True, False], ids=["flags", "no_flags"])
+def test_redo_for_a_hoisted_guard_on_a_half_step_row(flags):
+    """ln(|t - c|) is read from the tables; c = 4.5 is the half-step time of step 1,
+    so lane 1's guard is noted on that half-step row alone, for stages 1 and 2."""
+    sys, consts, y0, chan = _decay(lambda b, y, c, w: b.unary("ln", b.unary("abs", b.binary("sub", b.load_t(), c))),
+                                   [NEVER, 4.5])
+    assert engine.tape_stats(sys.program)["hoisted"] == 3
+    assert _redo(sys, consts, y0, chan, 4, flags) == ([0, 0], [4, 4], [0, 2], 1)
+
+
+DIVISORS = {
+    "table_row": lambda b, c: b.binary("sub", b.load_t(), c),      # 0 at t = 4.5: stage 1 of step 1
+    "constant": lambda b, c: c,                                     # 0 in the lane where c is
+    "time": lambda b, c: b.load_t(),                                # 0 at stage 0 of step 0
+}
+
+
+@pytest.mark.parametrize("flags", [True, False], ids=["flags", "no_flags"])
+@pytest.mark.parametrize("divisor, status, event", [
+    ("table_row", [0, 1], [4, 1]), ("constant", [0, 1], [4, 0]), ("time", [1, 1], [0, 0])])
+def test_redo_of_a_guard_on_a_value_the_stages_do_not_compute(divisor, status, event, flags):
+    """y / d: the stages compute y, not d, which is a table row, a constant or ``t``;
+    so d has no stacked buffer, and each stage tests it where it reads it."""
+    sys, consts, y0, chan = _decay(lambda b, y, c, w: b.binary("div", y, DIVISORS[divisor](b, c)), [NEVER, 4.5])
+    if divisor == "constant":
+        consts[1] = [NEVER, 0.0]
+    got_status, got_event, _, redone = _redo(sys, consts, y0, chan, 4, flags)
+    # only the step where lane 1 fails is redone
+    assert (got_status, got_event, redone) == (status, event, 1)
+
+
 class _Counted(np.ndarray):
     """An array that counts the ufunc calls it takes part in, and passes that on;
     ``fresh`` counts those without an output array, which allocate their result."""
@@ -704,9 +837,9 @@ def _lane_calls_per_step(monkeypatch, name, dead):
 
 @pytest.mark.parametrize("name, most, dead", [
     pytest.param("population_growth", 47, False, id="population_growth-47"),
-    pytest.param("turbulent_diffusion", 56, False, id="turbulent_diffusion-56"),
+    pytest.param("turbulent_diffusion", 48, False, id="turbulent_diffusion-48"),
     pytest.param("population_growth", 47, True, id="population_growth-47-one_lane_dropped"),
-    pytest.param("turbulent_diffusion", 56, True, id="turbulent_diffusion-56-one_lane_dropped"),
+    pytest.param("turbulent_diffusion", 48, True, id="turbulent_diffusion-48-one_lane_dropped"),
 ])
 def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
     """numpy calls per step of the sweep's lane march (W = 101).
@@ -714,11 +847,14 @@ def test_lane_march_numpy_calls_per_step(monkeypatch, name, most, dead):
     Counted: every ufunc call (operators, reductions and ``.any()`` included)
     and every ``count_nonzero``, ``where`` and ``full``.  With one set of
     numpy calls per stage input, compensated update and blow-up test,
-    signs spelled in the tape, ``count_nonzero`` guard tests over one
-    stacked guard buffer and both doubled slopes of the update in one
-    call, the marches take 47 and 56 calls; with one set per state they
-    took 72 and 92.  A lane that blows up at step 0 leaves the march, and
-    the 100 others march on at the same count.
+    signs spelled in the tape, both doubled slopes of the update in one
+    call, and each guard tested once per step over its stacked stage
+    values, with one ``count_nonzero`` of the guard buffer per step, the
+    marches take 47 and 48 calls.  Turbulent's two guards (an ``ln`` of a
+    state and a ``pow``) took 12 calls per step when each stage tested and
+    counted its own (56 calls); with one set per state the marches took
+    72 and 92.  A lane that blows up at step 0 leaves the march, and the
+    100 others march on at the same count.
     """
     calls, _ = _lane_calls_per_step(monkeypatch, name, dead)
     assert calls <= most
@@ -731,6 +867,31 @@ def test_lane_march_allocates_no_array_per_step(monkeypatch, name, dead):
     takes ``out=None``, before or after a lane leaves."""
     calls, fresh = _lane_calls_per_step(monkeypatch, name, dead)
     assert calls > 0 and fresh == 0
+
+
+def _lane_loop(name):
+    """The step loop of the sweep's lane march (no passivity flags) over the equation ``name``:
+    ``(lines outside the redo, lines of the redo)``."""
+    sys = _sample(name)
+    prog = sys.program
+    source = engine._emit(tuple(map(tuple, prog.code.tolist())), tuple(prog.deriv_regs.tolist()),
+                          ((engine.CHAN_REG, sys.node_regs[sys.output_node]),), (), True, True)
+    lines = source[source.index("for step in range(n_steps + 1):"):].splitlines()
+    start = lines.index(" " * 8 + "if held:")
+    end = next(k for k in range(start + 1, len(lines)) if not lines[k].startswith(" " * 12))
+    return lines[:start] + lines[end:], lines[start:end]
+
+
+@pytest.mark.parametrize("name, counts", [("population_growth", 0), ("turbulent_diffusion", 1)])
+def test_lane_step_loop_counts_guard_hits_once_per_step(name, counts):
+    # one redo path, the only caller of the masked stage; a step outside it counts
+    # its guards' hits in one call (the last step, which runs stage 0 alone, in its own)
+    outside, redo = _lane_loop(name)
+    assert sum("stage(" in line for line in redo) == 1
+    assert not any("stage(" in line for line in outside)
+    assert sum("np.count_nonzero(H)" in line for line in outside) == counts
+    assert sum("np.count_nonzero(H0)" in line for line in outside) == counts
+    assert sum("np.count_nonzero(" in line for line in outside) == 2 * counts + 1   # and the blow-up test
 
 
 def _scalar_source(sys):
@@ -752,14 +913,35 @@ def test_scalar_march_computes_no_unread_stage_time(name):
 @pytest.mark.parametrize("name", SAMPLES)
 def test_scalar_step_loop_calls_numpy_only_for_its_ufuncs(name):
     # records and flags go through memoryviews, pow's buffers too, and the blow-up test
-    # is a chained comparison; second_order, the one sample without a memristive
-    # integrator, has no memductance register and stores no flag
+    # is a chained comparison.  The flag store is in the loop only for a memductance
+    # register the tape computes: second_order, the one sample without a memristive
+    # integrator, has none, and oscillator_chain's (g="1") loads a constant, whose
+    # sign fills the flags once, at exit
     sys = _sample(name)
     source = _scalar_source(sys)
     loop = source[source.index("for step in range(n_steps + 1):"):source.rindex("return ")]
-    for spelling in (".item(", "np.", "abs(", "rec[step, "):
+    for spelling in (".item(", "np.", "abs(", "rec[step, ", "recorded = step + 1\n"):
         assert spelling not in loop
-    assert ("gflag[step] = " in loop) == (name != "second_order") == bool(len(sys.program.g_regs))
+    op_of = {dst: op for op, dst, *_ in sys.program.code.tolist()}
+    computed = [g for g in sys.program.g_regs.tolist() if op_of[g] != engine.OP_CONST]
+    assert ("gview[step] = " in loop) == bool(computed) == (name not in ("second_order", "oscillator_chain"))
+    assert ("gflag[:recorded] = 1" in loop) == (name == "oscillator_chain")
+
+
+def test_a_constant_memductance_flags_each_recorded_sample():
+    # g = -1 loads a constant: the scalar march sets its flags once, at exit, over the
+    # samples it recorded; v' = v blows up at dt = 1 long before step 60
+    net = Netlist()
+    net.add("m", MemIntegrator(c=1.0, ic=1.0, omega0=0.0, g=Const(-1.0), f=Binary("mul", Const(0.0), Var("v")),
+                               input=None), "v")
+    net.set_output("v")
+    sys = lower(net)
+    prog = sys.program
+    assert [op for op, dst, *_ in prog.code.tolist() if dst in prog.g_regs.tolist()] == [engine.OP_CONST]
+    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs["v"]], dtype=np.int32)
+    n, status, *_, gflag = _run_scalar(prog, prog.consts, sys.y0(), *chan, 1.0, 60)
+    assert status == engine.STATUS_BLOWUP and gflag.tolist() == [1] * n + [0] * (61 - n)
+    assert_variants_agree(sys, width=2, dt=1.0, n_steps=60, chan=chan)
 
 
 def _same_lowering(a, b):

@@ -605,3 +605,32 @@ def test_sweep_counts_its_readouts_ln_clamps_as_simulate_does():
     assert simulate(lower(net), sim).ln_clamps == 131
     report = stability_run(net, ToleranceConfig(max_relative_error=0.0, iterations=4), sim)
     assert report.ln_clamps == 5 * 131       # four identical iterations and the nominal lane
+
+
+def test_batch_runner_counts_the_steps_its_lane_march_redoes():
+    """ln(t - a) clamps at every stage time up to t = a, and sqrt(b - t) fails at the
+    first past b (dt = 1/64: every stage time is exact).  A step is redone where a
+    guard holds in some lane, once however many lanes it holds in."""
+    src = 'memintegrator m out=v C=1 ic=1 g="-1 + 0*ln(t - {a}) + 0*sqrt({b} - t)" f="0*v" omega0=0\noutput v\n'
+    systems = [lower(parse_netlist(src.format(a=a, b=b))) for a, b in ((0.5, 10), (0.25, 0.75), (0.25, 10))]
+    consts = np.stack([s.program.consts for s in systems], axis=1)
+    y0 = np.stack([s.y0() for s in systems], axis=1)
+    _, _, failures, counts = _run_batch(systems[0], consts, y0, SimConfig(dt=1 / 64, t_end=1.0))
+    # lane 1 fails at stage 1 of step 48 (t = 48.5/64); lane 0 clamps in steps 0 to 32
+    # (step 32 at its stage 0 alone), lanes 1 and 2 in steps 0 to 16
+    assert failures == {1: ("domain error", 48)}
+    assert counts["redone_steps"] == 33 + 1
+    assert counts["ln_clamps"] == (33 + 2 * 32 + 32) + 2 * (17 + 2 * 16 + 16)
+    # a sweep reports the count; all lanes alike, every step up to t = 0.5 is redone
+    report = stability_run(parse_netlist(src.format(a=0.5, b=10)), ToleranceConfig(max_relative_error=0.0, iterations=4),
+                           SimConfig(dt=1 / 64, t_end=1.0))
+    assert (report.redone_steps, report.ln_clamps) == (33, 5 * (33 + 2 * 32 + 32))
+    assert "redone" not in report.summary_text()
+
+
+@pytest.mark.parametrize("name, t_end", [("population_growth", 5.0), ("turbulent_diffusion", 4.0)])
+def test_sample_sweeps_redo_no_step(name, t_end):
+    # the C06 and C07 sweeps: no guard holds in any lane, so the fast stages are never redone
+    net = compile_equation(load_equation_spec(Path(__file__).parent.parent / "equations" / f"{name}.eq"))
+    report = stability_run(net, ToleranceConfig(max_relative_error=0.1, iterations=100), SimConfig(dt=1e-3, t_end=t_end))
+    assert report.redone_steps == 0 and not report.failures

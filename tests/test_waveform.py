@@ -76,7 +76,7 @@ def test_stability_report_csv_round_trip(out_dir):
     report = StabilityReport(
         t=1e-3 * np.arange(n), mean=mean, p10=p10, p90=p90, iterations=10, failures=(),
         redraws=0, master_seed=1, tolerance=0.1, unstable=False, tape={}, timings_s={},
-        ln_clamps=0, lane_steps=0,
+        ln_clamps=0, lane_steps=0, redone_steps=0,
     )
     path = out_dir / "stability.csv"
     report.to_csv(path)
