@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except (ValueError, SimulationError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:  # parsing and checking recurse once per level of the input
+    except RecursionError:  # the parser recurses per parenthesis, the equation compiler per level
         print("the input nests too deeply to read", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is a tool defect

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Binary, Const, DomainError, Expr, Unary, Var, variables
+from .exprs import Binary, Const, DomainError, Expr, Unary, Var, fold, operands, variables
 
 OP_CONST = 0
 OP_T = 1
@@ -139,6 +139,13 @@ def _is_neg(e: Expr) -> bool:
     return isinstance(e, Unary) and e.op == "neg"
 
 
+def _signed_operands(e: Expr) -> tuple:
+    """The operands the tape computes: the sign that an add turns into a sub is skipped."""
+    if isinstance(e, Binary) and e.op == "add" and (_is_neg(e.rhs) or _is_neg(e.lhs)):
+        return (e.lhs, e.rhs.arg) if _is_neg(e.rhs) else (e.lhs.arg, e.rhs)
+    return operands(e)
+
+
 class TapeBuilder:
     def __init__(self):
         self._code: list[tuple[int, int, int, int]] = []
@@ -175,23 +182,18 @@ class TapeBuilder:
         """Emit code computing ``e``; ``env`` maps variable names to registers.
         ``a + (-b)`` is emitted as ``a - b`` and ``(-a) + b`` as ``b - a``, which IEEE
         arithmetic defines alike; operands go lhs first, so guards fire in source order."""
-        if isinstance(e, Const):
-            return self.const(e.value)
-        if isinstance(e, Var):
-            return env[e.name]
-        if isinstance(e, Unary):
-            return self.unary(e.op, self.compile_expr(e.arg, env))
-        if isinstance(e, Binary):
-            if e.op == "add" and _is_neg(e.rhs):
-                a = self.compile_expr(e.lhs, env)
-                return self.binary("sub", a, self.compile_expr(e.rhs.arg, env))
-            if e.op == "add" and _is_neg(e.lhs):
-                a = self.compile_expr(e.lhs.arg, env)
-                return self.binary("sub", self.compile_expr(e.rhs, env), a)
-            a = self.compile_expr(e.lhs, env)
-            b = self.compile_expr(e.rhs, env)
-            return self.binary(e.op, a, b)
-        raise TypeError(f"not an expression node: {e!r}")
+        def visit(x: Expr, regs: list[int]) -> int:
+            if isinstance(x, Const):
+                return self.const(x.value)
+            if isinstance(x, Var):
+                return env[x.name]
+            if isinstance(x, Unary):
+                return self.unary(x.op, *regs)
+            if x.op == "add" and (_is_neg(x.rhs) or _is_neg(x.lhs)):
+                return self.binary("sub", *(regs if _is_neg(x.rhs) else regs[::-1]))
+            return self.binary(x.op, *regs)
+
+        return fold(e, visit, _signed_operands)
 
     def finish(self, deriv_regs: list[int], g_regs: list[int]) -> Program:
         code = np.array(self._code, dtype=np.int32).reshape(-1, 4)
@@ -578,8 +580,8 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
         head + (", grid, half):" if table else "):")] + _indent(fn_body)
 
 
-def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
-    """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+def _emit_lanes(code, deriv_regs, channels) -> list[str]:
+    """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status,
     event_step, ln_counts, rec_counts)``, returning each lane's last accepted state,
     (n_states, W), and the number of steps redone.
 
@@ -612,8 +614,8 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     ``Q``, stage by stage, by the masked ``stage``, which evaluates the
     whole tape in order.  Where no guard holds it computes the bits of
     the fast stage, at the same stage times.  Stage 0 records the step's
-    sample before the redo, so a lane the redo drops there gets NaN and
-    flag 0 back.  A guard over constants alone notes every table row, so
+    sample before the redo, so a lane the redo drops there gets NaN
+    back.  A guard over constants alone notes every table row, so
     every step is redone while it holds for some lane.
 
     Per-lane arrays hold the live lanes alone; ``lanes`` (and ``cols``, a
@@ -629,14 +631,13 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     1 to 3 use only the slopes).
     """
     n = len(deriv_regs)
-    roots = _roots(deriv_regs, channels, flags)
+    roots = _roots(deriv_regs, channels, ())
     lines = []
     redo = bool(_guarded(code))
     if redo:
         # where a guard holds, a lane keeps computing with the guard's safe value
         masked, mspell = _op_lines(code, "masked")
         mprobes = [mspell[i] if kind == CHAN_REG else f"y[{i}]" for kind, i in channels]
-        mprobes += [mspell[g] for g in flags]
         lines += ["def stage(t, y, consts, ln_floor, ln_counts, lanes):"] + _indent(
             ["dom = np.zeros(t.shape[0], dtype=np.bool_)"] + masked
             + [f"return dom, {_tuple(mspell[r] for r in deriv_regs)}, {_tuple(mprobes)}"]) + [""]
@@ -679,10 +680,9 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         views += [(f"u{s}_{i}", f"U[{s - 1}, {i}]") for s in (1, 2, 3) for i in urows]
         views += [(f"U{i}_t", f"U[:, {i}]") for i in sorted(set(states.values()))]
     floats = [f"r{r}" for r in regs if r not in stacked] + (["t"] if any(timed) else [])
-    for names, kind in ((floats, ""), (["F", "G"][:len(flags)], ", dtype=np.bool_")):
-        if names:
-            named += names
-            body.append(f"{_tuple(names)} = (np.empty(width{kind}) for _ in range({len(names)}))")
+    if floats:
+        named += floats
+        body.append(f"{_tuple(floats)} = (np.empty(width) for _ in range({len(floats)}))")
     for v in sorted(stacked):
         if v in slopes:
             views.append((f"R{v}", f"K[:, {slopes[v]}]"))
@@ -730,7 +730,6 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
                  f"(x.compress(keep, axis=-1) for x in (lanes, {new}, {', '.join(per_lane)}))",
                  "cols = lanes"] + hits + [survivors, "if not width:", "    break"])
 
-    n_chan = len(channels)
     stages, spells = [], []
     for s, t in enumerate(_STAGE_TIMES):
         scode = stage_code[s]
@@ -752,11 +751,7 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         stages.append(fast)
         spells.append(spell)
     probes = [spells[0][i] if kind == CHAN_REG else f"s{i}" for kind, i in channels]
-    probes += [spells[0][g] for g in flags]
-    record = [f"rec[step, {c}, cols] = p{c}" for c in range(n_chan)]
-    for j in range(len(flags)):  # a negative memductance
-        record += [f"less(p{n_chan + j}, 0.0, {'G' if j else 'F'})"] + (["bitwise_or(F, G, F)"] if j else [])
-    record += ["gflag[step, cols] = F"] if flags else []
+    record = [f"rec[step, {c}, cols] = p{c}" for c in range(len(channels))]
     loop += stages[0] + [f"p{j} = {e}" for j, e in enumerate(probes)] + record
     if redo:
         # one call per guard over its stacked values (a state's stage 0 row is tested in stage 0);
@@ -769,8 +764,8 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
         loop += ["if step == n_steps:"] + _indent(last_tests + [f"held = {' or '.join(held_last)}"])
         loop += ["else:"] + _indent(stages[1] + stages[2] + stages[3] + step_tests + [f"held = {' or '.join(held)}"])
         times = _tuple(t or _STAGE_TIMES[1] for t in _STAGE_TIMES)
-        # stage 0 fails before the step's sample: the lane keeps NaN and flag 0 there
-        unrecord = ["if not s:", "    rec[step, :, fail] = np.nan"] + (["    gflag[step, fail] = 0"] if flags else [])
+        # stage 0 fails before the step's sample: the lane keeps NaN there
+        unrecord = ["if not s:", "    rec[step, :, fail] = np.nan"]
         stage = (["if s:", f"    multiply(dt_ if s == 3 else hdt_, K[s - 1], U1)", "    add(S, U1, U1)"] if n else [])
         stage += [f"dom, {'K[s]' if n else '_'}, P = stage(np.full(width, {times}[s]), "
                   f"{'U1 if s else S' if n else 'S'}, consts, ln_floor, ln_counts, lanes)"]
@@ -801,7 +796,7 @@ def _emit_lanes(code, deriv_regs, channels, flags) -> list[str]:
     fn_body += ["kend = kbase = 0"] if table else []
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
     fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y, redone"]
-    return lines + ["def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status, "
+    return lines + ["def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status, "
                     "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
 
 
@@ -810,12 +805,12 @@ def _emit(code, deriv_regs, channels, flags, lanes: bool, hoist: bool) -> str:
 
     The stages are inlined into the step loop.  ``channels`` are the
     recorded (kind, index) pairs and ``flags`` the memductance registers
-    whose sign sets a recorded sample's passivity flag.  The lane march
-    reads the tape's state-independent part from stage-time tables (see
-    ``_split``), and so does the scalar one if ``hoist``.  Built from
-    opcodes and indices only.
+    whose sign sets a scalar sample's passivity flag (lanes keep none).
+    The lane march reads the tape's state-independent part from stage-time
+    tables (see ``_split``), and so does the scalar one if ``hoist``.
+    Built from opcodes and indices only.
     """
-    lines = (_emit_lanes(code, deriv_regs, channels, flags) if lanes
+    lines = (_emit_lanes(code, deriv_regs, channels) if lanes
              else _emit_scalar(code, deriv_regs, channels, flags, hoist))
     return "\n".join(lines) + "\n"
 
@@ -888,25 +883,27 @@ def tape_stats(prog: Program) -> dict:
 # floats.  Both check only the result for finiteness (1/exp(1000) is 0).
 
 
-def _lower_expr(e: Expr, names: tuple[str, ...]) -> tuple[Program, int]:
-    """The tape of ``e`` over the variables ``names`` and its result register."""
+def _lower_expr(e: Expr, names: tuple[str, ...]) -> tuple[tuple, np.ndarray, int]:
+    """The tape of ``e`` over the variables ``names`` as row tuples, its constants and its result."""
     used = variables(e)
     unbound = sorted(used - set(names))
     if unbound:
         raise DomainError(f"unbound variable '{unbound[0]}'")
     b = TapeBuilder()
     out = b.compile_expr(e, {n: b.load_state(i) for i, n in enumerate(names) if n in used})
-    return b.finish([out], []), out
+    return tuple(b._code), np.array(b._consts, dtype=np.float64), out
 
 
 @functools.lru_cache(maxsize=256)
-def _evaluator(e: Expr, names: tuple[str, ...]):
-    """The generated array evaluation of ``e`` and its constant table, cached per (expr, names)."""
-    prog, out = _lower_expr(e, names)
-    body, spell = _op_lines(prog.code.tolist(), "array")
-    lines = ["def evaluate(y, consts, ln_floor):"] + _indent(["n_clamped = 0"] + body)
-    lines.append(f"    return {spell[out]}, n_clamped")
-    return _compile("\n".join(lines) + "\n", "evaluate"), prog.consts
+def _evaluator(code, out: int):
+    """``evaluate(y, consts, ln_floor)`` of one expression tape structure, for every constant
+    table: its values over the arrays ``y`` and the clamped count; a non-finite value raises."""
+    body, spell = _op_lines(code, "array")
+    body = ["y = [np.asarray(v, dtype=float) for v in y]", "n_clamped = 0"] + body + [
+        f"out = np.asarray({spell[out]}, dtype=float)", "if not np.all(np.isfinite(out)):",
+        "    raise DomainError('non-finite result')", "return out, n_clamped"]
+    lines = ["def evaluate(y, consts, ln_floor):"] + _indent(["with np.errstate(all='ignore'):"] + _indent(body))
+    return _compile("\n".join(lines) + "\n", "evaluate")
 
 
 @functools.lru_cache(maxsize=256)
@@ -934,8 +931,8 @@ def scalar_evaluator(e: Expr, names):
     Strict like :func:`eval_expr_array`, with its messages.  Call it under
     ``np.errstate(all="ignore")``: numpy's ``exp`` and ``pow`` warn on overflow.
     """
-    prog, out = _lower_expr(e, tuple(names))
-    return _binder(tuple(map(tuple, prog.code.tolist())), len(names), out)(prog.consts)
+    code, consts, out = _lower_expr(e, tuple(names))
+    return _binder(code, len(names), out)(consts)
 
 
 def eval_expr(e: Expr, bindings) -> float:
@@ -956,13 +953,8 @@ def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, in
     Returns the values and the number of clamped samples.  This is the
     simulator-side evaluation mode; the default evaluator stays strict.
     """
-    fn, consts = _evaluator(e, tuple(bindings))
-    with np.errstate(all="ignore"):
-        out, n_clamped = fn([np.asarray(v, dtype=float) for v in bindings.values()], consts, ln_floor)
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("non-finite result")
-    return out, n_clamped
+    code, consts, out = _lower_expr(e, tuple(bindings))
+    return _evaluator(code, out)(list(bindings.values()), consts, ln_floor)
 
 
 def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
@@ -970,10 +962,12 @@ def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
     broadcast to (rows,) or (rows, columns): its first failing row, the first
     failing column of that row, and the message there."""
     arrays = [x.reshape(len(x), -1) for x in np.broadcast_arrays(*map(np.asarray, bindings.values()))]
+    code, consts, out = _lower_expr(e, tuple(bindings))
+    evaluate = _evaluator(code, out)
 
     def error(*at):
         try:
-            eval_expr_array_clamped(e, {n: x[at] for n, x in zip(bindings, arrays)}, ln_floor)
+            evaluate([x[at] for x in arrays], consts, ln_floor)
         except DomainError as exc:
             return str(exc)
 
@@ -1016,29 +1010,26 @@ def rk4_run(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
         return march(*args, grid, half)
 
 
-def rk4_run_batch(code, consts, deriv_regs, g_regs, chan_kind, chan_idx,
-                  y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+def rk4_run_batch(code, consts, deriv_regs, chan_kind, chan_idx,
+                  y0, dt, n_steps, ln_floor, blow_limit, rec, status,
                   event_step, ln_counts, rec_counts):
     """Run W independent parameter sets of one program in lockstep.
 
     ``consts`` is (n_consts, W) and ``y0`` (n_states, W); ``rec`` is
     (n_steps+1, n_channels, W) and NaN past a lane's last sample.  A lane
     leaves the march at its domain error or blow-up; per-lane ``status``,
-    ``event_step``, ``ln_counts``, ``rec_counts`` and the (n_steps+1, W)
-    passivity flags mirror the scalar kernel, and waveforms are bit-equal
-    to it.  ``gflag`` None skips the flags.  Returns each lane's last
-    accepted state, (n_states, W), and the number of steps the march redid
-    because a guard held in some lane.
+    ``event_step``, ``ln_counts`` and ``rec_counts`` mirror the scalar
+    kernel (no passivity flags), and waveforms are bit-equal to it.
+    Returns each lane's last accepted state, (n_states, W), and the number
+    of steps the march redid because a guard held in some lane.
     """
-    march = _march_for(code, deriv_regs, () if gflag is None else g_regs, chan_kind, chan_idx, True)[1]
+    march = _march_for(code, deriv_regs, (), chan_kind, chan_idx, True)[1]
     status[:] = STATUS_OK
     event_step[:] = n_steps
     ln_counts[:] = 0
     rec[:] = np.nan
-    if gflag is not None:
-        gflag[:] = 0
     # 0-d arrays: numpy compares against them faster than against Python floats
     ln_floor, blow_limit = np.array(ln_floor, dtype=np.float64), np.array(blow_limit, dtype=np.float64)
     with np.errstate(all="ignore"):
-        return march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag, status,
+        return march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status,
                      event_step, ln_counts, rec_counts)

@@ -19,8 +19,9 @@ with only the result checked for finiteness (``1/exp(1000)`` is 0).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "Expr",
@@ -37,6 +38,9 @@ __all__ = [
     "variables",
     "substitute",
     "map_constants",
+    "operands",
+    "walk",
+    "fold",
     "format_number",
     "FUNCTIONS",
 ]
@@ -260,68 +264,74 @@ _SPELLING = {op: (f" {symbol} " if prec == 1 else symbol, prec) for symbol, (pre
 
 def pretty(e: Expr) -> str:
     """Render ``e`` as source text; reparsing yields a structurally equal AST."""
-    return _pp(e, 0)
+    return "".join(x for x, _ in walk((e, 0), _pieces) if isinstance(x, str))
 
 
-def _pp(e: Expr, level: int) -> str:
-    """``e`` as an operand at ``level``, in parentheses if it binds looser."""
+def _pieces(item) -> tuple:
+    """The pieces of ``item``, an (expression, level) operand: strings and operands in order."""
+    if isinstance(item, str):
+        return ()
+    e, level = item
     if isinstance(e, Var):
-        return e.name
+        return (e.name,)
     if isinstance(e, Unary) and e.op != "neg":
-        return f"{e.op}({_pp(e.arg, 0)})"
+        return f"{e.op}(", (e.arg, 0), ")"
     if isinstance(e, Const):
-        s, prec = format_number(e.value), _UNARY if e.value < 0 else _ATOM
+        text, prec = (format_number(e.value),), _UNARY if e.value < 0 else _ATOM
     elif isinstance(e, Unary):
-        s, prec = "-" + _pp(e.arg, _UNARY), _UNARY
+        text, prec = ("-", (e.arg, _UNARY)), _UNARY
     else:
         spelling, prec = _SPELLING[e.op]
-        rhs = e.rhs
-        if e.op == "pow" and isinstance(rhs, Unary) and rhs.op == "neg":
-            rhs_s = "-" + _pp(rhs.arg, _ATOM)  # an exponent carries its own sign: t^-2
+        if e.op == "pow" and isinstance(e.rhs, Unary) and e.rhs.op == "neg":
+            text = (e.lhs, prec), spelling, "-", (e.rhs.arg, _ATOM)  # an exponent carries its own sign: t^-2
         else:
-            rhs_s = _pp(rhs, prec + 1)  # left association
-        s = _pp(e.lhs, prec) + spelling + rhs_s
-    return f"({s})" if prec < level else s
+            text = (e.lhs, prec), spelling, (e.rhs, prec + 1)  # left association
+    return ("(", *text, ")") if prec < level else text
 
 
 # ---------------------------------------------------------------------------
-# Tree utilities
+# Tree utilities: one explicit-stack walk, so no input nests too deeply for them
+
+
+def operands(e: Expr) -> tuple:
+    return (e.arg,) if isinstance(e, Unary) else (e.lhs, e.rhs) if isinstance(e, Binary) else ()
+
+
+def walk(root, children: Callable = operands) -> Iterator[tuple]:
+    """``(node, its children)`` for every node under ``root``, in post-order."""
+    order, todo = [], [root]
+    while todo:  # children pushed in order come out last first: the reverse of post-order
+        node = todo.pop()
+        kids = children(node)
+        order.append((node, kids))
+        todo.extend(kids)
+    return reversed(order)
+
+
+def fold(e: Expr, visit: Callable[[Expr, list], object], children: Callable = operands):
+    """``visit(node, the values of its children)`` over ``e`` in post-order; the root's value."""
+    values: list = []
+    for node, kids in walk(e, children):
+        k = len(values) - len(kids)
+        values[k:] = [visit(node, values[k:])]
+    return values[0]
+
+
+def _rebuild(e: Expr, args: list) -> Expr:
+    return type(e)(e.op, *args) if args else e
 
 
 def variables(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Unary):
-        return variables(e.arg)
-    if isinstance(e, Binary):
-        return variables(e.lhs) | variables(e.rhs)
-    return frozenset()
+    return frozenset(x.name for x, _ in walk(e) if isinstance(x, Var))
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions (capture is not a concern: no binders)."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.arg, mapping))
-    if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    return e
+    return fold(e, lambda x, args: mapping.get(x.name, x) if isinstance(x, Var) else _rebuild(x, args))
 
 
 def map_constants(e: Expr, fn: Callable[[int, float], float]) -> Expr:
-    """Rebuild ``e`` applying ``fn(index, value)`` to each literal in pre-order."""
-    counter = [0]
-
-    def go(node: Expr) -> Expr:
-        if isinstance(node, Const):
-            i = counter[0]
-            counter[0] += 1
-            return Const(fn(i, node.value))
-        if isinstance(node, Unary):
-            return Unary(node.op, go(node.arg))
-        if isinstance(node, Binary):
-            return Binary(node.op, go(node.lhs), go(node.rhs))
-        return node
-
-    return go(e)
+    """Rebuild ``e`` applying ``fn(index, value)`` to each literal in pre-order
+    (literals are leaves: post-order meets them in the same order)."""
+    index = itertools.count()
+    return fold(e, lambda x, args: Const(fn(next(index), x.value)) if isinstance(x, Const) else _rebuild(x, args))

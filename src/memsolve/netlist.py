@@ -252,38 +252,55 @@ def validate(net: Netlist) -> list[Diagnostic]:
                 Diagnostic("<output>", "transform-vars", f"transform uses {sorted(extra)}, allowed: v, t")
             )
 
-    # Algebraic loops: a combinational cycle is any cycle in the graph
-    # restricted to memoryless elements (integrator outputs are state and
-    # break combinational paths).
-    node_owner = {net.out_node[eid]: eid for eid, e in net.elements.items() if not e.MEMORY}
-    succ: dict[str, list[str]] = {eid: [] for eid in node_owner.values()}
-    for eid in node_owner.values():
-        for node in element_inputs(net.elements[eid]):
-            src = node_owner.get(node)
-            if src is not None:
-                succ[src].append(eid)
-    state: dict[str, int] = {}
-
-    def visit(u: str, stack: list[str]):
-        state[u] = 1
-        stack.append(u)
-        for w in succ[u]:
-            if state.get(w, 0) == 1:
-                cycle = stack[stack.index(w):] + [w]
-                diags.append(
-                    Diagnostic(w, "algebraic-loop",
-                               "combinational cycle without a memory element: " + " -> ".join(cycle))
-                )
-            elif state.get(w, 0) == 0:
-                visit(w, stack)
-        stack.pop()
-        state[u] = 2
-
-    for eid in sorted(succ):
-        if state.get(eid, 0) == 0:
-            visit(eid, [])
+    diags += [Diagnostic(cycle[0], "algebraic-loop", "combinational cycle without a memory element: "
+                         + " -> ".join(cycle + cycle[:1])) for cycle in _dependency_order(net)[1]]
 
     return diags
+
+
+def _dependency_order(net: Netlist) -> tuple[list[str], list[list[str]]]:
+    """The memoryless elements in lowering order, and cycles that pass through every loop.
+
+    A Kahn sweep gives each element its pass, ``max(1, pass(d) + (d > e))`` over its
+    memoryless drivers ``d``; (pass, id) is the order of repeated id-order passes.  In
+    what it cannot place, a walk to each smallest waiting driver closes a cycle whose
+    members leave, with each element whose drivers have all left; the walk resumes
+    below them, so it takes each element and input once."""
+    owner = {net.out_node[eid]: eid for eid, e in net.elements.items() if not e.MEMORY}
+    drivers = {eid: [owner[n] for n in element_inputs(e) if n in owner] for eid, e in net.elements.items() if not e.MEMORY}
+    users: dict[str, list[str]] = {eid: [] for eid in drivers}
+    for eid, ds in drivers.items():
+        for d in ds:
+            users[d].append(eid)
+    waiting = {eid: len(ds) for eid, ds in drivers.items() if ds}   # element -> its drivers not placed
+    passes: dict[str, int] = {}
+    ready = [eid for eid, ds in drivers.items() if not ds]
+    for eid in ready:   # grows while it is read: an element is ready once its last driver is placed
+        passes[eid] = max((passes[d] + (d > eid) for d in drivers[eid]), default=1)
+        for u in users[eid]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                del waiting[u]
+                ready.append(u)
+    cycles = []
+    for start in sorted(waiting):
+        # a path against the data flow: each element on it -> its drivers not yet tried, smallest first
+        walk = {start: iter(sorted(drivers[start]))} if start in waiting else {}
+        while walk:
+            at = next((d for d in next(reversed(walk.values())) if d in waiting), None)   # tried ones have left
+            if at is None:   # held back by named loops alone
+                del waiting[walk.popitem()[0]]
+            elif at not in walk:
+                walk[at] = iter(sorted(drivers[at]))
+            else:
+                cycle = [walk.popitem()[0]]   # its members leave the walk last first: in data-flow order
+                while cycle[-1] != at:
+                    cycle.append(walk.popitem()[0])
+                first = cycle.index(min(cycle))
+                cycles.append(cycle[first:] + cycle[:first])
+                for eid in cycle:
+                    del waiting[eid]
+    return sorted(passes, key=lambda eid: (passes[eid], eid)), cycles
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +371,11 @@ def lower_unchecked(net: Netlist) -> OdeSystem:
     t_reg = b.load_t()
     state_regs = [b.load_state(i) for i in range(len(states))]
 
-    node_regs: dict[str, int] = {}
-    for i, eid in enumerate(integ_ids):
-        node_regs[net.out_node[eid]] = state_regs[i]
+    node_regs = {net.out_node[eid]: state_regs[i] for i, eid in enumerate(integ_ids)}
 
-    # Memoryless elements in dependency order (deterministic: passes in id order).
-    pending = sorted(eid for eid, e in net.elements.items() if not e.MEMORY)
-    while pending:
-        rest = []
-        progressed = False
-        for eid in pending:
-            elem = net.elements[eid]
-            ins = element_inputs(elem)
-            if all(n in node_regs for n in ins):
-                in_regs = [node_regs[n] for n in ins]
-                node_regs[net.out_node[eid]] = _emit_memoryless(b, elem, in_regs, t_reg)
-                progressed = True
-            else:
-                rest.append(eid)
-        if not progressed:
-            raise AssertionError(f"dependency cycle slipped past validation: {rest}")
-        pending = rest
+    for eid in _dependency_order(net)[0]:
+        elem = net.elements[eid]
+        node_regs[net.out_node[eid]] = _emit_memoryless(b, elem, [node_regs[n] for n in element_inputs(elem)], t_reg)
 
     deriv_regs: list[int] = [0] * len(states)
     g_regs: list[int] = []

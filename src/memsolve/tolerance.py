@@ -341,11 +341,8 @@ def _run_batch(system, consts, y0, sim):
     event = np.zeros(width, dtype=np.int64)
     ln_counts = np.zeros(width, dtype=np.int64)
     rec_counts = np.zeros(width, dtype=np.int64)
-    _, redone = engine.rk4_run_batch(
-        prog.code, consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, y0, sim.dt, n_steps, LN_FLOOR, BLOWUP_LIMIT,
-        rec, None, status, event, ln_counts, rec_counts,    # no passivity flags
-    )
+    _, redone = engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, chan_kind, chan_idx, y0, sim.dt, n_steps,
+                                     LN_FLOOR, BLOWUP_LIMIT, rec, status, event, ln_counts, rec_counts)
     kinds = {engine.STATUS_DOMAIN_ERROR: "domain error", engine.STATUS_BLOWUP: "blow-up"}
     failures = {i: (kinds[status[i]], int(event[i]))
                 for i in range(width) if status[i] != engine.STATUS_OK}

@@ -159,33 +159,29 @@ def _run_scalar(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
     return n, status, event, ln, y, rec, gflag
 
 
-def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags=True):
+def _run_lanes(prog, consts, y0, chan_kind, chan_idx, dt, n_steps):
     width = consts.shape[1]
     rec = np.empty((n_steps + 1, chan_kind.shape[0], width))
-    gflag = np.zeros((n_steps + 1, width), dtype=np.uint8) if flags else None
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
     given = consts.tobytes(), y0.tobytes()
     y_out, redone = engine.rk4_run_batch(
-        prog.code, consts, prog.deriv_regs, prog.g_regs,
-        chan_kind, chan_idx, y0, dt, n_steps, 1e-9, 1e12,
-        rec, gflag, status, event, ln_counts, rec_counts,
+        prog.code, consts, prog.deriv_regs, chan_kind, chan_idx, y0, dt, n_steps, 1e-9, 1e12,
+        rec, status, event, ln_counts, rec_counts,
     )
     # the march computes into buffers of its own, never into its caller's arrays
     assert (consts.tobytes(), y0.tobytes()) == given
-    return rec_counts, status, event, ln_counts, rec, gflag, y_out, redone
+    return rec_counts, status, event, ln_counts, rec, y_out, redone
 
 
-def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None, chan=None, y0=None,
-                          flags=True):
+def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None, chan=None, y0=None):
     """Scalar runs and one lane run over the same constants agree exactly.
 
     ``consts`` (n_consts, width) defaults to the program's constants,
     perturbed by up to 5% in every lane but the first, and ``y0``
     (n_states, width) to the system's initial states in every lane.
     ``chan`` (kinds, indices) defaults to the output node and the first
-    memristor state.  Waveforms, passivity flags (unless ``flags`` is
-    False: the lanes then march without them) and final states are
-    bit-equal on every tape, NaN and 0 past a run's last sample included.
+    memristor state.  Waveforms and final states are bit-equal on every
+    tape, NaN past a run's last sample included.
     Returns the lane run's (status, event_step, ln_counts).
     """
     prog = sys.program
@@ -202,13 +198,12 @@ def assert_variants_agree(sys, width=3, dt=2e-2, n_steps=50, seed=0, consts=None
                 np.array([sys.node_regs[sys.output_node]] + state_channels, dtype=np.int32))
     chan_kind, chan_idx = chan
 
-    rec_counts, status, event, ln_counts, rec_b, gflag_b, y_b, _ = _run_lanes(
-        prog, consts, y0, chan_kind, chan_idx, dt, n_steps, flags)
+    rec_counts, status, event, ln_counts, rec_b, y_b, _ = _run_lanes(
+        prog, consts, y0, chan_kind, chan_idx, dt, n_steps)
     for w in range(width):
-        n, st, ev, ln, y, rec, gflag = _run_scalar(prog, consts[:, w].copy(), y0[:, w].copy(),
-                                                   chan_kind, chan_idx, dt, n_steps)
+        n, st, ev, ln, y, rec, _ = _run_scalar(prog, consts[:, w].copy(), y0[:, w].copy(),
+                                               chan_kind, chan_idx, dt, n_steps)
         assert (status[w], event[w], ln_counts[w], rec_counts[w]) == (st, ev, ln, n)
-        assert not flags or np.array_equal(gflag_b[:, w], gflag)
         assert np.array_equal(rec_b[:, :, w], rec, equal_nan=True)
         # a blown lane keeps its last accepted state; the scalar run, the failing one
         if status[w] != engine.STATUS_BLOWUP:
@@ -311,7 +306,7 @@ def test_blow_up_test_at_its_boundary(x0, k, status, event):
     chan = np.array([engine.CHAN_STATE], dtype=np.int32), np.array([0], dtype=np.int32)
     consts, y0 = np.array([[0.0, k]]), np.array([[0.0, x0]])
     n_steps = 6
-    rec_counts, st, ev, _, rec_b, _, y_b, _ = _run_lanes(prog, consts, y0, *chan, 1.0, n_steps)
+    rec_counts, st, ev, _, rec_b, y_b, _ = _run_lanes(prog, consts, y0, *chan, 1.0, n_steps)
     assert (st.tolist(), ev.tolist()) == ([engine.STATUS_OK, status], [n_steps, event])
     for w in range(2):
         n, st_w, ev_w, _, y, rec, _ = _run_scalar(prog, consts[:, w].copy(), y0[:, w].copy(), *chan, 1.0, n_steps)
@@ -429,7 +424,7 @@ def test_guards_over_t_alone(expr, expected, status, event, ln_count):
     assert np.array_equal(rec[:n, 0], expected(dt * np.arange(n)))
     consts = np.repeat(prog.consts[:, None], width, axis=1)
     y0 = np.repeat(sys.y0()[:, None], width, axis=1)
-    rec_counts, st, ev, ln_counts, rec_b, _, _, _ = _run_lanes(prog, consts, y0, *chan, dt, n_steps)
+    rec_counts, st, ev, ln_counts, rec_b, _, _ = _run_lanes(prog, consts, y0, *chan, dt, n_steps)
     for w in range(width):
         assert (st[w], ev[w], ln_counts[w], rec_counts[w]) == (status, event, ln_count, n)
         assert np.array_equal(rec_b[:, :, w], rec, equal_nan=True)
@@ -473,13 +468,6 @@ def test_lanes_dying_mid_run_match_their_scalar_runs():
     assert all(s.program.same_structure(systems[0].program) for s in systems)
     consts = np.stack([s.program.consts for s in systems], axis=1)
     status, event, ln_counts = assert_variants_agree(systems[0], dt=0.01, n_steps=200, consts=consts)
-    # without passivity flags (the sweep's call) the march is generated without them
-    y0 = np.repeat(systems[0].y0()[:, None], len(params), axis=1)
-    chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([systems[0].node_regs["v"]], dtype=np.int32)
-    with_flags = _run_lanes(systems[0].program, consts, y0, *chan, 0.01, 200)
-    without = _run_lanes(systems[0].program, consts, y0, *chan, 0.01, 200, flags=False)
-    for a, b in zip(with_flags, without):
-        assert b is None or np.array_equal(a, b, equal_nan=True)
     ok, dom, blow = engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR, engine.STATUS_BLOWUP
     assert status.tolist() == [ok, dom, blow, dom, ok, blow]
     assert event[1] < event[2] < event[3] < event[5] < 200
@@ -638,18 +626,20 @@ def test_a_stage_reruns_for_a_guard_past_its_first():
 #
 # y' = -y from y = 1 at dt = 3: every stage value is exact, 1.375**n times
 # (1, -0.5, 1.75, -4.25) at stages 0 to 3 of step n, so a guard can be made to
-# hold at one stage of one step alone.  -y, negative at every stage 0, is the
-# memductance register: a lane's flag is 1 at each sample it records.
+# hold at one stage of one step alone.  With ``flags``, -y, negative at every
+# stage 0, is the program's memductance register: a scalar run's passivity flag
+# is 1 at each sample it records (the lane march keeps no flags either way).
 
 REDO_DT = 3.0
 Y_STAGES = (1.0, -0.5, 1.75, -4.25)
 NEVER = 100.0
 
 
-def _decay(guard, lanes, w=None):
+def _decay(guard, lanes, flags, w=None):
     """``(sys, consts, y0, chan)``: y' = -y and z' = ``guard(b, y, c, w)``, one lane per
     entry of ``lanes``, its constant c (slot 1).  With ``w = (a, b)`` a third state w,
-    ``w' = (y - a)*(y - b)``, starts at the lane's entry instead, and c is 0."""
+    ``w' = (y - a)*(y - b)``, starts at the lane's entry instead, and c is 0.  With
+    ``flags``, -y is the memductance register."""
     b = engine.TapeBuilder()
     b.load_t()
     y = b.load_state(0)
@@ -658,7 +648,7 @@ def _decay(guard, lanes, w=None):
     ws = b.load_state(2) if w else None
     wslope = [b.binary("mul", b.binary("sub", y, b.const(w[0])), b.binary("sub", y, b.const(w[1])))] if w else []
     probe = guard(b, y, c, ws)
-    prog = b.finish([slope, probe] + wslope, [slope])
+    prog = b.finish([slope, probe] + wslope, [slope] if flags else [])
     sys = SimpleNamespace(program=prog, y0=lambda: np.array([1.0, 0.0] + ([1.0] if w else [])))
     width = len(lanes)
     consts = np.repeat(prog.consts[:, None], width, axis=1)
@@ -682,11 +672,15 @@ def _div(b, y, c, w):
     return b.binary("div", b.const(1.0), b.binary("sub", y, c))      # fails where y == c
 
 
-def _redo(sys, consts, y0, chan, n_steps, flags):
+def _redo(sys, consts, y0, chan, n_steps):
     """The variants agree; returns the lane run's (status, event_step, ln_counts, redone steps)."""
     status, event, ln_counts = assert_variants_agree(sys, dt=REDO_DT, n_steps=n_steps, consts=consts, y0=y0,
-                                                     chan=chan, flags=flags)
-    redone = _run_lanes(sys.program, consts, y0, *chan, REDO_DT, n_steps, flags)[-1]
+                                                     chan=chan)
+    redone = _run_lanes(sys.program, consts, y0, *chan, REDO_DT, n_steps)[-1]
+    for w in range(consts.shape[1]):
+        # a scalar run flags each sample it records where -y is the memductance, and none else
+        n, *_, gflag = _run_scalar(sys.program, consts[:, w].copy(), y0[:, w].copy(), *chan, REDO_DT, n_steps)
+        assert gflag.tolist() == [int(len(sys.program.g_regs) > 0)] * n + [0] * (n_steps + 1 - n)
     return status.tolist(), event.tolist(), ln_counts.tolist(), redone
 
 
@@ -704,11 +698,11 @@ def test_redo_of_a_guard_that_holds_at_one_stage(stage, kind, flags):
     redone; every lane still equals its scalar run and lane 1 counts one clamp."""
     if kind == "register":
         # the stage's value of y at step 1
-        sys, consts, y0, chan = _decay(_ln_abs, [NEVER, 1.375 * Y_STAGES[stage], NEVER])
+        sys, consts, y0, chan = _decay(_ln_abs, [NEVER, 1.375 * Y_STAGES[stage], NEVER], flags)
     else:
         a, b, w0 = W_DIPS[stage]
-        sys, consts, y0, chan = _decay(_ln_state, [NEVER, w0, NEVER], w=(a, b))
-    assert _redo(sys, consts, y0, chan, 4, flags) == ([0, 0, 0], [4, 4, 4], [0, 1, 0], 1)
+        sys, consts, y0, chan = _decay(_ln_state, [NEVER, w0, NEVER], flags, w=(a, b))
+    assert _redo(sys, consts, y0, chan, 4) == ([0, 0, 0], [4, 4, 4], [0, 1, 0], 1)
 
 
 @pytest.mark.parametrize("flags", [True, False], ids=["flags", "no_flags"])
@@ -716,18 +710,18 @@ def test_redo_of_a_guard_that_holds_at_one_stage(stage, kind, flags):
 @pytest.mark.parametrize("guard", ["clamp", "domain_error"])
 def test_redo_of_a_guard_at_stage_0(guard, step, flags):
     """y == c in lane 1 at stage 0 of step 2, or of the last step, which runs stage 0
-    alone.  The fast stage 0 has recorded the step's sample and flag when the redo
-    finds the guard: a clamp is counted once, and a lane that fails there keeps NaN
-    and flag 0 at that step, with ``rec_counts`` = step, as in its scalar run."""
-    sys, consts, y0, chan = _decay(_ln_abs if guard == "clamp" else _div, [NEVER, 1.375 ** step, NEVER])
+    alone.  The fast stage 0 has recorded the step's sample when the redo finds the
+    guard: a clamp is counted once, and a lane that fails there keeps NaN at that
+    step, with ``rec_counts`` = step, as in its scalar run (whose flag there is 0)."""
+    sys, consts, y0, chan = _decay(_ln_abs if guard == "clamp" else _div, [NEVER, 1.375 ** step, NEVER], flags)
     ok, dom = engine.STATUS_OK, engine.STATUS_DOMAIN_ERROR
-    status, event, ln_counts, redone = _redo(sys, consts, y0, chan, 4, flags)
+    status, event, ln_counts, redone = _redo(sys, consts, y0, chan, 4)
     assert redone == 1
     if guard == "clamp":
         assert (status, event, ln_counts) == ([ok] * 3, [4] * 3, [0, 1, 0])
     else:
         assert (status, event, ln_counts) == ([ok, dom, ok], [4, step, 4], [0] * 3)
-        rec_counts, *_ = _run_lanes(sys.program, consts, y0, *chan, REDO_DT, 4, flags)
+        rec_counts, *_ = _run_lanes(sys.program, consts, y0, *chan, REDO_DT, 4)
         assert rec_counts.tolist() == [5, step, 5]
 
 
@@ -736,9 +730,9 @@ def test_redo_for_a_hoisted_guard_on_a_half_step_row(flags):
     """ln(|t - c|) is read from the tables; c = 4.5 is the half-step time of step 1,
     so lane 1's guard is noted on that half-step row alone, for stages 1 and 2."""
     sys, consts, y0, chan = _decay(lambda b, y, c, w: b.unary("ln", b.unary("abs", b.binary("sub", b.load_t(), c))),
-                                   [NEVER, 4.5])
+                                   [NEVER, 4.5], flags)
     assert engine.tape_stats(sys.program)["hoisted"] == 3
-    assert _redo(sys, consts, y0, chan, 4, flags) == ([0, 0], [4, 4], [0, 2], 1)
+    assert _redo(sys, consts, y0, chan, 4) == ([0, 0], [4, 4], [0, 2], 1)
 
 
 DIVISORS = {
@@ -754,10 +748,10 @@ DIVISORS = {
 def test_redo_of_a_guard_on_a_value_the_stages_do_not_compute(divisor, status, event, flags):
     """y / d: the stages compute y, not d, which is a table row, a constant or ``t``;
     so d has no stacked buffer, and each stage tests it where it reads it."""
-    sys, consts, y0, chan = _decay(lambda b, y, c, w: b.binary("div", y, DIVISORS[divisor](b, c)), [NEVER, 4.5])
+    sys, consts, y0, chan = _decay(lambda b, y, c, w: b.binary("div", y, DIVISORS[divisor](b, c)), [NEVER, 4.5], flags)
     if divisor == "constant":
         consts[1] = [NEVER, 0.0]
-    got_status, got_event, _, redone = _redo(sys, consts, y0, chan, 4, flags)
+    got_status, got_event, _, redone = _redo(sys, consts, y0, chan, 4)
     # only the step where lane 1 fails is redone
     assert (got_status, got_event, redone) == (status, event, 1)
 
@@ -813,9 +807,8 @@ def _lane_calls(sys, n_steps, dead, width=101, dt=1e-3):
     chan = np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32)
     status, event, ln_counts, rec_counts = (np.zeros(width, dtype=np.int64) for _ in range(4))
     _Counted.calls = _Counted.fresh = 0
-    engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, prog.g_regs, *chan, y0, dt, n_steps,
-                         1e-9, 1e12, np.empty((n_steps + 1, 1, width)), None,
-                         status, event, ln_counts, rec_counts)
+    engine.rk4_run_batch(prog.code, consts, prog.deriv_regs, *chan, y0, dt, n_steps,
+                         1e-9, 1e12, np.empty((n_steps + 1, 1, width)), status, event, ln_counts, rec_counts)
     assert status[50] == (engine.STATUS_BLOWUP if dead else engine.STATUS_OK) and event[50] == (1 if dead else n_steps)
     assert np.all(np.delete(status, 50) == engine.STATUS_OK)
     return np.array([_Counted.calls, _Counted.fresh])
@@ -870,7 +863,7 @@ def test_lane_march_allocates_no_array_per_step(monkeypatch, name, dead):
 
 
 def _lane_loop(name):
-    """The step loop of the sweep's lane march (no passivity flags) over the equation ``name``:
+    """The step loop of the sweep's lane march over the equation ``name``:
     ``(lines outside the redo, lines of the redo)``."""
     sys = _sample(name)
     prog = sys.program

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_sums_of_negations_round_like_the_unfolded_sum(src, unfolded):
     """``a + (-b)`` runs as ``a - b`` and ``(-a) + b`` as ``b - a``: bit for bit the
     sum of the negation, signed zeros included; a non-finite one raises."""
     e = parse_expr(src, {"a", "b"})
-    ops = engine._lower_expr(e, ("a", "b"))[0].code[:, 0].tolist()
+    ops = [op for op, *_ in engine._lower_expr(e, ("a", "b"))[0]]
     assert engine.OP_ADD not in ops and ops.count(engine.OP_NEG) == (src == "-a + -b")
     a, b = (g.ravel() for g in np.meshgrid(SIGNED, SIGNED))
     with np.errstate(all="ignore"):
@@ -522,3 +523,148 @@ def test_parentheses_nest_past_the_per_level_parsers_limit():
     # the recursive-descent parser took five frames per parenthesis and
     # stopped near 197; the precedence-climbing parser takes three
     assert parse_expr("(" * 300 + "t" + ")" * 300, {"t"}) == Var("t")
+
+
+# --- differential tests against the recursive tree walkers --------------------
+#
+# Frozen copies of the walkers that recursed once per node: the explicit-stack
+# walk must agree with them on every tree both can read, the tape that
+# ``compile_expr`` emits included, byte for byte.
+
+
+def _recursive_variables(e):
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Unary):
+        return _recursive_variables(e.arg)
+    if isinstance(e, Binary):
+        return _recursive_variables(e.lhs) | _recursive_variables(e.rhs)
+    return frozenset()
+
+
+def _recursive_substitute(e, mapping):
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, Unary):
+        return Unary(e.op, _recursive_substitute(e.arg, mapping))
+    if isinstance(e, Binary):
+        return Binary(e.op, _recursive_substitute(e.lhs, mapping), _recursive_substitute(e.rhs, mapping))
+    return e
+
+
+def _recursive_map_constants(e, fn):
+    counter = [0]
+
+    def go(node):
+        if isinstance(node, Const):
+            i = counter[0]
+            counter[0] += 1
+            return Const(fn(i, node.value))
+        if isinstance(node, Unary):
+            return Unary(node.op, go(node.arg))
+        if isinstance(node, Binary):
+            return Binary(node.op, go(node.lhs), go(node.rhs))
+        return node
+
+    return go(e)
+
+
+def _recursive_pp(e, level):
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Unary) and e.op != "neg":
+        return f"{e.op}({_recursive_pp(e.arg, 0)})"
+    if isinstance(e, Const):
+        s, prec = format_number(e.value), 3 if e.value < 0 else 5
+    elif isinstance(e, Unary):
+        s, prec = "-" + _recursive_pp(e.arg, 3), 3
+    else:
+        spelling, prec = {"add": (" + ", 1), "sub": (" - ", 1), "mul": ("*", 2), "div": ("/", 2), "pow": ("^", 4)}[e.op]
+        rhs = e.rhs
+        if e.op == "pow" and isinstance(rhs, Unary) and rhs.op == "neg":
+            rhs_s = "-" + _recursive_pp(rhs.arg, 5)
+        else:
+            rhs_s = _recursive_pp(rhs, prec + 1)
+        s = _recursive_pp(e.lhs, prec) + spelling + rhs_s
+    return f"({s})" if prec < level else s
+
+
+def _is_neg(e):
+    return isinstance(e, Unary) and e.op == "neg"
+
+
+def _recursive_compile_expr(b, e, env):
+    if isinstance(e, Const):
+        return b.const(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Unary):
+        return b.unary(e.op, _recursive_compile_expr(b, e.arg, env))
+    if e.op == "add" and _is_neg(e.rhs):
+        a = _recursive_compile_expr(b, e.lhs, env)
+        return b.binary("sub", a, _recursive_compile_expr(b, e.rhs.arg, env))
+    if e.op == "add" and _is_neg(e.lhs):
+        a = _recursive_compile_expr(b, e.lhs.arg, env)
+        return b.binary("sub", _recursive_compile_expr(b, e.rhs, env), a)
+    a = _recursive_compile_expr(b, e.lhs, env)
+    return b.binary(e.op, a, _recursive_compile_expr(b, e.rhs, env))
+
+
+def _tape(compile_expr, e):
+    """The bytes of the tape ``compile_expr(builder, e, env)`` emits, and its result register."""
+    b = engine.TapeBuilder()
+    env = {name: b.load_state(i) for i, name in enumerate(sorted(ALL))}
+    out = compile_expr(b, e, env)
+    prog = b.finish([out], [])
+    return prog.code.tobytes(), prog.consts.tobytes(), prog.n_regs, out
+
+
+# a sign where compile_expr absorbs it: under an add, on either side or both
+_sign_heavy_trees = st.recursive(st.one_of(_signed_consts.map(Const), _vars.map(Var)), lambda sub: st.one_of(
+    sub.map(lambda x: Unary("neg", x)),
+    st.tuples(st.sampled_from(["neg", *FUNCTIONS]), sub).map(lambda p: Unary(*p)),
+    st.tuples(st.sampled_from(["add", "add", "sub", "mul", "div", "pow"]), sub, sub).map(lambda p: Binary(*p)),
+), max_leaves=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sign_heavy_trees, _sign_heavy_trees)
+@example(Binary("add", Unary("neg", Var("t")), Unary("neg", Var("s"))), Var("v")).via("both operands signed")
+@example(Binary("pow", Var("t"), Unary("neg", Unary("neg", Const(2.0)))), Const(-0.0)).via("a signed exponent")
+def test_walkers_agree_with_the_recursive_walkers(e, other):
+    assert variables(e) == _recursive_variables(e)
+    mapping = {"t": other, "v": Var("s")}
+    assert repr(substitute(e, mapping)) == repr(_recursive_substitute(e, mapping))
+    seen, frozen_seen = [], []
+    mapped = map_constants(e, lambda i, c: seen.append((i, c)) or 2.0 * c + i)
+    frozen = _recursive_map_constants(e, lambda i, c: frozen_seen.append((i, c)) or 2.0 * c + i)
+    assert repr(mapped) == repr(frozen) and repr(seen) == repr(frozen_seen)
+    assert pretty(e) == _recursive_pp(e, 0)
+    assert _tape(lambda b, x, env: b.compile_expr(x, env), e) == _tape(_recursive_compile_expr, e)
+
+
+DEEP = 20_000  # twenty times the default recursion limit
+DEEP_TREES = {
+    "flat_sum": lambda: functools.reduce(lambda a, _: Binary("add", a, Var("t")), range(DEEP), Const(1.0)),
+    "signs": lambda: functools.reduce(lambda a, _: Unary("neg", a), range(DEEP), Var("t")),
+    "right_nested": lambda: functools.reduce(lambda a, _: Binary("sub", Const(1.0), a), range(DEEP), Var("t")),
+    "calls": lambda: functools.reduce(lambda a, _: Unary("abs", a), range(DEEP), Var("t")),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TREES))
+def test_walkers_take_trees_deeper_than_the_recursion_limit(shape):
+    e = DEEP_TREES[shape]()
+    assert variables(e) == {"t"}
+    text = pretty(e)
+    assert text.count("t") == (DEEP if shape == "flat_sum" else 1)
+    assert pretty(map_constants(substitute(e, {"t": Var("s")}), lambda i, c: c)) == text.replace("t", "s")
+    b = engine.TapeBuilder()
+    b.compile_expr(e, {"t": b.load_state(0)})
+    assert b.n_regs > DEEP
+
+
+def test_a_long_sum_evaluates_over_arrays():
+    # the array evaluators are cached by tape, not by the tree, whose hash recurses
+    e = parse_expr(" + ".join(["t"] * 5000), {"t"})
+    assert eval_expr_array(e, {"t": np.array([0.5, 2.0])}).tolist() == [2500.0, 10000.0]

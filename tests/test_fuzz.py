@@ -5,12 +5,17 @@ netlist it compiles to, to an extreme value and runs every command that
 reads it at a short horizon through ``cli.main``.  Whatever the input
 does, the exit code is 0, 2 (input error) or 3 (unsupported), never 4
 (internal error).  Cases are drawn from a fixed seed.
+
+Extreme sizes too: netlists whose expressions or element chains run
+10,000 deep simulate to their closed forms, and only parentheses nested
+past the parser's limit are too deep to read (exit 2).
 """
 
 import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memsolve.cli import main
@@ -121,26 +126,49 @@ def test_extreme_flags_exit_2(tmp_path, capsys, command):
     capsys.readouterr()
 
 
-# --- inputs nested past the interpreter's recursion limit ----------------------
+# --- inputs deeper than the interpreter's recursion limit ------------------------
 
 DEPTH = 2000
+N = 10_000
+
+
+def _chain(ids):
+    """``fgen`` t into adders ``a1`` to ``aN`` in series, element ``ids[k - 1]`` driving ``a<k>``."""
+    return ('fgen f0 out=a0 expr="t"\n' + "".join(f"adder {eid} out=a{k} in=a{k - 1}:1\n" for k, eid in enumerate(ids, 1))
+            + f"output a{len(ids)}\n")
+
+
+# each shape's netlist and the value of its output at t
 DEEP = {
-    "parentheses": f'fgen f0 out=a0 expr="{"(" * DEPTH}t{")" * DEPTH}"\noutput a0\n',
-    "signs": f'fgen f0 out=a0 expr="{"-" * DEPTH}t"\noutput a0\n',
-    "flat_sum": f'fgen f0 out=a0 expr="{" + ".join(["t"] * DEPTH)}"\noutput a0\n',
-    "adder_chain": 'fgen f0 out=a0 expr="t"\n'
-                   + "".join(f"adder a{k} out=a{k} in=a{k - 1}:1\n" for k in range(1, DEPTH + 1))
-                   + f"output a{DEPTH}\n",
+    "signs": (f'fgen f0 out=a0 expr="{"-" * N}t"\noutput a0\n', lambda t: (-1) ** N * t),
+    "flat_sum": (f'fgen f0 out=a0 expr="{" + ".join(["t"] * N)}"\noutput a0\n', lambda t: N * t),
+    "transform": (f'fgen f0 out=a0 expr="t"\noutput a0 transform="{" + ".join(["v"] * N)}"\n', lambda t: N * t),
+    # ids along the data flow, and against it
+    "adder_chain": (_chain([f"e{k:05d}" for k in range(1, N + 1)]), lambda t: (-1) ** N * t),
+    "adder_chain_reversed": (_chain([f"e{N - k:05d}" for k in range(1, N + 1)]), lambda t: (-1) ** N * t),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deep_input_simulates(tmp_path, capsys, shape):
+    """The expression walks, the variable scan, the algebraic-loop search and the
+    lowering order keep their own stacks: no input is too deep for them."""
+    text, closed_form = DEEP[shape]
+    net, out = tmp_path / "deep.net", tmp_path / "out.csv"
+    net.write_text(text)
+    assert main(["simulate", str(net), "-o", str(out), "--dt", "1e-2", "--t-end", "0.1", "--quiet"]) == 0, \
+        capsys.readouterr().err
+    t, v = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    assert len(t) == 11
+    np.testing.assert_allclose(v, closed_form(t), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", ["parentheses"])
 def test_deeply_nested_input_exits_2(tmp_path, capsys, shape):
-    """The parser, ``validate``'s variable scan and its algebraic-loop search
-    recurse once per level; past the interpreter's limit the input is too
-    deep to read, an input error."""
+    """The parser recurses once per parenthesis; past the interpreter's limit the
+    input is too deep to read, an input error."""
     net = tmp_path / "deep.net"
-    net.write_text(DEEP[shape])
+    net.write_text(f'fgen f0 out=a0 expr="{"(" * DEPTH}t{")" * DEPTH}"\noutput a0\n')
     assert main(["simulate", str(net), "-o", str(tmp_path / "out.csv"), "--dt", "1e-2", "--t-end", "0.1",
                  "--quiet"]) == 2
     err = capsys.readouterr().err

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memsolve import netlist
+from memsolve.elements import Adder, FunctionGenerator, Integrator, element_inputs
+from memsolve.exprs import Var
 from memsolve.netlist import (
+    Netlist,
     NetlistParseError,
     ValidationFailed,
+    _dependency_order,
     load_netlist,
     lower,
+    lower_unchecked,
     netlist_stats,
     parse_netlist,
     validate,
@@ -212,3 +220,138 @@ def test_memintegrator_explicit_input_is_supported():
     assert validate(net) == []
     sys = lower(net)
     assert sys.n_states == 3
+
+
+# --- dependency order ----------------------------------------------------------
+
+
+def _pass_order(net):
+    """Frozen copy of the lowering order that repeated passes over the pending
+    memoryless elements in id order, each emitting those whose inputs are ready:
+    ``(emitted ids, ids never emitted)``."""
+    ready = {net.out_node[eid] for eid, e in net.elements.items() if e.MEMORY}
+    pending = sorted(eid for eid, e in net.elements.items() if not e.MEMORY)
+    order = []
+    while pending:
+        rest = []
+        for eid in pending:
+            if all(n in ready for n in element_inputs(net.elements[eid])):
+                ready.add(net.out_node[eid])
+                order.append(eid)
+            else:
+                rest.append(eid)
+        if rest == pending:
+            break
+        pending = rest
+    return order, pending
+
+
+@st.composite
+def _wired(draw, acyclic):
+    """Up to 12 memoryless elements and 2 integrators under shuffled ids; an element
+    reads states and, if ``acyclic``, only the nodes of elements drawn before it."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations([f"e{k}" for k in range(n)]))
+    net = Netlist()
+    states = ["x0", "x1"]
+    for name in states:
+        net.add(f"i_{name}", Integrator(c=1.0, ic=0.0, inputs=(f"n{n - 1}",), resistances=(1.0,)), name)
+    for k in range(n):
+        sources = states + [f"n{j}" for j in range(k if acyclic else n)]
+        inputs = tuple(draw(st.lists(st.sampled_from(sources), min_size=0 if k else 1, max_size=3)))
+        elem = Adder(gains=(1.0,) * len(inputs), inputs=inputs) if inputs else FunctionGenerator(signal=Var("t"))
+        net.add(ids[k], elem, f"n{k}")
+    net.set_output(f"n{n - 1}")
+    return net
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wired(acyclic=True))
+def test_dependency_order_is_the_order_of_repeated_passes(net):
+    assert _dependency_order(net) == (_pass_order(net)[0], [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wired(acyclic=False))
+def test_algebraic_loops_name_cycles_that_break_every_loop(net):
+    order, stuck = _pass_order(net)
+    assert _dependency_order(net)[0] == order
+    loops = [d for d in validate(net) if d.rule == "algebraic-loop"]
+    assert bool(loops) == bool(stuck)
+    members = set()
+    for d in loops:
+        cycle = d.message.split(": ")[1].split(" -> ")
+        assert d.where == cycle[0] == cycle[-1] == min(cycle)
+        for a, b in zip(cycle, cycle[1:]):   # each member drives an input of the next
+            assert net.out_node[a] in element_inputs(net.elements[b])
+        members.update(cycle)
+    for eid in members:
+        del net.elements[eid]
+    assert _dependency_order(net)[1] == []
+
+
+def test_a_loop_behind_the_cycle_its_first_walk_finds_is_named():
+    # the walk from e4 finds e5's loop; e4's own loop is left, and the next walk from e4 finds it
+    drivers = {"e0": "e0 e1", "e1": "e1 e5", "e2": "e5", "e3": "e3", "e4": "e2 e4", "e5": "e3 e5"}
+    net = parse_netlist("".join(f"adder {eid} out={eid} " + " ".join(f"in={d}:1" for d in ds.split()) + "\n"
+                                for eid, ds in drivers.items()) + "output e0\n")
+    assert [d.message.split(": ")[1] for d in validate(net)] == [
+        "e0 -> e0", "e1 -> e1", "e3 -> e3", "e5 -> e5", "e4 -> e4"]
+
+
+def test_a_two_adder_loop_names_both_members_in_path_order():
+    net = parse_netlist("adder b out=n1 in=n2:1\nadder a out=n2 in=n1:1\nadder c out=n3 in=n1:1\noutput n3\n")
+    assert [str(d) for d in validate(net)] == [
+        "[algebraic-loop] a: combinational cycle without a memory element: a -> b -> a"]
+
+
+def test_lowering_reads_each_elements_inputs_a_bounded_number_of_times(monkeypatch):
+    # a chain whose ids run against the data flow took one pass per element
+    n = 1000
+    net = parse_netlist('fgen f out=a0 expr="t"\n'
+                        + "".join(f"adder a{n - k:04d} out=a{k} in=a{k - 1}:1\n" for k in range(1, n + 1))
+                        + f"output a{n}\n")
+    calls = []
+    monkeypatch.setattr(netlist, "element_inputs", lambda e: calls.append(e) or element_inputs(e))
+    sys = lower_unchecked(net)
+    assert len(calls) <= 3 * (n + 1)
+    assert len(sys.program.code) == 1 + 2 * n   # t, then a constant and a product per adder
+
+
+class _Id(str):
+    """An element id that counts the hashes taken of it: each dict or set lookup by it."""
+    hashes = 0
+
+    def __hash__(self):
+        _Id.hashes += 1
+        return super().__hash__()
+
+
+def _loops(shape, k):
+    """k loops that the cycle search meets one at a time from the smallest id, ``a``."""
+    net = Netlist()
+    if shape in ("fan_in", "fan_out"):   # a reads k self-loops; with fan_out, k elements read a
+        net.add(_Id("a"), Adder(gains=(1.0,) * k, inputs=tuple(f"x{i}" for i in range(k))), "a")
+        for i in range(k):
+            net.add(_Id(f"x{i}"), Adder(gains=(1.0,), inputs=(f"x{i}",)), f"x{i}")
+            if shape == "fan_out":
+                net.add(_Id(f"b{i}"), Adder(gains=(1.0,), inputs=("a",)), f"b{i}")
+    else:   # ladder: a<i> reads b<i> and a<i+1>, and b<i> reads a<i>; the walk runs down the a's
+        for i in range(k):
+            a, b = f"a{i:05d}" if i else "a", f"b{i:05d}"
+            below = (f"a{i + 1:05d}",) if i + 1 < k else ()
+            net.add(_Id(a), Adder(gains=(1.0,) * (1 + len(below)), inputs=(b,) + below), a)
+            net.add(_Id(b), Adder(gains=(1.0,), inputs=(a,)), b)
+    net.set_output("a")
+    return net
+
+
+@pytest.mark.parametrize("shape", ["fan_in", "fan_out", "ladder"])
+def test_naming_loops_looks_up_each_element_a_bounded_number_of_times(shape):
+    # 12 to 14 lookups per element; a walk that started over after each cycle, or walked an
+    # element again after its drivers had all left, took about k each
+    k = 1000
+    net = _loops(shape, k)
+    _Id.hashes = 0
+    assert len(_dependency_order(net)[1]) == k
+    assert _Id.hashes <= 40 * len(net.elements)
