@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except (ValueError, SimulationError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:  # the parser recurses per parenthesis, the equation compiler per level
+    except RecursionError:  # the parser recurses per parenthesis
         print("the input nests too deeply to read", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is a tool defect

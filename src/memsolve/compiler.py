@@ -33,6 +33,7 @@ horizon as its ``valid_to``, which the simulator enforces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,11 +46,14 @@ from .exprs import (
     Expr,
     Unary,
     Var,
+    fold,
     format_number,
+    operands,
     parse_expr,
     pretty,
     substitute,
     variables,
+    walk,
 )
 from .engine import eval_expr, eval_expr_array, first_failure
 from .netlist import Netlist
@@ -79,7 +83,7 @@ __all__ = [
     "split_separable",
     "to_ide_spec",
     "antiderivative_t",
-    "fold",
+    "simplify",
 ]
 
 
@@ -181,9 +185,9 @@ EquationSpec = (
 
 
 # ---------------------------------------------------------------------------
-# Constant folding (compile-time cleanup of synthesized expressions)
+# Simplification (compile-time cleanup of synthesized expressions)
 #
-# Invariant: folding never creates a negative Const node (negative values
+# Invariant: simplifying never creates a negative Const node (negative values
 # are wrapped in a neg) so pretty-printed netlists reparse to identical
 # ASTs and relowering is exact.
 
@@ -194,182 +198,188 @@ def _const_expr(v: float) -> Expr:
 
 
 def _const_value(e: Expr) -> float | None:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Unary) and e.op == "neg":
-        inner = _const_value(e.arg)
-        return None if inner is None else -inner
-    return None
+    """The value of a literal under a run of signs, else None."""
+    negate = False
+    while isinstance(e, Unary) and e.op == "neg":
+        e, negate = e.arg, not negate
+    return (-e.value if negate else e.value) if isinstance(e, Const) else None
 
 
-def fold(e: Expr) -> Expr:
+def simplify(e: Expr) -> Expr:
     """Fold constant subtrees and algebraic identities (x*1, x+0, exp(0), ...)."""
-    if isinstance(e, (Const, Var)):
-        return _const_expr(e.value) if isinstance(e, Const) else e
-    if isinstance(e, Unary):
-        arg = fold(e.arg)
-        if e.op == "neg" and isinstance(arg, Unary) and arg.op == "neg":
-            return arg.arg
-        cv = _const_value(arg)
-        if cv is not None:
+    return fold(e, lambda x, args: _simplified(x.op, *args) if args else
+                _const_expr(x.value) if isinstance(x, Const) else x)
+
+
+_UNIT = {"add": 0.0, "sub": 0.0, "mul": 1.0, "div": 1.0, "pow": 1.0}  # x op unit is x
+
+
+def _simplified(op: str, *args: Expr) -> Expr:
+    """The node ``op`` over the simplified ``args``, simplified.  Three identities rewrite
+    it, 0 - x to -x, x - (-y) to x + y and c1*(c2*x) to (c1*c2)*x, and then the rule applies
+    to the rewritten node."""
+    while True:
+        values = [_const_value(x) for x in args]
+        if None not in values:  # a constant: its value, unless that leaves the domain
             try:
-                return _const_expr(eval_expr(Unary(e.op, Const(cv)), {}))
+                return _const_expr(eval_expr((Unary if len(args) == 1 else Binary)(op, *map(Const, values)), {}))
             except DomainError:
                 pass
-        return Unary(e.op, arg)
-    lhs, rhs = fold(e.lhs), fold(e.rhs)
-    lc, rc = _const_value(lhs), _const_value(rhs)
-    if lc is not None and rc is not None:
-        try:
-            return _const_expr(eval_expr(Binary(e.op, Const(lc), Const(rc)), {}))
-        except DomainError:
-            pass
-    op = e.op
-    if op == "add":
-        if lc == 0.0:
+        if len(args) == 1:
+            arg, = args
+            return arg.arg if op == "neg" and isinstance(arg, Unary) and arg.op == "neg" else Unary(op, arg)
+        (lhs, rhs), (lc, rc) = args, values
+        if rc == _UNIT[op]:  # x op unit (unit op unit was evaluated above)
+            return lhs
+        if lc == _UNIT[op] and op in ("add", "mul"):
             return rhs
-        if rc == 0.0:
-            return lhs
-    elif op == "sub":
-        if rc == 0.0:
-            return lhs
-        if lc == 0.0:
-            return fold(Unary("neg", rhs))
-        if isinstance(rhs, Unary) and rhs.op == "neg":
-            return fold(Binary("add", lhs, rhs.arg))
-    elif op == "mul":
-        if lc == 1.0:
-            return rhs
-        if rc == 1.0:
-            return lhs
-        if lc == 0.0 or rc == 0.0:
+        ic = _const_value(rhs.lhs) if op == "mul" and isinstance(rhs, Binary) and rhs.op == "mul" else None
+        if op == "sub" and lc == 0.0:
+            op, args = "neg", (rhs,)
+        elif op == "sub" and isinstance(rhs, Unary) and rhs.op == "neg":
+            op, args = "add", (lhs, rhs.arg)
+        elif op == "mul" and (lc == 0.0 or rc == 0.0) or op == "div" and lc == 0.0 and rc != 0.0:
             return Const(0.0)
-        # c1 * (c2 * x) -> (c1*c2) * x, keeps synthesized factors tidy
-        if lc is not None and isinstance(rhs, Binary) and rhs.op == "mul":
-            ic = _const_value(rhs.lhs)
-            if ic is not None:
-                return fold(Binary("mul", _const_expr(lc * ic), rhs.rhs))
-    elif op == "div":
-        if rc == 1.0:
-            return lhs
-        if lc == 0.0 and rc != 0.0:
-            return Const(0.0)
-    elif op == "pow":
-        if rc == 1.0:
-            return lhs
-    return Binary(op, lhs, rhs)
+        elif lc is not None and ic is not None:  # c1 * (c2 * x) -> (c1*c2) * x
+            args = _const_expr(lc * ic), rhs.rhs
+        else:
+            return Binary(op, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Symbolic antiderivatives over t
+#
+# The table reads an expression through sums, signs, and products and
+# quotients by a constant: one post-order fold over those operands, in which
+# each maximal constant subtree is a leaf, evaluated once.  The other leaves
+# are t, exp/sin/cos of an affine argument and powers of one.
 
 
-def _affine_in_t(e: Expr) -> tuple[float, float] | None:
-    """Recognize a*t + b with constant a, b; returns (a, b) or None."""
-    if not variables(e):
-        try:
-            return 0.0, eval_expr(e, {})
-        except DomainError:
+def _constants(e: Expr) -> set[int]:
+    """The ids of the nodes of ``e`` that read no variable."""
+    ids: set[int] = set()
+    for x, kids in walk(e):
+        if not isinstance(x, Var) and all(id(k) in ids for k in kids):
+            ids.add(id(x))
+    return ids
+
+
+def _table_operands(x: Expr, constant: set[int]) -> tuple:
+    """The operands of ``x`` that the table reads, ``constant`` holding the constant nodes' ids:
+    a sign's or a sum's, the non-constant factor of a product by a constant, a numerator over one."""
+    if id(x) in constant or isinstance(x, Var):
+        return ()
+    if x.op in ("neg", "add", "sub"):
+        return operands(x)
+    if x.op == "mul" and id(x.lhs) in constant:
+        return (x.rhs,)
+    return (x.lhs,) if x.op in ("mul", "div") and id(x.rhs) in constant else ()
+
+
+def _value(e: Expr) -> float | None:
+    """The value of the constant ``e``, or None where it leaves its domain."""
+    try:
+        return eval_expr(e, {})
+    except DomainError:
+        return None
+
+
+def _coefficient(num: float, den: float) -> Expr | None:
+    """The table coefficient num/den; None (a miss) unless it is a finite, non-zero number."""
+    c = num / den if den != 0.0 else 0.0
+    return _const_expr(c) if math.isfinite(c) and c != 0.0 else None
+
+
+def _affine_in_t(e: Expr, constant: set[int] | None = None) -> tuple[float, float] | None:
+    """Recognize a*t + b with constant a, b; returns (a, b) or None.  ``constant`` holds the ids
+    of the constant nodes of ``e``.  A constant factor or divisor outside its domain is a miss."""
+    constant = _constants(e) if constant is None else constant
+
+    def visit(x: Expr, parts: list):
+        if id(x) in constant:
+            c = _value(x)
+            return None if c is None else (0.0, c)
+        if not parts:
+            return (1.0, 0.0) if isinstance(x, Var) and x.name == "t" else None
+        if any(part is None for part in parts):
             return None
-    if isinstance(e, Var):
-        return (1.0, 0.0) if e.name == "t" else None
-    if isinstance(e, Unary) and e.op == "neg":
-        ab = _affine_in_t(e.arg)
-        return None if ab is None else (-ab[0], -ab[1])
-    if isinstance(e, Binary):
-        if e.op in ("add", "sub"):
-            l, r = _affine_in_t(e.lhs), _affine_in_t(e.rhs)
-            if l is None or r is None:
-                return None
-            sgn = 1.0 if e.op == "add" else -1.0
-            return l[0] + sgn * r[0], l[1] + sgn * r[1]
-        if e.op == "mul":
-            for c_side, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-                if not variables(c_side):
-                    ab = _affine_in_t(other)
-                    if ab is not None:
-                        c = eval_expr(c_side, {})
-                        return c * ab[0], c * ab[1]
+        (a, b), *rhs = parts
+        if x.op == "neg":
+            return -a, -b
+        if rhs:
+            sgn = 1.0 if x.op == "add" else -1.0
+            return a + sgn * rhs[0][0], b + sgn * rhs[0][1]
+        c = _value(x.lhs if id(x.lhs) in constant else x.rhs)
+        if c is None or c == 0.0 and x.op == "div":
             return None
-        if e.op == "div" and not variables(e.rhs):
-            ab = _affine_in_t(e.lhs)
-            if ab is None:
-                return None
-            c = eval_expr(e.rhs, {})
-            if c == 0.0:
-                return None
-            return ab[0] / c, ab[1] / c
-    return None
+        return (c * a, c * b) if x.op == "mul" else (a / c, b / c)
+
+    return fold(e, visit, lambda x: _table_operands(x, constant))
 
 
 def antiderivative_t(e: Expr) -> Expr | None:
     """Closed-form antiderivative of ``e`` over t, or None if outside the table.
 
     The table covers linear combinations of constants, t^k (k != -1),
-    exp/sin/cos of affine arguments and constant multiples thereof.
+    exp/sin/cos of affine arguments and constant multiples thereof.  A
+    constant that leaves its domain, and a coefficient that is not a
+    finite, non-zero number, are misses.  The result is simplified.
     """
-    if not variables(e):
-        try:
-            return fold(Binary("mul", _const_expr(eval_expr(e, {})), Var("t")))
-        except DomainError:
+    constant = _constants(e)
+
+    def visit(x: Expr, parts: list):
+        if id(x) in constant:
+            c = _value(x)
+            return None if c is None else _simplified("mul", _const_expr(c), Var("t"))
+        if not parts:
+            return _table_leaf(x, constant)
+        if any(part is None for part in parts):
             return None
-    if isinstance(e, Var) and e.name == "t":
-        return Binary("mul", Const(0.5), Binary("pow", Var("t"), Const(2.0)))
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = antiderivative_t(e.arg)
-            return None if inner is None else fold(Unary("neg", inner))
-        ab = _affine_in_t(e.arg)
-        if ab is None or ab[0] == 0.0:
-            return None
-        a = ab[0]
-        if e.op == "exp":
-            return fold(Binary("mul", _const_expr(1.0 / a), e))
-        if e.op == "sin":
-            return fold(Binary("mul", _const_expr(-1.0 / a), Unary("cos", e.arg)))
-        if e.op == "cos":
-            return fold(Binary("mul", _const_expr(1.0 / a), Unary("sin", e.arg)))
+        if x.op in ("neg", "add", "sub"):
+            return _simplified(x.op, *parts)
+        c = _value(x.lhs if id(x.lhs) in constant else x.rhs)
+        coef = None if c is None else _const_expr(c) if x.op == "mul" else _coefficient(1.0, c)
+        return None if coef is None else _simplified("mul", coef, parts[0])
+
+    return fold(e, visit, lambda x: _table_operands(x, constant))
+
+
+def _table_leaf(x: Expr, constant: set[int]) -> Expr | None:
+    """The antiderivative of ``x`` where it is t, exp/sin/cos of an affine argument or a
+    power of one; None for any other leaf of the table's fold."""
+    if isinstance(x, Var):
+        return Binary("mul", Const(0.5), Binary("pow", Var("t"), Const(2.0))) if x.name == "t" else None
+    if x.op not in ("exp", "sin", "cos", "pow"):
         return None
-    if isinstance(e, Binary):
-        if e.op in ("add", "sub"):
-            l, r = antiderivative_t(e.lhs), antiderivative_t(e.rhs)
-            if l is None or r is None:
-                return None
-            return fold(Binary(e.op, l, r))
-        if e.op == "mul":
-            for c_side, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-                if not variables(c_side):
-                    inner = antiderivative_t(other)
-                    if inner is not None:
-                        try:
-                            c = eval_expr(c_side, {})
-                        except DomainError:
-                            return None
-                        return fold(Binary("mul", _const_expr(c), inner))
+    base = x.lhs if x.op == "pow" else x.arg
+    a, _ = _affine_in_t(base, constant) or (0.0, 0.0)
+    if a == 0.0:
+        return None
+    if x.op == "pow":
+        k = _const_value(simplify(x.rhs))
+        if k is None or k == -1.0:
             return None
-        if e.op == "div" and not variables(e.rhs):
-            try:
-                c = eval_expr(e.rhs, {})
-            except DomainError:
-                return None
-            if c == 0.0:
-                return None
-            inner = antiderivative_t(e.lhs)
-            return None if inner is None else fold(Binary("mul", _const_expr(1.0 / c), inner))
-        if e.op == "pow":
-            ab = _affine_in_t(e.lhs)
-            k = _const_value(fold(e.rhs))
-            if ab is None or ab[0] == 0.0 or k is None or k == -1.0:
-                return None
-            a = ab[0]
-            return fold(
-                Binary(
-                    "mul",
-                    _const_expr(1.0 / (a * (k + 1.0))),
-                    Binary("pow", e.lhs, _const_expr(k + 1.0)),
-                )
-            )
-    return None
+        coef, term = _coefficient(1.0, a * (k + 1.0)), ("pow", simplify(base), _const_expr(k + 1.0))
+    else:
+        integral = {"exp": "exp", "sin": "cos", "cos": "sin"}[x.op]
+        coef, term = _coefficient(-1.0 if x.op == "sin" else 1.0, a), (integral, simplify(base))
+    return None if coef is None else _simplified("mul", coef, _simplified(*term))
+
+
+def _at_zero(anti: Expr) -> float:
+    """``eval_expr(anti, {"t": 0.0})``: the same float operations, one summand of the sums and
+    signs on top at a time, so that no evaluator is generated for the whole of a long sum."""
+    def visit(x: Expr, v: list) -> float:
+        if not v:
+            return eval_expr(x, {"t": 0.0})
+        return -v[0] if len(v) == 1 else v[0] + v[1] if x.op == "add" else v[0] - v[1]
+
+    try:
+        f0 = fold(anti, visit, lambda x: operands(x) if getattr(x, "op", "") in ("neg", "add", "sub") else ())
+    except DomainError:
+        f0 = math.nan
+    # a summand outside its domain or a total that is not finite: eval_expr raises its own error
+    return f0 if math.isfinite(f0) else eval_expr(anti, {"t": 0.0})
 
 
 def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
@@ -384,8 +394,7 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
     """
     anti = antiderivative_t(p)
     if anti is not None:
-        f0 = eval_expr(anti, {"t": 0.0})
-        return fold(Binary("sub", anti, _const_expr(f0))), False
+        return _simplified("sub", anti, _const_expr(_at_zero(anti))), False
 
     n_grid = 4096
     ts = np.linspace(0.0, horizon, n_grid + 1)
@@ -424,43 +433,34 @@ def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
     horner: Expr = _const_expr(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         horner = Binary("add", _const_expr(c), Binary("mul", Var("t"), horner))
-    return fold(horner), True
+    return simplify(horner), True
 
 
 # ---------------------------------------------------------------------------
 # Kernel separation
 
 
-def _product_factors(e: Expr, inverted: bool = False):
+def _product_factors(e: Expr):
     """Flatten a product/quotient into (sign, [(factor, inverted), ...])."""
-    if isinstance(e, Unary) and e.op == "neg":
-        sign, factors = _product_factors(e.arg, inverted)
-        return -sign, factors
-    if isinstance(e, Binary) and e.op == "mul":
-        s1, f1 = _product_factors(e.lhs, inverted)
-        s2, f2 = _product_factors(e.rhs, inverted)
-        return s1 * s2, f1 + f2
-    if isinstance(e, Binary) and e.op == "div":
-        s1, f1 = _product_factors(e.lhs, inverted)
-        s2, f2 = _product_factors(e.rhs, not inverted)
-        return s1 * s2, f1 + f2
-    return 1, [(e, inverted)]
+    sign, factors, todo = 1, [], [(e, False)]
+    while todo:  # the rhs pushed first, so factors come out left to right
+        x, inverted = todo.pop()
+        if isinstance(x, Unary) and x.op == "neg":
+            sign = -sign
+            todo.append((x.arg, inverted))
+        elif isinstance(x, Binary) and x.op in ("mul", "div"):
+            todo += (x.rhs, inverted != (x.op == "div")), (x.lhs, inverted)
+        else:
+            factors.append((x, inverted))
+    return sign, factors
 
 
 def _rebuild_product(factors, sign: int) -> Expr:
-    num: Expr | None = None
-    den: Expr | None = None
-    for factor, inverted in factors:
-        if inverted:
-            den = factor if den is None else Binary("mul", den, factor)
-        else:
-            num = factor if num is None else Binary("mul", num, factor)
-    expr: Expr = num if num is not None else Const(1.0)
-    if den is not None:
-        expr = Binary("div", expr, den)
-    if sign < 0:
-        expr = Unary("neg", expr)
-    return expr
+    num, den = ([f for f, inverted in factors if inverted == side] for side in (False, True))
+    expr = functools.reduce(lambda a, b: Binary("mul", a, b), num) if num else Const(1.0)
+    if den:
+        expr = Binary("div", expr, functools.reduce(lambda a, b: Binary("mul", a, b), den))
+    return Unary("neg", expr) if sign < 0 else expr
 
 
 def split_separable(kernel: Expr) -> tuple[Expr, Expr]:
@@ -471,22 +471,17 @@ def split_separable(kernel: Expr) -> tuple[Expr, Expr]:
     restriction spelled out.
     """
     sign, factors = _product_factors(kernel)
-    t_side, s_side = [], []
+    sides = {"t": [], "s": []}
     for factor, inverted in factors:
         vs = variables(factor)
-        if vs <= {"t"}:
-            t_side.append((factor, inverted))
-        elif vs <= {"s"}:
-            s_side.append((factor, inverted))
-        else:
+        if not (vs <= {"t"} or vs <= {"s"}):
             raise UnsupportedKernelError(
                 f"kernel factor '{pretty(factor)}' mixes t and s: a single memristor state "
                 "realizes only separable kernels K(t,s) = k1(t)*k2(s); other kernels are "
                 "restricted to single-variable forms"
             )
-    k1 = _rebuild_product(t_side, sign)
-    k2 = _rebuild_product(s_side, 1)
-    return fold(k1), fold(k2)
+        sides["t" if vs <= {"t"} else "s"].append((factor, inverted))
+    return simplify(_rebuild_product(sides["t"], sign)), simplify(_rebuild_product(sides["s"], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +542,11 @@ def compile_turbulent(spec: TurbulentIde) -> Netlist:
     exactly ln(v)/alpha = z/alpha = u.
     """
     P, fallback = integral_from_zero(spec.p, spec.alpha_horizon)
-    alpha = fold(Unary("exp", P))
+    alpha = _simplified("exp", P)
     alpha_is_one = alpha == Const(1.0)
     a_src = pretty(alpha)
-    k1_src = pretty(fold(spec.k1))
-    k2t_src = pretty(fold(_sub_s_to_t(spec.k2)))
+    k1_src = pretty(simplify(spec.k1))
+    k2t_src = pretty(simplify(_sub_s_to_t(spec.k2)))
 
     if alpha_is_one:
         g = _mem_expr(f"({k1_src})*omega")

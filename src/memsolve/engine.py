@@ -495,12 +495,12 @@ def _float_setup(code, body: list[str], spell) -> tuple[list[str], list[str]]:
     """
     pows = {dst: b for op, dst, a, b in code if op == OP_POW}
     loaded = {dst for op, dst, *_ in code if op == OP_CONST}
-    fixed = [f"em{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded]
+    fixed = dict.fromkeys(f"em{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded)
     setup = ["exp, log = np.exp, np.log"]
     if pows:
         setup += ["power, pa, po = np.power, np.empty(1), np.empty(1)", "pam, pom = memoryview(pa), memoryview(po)"]
         setup += [f"e{dst} = np.empty(1)" for dst in pows] + [f"em{dst} = memoryview(e{dst})" for dst in pows]
-    return setup + fixed, [s for s in body if s not in fixed]
+    return setup + list(fixed), [s for s in body if s not in fixed]
 
 
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
@@ -920,7 +920,9 @@ def _binder(code, n_vars: int, out: int):
     # x - x is 0.0 for every finite x, NaN for NaN and the infinities
     body += [f"if {spell[out]} - {spell[out]} != 0.0:", "    raise DomainError('non-finite result')",
              f"return {spell[out]}"]
-    head = f"def evaluate({', '.join(f'y{i}' for i in range(n_vars))}):"
+    # the set-up's names reach evaluate as defaults: closure cells take quadratic time to compile
+    bound = [name for line in setup if (m := re.match(r"([\w, ]+) = ", line)) for name in m[1].split(", ")]
+    head = f"def evaluate({', '.join([f'y{i}' for i in range(n_vars)] + [f'{x}={x}' for x in bound])}):"
     lines = ["def bind(consts):"] + _indent(setup + [head] + _indent(body) + ["return evaluate"])
     return _compile("\n".join(lines) + "\n", "bind")
 
@@ -947,14 +949,18 @@ def eval_expr_array(e: Expr, bindings) -> np.ndarray:
     return eval_expr_array_clamped(e, bindings, None)[0]
 
 
-def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, int]:
-    """Like :func:`eval_expr_array` but clamp ln arguments below ``ln_floor`` (None: strict).
+def array_evaluator(e: Expr, names):
+    """``e``, lowered once, as ``evaluate(arrays, ln_floor=None)`` over one array per name in
+    ``names``, broadcast together: like :func:`eval_expr_array_clamped` of those bindings."""
+    code, consts, out = _lower_expr(e, tuple(names))
+    evaluate = _evaluator(code, out)
+    return lambda arrays, ln_floor=None: evaluate(arrays, consts, ln_floor)
 
-    Returns the values and the number of clamped samples.  This is the
-    simulator-side evaluation mode; the default evaluator stays strict.
-    """
-    code, consts, out = _lower_expr(e, tuple(bindings))
-    return _evaluator(code, out)(list(bindings.values()), consts, ln_floor)
+
+def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, int]:
+    """Like :func:`eval_expr_array` but clamp ln arguments below ``ln_floor`` (None: strict):
+    the values and the number of clamped samples.  The simulator's mode; the default is strict."""
+    return array_evaluator(e, tuple(bindings))(list(bindings.values()), ln_floor)
 
 
 def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
@@ -962,12 +968,11 @@ def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
     broadcast to (rows,) or (rows, columns): its first failing row, the first
     failing column of that row, and the message there."""
     arrays = [x.reshape(len(x), -1) for x in np.broadcast_arrays(*map(np.asarray, bindings.values()))]
-    code, consts, out = _lower_expr(e, tuple(bindings))
-    evaluate = _evaluator(code, out)
+    evaluate = array_evaluator(e, tuple(bindings))
 
     def error(*at):
         try:
-            evaluate([x[at] for x in arrays], consts, ln_floor)
+            evaluate([x[at] for x in arrays], ln_floor)
         except DomainError as exc:
             return str(exc)
 

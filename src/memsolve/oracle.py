@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import eval_expr_array, scalar_evaluator
+from .engine import array_evaluator, eval_expr_array, scalar_evaluator
 from .exprs import Expr, variables
 from .waveform import Waveform, check_grid_bytes, grid_steps
 
@@ -215,8 +215,8 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     march once, with the right-hand side and the quadrature written
     inline, so a step tests no flag.  ``k1 * dt``, ``k2`` and ``p`` are
     tabulated on the grid before the march; ``k1[j] * dt * (...)`` rounds
-    as ``(k1[j] * dt) * (...)``.  A general K(t, s) re-sums the whole
-    history, O(j) per evaluation, and evaluates each step's row of K once.
+    as ``(k1[j] * dt) * (...)``.  A general K(t, s), lowered once, re-sums
+    the whole history, O(j) per evaluation, and evaluates each step's row once.
     """
     n = grid_steps(dt, t_end)
     _check_size(dt, n, _ide_arrays(spec))
@@ -231,12 +231,12 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
             c1 *= dt
         tables.update(c1=memoryview(c1), c2=memoryview(_grid_table(spec.k2, "s", ts, 1.0)))
     elif kind == "general":
-        kernel = spec.kernel
+        kernel = array_evaluator(spec.kernel, ("t", "s"))
         phis = np.empty(n + 1)
 
         def krow(j):
             """K(t_j, s_0..s_j), shared by the step's two sums."""
-            return eval_expr_array(kernel, {"t": ts[j], "s": ts[: j + 1]})
+            return kernel([ts[j], ts[: j + 1]])[0]
 
         def resum(kj, j, phi):
             """M(t_j) over the accepted samples 0..j-1 and ``phi`` as sample j (j >= 1)."""

@@ -319,6 +319,27 @@ def test_degenerate_alpha_horizon_exits_2_quietly(tmp_path, capfd, horizon, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p, code, message", [
+    # a*(k + 1) underflows to 0: a table miss, and p is infinite at the fit grid's first point
+    ("(1e-308*t)^-0.9999999999999999", 2, "p fails on the integrating-factor fit grid at t = 0.0: non-finite result"),
+    # 1/a overflows: a table miss that the fit takes
+    ("exp(5e-324*t)", 0, None),
+    # a constant factor outside its domain: a table miss, and the fit names p and the time
+    ("exp(sqrt(-1)*t)", 2, "p fails on the integrating-factor fit grid at t = 0.0: sqrt of negative value"),
+])
+def test_table_misses_go_to_the_fit(tmp_path, capsys, p, code, message):
+    spec = tmp_path / "p.eq"
+    spec.write_text(f'family = turbulent\np = "{p}"\nk1 = "1/2*exp(-t)"\nk2 = "exp(-s)"\nu0 = 1\n')
+    out = tmp_path / "p.net"
+    assert main(["compile", str(spec), "-o", str(out), "--quiet"]) == code
+    if message is not None:
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+    else:
+        text = out.read_text()
+        assert "alpha_fallback=chebyshev-fit" in text and "valid_to 8" in text
+
+
 @pytest.mark.parametrize("command", ["simulate", "stability"])
 def test_run_past_fitted_integrating_factor_exits_2(tmp_path, capsys, command):
     # exp(-t^2) has no tabulated antiderivative, so alpha is a Chebyshev fit on

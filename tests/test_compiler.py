@@ -1,8 +1,12 @@
+import functools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memsolve.compiler import (
     EquationSpecError,
@@ -13,6 +17,10 @@ from memsolve.compiler import (
     TurbulentIde,
     UnsupportedKernelError,
     VolterraPopulation,
+    _affine_in_t,
+    _at_zero,
+    _const_value,
+    _product_factors,
     antiderivative_t,
     compile_equation,
     compile_higher_order,
@@ -20,13 +28,13 @@ from memsolve.compiler import (
     compile_linear_first_order,
     compile_turbulent,
     compile_volterra_population,
-    fold,
     parse_equation_spec,
+    simplify,
     split_separable,
     to_ide_spec,
 )
 from memsolve.engine import eval_expr, eval_expr_array
-from memsolve.exprs import Const, parse_expr, pretty
+from memsolve.exprs import FUNCTIONS, Binary, Const, DomainError, Unary, Var, parse_expr, pretty, variables
 from memsolve.netlist import lower, netlist_stats, validate
 from memsolve.oracle import solve_ide, solve_memristive_chain
 from memsolve.solver import SimConfig, relative_error, simulate
@@ -399,19 +407,400 @@ def test_antiderivative_divided_by_a_constant_matches_quadrature(src):
     "exp(t)/(1 - 1)", "t/0",     # a zero divisor
     "exp(t)/ln(-1)",             # a divisor outside its domain
     "exp(-t^2)/8",               # a constant divisor over a miss
+    "(1e-308*t)^-0.9999999999999999",  # a*(k + 1) underflows to 0
+    "exp(5e-324*t)",             # 1/a overflows
+    "exp(sqrt(-1)*t)",           # a constant factor of the argument outside its domain
 ])
 def test_antiderivative_table_misses(src):
     assert antiderivative_t(parse_expr(src, {"t"})) is None
 
 
 def test_fold_keeps_no_negative_constants():
-    e = fold(parse_expr("1/8*exp(-2*t)/(-2) - 0 + 1*t*1", {"t"}))
+    e = simplify(parse_expr("1/8*exp(-2*t)/(-2) - 0 + 1*t*1", {"t"}))
     text = pretty(e)
     reparsed = parse_expr(text, {"t"})
     assert reparsed == e
     for t in (0.0, 0.5, 2.0):
         want = (1 / 8) * math.exp(-2 * t) / (-2) + t
         assert eval_expr(e, {"t": t}) == pytest.approx(want, rel=1e-12)
+
+
+# --- differential tests against the recursive symbolic layer ------------------
+#
+# Frozen copies of the simplifier and the matchers that recursed once per level
+# and re-simplified every partial result.  The one-pass versions must agree with
+# them by ``repr`` on every tree both can read, but for the table misses: a
+# constant that leaves its domain inside an affine argument, and a table
+# coefficient that is not a finite, non-zero number.  There the copies raise or
+# return that coefficient (they record it in ``_FROZEN_COEFFICIENTS``), and the
+# one-pass versions return None.
+
+
+def _frozen_const_expr(v):
+    v = float(v)
+    return Unary("neg", Const(-v)) if v < 0 else Const(v)
+
+
+def _frozen_const_value(e):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Unary) and e.op == "neg":
+        inner = _frozen_const_value(e.arg)
+        return None if inner is None else -inner
+    return None
+
+
+def _frozen_fold(e):
+    if isinstance(e, (Const, Var)):
+        return _frozen_const_expr(e.value) if isinstance(e, Const) else e
+    if isinstance(e, Unary):
+        arg = _frozen_fold(e.arg)
+        if e.op == "neg" and isinstance(arg, Unary) and arg.op == "neg":
+            return arg.arg
+        cv = _frozen_const_value(arg)
+        if cv is not None:
+            try:
+                return _frozen_const_expr(eval_expr(Unary(e.op, Const(cv)), {}))
+            except DomainError:
+                pass
+        return Unary(e.op, arg)
+    lhs, rhs = _frozen_fold(e.lhs), _frozen_fold(e.rhs)
+    lc, rc = _frozen_const_value(lhs), _frozen_const_value(rhs)
+    if lc is not None and rc is not None:
+        try:
+            return _frozen_const_expr(eval_expr(Binary(e.op, Const(lc), Const(rc)), {}))
+        except DomainError:
+            pass
+    op = e.op
+    if op == "add":
+        if lc == 0.0:
+            return rhs
+        if rc == 0.0:
+            return lhs
+    elif op == "sub":
+        if rc == 0.0:
+            return lhs
+        if lc == 0.0:
+            return _frozen_fold(Unary("neg", rhs))
+        if isinstance(rhs, Unary) and rhs.op == "neg":
+            return _frozen_fold(Binary("add", lhs, rhs.arg))
+    elif op == "mul":
+        if lc == 1.0:
+            return rhs
+        if rc == 1.0:
+            return lhs
+        if lc == 0.0 or rc == 0.0:
+            return Const(0.0)
+        if lc is not None and isinstance(rhs, Binary) and rhs.op == "mul":
+            ic = _frozen_const_value(rhs.lhs)
+            if ic is not None:
+                return _frozen_fold(Binary("mul", _frozen_const_expr(lc * ic), rhs.rhs))
+    elif op == "div":
+        if rc == 1.0:
+            return lhs
+        if lc == 0.0 and rc != 0.0:
+            return Const(0.0)
+    elif op == "pow":
+        if rc == 1.0:
+            return lhs
+    return Binary(op, lhs, rhs)
+
+
+def _frozen_affine_in_t(e):
+    if not variables(e):
+        try:
+            return 0.0, eval_expr(e, {})
+        except DomainError:
+            return None
+    if isinstance(e, Var):
+        return (1.0, 0.0) if e.name == "t" else None
+    if isinstance(e, Unary) and e.op == "neg":
+        ab = _frozen_affine_in_t(e.arg)
+        return None if ab is None else (-ab[0], -ab[1])
+    if isinstance(e, Binary):
+        if e.op in ("add", "sub"):
+            l, r = _frozen_affine_in_t(e.lhs), _frozen_affine_in_t(e.rhs)
+            if l is None or r is None:
+                return None
+            sgn = 1.0 if e.op == "add" else -1.0
+            return l[0] + sgn * r[0], l[1] + sgn * r[1]
+        if e.op == "mul":
+            for c_side, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+                if not variables(c_side):
+                    ab = _frozen_affine_in_t(other)
+                    if ab is not None:
+                        c = eval_expr(c_side, {})
+                        return c * ab[0], c * ab[1]
+            return None
+        if e.op == "div" and not variables(e.rhs):
+            ab = _frozen_affine_in_t(e.lhs)
+            if ab is None:
+                return None
+            c = eval_expr(e.rhs, {})
+            if c == 0.0:
+                return None
+            return ab[0] / c, ab[1] / c
+    return None
+
+
+_FROZEN_COEFFICIENTS = []
+
+
+def _frozen_coefficient(c):
+    _FROZEN_COEFFICIENTS.append(c)
+    return _frozen_const_expr(c)
+
+
+def _frozen_antiderivative_t(e):
+    if not variables(e):
+        try:
+            return _frozen_fold(Binary("mul", _frozen_const_expr(eval_expr(e, {})), Var("t")))
+        except DomainError:
+            return None
+    if isinstance(e, Var) and e.name == "t":
+        return Binary("mul", Const(0.5), Binary("pow", Var("t"), Const(2.0)))
+    if isinstance(e, Unary):
+        if e.op == "neg":
+            inner = _frozen_antiderivative_t(e.arg)
+            return None if inner is None else _frozen_fold(Unary("neg", inner))
+        ab = _frozen_affine_in_t(e.arg)
+        if ab is None or ab[0] == 0.0:
+            return None
+        a = ab[0]
+        if e.op == "exp":
+            return _frozen_fold(Binary("mul", _frozen_coefficient(1.0 / a), e))
+        if e.op == "sin":
+            return _frozen_fold(Binary("mul", _frozen_coefficient(-1.0 / a), Unary("cos", e.arg)))
+        if e.op == "cos":
+            return _frozen_fold(Binary("mul", _frozen_coefficient(1.0 / a), Unary("sin", e.arg)))
+        return None
+    if isinstance(e, Binary):
+        if e.op in ("add", "sub"):
+            l, r = _frozen_antiderivative_t(e.lhs), _frozen_antiderivative_t(e.rhs)
+            if l is None or r is None:
+                return None
+            return _frozen_fold(Binary(e.op, l, r))
+        if e.op == "mul":
+            for c_side, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+                if not variables(c_side):
+                    inner = _frozen_antiderivative_t(other)
+                    if inner is not None:
+                        try:
+                            c = eval_expr(c_side, {})
+                        except DomainError:
+                            return None
+                        return _frozen_fold(Binary("mul", _frozen_const_expr(c), inner))
+            return None
+        if e.op == "div" and not variables(e.rhs):
+            try:
+                c = eval_expr(e.rhs, {})
+            except DomainError:
+                return None
+            if c == 0.0:
+                return None
+            inner = _frozen_antiderivative_t(e.lhs)
+            return None if inner is None else _frozen_fold(Binary("mul", _frozen_coefficient(1.0 / c), inner))
+        if e.op == "pow":
+            ab = _frozen_affine_in_t(e.lhs)
+            k = _frozen_const_value(_frozen_fold(e.rhs))
+            if ab is None or ab[0] == 0.0 or k is None or k == -1.0:
+                return None
+            a = ab[0]
+            return _frozen_fold(
+                Binary(
+                    "mul",
+                    _frozen_coefficient(1.0 / (a * (k + 1.0))),
+                    Binary("pow", e.lhs, _frozen_const_expr(k + 1.0)),
+                )
+            )
+    return None
+
+
+def _frozen_product_factors(e, inverted=False):
+    if isinstance(e, Unary) and e.op == "neg":
+        sign, factors = _frozen_product_factors(e.arg, inverted)
+        return -sign, factors
+    if isinstance(e, Binary) and e.op == "mul":
+        s1, f1 = _frozen_product_factors(e.lhs, inverted)
+        s2, f2 = _frozen_product_factors(e.rhs, inverted)
+        return s1 * s2, f1 + f2
+    if isinstance(e, Binary) and e.op == "div":
+        s1, f1 = _frozen_product_factors(e.lhs, inverted)
+        s2, f2 = _frozen_product_factors(e.rhs, not inverted)
+        return s1 * s2, f1 + f2
+    return 1, [(e, inverted)]
+
+
+# literals at the edges of the float range, signed zeros and NaN among them
+EDGE_LITERALS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e300, -1e300, math.inf, -math.inf, math.nan,
+                 5e-324, 1e-308, -0.9999999999999999)
+_literals = st.one_of(st.sampled_from(EDGE_LITERALS), st.floats(-8.0, 8.0)).map(Const)
+
+
+def _over(sub, consts):
+    """The table's shapes over ``sub``: signs, sums, and products and quotients by ``consts``."""
+    return st.one_of(
+        sub.map(lambda x: Unary("neg", x)),
+        st.tuples(st.sampled_from(["add", "sub"]), sub, sub).map(lambda p: Binary(*p)),
+        st.tuples(consts, sub).map(lambda p: Binary("mul", *p)),
+        st.tuples(sub, consts).map(lambda p: Binary("mul", *p)),
+        st.tuples(sub, consts).map(lambda p: Binary("div", *p)),
+    )
+
+
+def _trees(names):
+    """Any tree over ``names``."""
+    return st.recursive(st.one_of(_literals, st.sampled_from(names).map(Var)), lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["neg", "neg", *FUNCTIONS]), sub).map(lambda p: Unary(*p)),
+        st.tuples(st.sampled_from(["add", "sub", "mul", "mul", "div", "pow"]), sub, sub).map(lambda p: Binary(*p)),
+    ), max_leaves=16)
+
+
+# constants that may leave their domain or the float range, and affine arguments over them
+_constants = st.one_of(_literals, st.tuples(st.sampled_from(["neg", "sqrt", "ln", "exp"]), _literals).map(
+    lambda p: Unary(*p)), st.tuples(st.sampled_from(["add", "mul", "div", "pow"]), _literals, _literals).map(
+    lambda p: Binary(*p)))
+_affine = st.recursive(st.one_of(st.just(Var("t")), _constants), lambda sub: _over(sub, _constants), max_leaves=5)
+_table_terms = st.one_of(
+    _affine,
+    st.tuples(st.sampled_from(["exp", "sin", "cos", "ln"]), _affine).map(lambda p: Unary(*p)),
+    st.tuples(_affine, _constants).map(lambda p: Binary("pow", *p)),
+)
+# mostly shapes the antiderivative table reads, and some that it does not
+_integrands = st.one_of(
+    st.recursive(_table_terms, lambda sub: _over(sub, _constants), max_leaves=6),
+    _trees(["t"]),
+)
+
+
+def _frozen_or_miss(frozen, e):
+    """``frozen(e)``, or ``"miss"`` where it raises or records a table coefficient that is
+    not a finite, non-zero number: the inputs the one-pass matchers read as misses."""
+    _FROZEN_COEFFICIENTS.clear()
+    try:
+        result = frozen(e)
+    except ArithmeticError:
+        return "miss"
+    if result is not None and not all(math.isfinite(c) and c != 0.0 for c in _FROZEN_COEFFICIENTS):
+        return "miss"
+    return result
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_trees(["t", "s"]), _integrands))
+@example(Binary("sub", Const(0.0), Unary("neg", Var("t")))).via("0 - x, rewritten to a sign")
+@example(Binary("sub", Var("t"), Unary("neg", Const(2.0)))).via("x - (-y), rewritten to a sum")
+@example(Binary("mul", Const(0.5), Binary("mul", Const(2.0), Var("t")))).via("c1*(c2*x) with c1*c2 = 1")
+@example(Binary("mul", Const(1e-300), Binary("mul", Const(1e-300), Var("t")))).via("c1*(c2*x) with c1*c2 = 0")
+def test_simplify_agrees_with_the_recursive_fold(e):
+    assert repr(simplify(e)) == repr(_frozen_fold(e))
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.one_of(_literals, st.just(Var("t")))))
+def test_const_value_agrees_with_the_recursive_one(signed):
+    signs, e = signed
+    e = functools.reduce(lambda x, _: Unary("neg", x), range(signs), e)
+    assert _bits(_const_value(e)) == _bits(_frozen_const_value(e))  # the sign of a NaN included
+
+
+@settings(max_examples=500, deadline=None)
+@given(_integrands)
+@example(Binary("mul", Unary("sqrt", Unary("neg", Const(1.0))), Var("t"))).via("a factor outside its domain")
+@example(Binary("div", Var("t"), Binary("div", Const(1.0), Const(0.0)))).via("a divisor outside its domain")
+def test_affine_in_t_agrees_with_the_recursive_matcher(e):
+    frozen = _frozen_or_miss(_frozen_affine_in_t, e)
+    assert repr(_affine_in_t(e)) == repr(None if frozen == "miss" else frozen)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_integrands)
+@example(parse_expr("(1e-308*t)^-0.9999999999999999", {"t"})).via("a*(k + 1) underflows")
+@example(parse_expr("exp(5e-324*t)", {"t"})).via("1/a overflows")
+@example(parse_expr("exp(sqrt(-1)*t)", {"t"})).via("a factor outside its domain")
+@example(parse_expr("1/8*exp(-2*t) - 3*t^2 + sin(t/2)/4", {"t"})).via("a table hit")
+def test_antiderivative_agrees_with_the_recursive_table(e):
+    frozen = _frozen_or_miss(_frozen_antiderivative_t, e)
+    assert repr(antiderivative_t(e)) == repr(None if frozen == "miss" else frozen)
+
+
+def _value_or_error(evaluate, e):
+    try:
+        return _bits(evaluate(e))
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_integrands, _trees(["t"])))
+@example(parse_expr("exp(1000*t + 1000) - ln(t)", {"t"})).via("an infinite summand before a domain error")
+@example(parse_expr("1e308*t + 1e308 + 1e308", {"t"})).via("finite summands, an infinite total")
+@example(parse_expr("-(0*t) - 0", {"t"})).via("a signed zero")
+def test_the_value_at_zero_is_the_value_of_one_evaluation(e):
+    # integral_from_zero subtracts anti(0), taken summand by summand
+    e = antiderivative_t(e) or e
+    assert _value_or_error(_at_zero, e) == _value_or_error(lambda x: eval_expr(x, {"t": 0.0}), e)
+
+
+_kernels = st.recursive(_trees(["t", "s"]), lambda sub: st.one_of(
+    sub.map(lambda x: Unary("neg", x)),
+    st.tuples(st.sampled_from(["mul", "mul", "div"]), sub, sub).map(lambda p: Binary(*p)),
+), max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_kernels)
+def test_product_factors_agree_with_the_recursive_flattening(e):
+    assert repr(_product_factors(e)) == repr(_frozen_product_factors(e))
+
+
+def test_simplify_and_the_table_evaluate_a_long_sum_a_linear_number_of_times(monkeypatch):
+    # The recursive table re-simplified the partial sum at every level, and so
+    # evaluated each term's signed coefficient, -1 for exp(-t), again.
+    import memsolve.compiler as compiler
+
+    calls = [0]
+
+    def counted(e, bindings, _eval=compiler.eval_expr):
+        calls[0] += 1
+        return _eval(e, bindings)
+
+    monkeypatch.setattr(compiler, "eval_expr", counted)
+    for n in (100, 400):
+        e = parse_expr(" + ".join(["exp(-t) + 2*3*t"] * n), {"t"})
+        calls[0] = 0
+        simplify(e)
+        assert calls[0] <= 2 * n
+        calls[0] = 0
+        assert antiderivative_t(e) is not None
+        assert calls[0] <= 2 * n
+
+
+DEEP = 20_000  # twenty times the default recursion limit
+DEEP_INTEGRANDS = {  # each shape and its affine coefficients (a, b)
+    "sum": (lambda: parse_expr(" + ".join(["0.5*t"] * DEEP), {"t"}), (0.5 * DEEP, 0.0)),
+    "signs": (lambda: parse_expr("-" * DEEP + "t", {"t"}), (1.0, 0.0)),
+    "right_nested": (lambda: functools.reduce(lambda a, _: Binary("sub", Var("t"), a), range(DEEP), Var("t")),
+                     (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_INTEGRANDS))
+def test_the_table_takes_integrands_deeper_than_the_recursion_limit(shape):
+    make, affine = DEEP_INTEGRANDS[shape]
+    e = make()
+    assert _affine_in_t(e) == affine
+    assert antiderivative_t(e) is not None
+    assert variables(simplify(e)) == {"t"}
+
+
+def test_kernel_splitting_takes_products_deeper_than_the_recursion_limit():
+    k1, k2 = split_separable(parse_expr("*".join(["exp(-t)", "s"] * (DEEP // 2)), {"t", "s"}))
+    assert pretty(k1).count("exp") == DEEP // 2 and pretty(k2).count("s") == DEEP // 2
 
 
 # --- equation-spec files ------------------------------------------------------

@@ -7,7 +7,8 @@ does, the exit code is 0, 2 (input error) or 3 (unsupported), never 4
 (internal error).  Cases are drawn from a fixed seed.
 
 Extreme sizes too: netlists whose expressions or element chains run
-10,000 deep simulate to their closed forms, and only parentheses nested
+10,000 deep simulate to their closed forms, equations whose coefficients
+are sums or products of 10,000 terms compile, and only parentheses nested
 past the parser's limit are too deep to read (exit 2).
 """
 
@@ -161,6 +162,38 @@ def test_deep_input_simulates(tmp_path, capsys, shape):
     t, v = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
     assert len(t) == 11
     np.testing.assert_allclose(v, closed_form(t), rtol=1e-12, atol=0.0)
+
+
+# each family's long coefficient: n summands of p, or n factors of a kernel that splits
+# into exp(-(t - s)) over t and s
+LONG = {
+    "turbulent": lambda n: (f'family = turbulent\np = "{" + ".join(["0.001*t"] * n)}"\n'
+                            'k1 = "1/2*exp(-t)"\nk2 = "exp(-s)"\nu0 = 1\n'),
+    "population": lambda n: ('family = volterra_population\na = 2\nb = 0.001\n'
+                             f'kernel = "{"*".join([f"exp(-{2 / n}*t)", f"exp({2 / n}*s)"] * (n // 2))}"\nn0 = 1\n'),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LONG))
+def test_long_coefficients_compile(tmp_path, capsys, family):
+    """The simplifier, the antiderivative table and the kernel split keep their own
+    stacks and touch each term a bounded number of times."""
+    spec, net = tmp_path / "long.eq", tmp_path / "long.net"
+    spec.write_text(LONG[family](N))
+    assert main(["compile", str(spec), "-o", str(net), "--quiet"]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(LONG))
+def test_long_coefficients_simulate_like_the_oracle(tmp_path, capsys, family):
+    spec, net = tmp_path / "long.eq", tmp_path / "long.net"
+    spec.write_text(LONG[family](1000))
+    run = ["--dt", "1e-2", "--t-end", "1", "--quiet"]
+    assert main(["compile", str(spec), "-o", str(net), "--quiet"]) == 0
+    assert main(["simulate", str(net), "-o", str(tmp_path / "sim.csv"), *run]) == 0
+    assert main(["oracle", str(spec), "-o", str(tmp_path / "ora.csv"), *run]) == 0
+    sim, ora = (np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1) for name in ("sim", "ora"))
+    assert np.array_equal(sim[:, 0], ora[:, 0])
+    np.testing.assert_allclose(sim[:, 1], ora[:, 1], rtol=1e-2)
 
 
 @pytest.mark.parametrize("shape", ["parentheses"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memsolve.oracle as oracle
+from memsolve import engine
 from memsolve.engine import eval_expr_array
 from memsolve.compiler import (
     HigherOrderComposed,
@@ -146,8 +147,43 @@ def test_general_kernel_evaluates_each_row_once(monkeypatch):
     # the frozen closure march, which evaluated the row in each sum.
     spec = IdeSpec(form="generic_first_order", y0=0.75, a=0.5, b=-0.25,
                    kernel=parse_expr("exp(-t*s)", {"t", "s"}))
+    rows = []
+
+    def counted(e, names, _build=oracle.array_evaluator):
+        evaluate = _build(e, names)
+        rows.append(0)
+
+        def row(*args):
+            rows[-1] += 1
+            return evaluate(*args)
+        return row
+
+    monkeypatch.setattr(oracle, "array_evaluator", counted)
     per_run = _calls_per_run(monkeypatch, lambda dt: assert_same_march(spec, dt, 2.0), (1e-2,))
-    assert per_run == [{"scalar_evaluator": 0, "eval_expr_array": 200}]
+    assert per_run == [{"scalar_evaluator": 0, "eval_expr_array": 0}]
+    assert rows == [200]  # one kernel evaluator per run, one row per step
+
+
+def test_general_kernel_is_lowered_once_per_run(monkeypatch):
+    # The kernel's tape is built once per run, whatever the step count, and
+    # the waveform keeps the bits of the frozen march, which lowered the
+    # kernel at every row.
+    spec = IdeSpec(form="generic_first_order", y0=0.75, a=0.5, b=-0.25,
+                   kernel=parse_expr("exp(-2*(t - s)) * (1 + 0.5*sin(s))", {"t", "s"}))
+    calls = []
+    compile_expr = engine.TapeBuilder.compile_expr
+
+    def counted(builder, e, env):
+        calls[-1] += 1
+        return compile_expr(builder, e, env)
+
+    monkeypatch.setattr(engine.TapeBuilder, "compile_expr", counted)
+    for steps in (100, 1000):
+        calls.append(0)
+        solve_ide(spec, 1e-3, steps * 1e-3)
+    assert calls == [1, 1]
+    monkeypatch.undo()
+    assert_same_march(spec, 1e-3, 1.0)
 
 
 def test_convergence_study_builds_one_march_per_structure():
