@@ -33,7 +33,6 @@ horizon as its ``valid_to``, which the simulator enforces.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -211,9 +210,6 @@ def simplify(e: Expr) -> Expr:
                 _const_expr(x.value) if isinstance(x, Const) else x)
 
 
-_UNIT = {"add": 0.0, "sub": 0.0, "mul": 1.0, "div": 1.0, "pow": 1.0}  # x op unit is x
-
-
 def _simplified(op: str, *args: Expr) -> Expr:
     """The node ``op`` over the simplified ``args``, simplified.  Three identities rewrite
     it, 0 - x to -x, x - (-y) to x + y and c1*(c2*x) to (c1*c2)*x, and then the rule applies
@@ -229,21 +225,39 @@ def _simplified(op: str, *args: Expr) -> Expr:
             arg, = args
             return arg.arg if op == "neg" and isinstance(arg, Unary) and arg.op == "neg" else Unary(op, arg)
         (lhs, rhs), (lc, rc) = args, values
-        if rc == _UNIT[op]:  # x op unit (unit op unit was evaluated above)
+        if op == "add":
+            if lc == 0.0:
+                return rhs
+            if rc == 0.0:
+                return lhs
+        elif op == "sub":
+            if rc == 0.0:
+                return lhs
+            if lc == 0.0:
+                op, args = "neg", (rhs,)
+                continue
+            if isinstance(rhs, Unary) and rhs.op == "neg":
+                op, args = "add", (lhs, rhs.arg)
+                continue
+        elif op == "mul":
+            if lc == 1.0:
+                return rhs
+            if rc == 1.0:
+                return lhs
+            if lc == 0.0 or rc == 0.0:
+                return Const(0.0)
+            ic = _const_value(rhs.lhs) if lc is not None and isinstance(rhs, Binary) and rhs.op == "mul" else None
+            if ic is not None:  # c1 * (c2 * x) -> (c1*c2) * x, keeps synthesized factors tidy
+                args = _const_expr(lc * ic), rhs.rhs
+                continue
+        elif op == "div":
+            if rc == 1.0:
+                return lhs
+            if lc == 0.0 and rc != 0.0:
+                return Const(0.0)
+        elif op == "pow" and rc == 1.0:
             return lhs
-        if lc == _UNIT[op] and op in ("add", "mul"):
-            return rhs
-        ic = _const_value(rhs.lhs) if op == "mul" and isinstance(rhs, Binary) and rhs.op == "mul" else None
-        if op == "sub" and lc == 0.0:
-            op, args = "neg", (rhs,)
-        elif op == "sub" and isinstance(rhs, Unary) and rhs.op == "neg":
-            op, args = "add", (lhs, rhs.arg)
-        elif op == "mul" and (lc == 0.0 or rc == 0.0) or op == "div" and lc == 0.0 and rc != 0.0:
-            return Const(0.0)
-        elif lc is not None and ic is not None:  # c1 * (c2 * x) -> (c1*c2) * x
-            args = _const_expr(lc * ic), rhs.rhs
-        else:
-            return Binary(op, lhs, rhs)
+        return Binary(op, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +470,19 @@ def _product_factors(e: Expr):
 
 
 def _rebuild_product(factors, sign: int) -> Expr:
-    num, den = ([f for f, inverted in factors if inverted == side] for side in (False, True))
-    expr = functools.reduce(lambda a, b: Binary("mul", a, b), num) if num else Const(1.0)
-    if den:
-        expr = Binary("div", expr, functools.reduce(lambda a, b: Binary("mul", a, b), den))
-    return Unary("neg", expr) if sign < 0 else expr
+    num: Expr | None = None
+    den: Expr | None = None
+    for factor, inverted in factors:
+        if inverted:
+            den = factor if den is None else Binary("mul", den, factor)
+        else:
+            num = factor if num is None else Binary("mul", num, factor)
+    expr: Expr = num if num is not None else Const(1.0)
+    if den is not None:
+        expr = Binary("div", expr, den)
+    if sign < 0:
+        expr = Unary("neg", expr)
+    return expr
 
 
 def split_separable(kernel: Expr) -> tuple[Expr, Expr]:

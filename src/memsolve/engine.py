@@ -485,22 +485,25 @@ def _update_terms(k, s: str, q: str, new: str) -> list[str]:
             f"{new} = {s} + term", f"{q} = ({new} - {s}) - term"]
 
 
-def _float_setup(code, body: list[str], spell) -> tuple[list[str], list[str]]:
-    """``(set-up, body)`` for the float spellings of ``code`` (``_OPS``) in ``body``.
+def _float_setup(code, body: list[str], spell) -> tuple[list[str], list[str], list[str]]:
+    """``(set-up, body, names)`` for the float spellings of ``code`` (``_OPS``) in ``body``.
 
     The set-up binds numpy's ``exp`` and ``log`` to locals and makes each
     ``pow``'s one-element buffers, with memoryviews over them that the
-    spelling writes and reads.  It runs once, after the constant loads: a
-    constant exponent is stored there, and its store leaves ``body``.
+    spelling writes and reads; ``names`` are the names it binds.  It runs
+    once, after the constant loads: a constant exponent is stored there,
+    and its store leaves ``body``.
     """
     pows = {dst: b for op, dst, a, b in code if op == OP_POW}
     loaded = {dst for op, dst, *_ in code if op == OP_CONST}
     fixed = dict.fromkeys(f"em{dst}[0] = {spell[b]}" for dst, b in pows.items() if b in loaded)
-    setup = ["exp, log = np.exp, np.log"]
+    bound = {"exp": "np.exp", "log": "np.log"}
     if pows:
-        setup += ["power, pa, po = np.power, np.empty(1), np.empty(1)", "pam, pom = memoryview(pa), memoryview(po)"]
-        setup += [f"e{dst} = np.empty(1)" for dst in pows] + [f"em{dst} = memoryview(e{dst})" for dst in pows]
-    return setup + list(fixed), [s for s in body if s not in fixed]
+        bound |= {"power": "np.power", "pa": "np.empty(1)", "po": "np.empty(1)",
+                  "pam": "memoryview(pa)", "pom": "memoryview(po)"}
+        bound |= {f"e{dst}": "np.empty(1)" for dst in pows} | {f"em{dst}": f"memoryview(e{dst})" for dst in pows}
+    setup = [f"{name} = {value}" for name, value in bound.items()] + list(fixed)
+    return setup, [s for s in body if s not in fixed], list(bound)
 
 
 def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
@@ -527,7 +530,7 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     body, spell = _op_lines(code, "scalar", _MARCH_LOADS, frontier)
     # a domain error in stage 0 comes before the step's sample: it notes the samples recorded
     first = _op_lines(code, "scalar", _MARCH_LOADS, frontier, failing=["recorded = step"])[0]
-    setup, body = _float_setup(code, body, spell)
+    setup, body, _ = _float_setup(code, body, spell)
     first = [s for s in first if s not in setup]
     # the stage time only where an instruction or a root reads it
     read = {r for op, _, a, b in code for r in _reads(op, a, b)}.union(_roots(deriv_regs, channels, flags))
@@ -915,13 +918,14 @@ def _binder(code, n_vars: int, out: int):
     once, by ``bind``).
     """
     body, spell = _op_lines(code, "strict", {OP_CONST: "c{i}", OP_STATE: "y{i}"})
-    setup, body = _float_setup(code, body, spell)
-    setup = [f"c{a} = float(consts[{a}])" for op, _, a, _ in code if op == OP_CONST] + setup
+    loads = [a for op, _, a, _ in code if op == OP_CONST]
+    setup, body, bound = _float_setup(code, body, spell)
+    setup = [f"c{a} = float(consts[{a}])" for a in loads] + setup
     # x - x is 0.0 for every finite x, NaN for NaN and the infinities
     body += [f"if {spell[out]} - {spell[out]} != 0.0:", "    raise DomainError('non-finite result')",
              f"return {spell[out]}"]
     # the set-up's names reach evaluate as defaults: closure cells take quadratic time to compile
-    bound = [name for line in setup if (m := re.match(r"([\w, ]+) = ", line)) for name in m[1].split(", ")]
+    bound = [f"c{a}" for a in loads] + bound
     head = f"def evaluate({', '.join([f'y{i}' for i in range(n_vars)] + [f'{x}={x}' for x in bound])}):"
     lines = ["def bind(consts):"] + _indent(setup + [head] + _indent(body) + ["return evaluate"])
     return _compile("\n".join(lines) + "\n", "bind")
