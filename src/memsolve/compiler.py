@@ -216,11 +216,9 @@ def _simplified(op: str, *args: Expr) -> Expr:
     to the rewritten node."""
     while True:
         values = [_const_value(x) for x in args]
-        if None not in values:  # a constant: its value, unless that leaves the domain
-            try:
-                return _const_expr(eval_expr((Unary if len(args) == 1 else Binary)(op, *map(Const, values)), {}))
-            except DomainError:
-                pass
+        value = None if None in values else _value((Unary if len(args) == 1 else Binary)(op, *map(Const, values)))
+        if value is not None:  # a constant: its value, unless that leaves the domain
+            return _const_expr(value)
         if len(args) == 1:
             arg, = args
             return arg.arg if op == "neg" and isinstance(arg, Unary) and arg.op == "neg" else Unary(op, arg)
@@ -290,10 +288,10 @@ def _table_operands(x: Expr, constant: set[int]) -> tuple:
     return (x.lhs,) if x.op in ("mul", "div") and id(x.rhs) in constant else ()
 
 
-def _value(e: Expr) -> float | None:
-    """The value of the constant ``e``, or None where it leaves its domain."""
+def _value(e: Expr, **bindings: float) -> float | None:
+    """The value of ``e`` at ``bindings``, or None where it leaves its domain."""
     try:
-        return eval_expr(e, {})
+        return eval_expr(e, bindings)
     except DomainError:
         return None
 
@@ -380,35 +378,21 @@ def _table_leaf(x: Expr, constant: set[int]) -> Expr | None:
     return None if coef is None else _simplified("mul", coef, _simplified(*term))
 
 
-def _at_zero(anti: Expr) -> float:
-    """``eval_expr(anti, {"t": 0.0})``: the same float operations, one summand of the sums and
-    signs on top at a time, so that no evaluator is generated for the whole of a long sum."""
-    def visit(x: Expr, v: list) -> float:
-        if not v:
-            return eval_expr(x, {"t": 0.0})
-        return -v[0] if len(v) == 1 else v[0] + v[1] if x.op == "add" else v[0] - v[1]
-
-    try:
-        f0 = fold(anti, visit, lambda x: operands(x) if getattr(x, "op", "") in ("neg", "add", "sub") else ())
-    except DomainError:
-        f0 = math.nan
-    # a summand outside its domain or a total that is not finite: eval_expr raises its own error
-    return f0 if math.isfinite(f0) else eval_expr(anti, {"t": 0.0})
-
-
 def integral_from_zero(p: Expr, horizon: float) -> tuple[Expr, bool]:
     """P(t) = integral_0^t p(s) ds as an expression; returns (P, used_fallback).
 
     Falls back to a Chebyshev fit (emitted in Horner form) of the
     numerically integrated coefficient on [0, horizon] when the
-    antiderivative table does not apply.  A horizon too small for the
-    fit's grid, its domain scale or its coefficients to be finite is an
-    input error that names ``alpha_horizon``; a ``p`` that leaves its
-    domain on the fit grid is one that names ``p`` and the first such time.
+    antiderivative table does not apply or its antiderivative leaves its
+    domain at t = 0.  A horizon too small for the fit's grid, its domain
+    scale or its coefficients to be finite is an input error that names
+    ``alpha_horizon``; a ``p`` that leaves its domain on the fit grid is
+    one that names ``p`` and the first such time.
     """
     anti = antiderivative_t(p)
-    if anti is not None:
-        return _simplified("sub", anti, _const_expr(_at_zero(anti))), False
+    anti0 = None if anti is None else _value(anti, t=0.0)
+    if anti0 is not None:
+        return _simplified("sub", anti, _const_expr(anti0)), False
 
     n_grid = 4096
     ts = np.linspace(0.0, horizon, n_grid + 1)

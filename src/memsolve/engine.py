@@ -1,11 +1,11 @@
 """Execution engine for lowered circuits and for array-valued expressions.
 
 A lowered circuit is a straight-line *tape* of register instructions
-(:class:`Program`) evaluated once per Runge-Kutta stage.  The tape is
-not interpreted: ``_OPS`` states each opcode's semantics once (its
-expression, its domain guard and its ``ln`` clamp), and ``_emit``
-generates the whole RK4 march for one program structure, with the tape
-inlined four times per step:
+(:class:`Program`) evaluated once per Runge-Kutta stage.  ``_OPS``
+states each opcode's semantics once (its expression, its domain guard
+and its ``ln`` clamp).  What runs every step is generated from it:
+``_march`` generates the whole RK4 march for one program structure, with
+the tape inlined four times per step:
 
 * the scalar march, run by :func:`rk4_run` (single runs), keeps states,
   stage slopes and constants in Python-float locals.  Its step loop
@@ -38,7 +38,7 @@ Both marches read the tape's state-independent part (every instruction
 whose operands trace back only to ``t`` and constants) from stage-time
 tables.  RK4 visits only the grid times ``step*dt`` and the half-step
 times ``step*dt + dt/2``, so that part, evaluated once over those times
-by the array code, gives every stage its values:
+(:func:`_tables`), gives every stage its values:
 
 * the scalar march gets tables over the whole grid, built once per run.
   If a hoisted guard holds anywhere on the grid, the run takes the
@@ -53,11 +53,12 @@ the in-order tape.  A tape with nothing to hoist (constant loads aside)
 generates the same march as without tables.  Every march and table computes
 ``pow`` with numpy's array loop: a lane is bit-equal to its scalar run.
 
-Two more variants evaluate one expression, raising
-:class:`~memsolve.exprs.DomainError` instead of masking lanes: over
-arrays (:func:`eval_expr_array`: output transforms, the reference
-coefficient tables) and over floats (:func:`eval_expr`: constant
-folding, the reference chain march).
+What runs once per call runs the tape row by row (:func:`_interpreter`),
+which costs less than compiling it: the tables, and two variants that
+evaluate one expression, raising :class:`~memsolve.exprs.DomainError`:
+over arrays (:func:`eval_expr_array`: output transforms, the reference
+coefficient tables) and floats (:func:`eval_expr`: constant folding;
+the reference chain calls :func:`scalar_evaluator`, generated, per step).
 
 Kernel status codes: 0 = completed, 1 = expression domain error,
 2 = state blow-up (magnitude above the blow-up limit or non-finite).
@@ -283,8 +284,8 @@ def _guard_lines(g: _Guard, variant: str, failing=()) -> list[str]:
                 else [f"status = {STATUS_DOMAIN_ERROR}", *failing, "break"])
         return [f"if {test}:"] + ["    " + s for s in then]
     if variant == "fast":
-        # a table build only notes the hit; the lane march then redoes the step masked
-        return [f"hit |= {test}"]
+        # a table build only notes the hit, in its mask; the lane march then redoes the step masked
+        return [f"note |= {test}"]
     if variant == "masked":
         # a lane stops counting at its first domain error, as the scalar march stops there
         flag = "ln_counts[lanes[~dom & m]] += 1" if g.clamp else "dom |= m"
@@ -296,7 +297,7 @@ def _guard_lines(g: _Guard, variant: str, failing=()) -> list[str]:
         return strict
     # ``ln_floor`` None is strict evaluation; otherwise clamp and count as the kernels do
     return (["if ln_floor is None:"] + ["    " + s for s in strict]
-            + ["else:", f"    m = {test}", "    n_clamped += int(np.count_nonzero(m))",
+            + ["else:", f"    m = {test}", "    note += int(np.count_nonzero(m))",
                f"    x = np.where(m, {g.safe}, x)"])
 
 
@@ -439,8 +440,8 @@ def _slice(code, wanted):
 
 
 def _dead_after(code, frontier) -> list[list[int]]:
-    """Per instruction of a table build, the registers it reads or writes last
-    (the frontier aside): the build drops them there."""
+    """Per instruction of a one-shot run, the registers it reads or writes last
+    (the frontier aside): the run drops them there."""
     last = {}
     for k, (op, dst, a, b) in enumerate(code):
         for r in (dst,) + _reads(op, a, b):
@@ -452,28 +453,53 @@ def _dead_after(code, frontier) -> list[list[int]]:
     return dead
 
 
-def _emit_tables(code, frontier) -> list[str]:
-    """``tables(t, consts, ln_floor)``: the frontier registers over the stage times ``t``
-    (a column), one (times, W) table each, and the (times, W) mask of
-    where a guard of ``code`` holds.
+@functools.cache
+def _row_function(op: int, variant: str):
+    """``run(r, a, b, t, y, consts, ln_floor, note)``: the instruction ``op`` in ``variant`` over the
+    registers ``r``, ``a`` and ``b`` its raw operands.  Where a guard holds it raises, or notes in
+    place in ``note``: a table build's hit mask ("fast"), the clamp count ("array")."""
+    spell, outs, pre = {"a": "r[a]", "b": "r[b]"}, None, []
+    if op == OP_POW and variant == "fast":
+        # into a full copy of the exponent: numpy's power has fast paths for a stride-0 one
+        pre, spell["b"], outs = ["rdst = np.array(np.broadcast_to(r[b], note.shape))"], "rdst", {"dst": "rdst"}
+    code = [(op, "dst", "a", "b")]
+    body, spell = _op_lines(code, variant, outside=spell, outs=outs)
+    if variant == "strict":  # each call makes its own pow buffers: calls may run side by side
+        pre = _float_setup(code, body, spell)[0]
+    lines = [_BIND, "def run(r, a, b, t, y, consts, ln_floor, note):"] + _indent(pre + body + ["return rdst"])
+    return _compile("\n".join(lines) + "\n", "run")
 
-    ``consts`` is (n_consts, W).  A register is dropped after its last
-    read, so only a few (times, W) temporaries are alive at once.
-    """
-    body = [_BIND, "shape = (t.shape[0], consts.shape[1])", "hit = np.zeros(shape, dtype=np.bool_)"]
-    for (op, dst, a, b), dead in zip(code, _dead_after(code, frontier)):
-        spell, outs = {r: f"r{r}" for r in _reads(op, a, b)}, None
-        if op == OP_POW:
-            # into a full copy of the exponent: numpy's power has fast paths for a stride-0 one
-            body.append(f"r{dst} = np.array(np.broadcast_to(r{b}, shape))")
-            spell[b], outs = f"r{dst}", {dst: f"r{dst}"}
-        body += _op_lines([(op, dst, a, b)], "fast", outside=spell, outs=outs)[0]
-        if dead:
-            body.append("del " + ", ".join(f"r{r}" for r in dead))
-    # materialised, so every row the march reads is a contiguous array, as without tables
-    tabs = [f"np.ascontiguousarray(np.broadcast_to(r{r}, shape))" for r in frontier]
-    body.append(f"return [{''.join(f'{x}, ' for x in tabs)}hit]")
-    return ["def tables(t, consts, ln_floor):"] + _indent(body) + [""]
+
+def _interpreter(code, variant: str, keep):
+    """``run(t, y, consts, ln_floor, note)``: the registers ``keep`` after ``code`` runs row by
+    row in ``variant`` (``_row_function``), numpy's warnings off; every other one is dropped
+    after its last read."""
+    rows = [(_row_function(op, variant), dst, a, b, dead)
+            for (op, dst, a, b), dead in zip(code, _dead_after(code, keep))]
+
+    def run(t, y, consts, ln_floor, note):
+        r = {}
+        with np.errstate(all="ignore"):
+            for fn, dst, a, b, dead in rows:
+                r[dst] = fn(r, a, b, t, y, consts, ln_floor, note)
+                for k in dead:
+                    del r[k]
+        return r
+    return run
+
+
+def _tables(code, frontier):
+    """``tables(t, consts, ln_floor)``: the frontier registers over the stage times ``t``
+    (a column), one (times, W) table each, and the (times, W) mask of where a guard of
+    ``code`` holds.  ``consts`` is (n_consts, W)."""
+    run = _interpreter(code, "fast", frontier)
+
+    def tables(t, consts, ln_floor):
+        hit = np.zeros((t.shape[0], consts.shape[1]), dtype=np.bool_)
+        r = run(t, None, consts, ln_floor, hit)
+        # materialised, so every row the march reads is a contiguous array, as without tables
+        return [np.ascontiguousarray(np.broadcast_to(r[k], hit.shape)) for k in frontier] + [hit]
+    return tables
 
 
 def _update_terms(k, s: str, q: str, new: str) -> list[str]:
@@ -506,7 +532,7 @@ def _float_setup(code, body: list[str], spell) -> tuple[list[str], list[str], li
     return setup, [s for s in body if s not in fixed], list(bound)
 
 
-def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
+def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> tuple[list[str], list, list]:
     """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag)``.
 
     Writes each recorded sample to ``rec`` (through one flat memoryview,
@@ -518,12 +544,12 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     of the event, the ``ln`` clamp count, the step of the first clamp
     (None without one) and the tuple of states at exit.
 
-    With a hoisted part the source starts with ``tables`` and the march
-    takes two more arguments, ``grid`` and ``half``: per frontier
-    register, its table at the n_steps + 1 grid times and at the n_steps
-    half-step times.  Valid only if no hoisted guard holds anywhere on
-    the grid; ``hoist`` False emits the march that evaluates every
-    instruction in order.
+    With a hoisted part (returned with the lines and its frontier) the
+    march takes two more arguments, ``grid`` and ``half``: per frontier
+    register, its table (:func:`_tables`) at the n_steps + 1 grid times
+    and at the n_steps half-step times.  Valid only if no hoisted guard
+    holds anywhere on the grid; ``hoist`` False emits the march that
+    evaluates every instruction in order.
     """
     n = len(deriv_regs)
     table, code, frontier = _split(code, _roots(deriv_regs, channels, flags)) if hoist else ((), code, ())
@@ -579,14 +605,13 @@ def _emit_scalar(code, deriv_regs, channels, flags, hoist: bool) -> list[str]:
     fn_body.append(f"return recorded, status, step + 1 if status == {STATUS_BLOWUP} else step, n_ln, first_ln, "
                    + _tuple(f"s{i}" for i in range(n)))
     head = "def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, gflag"
-    return (_emit_tables(table, frontier) if table else []) + [
-        head + (", grid, half):" if table else "):")] + _indent(fn_body)
+    return [head + (", grid, half):" if table else "):")] + _indent(fn_body), table, frontier
 
 
-def _emit_lanes(code, deriv_regs, channels) -> list[str]:
-    """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status,
-    event_step, ln_counts, rec_counts)``, returning each lane's last accepted state,
-    (n_states, W), and the number of steps redone.
+def _emit_lanes(code, deriv_regs, channels) -> tuple[list[str], list, list]:
+    """``march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status, event_step,
+    ln_counts, rec_counts, tables)``, returning each lane's last accepted state,
+    (n_states, W), and the number of steps redone; and the part ``tables`` builds.
 
     The march holds the states, the compensation terms and the stage
     slopes stacked, as ``S`` and ``Q`` (n_states, W) and ``K`` (4,
@@ -711,7 +736,6 @@ def _emit_lanes(code, deriv_regs, channels) -> list[str]:
     survivors = f"width, K0, K1, K2, K3{named} = survivors(consts, K, S)"
     chunk, hits, loop = [], [], []
     if table:
-        lines += _emit_tables(table, frontier)
         chunk = [f"{x}{j}" for x in "gh" for j in range(len(frontier))]
         if _guarded(table):
             chunk += ["gH", "hH"]
@@ -800,22 +824,7 @@ def _emit_lanes(code, deriv_regs, channels) -> list[str]:
     fn_body += ["for step in range(n_steps + 1):"] + _indent(loop)
     fn_body += ["rec_counts[cols] = n_steps + 1", "Y[:, cols] = S", "return Y, redone"]
     return lines + ["def march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status, "
-                    "event_step, ln_counts, rec_counts):"] + _indent(fn_body)
-
-
-def _emit(code, deriv_regs, channels, flags, lanes: bool, hoist: bool) -> str:
-    """Source of the whole RK4 march over one program structure.
-
-    The stages are inlined into the step loop.  ``channels`` are the
-    recorded (kind, index) pairs and ``flags`` the memductance registers
-    whose sign sets a scalar sample's passivity flag (lanes keep none).
-    The lane march reads the tape's state-independent part from stage-time
-    tables (see ``_split``), and so does the scalar one if ``hoist``.
-    Built from opcodes and indices only.
-    """
-    lines = (_emit_lanes(code, deriv_regs, channels) if lanes
-             else _emit_scalar(code, deriv_regs, channels, flags, hoist))
-    return "\n".join(lines) + "\n"
+                    "event_step, ln_counts, rec_counts, tables):"] + _indent(fn_body), table, frontier
 
 
 def _compile(source: str, name: str):
@@ -829,15 +838,19 @@ def _compile(source: str, name: str):
 
 @functools.lru_cache(maxsize=256)
 def _march(code, deriv_regs, channels, flags, lanes: bool, hoist=True):
-    fn = _compile(_emit(code, deriv_regs, channels, flags, lanes, hoist), "march")
-    return fn.__globals__.get("tables"), fn
+    """:func:`_march_for` of the tape ``code``, its stages inlined into the step loop; ``channels``
+    are the recorded (kind, index) pairs and ``flags`` the memductance registers whose sign sets
+    a scalar sample's passivity flag (lanes keep none).  Built from opcodes and indices only."""
+    lines, table, frontier = (_emit_lanes(code, deriv_regs, channels) if lanes
+                              else _emit_scalar(code, deriv_regs, channels, flags, hoist))
+    return _tables(table, frontier) if table else None, _compile("\n".join(lines) + "\n", "march")
 
 
 def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, hoist=True):
     """``(tables, march)`` for this program structure, cached across calls.
 
-    ``tables`` is the generated table function, or None when nothing is
-    hoisted.  The key is what the source is built from: the tape, the
+    ``tables`` is the table build (:func:`_tables`), or None when nothing
+    is hoisted.  The key is what the source is built from: the tape, the
     derivative registers, the recorded channels and the flagged
     memductance registers.  Constants and initial states are arguments
     of the march, so programs that differ only in their constant tables
@@ -898,18 +911,6 @@ def _lower_expr(e: Expr, names: tuple[str, ...]) -> tuple[tuple, np.ndarray, int
 
 
 @functools.lru_cache(maxsize=256)
-def _evaluator(code, out: int):
-    """``evaluate(y, consts, ln_floor)`` of one expression tape structure, for every constant
-    table: its values over the arrays ``y`` and the clamped count; a non-finite value raises."""
-    body, spell = _op_lines(code, "array")
-    body = ["y = [np.asarray(v, dtype=float) for v in y]", "n_clamped = 0"] + body + [
-        f"out = np.asarray({spell[out]}, dtype=float)", "if not np.all(np.isfinite(out)):",
-        "    raise DomainError('non-finite result')", "return out, n_clamped"]
-    lines = ["def evaluate(y, consts, ln_floor):"] + _indent(["with np.errstate(all='ignore'):"] + _indent(body))
-    return _compile("\n".join(lines) + "\n", "evaluate")
-
-
-@functools.lru_cache(maxsize=256)
 def _binder(code, n_vars: int, out: int):
     """``bind(consts)`` for one expression tape structure, shared by every constant table.
 
@@ -943,9 +944,12 @@ def scalar_evaluator(e: Expr, names):
 
 def eval_expr(e: Expr, bindings) -> float:
     """Evaluate ``e`` with every variable bound to a float; strict about domain errors."""
-    fn = scalar_evaluator(e, tuple(bindings))
-    with np.errstate(all="ignore"):
-        return fn(*map(float, bindings.values()))
+    code, consts, out = _lower_expr(e, tuple(bindings))
+    run = _interpreter(code, "strict", (out,))
+    value = run(None, [*map(float, bindings.values())], consts.tolist(), None, None)[out]
+    if not math.isfinite(value):
+        raise DomainError("non-finite result")
+    return value
 
 
 def eval_expr_array(e: Expr, bindings) -> np.ndarray:
@@ -957,8 +961,16 @@ def array_evaluator(e: Expr, names):
     """``e``, lowered once, as ``evaluate(arrays, ln_floor=None)`` over one array per name in
     ``names``, broadcast together: like :func:`eval_expr_array_clamped` of those bindings."""
     code, consts, out = _lower_expr(e, tuple(names))
-    evaluate = _evaluator(code, out)
-    return lambda arrays, ln_floor=None: evaluate(arrays, consts, ln_floor)
+    run = _interpreter(code, "array", (out,))
+
+    def evaluate(arrays, ln_floor=None):
+        n_clamped = np.zeros((), dtype=np.int64)
+        value = run(None, [np.asarray(v, dtype=float) for v in arrays], consts, ln_floor, n_clamped)[out]
+        value = np.asarray(value, dtype=float)
+        if not np.all(np.isfinite(value)):
+            raise DomainError("non-finite result")
+        return value, int(n_clamped)
+    return evaluate
 
 
 def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, int]:
@@ -1032,7 +1044,7 @@ def rk4_run_batch(code, consts, deriv_regs, chan_kind, chan_idx,
     Returns each lane's last accepted state, (n_states, W), and the number
     of steps the march redid because a guard held in some lane.
     """
-    march = _march_for(code, deriv_regs, (), chan_kind, chan_idx, True)[1]
+    tables, march = _march_for(code, deriv_regs, (), chan_kind, chan_idx, True)
     status[:] = STATUS_OK
     event_step[:] = n_steps
     ln_counts[:] = 0
@@ -1041,4 +1053,4 @@ def rk4_run_batch(code, consts, deriv_regs, chan_kind, chan_idx,
     ln_floor, blow_limit = np.array(ln_floor, dtype=np.float64), np.array(blow_limit, dtype=np.float64)
     with np.errstate(all="ignore"):
         return march(consts, y0, dt, n_steps, ln_floor, blow_limit, rec, status,
-                     event_step, ln_counts, rec_counts)
+                     event_step, ln_counts, rec_counts, tables)

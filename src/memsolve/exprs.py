@@ -12,7 +12,7 @@ minus, ``^``.  All binary operators of equal precedence associate to
 the left (including ``^``).  ASTs are immutable and safe to share
 across threads.
 
-Evaluation lives in :mod:`memsolve.engine`, generated from its opcode
+Evaluation lives in :mod:`memsolve.engine`, run row by row from its opcode
 table: strict over floats (``eval_expr``) and arrays (``eval_expr_array``)
 with only the result checked for finiteness (``1/exp(1000)`` is 0).
 """

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import array_evaluator, eval_expr_array, scalar_evaluator
-from .exprs import Expr, variables
+from .engine import array_evaluator, eval_expr_array, first_failure, scalar_evaluator
+from .exprs import DomainError, Expr, variables
 from .waveform import Waveform, check_grid_bytes, grid_steps
 
 __all__ = [
@@ -103,15 +103,19 @@ class IdeSpec:
                     raise ValueError(f"{name} uses variables {sorted(extra)}, allowed: {sorted(allowed)}")
 
 
-def _grid_table(expr: Expr | None, var: str, ts: np.ndarray, default: float) -> np.ndarray:
-    """``expr`` sampled once on the grid ``ts`` (``default`` where absent).
+def _grid_table(key: str, expr: Expr | None, var: str, ts: np.ndarray, default: float) -> np.ndarray:
+    """The coefficient ``key``, ``expr``, sampled once on the grid ``ts`` (``default`` where absent).
 
     The values stay a compact float64 array; a memoryview over it hands
     out Python floats, which the Heun march of :func:`solve_ide` does its
     arithmetic in.  A value that leaves the real domain anywhere on the
-    grid raises ``DomainError``.
+    grid raises ``DomainError``, naming ``key`` and the first such time.
     """
-    vals = eval_expr_array(expr, {var: ts}) if expr is not None else default
+    try:
+        vals = eval_expr_array(expr, {var: ts}) if expr is not None else default
+    except DomainError:
+        row, _, msg = first_failure(expr, {var: ts}, None)
+        raise DomainError(f"{key} fails on the reference grid at {var} = {float(ts[row])!r}: {msg}") from None
     return np.full(len(ts), vals)
 
 
@@ -224,12 +228,12 @@ def solve_ide(spec: IdeSpec, dt: float, t_end: float) -> Waveform:
     kind = _kernel_kind(spec)
     tables = {}
     if spec.form == "turbulent":
-        tables["p"] = memoryview(_grid_table(spec.p, "t", ts, 0.0))
+        tables["p"] = memoryview(_grid_table("p", spec.p, "t", ts, 0.0))
     if kind == "separable":
-        c1 = _grid_table(spec.k1, "t", ts, 1.0)
+        c1 = _grid_table("k1", spec.k1, "t", ts, 1.0)
         with np.errstate(over="ignore"):  # as a float product, k1 * dt may overflow to inf
             c1 *= dt
-        tables.update(c1=memoryview(c1), c2=memoryview(_grid_table(spec.k2, "s", ts, 1.0)))
+        tables.update(c1=memoryview(c1), c2=memoryview(_grid_table("k2", spec.k2, "s", ts, 1.0)))
     elif kind == "general":
         kernel = array_evaluator(spec.kernel, ("t", "s"))
         phis = np.empty(n + 1)

@@ -820,12 +820,15 @@ def _lane_calls_per_step(monkeypatch, name, dead):
     table builds."""
     sys = _sample(name)
     engine._march.cache_clear()
+    engine._row_function.cache_clear()
     try:
         with monkeypatch.context() as patched:
             patched.setattr(engine, "np", _CountingNumpy())
             return (_lane_calls(sys, 30, dead) - _lane_calls(sys, 10, dead)) / 20
     finally:
-        engine._march.cache_clear()      # drop the marches generated against the counting numpy
+        # drop the marches and the tables' row functions generated against the counting numpy
+        engine._march.cache_clear()
+        engine._row_function.cache_clear()
 
 
 @pytest.mark.parametrize("name, most, dead", [
@@ -867,9 +870,9 @@ def _lane_loop(name):
     ``(lines outside the redo, lines of the redo)``."""
     sys = _sample(name)
     prog = sys.program
-    source = engine._emit(tuple(map(tuple, prog.code.tolist())), tuple(prog.deriv_regs.tolist()),
-                          ((engine.CHAN_REG, sys.node_regs[sys.output_node]),), (), True, True)
-    lines = source[source.index("for step in range(n_steps + 1):"):].splitlines()
+    lines = engine._emit_lanes(tuple(map(tuple, prog.code.tolist())), tuple(prog.deriv_regs.tolist()),
+                               ((engine.CHAN_REG, sys.node_regs[sys.output_node]),))[0]
+    lines = lines[lines.index(" " * 4 + "for step in range(n_steps + 1):"):]
     start = lines.index(" " * 8 + "if held:")
     end = next(k for k in range(start + 1, len(lines)) if not lines[k].startswith(" " * 12))
     return lines[:start] + lines[end:], lines[start:end]
@@ -890,8 +893,8 @@ def test_lane_step_loop_counts_guard_hits_once_per_step(name, counts):
 def _scalar_source(sys):
     prog = sys.program
     chan = ((engine.CHAN_REG, sys.node_regs[sys.output_node]),)
-    return engine._emit(tuple(map(tuple, prog.code.tolist())), tuple(prog.deriv_regs.tolist()), chan,
-                        tuple(prog.g_regs.tolist()), False, True)
+    return "\n".join(engine._emit_scalar(tuple(map(tuple, prog.code.tolist())), tuple(prog.deriv_regs.tolist()),
+                                         chan, tuple(prog.g_regs.tolist()), True)[0])
 
 
 @pytest.mark.parametrize("name", ["second_order", "log_linear", "oscillator_chain"])
@@ -976,9 +979,11 @@ def test_netlist_text_round_trip_lowers_identically(net):
 
 def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     emitted, tables = [], []
-    emit, emit_tables = engine._emit, engine._emit_tables
-    monkeypatch.setattr(engine, "_emit", lambda *args: emitted.append(args[-2:]) or emit(*args))
-    monkeypatch.setattr(engine, "_emit_tables", lambda *args: tables.append(args) or emit_tables(*args))
+    emit_lanes, emit_scalar, make_tables = engine._emit_lanes, engine._emit_scalar, engine._tables
+    monkeypatch.setattr(engine, "_emit_lanes", lambda *args: emitted.append("lanes") or emit_lanes(*args))
+    monkeypatch.setattr(engine, "_emit_scalar", lambda *args: emitted.append(f"scalar, hoist={args[-1]}")
+                        or emit_scalar(*args))
+    monkeypatch.setattr(engine, "_tables", lambda *args: tables.append(args) or make_tables(*args))
     engine._march.cache_clear()
     net = parse_netlist(MEM)
     cfg = ToleranceConfig(iterations=20)
@@ -986,6 +991,6 @@ def test_perturbed_iterations_share_one_generated_stage(monkeypatch):
     stability_run(net, cfg, sim)
     for i in range(cfg.iterations):
         simulate(lower(perturb(net, cfg, i)), sim, backend="numpy")
-    # one lane march (the sweep) and one scalar march, each with its one table function
-    assert emitted == [(True, True), (False, True)]
+    # one lane march (the sweep) and one scalar march, each with its one table build
+    assert emitted == ["lanes", "scalar, hoist=True"]
     assert len(tables) == 2

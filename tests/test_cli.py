@@ -326,6 +326,8 @@ def test_degenerate_alpha_horizon_exits_2_quietly(tmp_path, capfd, horizon, mess
     ("exp(5e-324*t)", 0, None),
     # a constant factor outside its domain: a table miss, and the fit names p and the time
     ("exp(sqrt(-1)*t)", 2, "p fails on the integrating-factor fit grid at t = 0.0: sqrt of negative value"),
+    # a table hit whose antiderivative, -2*t^-0.5, is infinite at 0: a miss, and p is infinite there
+    ("t^-1.5", 2, "p fails on the integrating-factor fit grid at t = 0.0: non-finite result"),
 ])
 def test_table_misses_go_to_the_fit(tmp_path, capsys, p, code, message):
     spec = tmp_path / "p.eq"
@@ -338,6 +340,16 @@ def test_table_misses_go_to_the_fit(tmp_path, capsys, p, code, message):
     else:
         text = out.read_text()
         assert "alpha_fallback=chebyshev-fit" in text and "valid_to 8" in text
+
+
+def test_reference_coefficient_outside_its_domain_names_the_key_and_the_time(tmp_path, capsys):
+    # (t - 1)^-2 is infinite at t = 1, a point of the reference grid at dt 1e-2
+    spec = tmp_path / "p.eq"
+    spec.write_text('family = turbulent\np = "(t - 1)^-2"\nk1 = "1/2*exp(-t)"\nk2 = "exp(-s)"\nu0 = 1\n')
+    out = tmp_path / "ref.csv"
+    assert main(["oracle", str(spec), "-o", str(out), "--dt", "1e-2", "--quiet"]) == 2
+    assert capsys.readouterr().err == "p fails on the reference grid at t = 1.0: non-finite result\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "stability"])

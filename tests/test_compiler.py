@@ -18,7 +18,6 @@ from memsolve.compiler import (
     UnsupportedKernelError,
     VolterraPopulation,
     _affine_in_t,
-    _at_zero,
     _const_value,
     _product_factors,
     antiderivative_t,
@@ -728,24 +727,6 @@ def test_antiderivative_agrees_with_the_recursive_table(e):
     assert repr(antiderivative_t(e)) == repr(None if frozen == "miss" else frozen)
 
 
-def _value_or_error(evaluate, e):
-    try:
-        return _bits(evaluate(e))
-    except DomainError as exc:
-        return str(exc)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(_integrands, _trees(["t"])))
-@example(parse_expr("exp(1000*t + 1000) - ln(t)", {"t"})).via("an infinite summand before a domain error")
-@example(parse_expr("1e308*t + 1e308 + 1e308", {"t"})).via("finite summands, an infinite total")
-@example(parse_expr("-(0*t) - 0", {"t"})).via("a signed zero")
-def test_the_value_at_zero_is_the_value_of_one_evaluation(e):
-    # integral_from_zero subtracts anti(0), taken summand by summand
-    e = antiderivative_t(e) or e
-    assert _value_or_error(_at_zero, e) == _value_or_error(lambda x: eval_expr(x, {"t": 0.0}), e)
-
-
 _kernels = st.recursive(_trees(["t", "s"]), lambda sub: st.one_of(
     sub.map(lambda x: Unary("neg", x)),
     st.tuples(st.sampled_from(["mul", "mul", "div"]), sub, sub).map(lambda p: Binary(*p)),
@@ -876,19 +857,21 @@ def test_compiled_netlists_survive_serialization():
         assert a.output_transform == b.output_transform
 
 
-def test_constant_folding_builds_no_evaluator_per_literal():
-    # Folding evaluates constant subtrees with the strict scalar evaluator,
-    # generated once per expression structure: the same equation with other
-    # literals reuses every function the first compile built.
+def test_compile_generates_no_code(monkeypatch):
+    # Folding and the table's constants run their tapes row by row: compiling an
+    # equation makes no function but the per-opcode ones, each once per process.
     import memsolve.engine as engine
 
     text = (Path(__file__).parent.parent / "equations" / "turbulent_diffusion.eq").read_text()
     other = text.replace("1/8*exp(-2*t)", "3/16*exp(-3*t)").replace("1/2*exp(-t)", "2/5*exp(-t)")
     assert other != text
-    engine._binder.cache_clear()
+    made, compile_ = [], engine._compile
+    monkeypatch.setattr(engine, "_compile", lambda source, name: made.append(name) or compile_(source, name))
+    engine._row_function.cache_clear()
     compile_equation(parse_equation_spec(text))
-    built = engine._binder.cache_info().misses
-    assert built > 0
-    net = compile_equation(parse_equation_spec(other))
-    assert engine._binder.cache_info().misses == built
+    assert made and set(made) == {"run"}
+    made.clear()
+    for spec in (text, other):
+        net = compile_equation(parse_equation_spec(spec))
+    assert made == []
     assert "exp(-3*t)" in net.to_text()

@@ -665,6 +665,143 @@ def test_walkers_take_trees_deeper_than_the_recursion_limit(shape):
 
 
 def test_a_long_sum_evaluates_over_arrays():
-    # the array evaluators are cached by tape, not by the tree, whose hash recurses
+    # the tape runs row by row; nothing hashes the tree, whose hash recurses
     e = parse_expr(" + ".join(["t"] * 5000), {"t"})
     assert eval_expr_array(e, {"t": np.array([0.5, 2.0])}).tolist() == [2500.0, 10000.0]
+
+
+# --- differential tests against the generated one-shot evaluators ---------------
+#
+# Frozen copies of the code generation that the one-shot evaluations had: the
+# array evaluator (``_evaluator``), the stage-time table function
+# (``_emit_tables``) and ``eval_expr`` through the strict float evaluator that
+# ``scalar_evaluator`` still generates.  They share ``_OPS`` and ``_op_lines``
+# with the row loop; their guards note into ``note``, as its guard lines do.
+# The row loop must give the same bits, clamp counts, hit masks and messages.
+
+
+def _frozen_evaluator(code, out):
+    body, spell = engine._op_lines(code, "array")
+    body = ["y = [np.asarray(v, dtype=float) for v in y]", "note = 0"] + body + [
+        f"out = np.asarray({spell[out]}, dtype=float)", "if not np.all(np.isfinite(out)):",
+        "    raise DomainError('non-finite result')", "return out, note"]
+    lines = ["def evaluate(y, consts, ln_floor):"] + engine._indent(["with np.errstate(all='ignore'):"]
+                                                                    + engine._indent(body))
+    return engine._compile("\n".join(lines) + "\n", "evaluate")
+
+
+def _frozen_array_evaluator(e, names):
+    code, consts, out = engine._lower_expr(e, tuple(names))
+    evaluate = _frozen_evaluator(code, out)
+    return lambda arrays, ln_floor=None: evaluate(arrays, consts, ln_floor)
+
+
+def _frozen_eval_expr(e, bindings):
+    fn = engine.scalar_evaluator(e, tuple(bindings))
+    with np.errstate(all="ignore"):
+        return fn(*map(float, bindings.values()))
+
+
+def _frozen_tables(code, frontier):
+    body = [engine._BIND, "shape = (t.shape[0], consts.shape[1])", "note = np.zeros(shape, dtype=np.bool_)"]
+    for (op, dst, a, b), dead in zip(code, engine._dead_after(code, frontier)):
+        spell, outs = {r: f"r{r}" for r in engine._reads(op, a, b)}, None
+        if op == engine.OP_POW:
+            body.append(f"r{dst} = np.array(np.broadcast_to(r{b}, shape))")
+            spell[b], outs = f"r{dst}", {dst: f"r{dst}"}
+        body += engine._op_lines([(op, dst, a, b)], "fast", outside=spell, outs=outs)[0]
+        if dead:
+            body.append("del " + ", ".join(f"r{r}" for r in dead))
+    tabs = [f"np.ascontiguousarray(np.broadcast_to(r{r}, shape))" for r in frontier]
+    body.append(f"return [{''.join(f'{x}, ' for x in tabs)}note]")
+    return engine._compile("\n".join(["def tables(t, consts, ln_floor):"] + engine._indent(body)) + "\n", "tables")
+
+
+# values at the edges of the float range, and exponents that numpy's power may treat apart
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324)
+_POW_LITERALS = (2.0, 0.5, -1.0, 3.0, -2.0, 1.5, -0.5, 0.0, 1.0, 1 / 3)
+_values = st.one_of(st.sampled_from(_EDGE_VALUES + _POW_LITERALS), st.floats(-8.0, 8.0))
+
+
+def _edge_trees(names):
+    return st.recursive(st.one_of(_values.map(Const), st.sampled_from(names).map(Var)), lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["neg", *FUNCTIONS]), sub).map(lambda p: Unary(*p)),
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), sub, sub).map(lambda p: Binary(*p)),
+        st.tuples(sub, st.sampled_from(_POW_LITERALS)).map(lambda p: Binary("pow", p[0], Const(p[1]))),
+    ), max_leaves=12)
+
+
+_tv_trees, _t_trees = _edge_trees(["t", "v"]), _edge_trees(["t"])
+
+
+def _result(evaluate):
+    """The bits and type of what ``evaluate()`` returns, or its DomainError message."""
+    try:
+        value = evaluate()
+    except DomainError as exc:
+        return str(exc)
+    if isinstance(value, tuple):
+        value, clamps = value
+        return value.shape, value.dtype, value.tobytes(), type(clamps), clamps
+    return type(value), np.float64(value).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tv_trees, _values, _values)
+@example(Binary("pow", Var("t"), Const(0.5)), -math.inf, 0.0).via("pow(-inf, 0.5) is inf, sqrt(-inf) NaN")
+@example(Binary("div", Const(1.0), Unary("ln", Var("v"))), 0.0, 1.0).via("a division by zero")
+def test_eval_expr_agrees_with_the_generated_evaluator(e, t, v):
+    bindings = {"t": t, "v": v}
+    assert _result(lambda: eval_expr(e, bindings)) == _result(lambda: _frozen_eval_expr(e, bindings))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tv_trees, st.lists(_values, min_size=1, max_size=6), st.lists(_values, min_size=1, max_size=3))
+@example(Unary("ln", Var("v")), [1.0], [1e-12, 0.0, -1.0, 2.0]).via("clamped, and strict")
+def test_array_evaluator_agrees_with_the_generated_evaluator(e, ts, vs):
+    arrays = [np.array(ts)[:, None], np.array(vs)]
+    new, old = engine.array_evaluator(e, ("t", "v")), _frozen_array_evaluator(e, ("t", "v"))
+    for ln_floor in (None, 1e-9):
+        assert _result(lambda: new(arrays, ln_floor)) == _result(lambda: old(arrays, ln_floor))
+
+
+@st.composite
+def _table_tapes(draw):
+    """``(code, frontier, consts)``: trees over ``t`` lowered into one tape, the results of
+    some of them the frontier (the others are read by no one, as a guarded row may be)."""
+    b = engine.TapeBuilder()
+    t = b.load_t()
+    results = [(b.compile_expr(e, {"t": t}), read)
+               for e, read in draw(st.lists(st.tuples(_t_trees, st.booleans()), min_size=1, max_size=3))]
+    frontier = sorted({r for r, read in results if read})
+    return tuple(b._code), frontier, np.array(b._consts, dtype=np.float64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_table_tapes(), st.lists(_values, min_size=1, max_size=5),
+       st.lists(st.sampled_from([1.0, -1.0, 0.5, 3.0, 0.0]), min_size=2, max_size=4))
+@example((((engine.OP_T, 0, 0, 0), (engine.OP_CONST, 1, 0, 0), (engine.OP_POW, 2, 0, 1)), [2], np.array([0.5])),
+         [-math.inf, -0.0, 4.0], [1.0, 2.0]).via("an exponent of 0.5 and 2, from the constants")
+def test_table_build_agrees_with_the_generated_tables(tape, ts, scales):
+    code, frontier, consts = tape
+    new, old = engine._tables(code, frontier), _frozen_tables(code, frontier)
+    t = np.array(ts)[:, None]
+    for lanes in (scales[:1], scales):     # W = 1 and W > 1
+        with np.errstate(all="ignore"):
+            lane_consts = consts[:, None] * np.array(lanes)
+            got, want = new(t, lane_consts, 1e-9), old(t, lane_consts, 1e-9)
+        assert [(x.shape, x.dtype, x.flags.c_contiguous, x.tobytes()) for x in got] == \
+            [(x.shape, x.dtype, x.flags.c_contiguous, x.tobytes()) for x in want]
+
+
+def test_a_table_build_drops_each_register_after_its_last_read(monkeypatch):
+    # a long sum over t: at most its two operands and the new sum are alive at once
+    b = engine.TapeBuilder()
+    out = b.compile_expr(parse_expr(" + ".join(["2*t"] * 1000), {"t"}), {"t": b.load_t()})
+    live, row_function = [], engine._row_function
+    monkeypatch.setattr(engine, "_row_function",
+                        lambda op, variant: lambda r, *args: live.append(len(r)) or row_function(op, variant)(r, *args))
+    tables = engine._tables(tuple(b._code), [out])
+    table, hit = tables(np.arange(4.0)[:, None], np.array(b._consts)[:, None], 1e-9)
+    assert table[:, 0].tolist() == [0.0, 2000.0, 4000.0, 6000.0] and not hit.any()
+    assert len(live) == len(b._code) and max(live) <= 3

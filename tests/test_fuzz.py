@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memsolve import engine
 from memsolve.cli import main
 
 EQUATIONS = sorted(p.stem for p in (Path(__file__).parent.parent / "equations").glob("*.eq"))
@@ -162,6 +163,28 @@ def test_deep_input_simulates(tmp_path, capsys, shape):
     t, v = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
     assert len(t) == 11
     np.testing.assert_allclose(v, closed_form(t), rtol=1e-12, atol=0.0)
+
+
+def test_simulate_generates_no_code_per_summand(tmp_path, monkeypatch):
+    """The stage-time tables and the output transform run once per run, row by row:
+    the code that ``simulate`` generates is the same at 10 and at N summands of an
+    ``fgen`` signal and of an output transform."""
+    made, compile_ = [], engine._compile
+    monkeypatch.setattr(engine, "_compile", lambda source, name: made.append((name, source.count("\n")))
+                        or compile_(source, name))
+
+    def generated(n):
+        net, out = tmp_path / f"long{n}.net", tmp_path / "out.csv"
+        net.write_text(f'fgen f0 out=a0 expr="{" + ".join(["0.001*t"] * n)}"\n'
+                       'integrator int1 out=x C=1 ic=1 in=a0:1\n'
+                       f'output x transform="{" + ".join(["v"] * n)}"\n')
+        engine._march.cache_clear()
+        engine._row_function.cache_clear()
+        made.clear()
+        assert main(["simulate", str(net), "-o", str(out), "--dt", "1e-2", "--t-end", "0.1", "--quiet"]) == 0
+        return sorted(made)
+
+    assert generated(10) == generated(N)
 
 
 # each family's long coefficient: n summands of p, or n factors of a kernel that splits
