@@ -46,7 +46,6 @@ from .exprs import (
     Unary,
     Var,
     fold,
-    format_number,
     operands,
     parse_expr,
     pretty,
@@ -55,7 +54,7 @@ from .exprs import (
     walk,
 )
 from .engine import eval_expr, eval_expr_array, first_failure
-from .netlist import Netlist
+from .netlist import Netlist, strip_comment
 from .elements import Adder, FunctionGenerator, Integrator, MemIntegrator, Multiplier
 from .oracle import IdeSpec
 from .waveform import check_grid_bytes
@@ -187,8 +186,9 @@ EquationSpec = (
 # Simplification (compile-time cleanup of synthesized expressions)
 #
 # Invariant: simplifying never creates a negative Const node (negative values
-# are wrapped in a neg) so pretty-printed netlists reparse to identical
-# ASTs and relowering is exact.
+# are wrapped in a neg), so a compiled netlist, printed and loaded again,
+# holds the trees it was built from (a -0.0 reads back as 0) and relowering
+# is exact.
 
 
 def _const_expr(v: float) -> Expr:
@@ -494,12 +494,15 @@ def split_separable(kernel: Expr) -> tuple[Expr, Expr]:
 # Compilers
 
 
-def _mem_expr(src: str) -> Expr:
-    return parse_expr(src, {"t", "v", "omega"})
-
-
 def _sub_s_to_t(e: Expr) -> Expr:
     return substitute(e, {"s": Var("t")})
+
+
+def _printable(e: Expr, key: str) -> Expr:
+    """``e``, whose literals a netlist prints as numbers: an input error where one is not finite."""
+    if any(isinstance(x, Const) and not math.isfinite(x.value) for x, _ in walk(e)):
+        raise EquationSpecError(f"{key} holds a number outside the float range")
+    return e
 
 
 def compile_volterra_population(spec: VolterraPopulation) -> Netlist:
@@ -508,8 +511,9 @@ def compile_volterra_population(spec: VolterraPopulation) -> Netlist:
     g = -a + b*v + k1(t)*omega and f = k2(t)*v make the feedback voltage
     obey v' = v*(a - b*v - integral k1(t)k2(s) v(s) ds) with C = 1.
     """
-    g = _mem_expr(f"-{format_number(spec.a)} + {format_number(spec.b)}*v + ({pretty(spec.k1)})*omega")
-    f = _mem_expr(f"({pretty(_sub_s_to_t(spec.k2))})*v")
+    g = Binary("add", Binary("add", Unary("neg", _const_expr(spec.a)), Binary("mul", _const_expr(spec.b), Var("v"))),
+               Binary("mul", _printable(spec.k1, "k1"), Var("omega")))
+    f = Binary("mul", _printable(_sub_s_to_t(spec.k2), "k2"), Var("v"))
     net = Netlist(meta={"family": "volterra_population"})
     net.add("mem1", MemIntegrator(c=1.0, ic=spec.n0, g=g, f=f, omega0=0.0), "v")
     net.set_output("v")
@@ -530,11 +534,11 @@ def compile_linear_first_order(spec: LinearFirstOrderIde) -> Netlist:
     The device solves the multiplicative equation for v = exp(u); the
     declared output transform returns u = ln(v).
     """
-    g = _mem_expr("-omega")
-    f = _mem_expr(f"({pretty(_sub_s_to_t(spec.k))})*ln(v)")
+    ln_v = Unary("ln", Var("v"))
+    f = Binary("mul", _printable(_sub_s_to_t(spec.k), "k"), ln_v)
     net = Netlist(meta={"family": "linear_first_order"})
-    net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=g, f=f, omega0=0.0), "v")
-    net.set_output("v", parse_expr("ln(v)", {"v", "t"}))
+    net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=Unary("neg", Var("omega")), f=f, omega0=0.0), "v")
+    net.set_output("v", ln_v)
     return net
 
 
@@ -548,24 +552,20 @@ def compile_turbulent(spec: TurbulentIde) -> Netlist:
     exactly ln(v)/alpha = z/alpha = u.
     """
     P, fallback = integral_from_zero(spec.p, spec.alpha_horizon)
-    alpha = _simplified("exp", P)
-    alpha_is_one = alpha == Const(1.0)
-    a_src = pretty(alpha)
-    k1_src = pretty(simplify(spec.k1))
-    k2t_src = pretty(simplify(_sub_s_to_t(spec.k2)))
-
-    if alpha_is_one:
-        g = _mem_expr(f"({k1_src})*omega")
-        f = _mem_expr(f"({k2t_src})*ln(v)^2")
-        inv_alpha = parse_expr("1", {"t"})
-        transform = parse_expr("ln(v)", {"v", "t"})
+    alpha = _printable(_simplified("exp", P), "the integrating factor alpha")
+    k1 = _printable(simplify(spec.k1), "k1")
+    k2t = _printable(simplify(_sub_s_to_t(spec.k2)), "k2")
+    ln_v = Unary("ln", Var("v"))
+    if alpha == Const(1.0):
+        g, f = Binary("mul", k1, Var("omega")), Binary("mul", k2t, Binary("pow", ln_v, Const(2.0)))
+        inv_alpha, transform = Const(1.0), ln_v
     else:
-        g = _mem_expr(f"({a_src})*({k1_src})*omega")
-        f = _mem_expr(f"(({k2t_src})/({a_src})^2)*ln(v)^2")
-        inv_alpha = parse_expr(f"1/({a_src})", {"t"})
-        transform = parse_expr(f"ln(v*({a_src}))/({a_src})", {"v", "t"})
+        g = Binary("mul", Binary("mul", alpha, k1), Var("omega"))
+        f = Binary("mul", Binary("div", k2t, Binary("pow", alpha, Const(2.0))), Binary("pow", ln_v, Const(2.0)))
+        inv_alpha = Binary("div", Const(1.0), alpha)
+        transform = Binary("div", Unary("ln", Binary("mul", Var("v"), alpha)), alpha)
 
-    net = Netlist(meta={"family": "turbulent", "alpha": a_src})
+    net = Netlist(meta={"family": "turbulent", "alpha": pretty(alpha)})
     if fallback:
         net.meta["alpha_fallback"] = "chebyshev-fit"
         net.valid_to = spec.alpha_horizon
@@ -759,7 +759,7 @@ def load_equation_spec(path) -> EquationSpec:
 def parse_equation_spec(text: str) -> EquationSpec:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw, lineno, EquationSpecError).strip()
         if not line:
             continue
         if "=" not in line:
@@ -854,16 +854,6 @@ def parse_equation_spec(text: str) -> EquationSpec:
         key = next(iter(entries))
         raise EquationSpecError(f"unexpected key {key!r}", entries[key][1])
     return spec
-
-
-def _strip_comment(raw: str) -> str:
-    in_quote = False
-    for i, ch in enumerate(raw):
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == "#" and not in_quote:
-            return raw[:i]
-    return raw
 
 
 def _indexed(key: str):

@@ -71,6 +71,7 @@ the step.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import re
@@ -860,16 +861,19 @@ def _march_for(code, deriv_regs, flags, chan_kind, chan_idx, lanes: bool, hoist=
                   tuple(zip(chan_kind.tolist(), chan_idx.tolist())), tuple(map(int, flags)), lanes, hoist)
 
 
-def table_columns(prog: Program, chan_kind, chan_idx) -> int:
-    """Grid-length float64 columns that a single run's stage-time tables hold
-    at their peak: the grid and the half-step table of each frontier
-    register, and what one table build holds at once (its live registers
-    over ``t``, the guard mask and the other table's time column)."""
-    channels = tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
+def tape_stats(prog: Program, chan_kind=None, chan_idx=None) -> dict:
+    """``{"instructions": N, "hoisted": H}``: the tape's length and how many of its non-load
+    instructions the marches read from stage-time tables (see ``_split``; H counts them also for
+    a scalar run whose hoisted part hits a guard, which evaluates them in order).  Given a run's channels,
+    also ``"table_columns"``: the grid-length float64 columns its tables hold at their peak, the
+    grid and the half-step table of each frontier register, and what one table build holds at
+    once (its live registers over ``t``, the guard mask and the other table's time column)."""
     code = prog.code.tolist()
+    channels = () if chan_kind is None else tuple(zip(chan_kind.tolist(), chan_idx.tolist()))
     table, _, frontier = _split(code, _roots(prog.deriv_regs.tolist(), channels, prog.g_regs.tolist()))
-    if not table:
-        return 0
+    stats = {"instructions": len(code), "hoisted": sum(op not in _LOADS for op, *_ in table)}
+    if chan_kind is None:
+        return stats
     timed, live, most = set(), set(), 0
     for (op, dst, a, b), dead in zip(table, _dead_after(table, frontier)):
         if op == OP_T or timed.intersection(_reads(op, a, b)):
@@ -877,17 +881,7 @@ def table_columns(prog: Program, chan_kind, chan_idx) -> int:
             live.add(dst)
         most = max(most, len(live))
         live.difference_update(dead)
-    return 2 * len(frontier) + most + 2
-
-
-def tape_stats(prog: Program) -> dict:
-    """``{"instructions": N, "hoisted": H}``: the tape's length and how many of
-    its non-load instructions the marches read from stage-time tables (see
-    ``_split``).  A scalar run whose hoisted part hits a guard evaluates
-    them in order instead; H still counts them."""
-    code = prog.code.tolist()
-    table = _split(code, ())[0]
-    return {"instructions": len(code), "hoisted": sum(op not in _LOADS for op, *_ in table)}
+    return {**stats, "table_columns": 2 * len(frontier) + most + 2 if table else 0}
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +976,7 @@ def eval_expr_array_clamped(e: Expr, bindings, ln_floor) -> tuple[np.ndarray, in
 def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
     """Where :func:`eval_expr_array_clamped` of ``e`` raises over ``bindings``, which
     broadcast to (rows,) or (rows, columns): its first failing row, the first
-    failing column of that row, and the message there."""
+    failing column of that row, and the message there.  The evaluation must raise."""
     arrays = [x.reshape(len(x), -1) for x in np.broadcast_arrays(*map(np.asarray, bindings.values()))]
     evaluate = array_evaluator(e, tuple(bindings))
 
@@ -992,8 +986,10 @@ def first_failure(e, bindings, ln_floor) -> tuple[int, int, str]:
         except DomainError as exc:
             return str(exc)
 
-    row = next(r for r in range(len(arrays[0])) if error(r))
-    return row, *next((j, m) for j in range(arrays[0].shape[1]) if (m := error(row, j)))
+    # the first k entries raise exactly when one of them raises alone: bisect for the least such k
+    row = bisect.bisect_left(range(1, len(arrays[0])), True, key=lambda k: error(slice(k)) is not None)
+    col = bisect.bisect_left(range(1, arrays[0].shape[1]), True, key=lambda k: error(row, slice(k)) is not None)
+    return row, col, error(row, col)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .elements import (
     take,
 )
 from .engine import Program, TapeBuilder
-from .exprs import Expr, ExprError, format_number, parse_expr, pretty, variables
+from .exprs import Expr, format_number, parse_expr, pretty, variables
 
 __all__ = [
     "Netlist",
@@ -61,6 +60,8 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_CODE = re.compile(r'(?:[^"#]+|"[^"]*")*')   # a line up to its comment, or up to a quote that does not close
+_WORD = re.compile(r'(?:[^ \t\r\n"]+|"[^"]*")+')   # blanks split words, except inside double quotes
 
 TRANSFORM_VARS = frozenset({"v", "t"})
 
@@ -155,51 +156,63 @@ def load_netlist(path) -> Netlist:
         return parse_netlist(fh.read())
 
 
+def strip_comment(raw: str, lineno: int, error=NetlistParseError) -> str:
+    """``raw`` before its comment, by the one quoting rule of netlists and equation specs
+    (``docs/netlist-format.md``); an ``error`` at ``lineno`` where the line breaks it."""
+    code = _CODE.match(raw).group()
+    if raw[len(code):len(code) + 1] == '"':
+        raise error("bad quoting: no closing quotation", lineno)
+    for ch in "'\\":
+        if ch in code:
+            raise error(f"bad quoting: no field holds {ch}; quote with double quotes", lineno)
+    return code
+
+
+def _words(raw: str, lineno: int) -> list[str]:
+    """The words of a netlist line: blanks split them, except inside double quotes, which are dropped."""
+    return [w.replace('"', "") for w in _WORD.findall(strip_comment(raw, lineno))]
+
+
 def parse_netlist(text: str) -> Netlist:
     net = Netlist()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            words = shlex.split(raw, comments=True)
-        except ValueError as exc:
-            raise NetlistParseError(f"bad quoting: {exc}", lineno) from None
+        words = _words(raw, lineno)
         if not words:
             continue
         kind, args = words[0], words[1:]
         try:
-            _parse_declaration(net, kind, args, lineno)
-        except NetlistParseError:
-            raise
-        except (ValueError, ExprError) as exc:
+            _parse_declaration(net, kind, args)
+        except ValueError as exc:   # expression errors among them
             raise NetlistParseError(str(exc), lineno) from None
     return net
 
 
-def _parse_declaration(net: Netlist, kind: str, args: list[str], lineno: int) -> None:
+def _parse_declaration(net: Netlist, kind: str, args: list[str]) -> None:
     if kind == "node":
         if len(args) != 1:
-            raise NetlistParseError("node takes exactly one name", lineno)
+            raise ValueError("node takes exactly one name")
         net.add_node(args[0])
         return
     if kind == "valid_to":
         if len(args) != 1 or net.valid_to is not None:
-            raise NetlistParseError("valid_to takes one number, once", lineno)
+            raise ValueError("valid_to takes one number, once")
         net.valid_to = float(args[0])
         return
 
     cls = KINDS.get(kind)
     if kind == "output":
         if not args:
-            raise NetlistParseError("output needs a node name", lineno)
+            raise ValueError("output needs a node name")
         if net.output_node is not None:
-            raise NetlistParseError("duplicate output declaration", lineno)
+            raise ValueError("duplicate output declaration")
     elif cls is None:
-        raise NetlistParseError(f"unknown declaration {kind!r}", lineno)
+        raise ValueError(f"unknown declaration {kind!r}")
     elif not args:
-        raise NetlistParseError(f"{kind} needs an element id", lineno)
+        raise ValueError(f"{kind} needs an element id")
     given: dict[str, list[str]] = {}   # key -> its values, in line order
     for item in args[1:]:
         if "=" not in item:
-            raise NetlistParseError(f"expected key=value, got {item!r}", lineno)
+            raise ValueError(f"expected key=value, got {item!r}")
         k, v = item.split("=", 1)
         given.setdefault(k, []).append(v)
     if kind == "output":
@@ -212,7 +225,7 @@ def _parse_declaration(net: Netlist, kind: str, args: list[str], lineno: int) ->
             attrs.update(f.read(kind, given.pop(f.key, [])))
         net.add(args[0], cls(**attrs), out)
     if given:  # checked last, so that a line's other faults are reported first
-        raise NetlistParseError(f"unknown field {next(iter(given))!r}", lineno)
+        raise ValueError(f"unknown field {next(iter(given))!r}")
 
 
 # ---------------------------------------------------------------------------

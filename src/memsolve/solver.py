@@ -48,7 +48,7 @@ def check_run(sys: OdeSystem, sim: SimConfig, channels: int, runs: int = 1, tabl
     ``runs``, plus ``tables`` more columns over the grid, is over the cap.
 
     A single run's stage-time tables span its whole grid, so ``simulate``
-    counts them as ``tables`` columns (``engine.table_columns``); its output
+    counts them as ``tables`` columns (``engine.tape_stats``); its output
     transform runs over chunks of samples in place.  A stability sweep's peak
     is the record plus O(min(n_steps, 256) x runs) for the lane march's tables
     and one chunk of its reduction.
@@ -138,7 +138,8 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
 
     n_steps = cfg.n_steps
     prog = sys.program
-    check_run(sys, cfg, len(names), tables=engine.table_columns(prog, chan_kind, chan_idx))
+    tape = engine.tape_stats(prog, chan_kind, chan_idx)
+    check_run(sys, cfg, len(names), tables=tape.pop("table_columns"))
     rec = np.empty((n_steps + 1, len(names)), dtype=np.float64)
     gflag = np.empty(n_steps + 1, dtype=np.uint8)
 
@@ -177,7 +178,7 @@ def simulate(sys: OdeSystem, cfg: SimConfig, backend: str | None = None) -> SimR
         ln_clamps=ln_clamps + transform_clamps,
         first_ln_clamp=None if first_clamp is None else {"step": first_clamp, "t": first_clamp * cfg.dt},
         blowup_step=blowup_step,
-        tape=engine.tape_stats(prog),
+        tape=tape,
     )
 
 

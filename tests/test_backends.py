@@ -432,6 +432,21 @@ def test_guards_over_t_alone(expr, expected, status, event, ln_count):
     assert_variants_agree(sys, width=width, dt=dt, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("name, columns", [("population_growth", 10), ("turbulent_diffusion", 13), ("fgen", 6)])
+def test_a_warm_simulate_splits_its_tape_once(monkeypatch, name, columns):
+    # fgen: the slope is read from the tables, so the frontier holds a root that the march part reads not
+    fgen = 'integrator int1 out=x C=1 ic=0 in=a:1\nfgen f1 out=a expr="cos(t)"\noutput x\n'
+    sys, cfg = lower(parse_netlist(fgen)) if name == "fgen" else _sample(name), SimConfig(dt=1e-2, t_end=1.0)
+    first = simulate(sys, cfg)   # makes the march, which splits the tape for itself
+    calls, split = [], engine._split
+    monkeypatch.setattr(engine, "_split", lambda code, roots: calls.append(roots) or split(code, roots))
+    again = simulate(sys, cfg)
+    assert len(calls) == 1   # the table columns and the manifest's counts, from one split
+    assert again.tape == first.tape == engine.tape_stats(sys.program)
+    out = (np.array([engine.CHAN_REG], dtype=np.int32), np.array([sys.node_regs[sys.output_node]], dtype=np.int32))
+    assert engine.tape_stats(sys.program, *out) == {**first.tape, "table_columns": columns}
+
+
 @pytest.mark.parametrize("expr", ["cos(t)", "ln(t - 1)"])
 def test_tape_read_entirely_from_tables(expr):
     # an integrator fed only by an fgen: every instruction but the loads is hoisted

@@ -139,6 +139,15 @@ def test_simulate_invalid_netlist_lists_all_diagnostics(tmp_path, capsys, comman
     assert "alpha" in err
 
 
+def test_simulate_rejects_single_quotes_naming_the_line(tmp_path, capsys):
+    # shlex once read C='1' as C=1; no field holds a single quote
+    net = tmp_path / "quoted.net"
+    net.write_text("# a netlist\nintegrator int1 out=x C='1' ic=0\noutput x\n")
+    assert main(["simulate", str(net), "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("line 2: bad quoting")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_blowup_exits_zero_with_manifest_note(tmp_path):
     net = tmp_path / "grow.net"
     net.write_text('memintegrator m out=v C=1 ic=1 g="-3" f="v" omega0=0\noutput v\n')

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memsolve import exprs
 from memsolve.compiler import (
     EquationSpecError,
     HigherOrderComposed,
@@ -19,7 +20,10 @@ from memsolve.compiler import (
     VolterraPopulation,
     _affine_in_t,
     _const_value,
+    _exp_u0,
     _product_factors,
+    _simplified,
+    _sub_s_to_t,
     antiderivative_t,
     compile_equation,
     compile_higher_order,
@@ -27,14 +31,28 @@ from memsolve.compiler import (
     compile_linear_first_order,
     compile_turbulent,
     compile_volterra_population,
+    integral_from_zero,
     parse_equation_spec,
     simplify,
     split_separable,
     to_ide_spec,
 )
+from memsolve.elements import FunctionGenerator, MemIntegrator, Multiplier
 from memsolve.engine import eval_expr, eval_expr_array
-from memsolve.exprs import FUNCTIONS, Binary, Const, DomainError, Unary, Var, parse_expr, pretty, variables
-from memsolve.netlist import lower, netlist_stats, validate
+from memsolve.exprs import (
+    FUNCTIONS,
+    Binary,
+    Const,
+    DomainError,
+    Unary,
+    UnknownVariableError,
+    Var,
+    format_number,
+    parse_expr,
+    pretty,
+    variables,
+)
+from memsolve.netlist import Netlist, lower, lower_unchecked, netlist_stats, validate
 from memsolve.oracle import solve_ide, solve_memristive_chain
 from memsolve.solver import SimConfig, relative_error, simulate
 
@@ -830,6 +848,18 @@ def test_parse_equation_spec_errors_carry_line_numbers():
         parse_equation_spec('family = linear_first_order\nk = "1"\nu0 = 1\nstray = 3\n')
 
 
+@pytest.mark.parametrize("line, message", [
+    ("k = '1'", "line 2: bad quoting: no field holds '; quote with double quotes"),
+    ('k = "1\\"', "line 2: bad quoting: no field holds \\; quote with double quotes"),
+    ('k = "1  # the quote does not close', "line 2: bad quoting: no closing quotation"),
+])
+def test_equation_specs_take_the_netlist_quoting_rule(line, message):
+    text = f"family = linear_first_order  # it's only a comment\n{line}\nu0 = 1\n"
+    with pytest.raises(EquationSpecError) as exc:
+        parse_equation_spec(text)
+    assert (exc.value.line, str(exc.value)) == (2, message)
+
+
 def test_to_ide_spec_rejects_non_ide_families():
     with pytest.raises(EquationSpecError):
         to_ide_spec(eq4_spec())
@@ -875,3 +905,139 @@ def test_compile_generates_no_code(monkeypatch):
         net = compile_equation(parse_equation_spec(spec))
     assert made == []
     assert "exp(-3*t)" in net.to_text()
+
+
+# --- the compilers build trees: frozen copies of the text route they replaced --
+
+
+def _frozen_mem_expr(src):
+    return parse_expr(src, {"t", "v", "omega"})
+
+
+def _frozen_compile_volterra_population(spec):
+    g = _frozen_mem_expr(f"-{format_number(spec.a)} + {format_number(spec.b)}*v + ({pretty(spec.k1)})*omega")
+    f = _frozen_mem_expr(f"({pretty(_sub_s_to_t(spec.k2))})*v")
+    net = Netlist(meta={"family": "volterra_population"})
+    net.add("mem1", MemIntegrator(c=1.0, ic=spec.n0, g=g, f=f, omega0=0.0), "v")
+    net.set_output("v")
+    return net
+
+
+def _frozen_compile_linear_first_order(spec):
+    g = _frozen_mem_expr("-omega")
+    f = _frozen_mem_expr(f"({pretty(_sub_s_to_t(spec.k))})*ln(v)")
+    net = Netlist(meta={"family": "linear_first_order"})
+    net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=g, f=f, omega0=0.0), "v")
+    net.set_output("v", parse_expr("ln(v)", {"v", "t"}))
+    return net
+
+
+def _frozen_compile_turbulent(spec):
+    P, fallback = integral_from_zero(spec.p, spec.alpha_horizon)
+    alpha = _simplified("exp", P)
+    alpha_is_one = alpha == Const(1.0)
+    a_src = pretty(alpha)
+    k1_src = pretty(simplify(spec.k1))
+    k2t_src = pretty(simplify(_sub_s_to_t(spec.k2)))
+    if alpha_is_one:
+        g = _frozen_mem_expr(f"({k1_src})*omega")
+        f = _frozen_mem_expr(f"({k2t_src})*ln(v)^2")
+        inv_alpha = parse_expr("1", {"t"})
+        transform = parse_expr("ln(v)", {"v", "t"})
+    else:
+        g = _frozen_mem_expr(f"({a_src})*({k1_src})*omega")
+        f = _frozen_mem_expr(f"(({k2t_src})/({a_src})^2)*ln(v)^2")
+        inv_alpha = parse_expr(f"1/({a_src})", {"t"})
+        transform = parse_expr(f"ln(v*({a_src}))/({a_src})", {"v", "t"})
+    net = Netlist(meta={"family": "turbulent", "alpha": a_src})
+    if fallback:
+        net.meta["alpha_fallback"] = "chebyshev-fit"
+        net.valid_to = spec.alpha_horizon
+    net.add("mem1", MemIntegrator(c=1.0, ic=_exp_u0(spec.u0), g=g, f=f, omega0=0.0), "v")
+    net.add("fg1", FunctionGenerator(signal=inv_alpha), "inv_alpha")
+    net.add("mul1", Multiplier(inputs=("v", "inv_alpha")), "u_rec")
+    net.set_output("u_rec", transform)
+    return net
+
+
+_FROZEN_COMPILERS = {
+    VolterraPopulation: _frozen_compile_volterra_population,
+    LinearFirstOrderIde: _frozen_compile_linear_first_order,
+    TurbulentIde: _frozen_compile_turbulent,
+}
+
+_NUMBERS = st.one_of(st.sampled_from(["0", "0.0", "-0.0", "1", "-2", "0.5", "-0.125", "1e300", "-1e300",
+                                      "5e-324", "-5e-324", "1e16", "3"]), st.floats(-4.0, 4.0).map(repr))
+# literal text as the expression grammar reads it: unsigned, 1e999 overflowing to inf
+_LITERAL_TEXT = st.sampled_from(["0", "0.0", "1", "2", "0.5", "0.125", "1e300", "5e-324", "1e-300", "1e999", "3.75"])
+
+
+def _expr_text(var):
+    """Expression text over ``var``: signs, the four operations, powers and the functions."""
+    return st.recursive(st.one_of(st.just(var), _LITERAL_TEXT), lambda sub: st.one_of(
+        sub.map(lambda x: f"-{x}"),
+        st.tuples(sub, st.sampled_from([" + ", " - ", "*", "/", "^"]), sub).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(st.sampled_from(["exp", "sin", "cos", "ln", "sqrt"]), sub).map(lambda p: f"{p[0]}({p[1]})"),
+    ), max_leaves=5)
+
+
+# turbulent p: mostly the antiderivative table's shapes, which the table hits; the rest goes to the fit
+_P_TEXT = st.one_of(
+    st.tuples(_NUMBERS, st.sampled_from(["t", "exp(-2*t)", "sin(t/2)", "t^2", "1"])).map(lambda p: f"({p[0]})*{p[1]}"),
+    _expr_text("t"),
+)
+
+
+@st.composite
+def _spec_texts(draw):
+    family = draw(st.sampled_from(["volterra_population", "linear_first_order", "turbulent"]))
+    keys = {"volterra_population": dict(a=_NUMBERS, b=_NUMBERS, k1=_expr_text("t"), k2=_expr_text("s"), n0=_NUMBERS),
+            "linear_first_order": dict(k=_expr_text("s"), u0=_NUMBERS),
+            "turbulent": dict(p=_P_TEXT, k1=_expr_text("t"), k2=_expr_text("s"), u0=_NUMBERS)}[family]
+    lines = [f"family = {family}"]
+    for key, values in keys.items():
+        value = draw(values)
+        lines.append(f'{key} = "{value}"' if key in ("k", "k1", "k2", "p") else f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _compiled(compile_fn, spec):
+    """What compiling ``spec`` gives: the netlist's text and its tape, or the error."""
+    try:
+        net = compile_fn(spec)
+    except ValueError as exc:
+        # the text route read a non-finite literal's printed text as a variable
+        if isinstance(exc, UnknownVariableError) and exc.name in ("inf", "nan") or "float range" in str(exc):
+            return "a literal outside the float range"
+        return str(exc)
+    prog = lower_unchecked(net).program
+    # constants compare by value: the trees keep a folded -0.0 that the text route read back as 0
+    return net.to_text(), prog.code.tolist(), prog.consts.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_texts())
+@example('family = turbulent\np = "1/8*exp(-2*t)"\nk1 = "1/2*exp(-t)"\nk2 = "exp(-s)"\nu0 = 1\n').via("a table hit")
+@example('family = turbulent\np = "0.152*exp(-t^2)"\nk1 = "-0"\nk2 = "1"\nu0 = 1\nalpha_horizon = 4\n').via(
+    "a fitted alpha, and a k1 that folds to -0.0")
+@example('family = volterra_population\na = -0.0\nb = -1e300\nk1 = "1e999*t"\nk2 = "s"\nn0 = 5e-324\n').via(
+    "a literal that overflows")
+@example('family = linear_first_order\nk = "(1e300)*(1e300*s)"\nu0 = 1e300\n').via("u0 overflows")
+@example('family = turbulent\np = "0"\nk1 = "1e300*(1e300*t)"\nk2 = "1"\nu0 = 0\n').via("c1*c2 overflows")
+def test_compilers_build_the_trees_the_text_route_parsed(text):
+    spec = parse_equation_spec(text)
+    assert _compiled(compile_equation, spec) == _compiled(_FROZEN_COMPILERS[type(spec)], spec)
+
+
+def test_compiling_parses_no_text(monkeypatch):
+    equations = Path(__file__).parent.parent / "equations"
+    specs = [parse_equation_spec(path.read_text()) for path in sorted(equations.glob("*.eq"))]
+    specs += [turbulent_spec(), HigherOrderComposed(n=2, gs=eq22_g_f()[:1] * 2, f=eq22_g_f()[1], ics=(1.0, 0.0)),
+              parse_equation_spec('family = turbulent\np = "0.152*exp(-t^2)"\nk1 = "1"\nk2 = "1"\nu0 = 1\n'
+                                  'alpha_horizon = 4\n')]
+    parses, parse = [], exprs._Parser.parse
+    monkeypatch.setattr(exprs._Parser, "parse", lambda self: parses.append(self) or parse(self))
+    nets = [compile_equation(spec) for spec in specs]
+    assert parses == []
+    assert {net.meta["family"] for net in nets} >= {"volterra_population", "linear_first_order", "turbulent"}
+    assert any("alpha_fallback" in net.meta for net in nets)

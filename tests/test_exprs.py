@@ -805,3 +805,51 @@ def test_a_table_build_drops_each_register_after_its_last_read(monkeypatch):
     table, hit = tables(np.arange(4.0)[:, None], np.array(b._consts)[:, None], 1e-9)
     assert table[:, 0].tolist() == [0.0, 2000.0, 4000.0, 6000.0] and not hit.any()
     assert len(live) == len(b._code) and max(live) <= 3
+
+
+def _frozen_first_failure(e, bindings, ln_floor):
+    """``engine.first_failure`` before it bisected: a scan of the rows, then of the failing row's columns."""
+    arrays = [x.reshape(len(x), -1) for x in np.broadcast_arrays(*map(np.asarray, bindings.values()))]
+    evaluate = engine.array_evaluator(e, tuple(bindings))
+
+    def error(*at):
+        try:
+            evaluate([x[at] for x in arrays], ln_floor)
+        except DomainError as exc:
+            return str(exc)
+
+    row = next(r for r in range(len(arrays[0])) if error(r))
+    return row, *next((j, m) for j in range(arrays[0].shape[1]) if (m := error(row, j)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tv_trees, st.lists(_values, min_size=1, max_size=9), st.lists(_values, min_size=1, max_size=4),
+       st.sampled_from([None, 1e-9]), st.booleans())
+@example(Unary("ln", Var("v")), [0.0, 1.0, 2.0], [1.0, 2.0, -1.0, 0.0], None, True).via("the last column but one")
+@example(Unary("sqrt", Binary("sub", Const(4.0), Var("t"))), [1.0, 5.0, 2.0, 6.0], [1.0], None, False)
+def test_first_failure_agrees_with_the_linear_scan(e, ts, vs, ln_floor, columns):
+    # (rows, columns) bindings, or (rows,) ones
+    bindings = {"t": np.array(ts)[:, None], "v": np.array(vs)} if columns else {"t": ts, "v": ts[::-1]}
+    try:
+        eval_expr_array_clamped(e, bindings, ln_floor)
+    except DomainError:
+        assert engine.first_failure(e, bindings, ln_floor) == _frozen_first_failure(e, bindings, ln_floor)
+
+
+@pytest.mark.parametrize("rows, columns, at", [(1, 1, (0, 0)), (2, 1, (1, 0)), (1000, 1, (0, 0)),
+                                               (1000, 1, (999, 0)), (4097, 1, (3900, 0)), (1000, 8, (700, 5))])
+def test_first_failure_evaluates_a_logarithmic_number_of_times(monkeypatch, rows, columns, at):
+    v = np.ones((rows, columns))
+    v[at] = -1.0
+    v[at[0] + 1:] = -1.0   # later rows fail too
+    calls, array_evaluator = [], engine.array_evaluator
+
+    def counting(e, names):
+        evaluate = array_evaluator(e, names)
+        return lambda *args: calls.append(1) or evaluate(*args)
+
+    monkeypatch.setattr(engine, "array_evaluator", counting)
+    t = 0.5 * np.arange(rows)
+    bindings = {"v": v, "t": t[:, None]} if columns > 1 else {"v": v[:, 0], "t": t}
+    assert engine.first_failure(Unary("sqrt", Var("v")), bindings, None) == (*at, "sqrt of negative value")
+    assert len(calls) <= 2 * math.ceil(math.log2(rows)) + 2

@@ -1,6 +1,8 @@
+import shlex
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memsolve import netlist
@@ -11,6 +13,7 @@ from memsolve.netlist import (
     NetlistParseError,
     ValidationFailed,
     _dependency_order,
+    _words,
     load_netlist,
     lower,
     lower_unchecked,
@@ -355,3 +358,47 @@ def test_naming_loops_looks_up_each_element_a_bounded_number_of_times(shape):
     _Id.hashes = 0
     assert len(_dependency_order(net)[1]) == k
     assert _Id.hashes <= 40 * len(net.elements)
+
+
+# both quote kinds, the escape, the comment sign, and blanks that shlex splits at and that it does not
+_LEX_ALPHABET = st.sampled_from(['"', "'", "\\", "#", "=", " ", "\t", "\x0b", "\x0c", "\xa0", "a", "1", "x=", "(v)"])
+
+
+def _frozen_strip_comment(raw):
+    """The equation-spec parser's comment rule before the loaders shared one."""
+    in_quote = False
+    for i, ch in enumerate(raw):
+        if ch == '"':
+            in_quote = not in_quote
+        elif ch == "#" and not in_quote:
+            return raw[:i]
+    return raw
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LEX_ALPHABET, max_size=14).map("".join), st.integers(1, 99))
+@example('C="1" # it\'s a "comment', 3).via("a quote kind of each in the comment")
+@example("C='1'", 1).via("shlex once read this as C=1")
+@example('expr="a b"c""', 1).via("quoted spans join their word")
+@example('expr="t # x', 1).via("a quote that does not close")
+@example('fgen f1 out=a expr="t # not a comment"  # a comment', 1).via("a quoted # and blanks")
+@example("node\xa0a\tb\x0bc", 1).via("blanks that shlex splits at, and that it does not")
+def test_the_lexer_splits_like_shlex_or_names_the_line(raw, lineno):
+    code = _frozen_strip_comment(raw)
+    if "'" in code or "\\" in code or code.count('"') % 2:
+        with pytest.raises(NetlistParseError) as exc:
+            _words(raw, lineno)
+        assert exc.value.line == lineno and "bad quoting" in str(exc.value)
+    else:
+        assert _words(raw, lineno) == shlex.split(raw, comments=True)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("integrator i1 out=x C='1' ic=0", "line 2: bad quoting: no field holds '; quote with double quotes"),
+    ('fgen f1 out=a expr="t\\"', "line 2: bad quoting: no field holds \\; quote with double quotes"),
+    ('fgen f1 out=a expr="t # the quote does not close', "line 2: bad quoting: no closing quotation"),
+])
+def test_quoting_the_format_does_not_hold_is_a_parse_error(line, message):
+    with pytest.raises(NetlistParseError) as exc:
+        parse_netlist(f"node a\n{line}\noutput a  # it's only a comment\n")
+    assert (exc.value.line, str(exc.value)) == (2, message)
